@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,8 @@ from groupoidal.instances import (
 )
 
 from conftest import assert_close
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +427,7 @@ def test_two_dimensional_fiber_symmetric_instance():
     assert cert.left_report.center_dimension == cert.right_report.center_dimension
 
 
-def test_symmetric_morita_mixed_group_orders():
+def mixed_group_orders_certificate():
     # six units, left Z/3 and right Z/2 translations: the two translate
     # searches are genuinely asymmetric, so any swapped inverse or transpose
     # in the bracket and inner-product formulas would surface here
@@ -442,11 +446,18 @@ def test_symmetric_morita_mixed_group_orders():
     lb = trivial_line_bundle(base)
     gba = BundleAction(z3, lb, gact, identity_fiber_maps(lb, gact), "left")
     hba = BundleAction(z2, lb, hact, identity_fiber_maps(lb, hact), "right")
-    cert = symmetric_morita(lb, gba, hba)
+    return symmetric_morita(lb, gba, hba)
+
+
+def test_symmetric_morita_mixed_group_orders():
+    cert = mixed_group_orders_certificate()
     assert cert.verdict == "equivalent"
     assert sorted(cert.left_report.blocks) == [3] * 6
     assert sorted(cert.right_report.blocks) == [2] * 6
     assert cert.left_report.center_dimension == cert.right_report.center_dimension == 6
+    # full-precision margins and residuals, generated by tests/test_golden.py
+    golden = GOLDEN / "mixed_group_orders_certificate.json"
+    assert cert.to_json() + "\n" == golden.read_text()
 
 
 def test_raeburn_with_matrix_fiber(z2, triv):
