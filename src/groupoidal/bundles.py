@@ -36,11 +36,11 @@ from .groupoids import (
     left_translation_action,
     make_group,
     make_unit_groupoid,
+    opposite,
     orbit_space_action,
     principal_decomposition,
     quotient_groupoid,
     require_free,
-    right_bracket,
     semidirect_left,
     semidirect_right,
     semidirect_space_action,
@@ -48,6 +48,9 @@ from .groupoids import (
     transformation_groupoid,
     trivial_action,
     verify_groupoid_equivalence,
+    _Transposed,
+    _flip,
+    _other_side,
     _unique_unit_shift,
 )
 from .report import (
@@ -81,6 +84,16 @@ class FellBundle:
 
     def __repr__(self) -> str:
         return f"FellBundle({len(self.base.arrows)} fibers, total dim {self.total_dimension()})"
+
+
+def _swap_inputs(tensor: np.ndarray) -> np.ndarray:
+    return tensor.transpose(0, 2, 1)
+
+
+@opposite.register
+def _opposite_bundle(b: FellBundle) -> FellBundle:
+    """The bundle over the opposite groupoid, multiplying a.b as b a."""
+    return FellBundle(opposite(b.base), b.dim, _Transposed(b.mult, _swap_inputs), b.star)
 
 
 @dataclass
@@ -212,6 +225,19 @@ class BundleAction:
 
     def matrix(self, t, x) -> np.ndarray:
         return self.fiber_maps[(t, x)]
+
+    def converted(self) -> "BundleAction":
+        """The same orbits viewed from the opposite side (t acts as inv(t))."""
+        g = self.group
+        fiber = {(t, x): self.fiber_maps[(g.inv_elem(t), x)] for (t, x) in self.fiber_maps}
+        base = self.base_action.converted()
+        return BundleAction(g, self.bundle, base, fiber, base.side)
+
+
+@opposite.register
+def _opposite_bundle_action(ba: BundleAction) -> BundleAction:
+    return BundleAction(opposite(ba.group), opposite(ba.bundle), opposite(ba.base_action),
+                        ba.fiber_maps, _other_side(ba.side))
 
 
 def identity_fiber_maps(bundle: FellBundle, base_action: GroupAction) -> dict:
@@ -378,24 +404,15 @@ def semidirect_fell_bundle(a: FellBundle, ba: BundleAction) -> FellBundle:
 
 
 def semidirect_right_fell_bundle(ba: BundleAction, a: FellBundle) -> FellBundle:
-    """Bundle over H |x base with (h, a)(k, b) = (hk, (a.k)b)."""
+    """Bundle over H |x base with (h, a)(k, b) = (hk, (a.k)b).
+
+    It is the opposite of a^op x| H^op with each label (a, h) read as (h, a).
+    """
     if ba.side != "right" or ba.bundle.base != a.base:
         raise InvalidStructureError("semidirect_right_fell_bundle needs a right action on a")
-    check_bundle_action(ba).require("semidirect_right_fell_bundle")
-    h = ba.group
-    act = ba.base_action
-    base = semidirect_right(act, a.base)
-    dim = {(s, x): a.dim[x] for (s, x) in base.arrows}
-    mult = {}
-    for ((s, x), (t, y)) in base.composable_pairs():
-        xt = act.act[(t, x)]
-        mult[((s, x), (t, y))] = np.einsum(
-            "kaj,ai->kij", a.mult[(xt, y)], ba.fiber_maps[(t, x)])
-    star = {}
-    for (s, x) in base.arrows:
-        si = h.inv_elem(s)
-        star[(s, x)] = ba.fiber_maps[(si, a.base.inv[x])] @ a.star[x]
-    return FellBundle(base, dim, mult, star)
+    left = opposite(semidirect_fell_bundle(opposite(a), opposite(ba)))
+    base = semidirect_right(ba.base_action, a.base)
+    return pullback_bundle(GroupoidHom(base, left.base, {x: _flip(x) for x in base.arrows}), left)
 
 
 # ---------------------------------------------------------------------------
@@ -455,38 +472,23 @@ def quotient_fell_bundle(a: FellBundle, ba: BundleAction) -> tuple[FellBundle, B
 
 def induced_quotient_bundle_action(a: FellBundle, g: BundleAction,
                                    quotient: tuple[FellBundle, BundleQuotientMap]) -> BundleAction:
-    """The left action of G descends to the orbit bundle a/H, t.(a.H) = (t.a).H."""
+    """An action commuting with the quotiented one descends to the orbit bundle.
+
+    On the left t.(a.H) = (t.a).H on a/H; on the right (G.a).h = G.(a.h) on G\\a.
+    """
     qb, qm = quotient
     base_act = GroupAction(
         g.group, qb.base,
         {(t, p): qm.base.arrow_map[g.base_action.act[(t, p)]]
          for t in g.group.elements for p in qb.base.arrows},
-        "left",
+        g.side,
     )
     fiber = {}
     for t in g.group.elements:
         for p in qb.base.arrows:
             tp = g.base_action.act[(t, p)]
             fiber[(t, p)] = qm.fiber_transport[tp] @ g.fiber_maps[(t, p)]
-    return BundleAction(g.group, qb, base_act, fiber, "left")
-
-
-def induced_quotient_bundle_action_right(a: FellBundle, h: BundleAction,
-                                         quotient: tuple[FellBundle, BundleQuotientMap]) -> BundleAction:
-    """The right action of H descends to the orbit bundle G\\a, (G.a).h = G.(a.h)."""
-    qb, qm = quotient
-    base_act = GroupAction(
-        h.group, qb.base,
-        {(k, p): qm.base.arrow_map[h.base_action.act[(k, p)]]
-         for k in h.group.elements for p in qb.base.arrows},
-        "right",
-    )
-    fiber = {}
-    for k in h.group.elements:
-        for p in qb.base.arrows:
-            kp = h.base_action.act[(k, p)]
-            fiber[(k, p)] = qm.fiber_transport[kp] @ h.fiber_maps[(k, p)]
-    return BundleAction(h.group, qb, base_act, fiber, "right")
+    return BundleAction(g.group, qb, base_act, fiber, g.side)
 
 
 # ---------------------------------------------------------------------------
@@ -750,6 +752,48 @@ class BundleEquivalence:
     provenance: str = ""
 
 
+@opposite.register
+def _opposite_bundle_equivalence(e: BundleEquivalence) -> BundleEquivalence:
+    """The (B^op, A^op) bimodule on the same fibers, q.z = z.q.
+
+    The tensors swap sides and the inner products swap with them:
+    the new <z1, z2>_L is the old <z2, z1>_R, read in (z1, z2) slot order.
+    """
+    return BundleEquivalence(
+        base=opposite(e.base),
+        left_bundle=opposite(e.right_bundle),
+        right_bundle=opposite(e.left_bundle),
+        dims=e.dims,
+        left_tensors=_Transposed(e.right_tensors, _swap_inputs),
+        right_tensors=_Transposed(e.left_tensors, _swap_inputs),
+        left_inner=_Transposed(e.right_inner, _swap_inputs),
+        right_inner=_Transposed(e.left_inner, _swap_inputs),
+        provenance=e.provenance,
+    )
+
+
+def _left_module(a: FellBundle, g: BundleAction, h: BundleAction, sigma: dict):
+    """The left half of the symmetric equivalence: a/H x| G acting on a.
+
+    Returns the module action and the inner product <a, b>_L = (a(t.b*).H, t)
+    on the pairs with equal ``sigma``, t the unique matching translate.
+    """
+    quot = quotient_fell_bundle(a, h)
+    module = semidirect_orbit_bundle_action(a, g, h, _quotient=quot)
+    x, gact, transport = a.base, g.base_action, quot[1].fiber_transport
+    inner = {}
+    for z1 in x.arrows:
+        for z2 in x.arrows:
+            if sigma[z1] == sigma[z2]:
+                t = _unique_unit_shift(gact, x.src[z2], x.src[z1])
+                tz2i = gact.act[(t, x.inv[z2])]
+                twist = np.einsum("cd,dj->cj", g.fiber_maps[(t, x.inv[z2])], a.star[z2])
+                inner[(z1, z2)] = np.einsum(
+                    "lm,mic,cj->lij",
+                    transport[x.comp[(z1, tz2i)]], a.mult[(z1, tz2i)], twist)
+    return module, inner
+
+
 def symmetric_action_equivalence(a: FellBundle, g: BundleAction,
                                  h: BundleAction) -> BundleEquivalence:
     """The fibers of a as an (a/H x| G) - (H |x G\\a) equivalence.
@@ -759,69 +803,26 @@ def symmetric_action_equivalence(a: FellBundle, g: BundleAction,
       left inner    <a, b>_L  = (a(t.b*).H, t)
       right action  a.(k, G.b) = (a.k)(t.b)
       right inner   <a, b>_R  = (k, G.((a*.k)b))
+    The right half is the left half for a^op under H^op and G^op, read back
+    through opposite() with each label (G.b, k) renamed (k, G.b).
     """
     _check_symmetric_bundle_hypotheses(a, g, h)
-    gact, hact = g.base_action, h.base_action
-    base = symmetric_groupoid_equivalence(a.base, gact, hact)
-
-    h_quot = quotient_fell_bundle(a, h)
-    hqm = h_quot[1]
-    left_mod = semidirect_orbit_bundle_action(a, g, h, _quotient=h_quot)
-    p_bundle = left_mod.acting
-    left_tensors = dict(left_mod.tensors)
-
-    # mirrored right side: quotient by G, then H |x (G\a)
-    g_right = BundleAction(
-        g.group, a,
-        g.base_action.converted(),
-        {(t, x): g.fiber_maps[(g.group.inv_elem(t), x)]
-         for t in g.group.elements for x in a.base.arrows},
-        "right",
-    )
-    g_quot = quotient_fell_bundle(a, g_right)
-    gqb, gqm = g_quot
-    h_on_gquot = induced_quotient_bundle_action_right(a, h, g_quot)
-    q_bundle = semidirect_right_fell_bundle(h_on_gquot, gqb)
-
-    right_tensors = {}
-    for ((k, p), z) in base.right_action.act:
-        t = _unique_unit_shift(g_right.base_action, a.base.rng[p],
-                               hact.unit_image(k, a.base.src[z]))
-        tp = g_right.base_action.act[(t, p)]
-        right_tensors[(z, (k, p))] = np.einsum(
-            "kab,ai,bj->kij", a.mult[(hact.act[(k, z)], tp)],
-            h.fiber_maps[(k, z)], g_right.fiber_maps[(t, p)])
-
-    x = a.base
-    left_inner, right_inner = {}, {}
-    for z1 in x.arrows:
-        for z2 in x.arrows:
-            if base.sigma[z1] == base.sigma[z2]:
-                (_w_rep, t) = left_bracket(base, z1, z2)
-                tz2i = gact.act[(t, x.inv[z2])]
-                w = x.comp[(z1, tz2i)]
-                twist = np.einsum("cd,dj->cj", g.fiber_maps[(t, x.inv[z2])], a.star[z2])
-                left_inner[(z1, z2)] = np.einsum(
-                    "lm,mic,cj->lij",
-                    hqm.fiber_transport[w], a.mult[(z1, tz2i)], twist)
-            if base.rho[z1] == base.rho[z2]:
-                (k, _w_rep) = right_bracket(base, z1, z2)
-                z1ik = hact.act[(k, x.inv[z1])]
-                w = x.comp[(z1ik, z2)]
-                twist = np.einsum("cd,di->ci", h.fiber_maps[(k, x.inv[z1])], a.star[z1])
-                right_inner[(z1, z2)] = np.einsum(
-                    "lm,mcj,ci->lij",
-                    gqm.fiber_transport[w], a.mult[(z1ik, z2)], twist)
-
+    base = symmetric_groupoid_equivalence(a.base, g.base_action, h.base_action)
+    left, left_inner = _left_module(a, g, h, base.sigma)
+    right, right_inner = _left_module(opposite(a), opposite(h), opposite(g), base.rho)
+    q_op, q_gpd, x = opposite(right.acting), base.right_groupoid, a.base
     return BundleEquivalence(
         base=base,
-        left_bundle=p_bundle,
-        right_bundle=q_bundle,
+        left_bundle=left.acting,
+        right_bundle=pullback_bundle(
+            GroupoidHom(q_gpd, q_op.base, {q: _flip(q) for q in q_gpd.arrows}), q_op),
         dims={z: a.dim[z] for z in x.arrows},
-        left_tensors=left_tensors,
-        right_tensors=right_tensors,
+        left_tensors=dict(left.tensors),
+        right_tensors={(z, q): _swap_inputs(right.tensors[(_flip(q), z)])
+                       for (q, z) in base.right_action.act},
         left_inner=left_inner,
-        right_inner=right_inner,
+        right_inner={(z1, z2): _swap_inputs(right_inner[(z2, z1)])
+                     for z1 in x.arrows for z2 in x.arrows if (z2, z1) in right_inner},
         provenance="symmetric",
     )
 
@@ -968,58 +969,43 @@ def verify_bundle_equivalence(e: BundleEquivalence,
     if not rep.ok:
         return rep
 
+    # The right half of each check through step 4 is its left half run on
+    # the opposite bimodule; orient() turns its witnesses back into this
+    # bimodule's order.
+    e_op = opposite(e)
+    sides = ((e, "left", lambda w: w), (e_op, "right", lambda w: w[::-1]))
+
     # structural coverage
-    missing = set(base.left_action.act) - set(e.left_tensors)
-    rep.add("left tensors cover the action", not missing,
-            fmt(next(iter(missing))) if missing else None)
-    missing = {(z, q) for (q, z) in base.right_action.act} - set(e.right_tensors)
-    rep.add("right tensors cover the action", not missing,
-            fmt(next(iter(missing))) if missing else None)
-    sig_pairs = {(z1, z2) for z1 in base.space for z2 in base.space
-                 if base.sigma[z1] == base.sigma[z2]}
-    rho_pairs = {(z1, z2) for z1 in base.space for z2 in base.space
-                 if base.rho[z1] == base.rho[z2]}
-    rep.add("left inner product defined on sigma pairs",
-            set(e.left_inner) == sig_pairs)
-    rep.add("right inner product defined on rho pairs",
-            set(e.right_inner) == rho_pairs)
+    for f, side, orient in sides:
+        missing = set(f.base.left_action.act) - set(f.left_tensors)
+        rep.add(f"{side} tensors cover the action", not missing,
+                fmt(orient(next(iter(missing)))) if missing else None)
+    for f, name in ((e, "left inner product defined on sigma pairs"),
+                    (e_op, "right inner product defined on rho pairs")):
+        pairs = {(z1, z2) for z1 in base.space for z2 in base.space
+                 if f.base.sigma[z1] == f.base.sigma[z2]}
+        rep.add(name, set(f.left_inner) == pairs)
     if not rep.ok:
         return rep
 
-    def ldim(p):
-        return p_bundle.dim[p]
-
-    def qdim(q):
-        return q_bundle.dim[q]
-
-    bad = next(((p, z) for (p, z), tsr in e.left_tensors.items()
-                if tsr.shape != (e.dims[base.left_apply(p, z)], ldim(p), e.dims[z])),
-               None)
-    rep.add("left tensor shapes", bad is None, fmt(bad) if bad else None)
-    bad = next(((z, q) for (z, q), tsr in e.right_tensors.items()
-                if tsr.shape != (e.dims[base.right_apply(z, q)], e.dims[z], qdim(q))),
-               None)
-    rep.add("right tensor shapes", bad is None, fmt(bad) if bad else None)
+    for f, side, orient in sides:
+        bad = next(((p, z) for (p, z), tsr in f.left_tensors.items()
+                    if tsr.shape != (e.dims[f.base.left_apply(p, z)],
+                                     f.left_bundle.dim[p], e.dims[z])), None)
+        rep.add(f"{side} tensor shapes", bad is None, fmt(orient(bad)) if bad else None)
     if not rep.ok:
         return rep
 
     # Step 2: inner products land over the bracket arrows
-    bad = None
-    for (z1, z2), tsr in e.left_inner.items():
-        p = left_bracket(base, z1, z2)
-        if tsr.shape != (ldim(p), e.dims[z1], e.dims[z2]):
-            bad = (z1, z2)
-            break
-    rep.add("step 2: left inner product lands over the left bracket",
-            bad is None, fmt(bad) if bad else None)
-    bad = None
-    for (z1, z2), tsr in e.right_inner.items():
-        q = right_bracket(base, z1, z2)
-        if tsr.shape != (qdim(q), e.dims[z1], e.dims[z2]):
-            bad = (z1, z2)
-            break
-    rep.add("step 2: right inner product lands over the right bracket",
-            bad is None, fmt(bad) if bad else None)
+    for f, side, orient in sides:
+        bad = None
+        for (z1, z2), tsr in f.left_inner.items():
+            p = left_bracket(f.base, z1, z2)
+            if tsr.shape != (f.left_bundle.dim[p], e.dims[z1], e.dims[z2]):
+                bad = orient((z1, z2))
+                break
+        rep.add(f"step 2: {side} inner product lands over the {side} bracket",
+                bad is None, fmt(bad) if bad else None)
     if not rep.ok:
         return rep
 
@@ -1045,72 +1031,46 @@ def verify_bundle_equivalence(e: BundleEquivalence,
 
     # Step 3: adjoint symmetry of both inner products
     worst, wit = 0.0, None
-    for (z1, z2), tsr in e.left_inner.items():
-        p = left_bracket(base, z1, z2)
-        p_op = left_bracket(base, z2, z1)
-        if p_gpd.inv[p] != p_op:
-            rep.add("step 3: left bracket antisymmetry", False, fmt((z1, z2)))
-            return rep
-        lhs = np.einsum("kl,lij->kij", p_bundle.star[p], np.conjugate(tsr))
-        rhs = np.transpose(e.left_inner[(z2, z1)], (0, 2, 1))
-        if lhs.size:
-            d = float(np.max(np.abs(lhs - rhs)))
-            if d > worst:
-                worst, wit = d, (z1, z2)
-    for (z1, z2), tsr in e.right_inner.items():
-        q = right_bracket(base, z1, z2)
-        q_op = right_bracket(base, z2, z1)
-        if q_gpd.inv[q] != q_op:
-            rep.add("step 3: right bracket antisymmetry", False, fmt((z1, z2)))
-            return rep
-        lhs = np.einsum("kl,lij->kij", q_bundle.star[q], np.conjugate(tsr))
-        rhs = np.transpose(e.right_inner[(z2, z1)], (0, 2, 1))
-        if lhs.size:
-            d = float(np.max(np.abs(lhs - rhs)))
-            if d > worst:
-                worst, wit = d, (z1, z2)
+    for f, side, orient in sides:
+        f_base, f_gpd, f_bundle = f.base, f.base.left_groupoid, f.left_bundle
+        for (z1, z2), tsr in f.left_inner.items():
+            p = left_bracket(f_base, z1, z2)
+            if f_gpd.inv[p] != left_bracket(f_base, z2, z1):
+                rep.add(f"step 3: {side} bracket antisymmetry", False, fmt(orient((z1, z2))))
+                return rep
+            lhs = np.einsum("kl,lij->kij", f_bundle.star[p], np.conjugate(tsr))
+            rhs = np.transpose(f.left_inner[(z2, z1)], (0, 2, 1))
+            if lhs.size:
+                d = float(np.max(np.abs(lhs - rhs)))
+                if d > worst:
+                    worst, wit = d, orient((z1, z2))
     rep.record_metric("step3 adjoint symmetry", worst)
     rep.add("step 3: inner products adjoint-symmetric", worst <= tol,
             fmt(wit) if worst > tol else None)
 
     # Step 4: module compatibility on both sides
     worst, wit = 0.0, None
-    for (p, z2) in base.left_action.act:
-        z2p = base.left_apply(p, z2)
-        for z3 in base.space:
-            if base.sigma[z2] != base.sigma[z3]:
-                continue
-            b23 = left_bracket(base, z2, z3)
-            if not p_gpd.composable(p, b23) or \
-               p_gpd.comp[(p, b23)] != left_bracket(base, z2p, z3):
-                rep.add("step 4: left bracket composition", False, fmt((p, z2, z3)))
-                return rep
-            lhs = np.einsum("lmk,maj->lajk", e.left_inner[(z2p, z3)],
-                            e.left_tensors[(p, z2)])
-            rhs = np.einsum("laq,qjk->lajk", p_bundle.mult[(p, b23)],
-                            e.left_inner[(z2, z3)])
-            if lhs.size:
-                d = float(np.max(np.abs(lhs - rhs)))
-                if d > worst:
-                    worst, wit = d, (p, z2, z3)
-    for (z2, q) in ((z, q) for (q, z) in base.right_action.act):
-        z2q = base.right_apply(z2, q)
-        for z1 in base.space:
-            if base.rho[z1] != base.rho[z2]:
-                continue
-            b12 = right_bracket(base, z1, z2)
-            if not q_gpd.composable(b12, q) or \
-               q_gpd.comp[(b12, q)] != right_bracket(base, z1, z2q):
-                rep.add("step 4: right bracket composition", False, fmt((z1, z2, q)))
-                return rep
-            lhs = np.einsum("lim,mjc->lijc", e.right_inner[(z1, z2q)],
-                            e.right_tensors[(z2, q)])
-            rhs = np.einsum("lsc,sij->lijc", q_bundle.mult[(b12, q)],
-                            e.right_inner[(z1, z2)])
-            if lhs.size:
-                d = float(np.max(np.abs(lhs - rhs)))
-                if d > worst:
-                    worst, wit = d, (z1, z2, q)
+    for f, side, orient in sides:
+        f_base, f_gpd, f_bundle = f.base, f.base.left_groupoid, f.left_bundle
+        for (p, z2) in f_base.left_action.act:
+            z2p = f_base.left_apply(p, z2)
+            for z3 in f_base.space:
+                if f_base.sigma[z2] != f_base.sigma[z3]:
+                    continue
+                b23 = left_bracket(f_base, z2, z3)
+                if not f_gpd.composable(p, b23) or \
+                   f_gpd.comp[(p, b23)] != left_bracket(f_base, z2p, z3):
+                    rep.add(f"step 4: {side} bracket composition", False,
+                            fmt(orient((p, z2, z3))))
+                    return rep
+                lhs = np.einsum("lmk,maj->lajk", f.left_inner[(z2p, z3)],
+                                f.left_tensors[(p, z2)])
+                rhs = np.einsum("laq,qjk->lajk", f_bundle.mult[(p, b23)],
+                                f.left_inner[(z2, z3)])
+                if lhs.size:
+                    d = float(np.max(np.abs(lhs - rhs)))
+                    if d > worst:
+                        worst, wit = d, orient((p, z2, z3))
     rep.record_metric("step4 module compatibility", worst)
     rep.add("step 4: inner products compatible with the module actions",
             worst <= tol, fmt(wit) if worst > tol else None)
@@ -1122,7 +1082,7 @@ def verify_bundle_equivalence(e: BundleEquivalence,
         for z3 in base.space:
             if base.rho[z2] != base.rho[z3]:
                 continue
-            q23 = right_bracket(base, z2, z3)
+            q23 = left_bracket(e_op.base, z3, z2)
             if not base.left_defined(p12, z3) or not base.right_defined(z1, q23) or \
                base.left_apply(p12, z3) != base.right_apply(z1, q23):
                 rep.add("step 5: exchange identity (points)", False,
@@ -1155,13 +1115,13 @@ def verify_bundle_equivalence(e: BundleEquivalence,
     for z in base.space:
         d = e.dims[z]
         pu = p_gpd.unit_arrow[base.rho[z]]
-        tsr = e.left_inner[(z, z)].reshape(ldim(pu), d * d)
-        if np.linalg.matrix_rank(tsr, tol=1e-7) != ldim(pu):
+        tsr = e.left_inner[(z, z)].reshape(p_bundle.dim[pu], d * d)
+        if np.linalg.matrix_rank(tsr, tol=1e-7) != p_bundle.dim[pu]:
             bad = ("left fullness", z)
             break
         qu = q_gpd.unit_arrow[base.sigma[z]]
-        tsr = e.right_inner[(z, z)].reshape(qdim(qu), d * d)
-        if np.linalg.matrix_rank(tsr, tol=1e-7) != qdim(qu):
+        tsr = e.right_inner[(z, z)].reshape(q_bundle.dim[qu], d * d)
+        if np.linalg.matrix_rank(tsr, tol=1e-7) != q_bundle.dim[qu]:
             bad = ("right fullness", z)
             break
         for (bundle, inner, unit) in (
@@ -1188,14 +1148,14 @@ def verify_bundle_equivalence(e: BundleEquivalence,
 
 def exchange_residual(e: BundleEquivalence) -> float:
     """Max entrywise deviation of <a,b>_L . c - a . <b,c>_R over all triples."""
-    base = e.base
+    base, base_op = e.base, opposite(e.base)
     worst = 0.0
     for (z1, z2) in e.left_inner:
         p12 = left_bracket(base, z1, z2)
         for z3 in base.space:
             if base.rho[z2] != base.rho[z3]:
                 continue
-            q23 = right_bracket(base, z2, z3)
+            q23 = left_bracket(base_op, z3, z2)
             lhs = np.einsum("mlk,lij->mijk", e.left_tensors[(p12, z3)],
                             e.left_inner[(z1, z2)])
             rhs = np.einsum("mil,ljk->mijk", e.right_tensors[(z1, q23)],

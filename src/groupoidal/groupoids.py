@@ -5,6 +5,11 @@ exactly when src(x) == rng(y) (x is applied after y).  A left group action
 satisfies act(s, act(t, x)) == act(s*t, x); a right action, written x.h, is
 stored as act(h, x) and satisfies act(k, act(h, x)) == act(h*k, x).
 
+The opposite of a groupoid swaps src and rng and reads comp[(y, x)] as
+comp[(x, y)]; a right action of H is a left action of H^op with the same
+table.  Every right-handed construction here is its left-handed twin applied
+to opposite() data and read back through opposite().
+
 Haar systems are fixed to counting measures on range fibers; they exist for
 every finite groupoid and are invariant under any action by automorphisms,
 so no measure data is stored.  Properness checks are vacuous for finite
@@ -14,7 +19,9 @@ discrete spaces and are reported as notes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
+from functools import cached_property, singledispatch
 
 from ._util import canonical_min, fmt, sort_key
 from .report import (
@@ -119,6 +126,72 @@ def check_homomorphism(f: GroupoidHom) -> ValidationReport:
     bad = [x for x in src.arrows if m[src.inv[x]] != tgt.inv[m[x]]]
     rep.add("preserves inverses", not bad, fmt(bad[0]) if bad else None)
     return rep
+
+
+# ---------------------------------------------------------------------------
+# opposites
+
+
+class _Transposed(Mapping):
+    """A view of a pair-keyed table that reads key (x, y) as (y, x).
+
+    ``value``, when given, is applied to each entry read.  Edits to the
+    table show through the view.
+    """
+
+    def __init__(self, table, value=None):
+        self.table, self.value = table, value
+
+    def __getitem__(self, key):
+        v = self.table[(key[1], key[0])]
+        return v if self.value is None else self.value(v)
+
+    def __iter__(self):
+        return ((y, x) for (x, y) in self.table)
+
+    def __len__(self):
+        return len(self.table)
+
+
+def _other_side(side: str) -> str:
+    return {"left": "right", "right": "left"}.get(side, side)
+
+
+@singledispatch
+def opposite(obj):
+    """The opposite of a groupoid, bundle, action or equivalence, as a view.
+
+    Every table is shared with ``obj``, so the call is O(1) and edits to
+    ``obj`` show through; opposite(opposite(obj)) has the tables of ``obj``.
+    """
+    raise TypeError(f"no opposite for {type(obj).__name__}")
+
+
+@opposite.register
+def _opposite_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
+    # replace() keeps a FiniteGroup a FiniteGroup, with the same identity
+    return replace(g, src=g.rng, rng=g.src, comp=_Transposed(g.comp))
+
+
+def _flip(label):
+    return (label[1], label[0])
+
+
+def _flip_labels(g: FiniteGroupoid, arrows: tuple) -> FiniteGroupoid:
+    """g with every unit and arrow label (a, b) renamed (b, a).
+
+    ``arrows`` lists the renamed arrows in the order the result keeps.
+    """
+    units = tuple(map(_flip, g.units))
+    return FiniteGroupoid(
+        units=units,
+        arrows=arrows,
+        src={x: _flip(g.src[_flip(x)]) for x in arrows},
+        rng={x: _flip(g.rng[_flip(x)]) for x in arrows},
+        comp={(_flip(x), _flip(y)): _flip(xy) for (x, y), xy in g.comp.items()},
+        inv={x: _flip(g.inv[_flip(x)]) for x in arrows},
+        unit_arrow={u: _flip(g.unit_arrow[_flip(u)]) for u in units},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +396,14 @@ class GroupAction:
         """The same orbits viewed from the opposite side (t acts as inv(t))."""
         flipped = {(t, x): self.act[(self.group.inv_elem(t), x)]
                    for (t, x) in self.act}
-        side = "right" if self.side == "left" else "left"
-        return GroupAction(self.group, self.target, flipped, side)
+        return GroupAction(self.group, self.target, flipped, _other_side(self.side))
+
+
+@opposite.register
+def _opposite_group_action(a: GroupAction) -> GroupAction:
+    # a right action of H on x is a left action of H^op on x^op
+    return replace(a, group=opposite(a.group), target=opposite(a.target),
+                   side=_other_side(a.side))
 
 
 def trivial_action(group: FiniteGroup, target: FiniteGroupoid, side: str = "left") -> GroupAction:
@@ -454,21 +533,26 @@ class SpaceAction:
         return self.act[(x, u)]
 
 
+@opposite.register
+def _opposite_space_action(a: SpaceAction) -> SpaceAction:
+    return replace(a, groupoid=opposite(a.groupoid), side=_other_side(a.side))
+
+
 def check_space_action(a: SpaceAction) -> ValidationReport:
     rep = ValidationReport(subject=f"{a.side} groupoid action on a set")
-    g = a.groupoid
     if a.side not in ("left", "right"):
         rep.add("side flag valid", False, a.side)
         return rep
+    if a.side == "right":
+        a = opposite(a)
+    g = a.groupoid
 
     bad = [u for u in a.space if a.fibring.get(u) not in set(g.units)]
     rep.add("fibring total with unit values", not bad, fmt(bad[0]) if bad else None)
     if bad:
         return rep
 
-    left = a.side == "left"
-    dom = {(x, u) for x in g.arrows for u in a.space
-           if (g.src[x] if left else g.rng[x]) == a.fibring[u]}
+    dom = {(x, u) for x in g.arrows for u in a.space if g.src[x] == a.fibring[u]}
     missing = dom - set(a.act)
     extra = set(a.act) - dom
     wit = next(iter(missing or extra), None)
@@ -479,7 +563,7 @@ def check_space_action(a: SpaceAction) -> ValidationReport:
 
     bad = next(((x, u) for (x, u), v in a.act.items()
                 if v not in set(a.space)
-                or a.fibring[v] != (g.rng[x] if left else g.src[x])), None)
+                or a.fibring[v] != g.rng[x]), None)
     rep.add("fibring of the image", bad is None,
             f"({fmt(bad[0])},{fmt(bad[1])})" if bad else None)
     if bad:
@@ -489,24 +573,14 @@ def check_space_action(a: SpaceAction) -> ValidationReport:
     bad = None
     for x, y in g.composable_pairs():
         xy = g.comp.get((x, y), sentinel)
-        if left:
-            for u in a.space:
-                if (y, u) not in a.act:
-                    continue
-                step = a.act.get((x, a.act[(y, u)]), sentinel)
-                if a.act.get((xy, u), sentinel) is sentinel or step is sentinel \
-                        or a.act[(xy, u)] != step:
-                    bad = (x, y, u)
-                    break
-        else:
-            for u in a.space:
-                if (x, u) not in a.act:
-                    continue
-                step = a.act.get((y, a.act[(x, u)]), sentinel)
-                if a.act.get((xy, u), sentinel) is sentinel or step is sentinel \
-                        or a.act[(xy, u)] != step:
-                    bad = (x, y, u)
-                    break
+        for u in a.space:
+            if (y, u) not in a.act:
+                continue
+            step = a.act.get((x, a.act[(y, u)]), sentinel)
+            if a.act.get((xy, u), sentinel) is sentinel or step is sentinel \
+                    or a.act[(xy, u)] != step:
+                bad = (x, y, u)
+                break
         if bad:
             break
     rep.add("compatible with composition", bad is None,
@@ -531,11 +605,6 @@ def group_set_action(group: FiniteGroup, points, mapping: dict, side: str) -> Sp
     unit = group.units[0]
     act = {(t, u): mapping[(t, u)] for t in group.elements for u in pts}
     return SpaceAction(group, pts, {u: unit for u in pts}, act, side)
-
-
-def space_action_is_free(a: SpaceAction) -> bool:
-    g = a.groupoid
-    return all(v != u or g.is_unit_arrow(x) for (x, u), v in a.act.items())
 
 
 # ---------------------------------------------------------------------------
@@ -593,26 +662,14 @@ def semidirect_left(x: FiniteGroupoid, a: GroupAction) -> FiniteGroupoid:
 
 
 def semidirect_right(a: GroupAction, x: FiniteGroupoid) -> FiniteGroupoid:
-    """Arrows (s, x) with (s, x)(t, y) = (st, (x.t)y); units (e, u)."""
+    """Arrows (s, x) with (s, x)(t, y) = (st, (x.t)y); units (e, u).
+
+    It is the opposite of x^op x| H^op with each label (x, s) read as (s, x).
+    """
     if a.side != "right" or a.target != x:
         raise InvalidStructureError("semidirect_right needs a right action on x")
-    check_action(a).require("semidirect_right")
-    g = a.group
-    e = g.identity
-    arrows = tuple((s, ar) for s in g.elements for ar in x.arrows)
-    units = tuple((e, u) for u in x.units)
-    src = {(s, ar): (e, x.src[ar]) for (s, ar) in arrows}
-    rng = {(s, ar): (e, a.unit_image(g.inv_elem(s), x.rng[ar])) for (s, ar) in arrows}
-    comp = {}
-    for (s, p) in arrows:
-        for (t, q) in arrows:
-            pt = a.act[(t, p)]
-            if x.composable(pt, q):
-                comp[((s, p), (t, q))] = (g.mul(s, t), x.comp[(pt, q)])
-    inv = {(s, ar): (g.inv_elem(s), a.act[(g.inv_elem(s), x.inv[ar])])
-           for (s, ar) in arrows}
-    unit_arrow = {(_e, u): (e, x.unit_arrow[u]) for (_e, u) in units}
-    return FiniteGroupoid(units, arrows, src, rng, comp, inv, unit_arrow)
+    left = opposite(semidirect_left(opposite(x), opposite(a)))
+    return _flip_labels(left, tuple((s, ar) for s in a.group.elements for ar in x.arrows))
 
 
 # ---------------------------------------------------------------------------
@@ -707,21 +764,6 @@ def orbit_space_action(x: FiniteGroupoid, a: GroupAction,
     return SpaceAction(quot, tuple(x.arrows), fibring, act, "left")
 
 
-def orbit_space_action_right(x: FiniteGroupoid, g: GroupAction,
-                             _quotient: tuple | None = None) -> SpaceAction:
-    """G\\x acting on the right of the arrow set of x, y.(G.x) = yx."""
-    gr = g.converted() if g.side == "left" else g
-    quot, qmap = _quotient if _quotient is not None else quotient_groupoid(x, gr)
-    act = {}
-    for p in quot.arrows:
-        for z in x.arrows:
-            if qmap.unit_map[x.src[z]] == quot.rng[p]:
-                t = _unique_unit_shift(gr, x.rng[p], x.src[z])
-                act[(p, z)] = x.comp[(z, gr.act[(t, p)])]
-    fibring = {z: qmap.unit_map[x.src[z]] for z in x.arrows}
-    return SpaceAction(quot, tuple(x.arrows), fibring, act, "right")
-
-
 # ---------------------------------------------------------------------------
 # covariant pairs and semidirect-product actions
 
@@ -774,24 +816,17 @@ def semidirect_space_action(g: GroupAction, s1: SpaceAction, s2: SpaceAction,
 
 def semidirect_right_space_action(h: GroupAction, s1: SpaceAction, s2: SpaceAction,
                                   semidirect: FiniteGroupoid | None = None) -> SpaceAction:
-    """Right action of H|xx on the set, u.(h, x) = (u.h).x when defined."""
+    """Right action of H|xx on the set, u.(h, x) = (u.h).x when defined.
+
+    It is the opposite of the left action of x^op x| H^op, relabelled.
+    """
     if h.side != "right" or s1.side != "right" or s2.side != "right":
         raise InvalidStructureError("semidirect_right_space_action needs right-sided data")
-    wit = _covariance_witness(h, s1, s2)
-    if wit is not None:
-        raise InvalidStructureError(
-            f"actions not covariant at (x,h,u)=({fmt(wit[0])},{fmt(wit[1])},{fmt(wit[2])})"
-        )
     sd = semidirect if semidirect is not None else semidirect_right(h, h.target)
-    e = h.group.identity
-    act = {}
-    for (k, x) in sd.arrows:
-        for u in s2.space:
-            uk = s1.act[(k, u)]
-            if (x, uk) in s2.act:
-                act[((k, x), u)] = s2.act[(x, uk)]
-    fibring = {u: (e, s2.fibring[u]) for u in s2.space}
-    return SpaceAction(sd, tuple(s2.space), fibring, act, "right")
+    sd_op = opposite(_flip_labels(sd, tuple(map(_flip, sd.arrows))))
+    left = semidirect_space_action(opposite(h), opposite(s1), opposite(s2), semidirect=sd_op)
+    return SpaceAction(sd, left.space, {u: _flip(v) for u, v in left.fibring.items()},
+                       {(_flip(p), u): v for (p, u), v in left.act.items()}, "right")
 
 
 # ---------------------------------------------------------------------------
@@ -800,17 +835,29 @@ def semidirect_right_space_action(h: GroupAction, s1: SpaceAction, s2: SpaceActi
 
 @dataclass
 class SymmetricData:
-    """Provenance of an equivalence built from commuting group actions."""
+    """Provenance of an equivalence built from commuting group actions.
+
+    g_action acts on the left of base and h_action on the right; h_map and
+    g_map hold their orbit data.  Left-groupoid arrows are labelled
+    (orbit, g) for x/H x| G, and (g, orbit) when ``group_first`` is set, as
+    for the opposite of H |x G\\x.
+    """
 
     base: FiniteGroupoid
     g_action: GroupAction
     h_action: GroupAction
-    h_quotient: FiniteGroupoid
     h_map: QuotientMap
-    g_quotient: FiniteGroupoid
     g_map: QuotientMap
-    g_on_quotient: GroupAction
-    h_on_quotient: GroupAction
+    group_first: bool = False
+
+    @cached_property
+    def mirrored(self) -> "SymmetricData":
+        """The provenance of the opposite equivalence, built once."""
+        mirror = SymmetricData(opposite(self.base), opposite(self.h_action),
+                               opposite(self.g_action), self.g_map, self.h_map,
+                               not self.group_first)
+        mirror.__dict__["mirrored"] = self
+        return mirror
 
 
 @dataclass
@@ -854,6 +901,32 @@ class GroupoidEquivalence:
         return (q, z) in self.right_action.act
 
 
+@opposite.register
+def _opposite_equivalence(e: GroupoidEquivalence) -> GroupoidEquivalence:
+    """The (Q^op, P^op) equivalence on the same space and action tables."""
+    sym = e.symmetric and e.symmetric.mirrored
+    return GroupoidEquivalence(opposite(e.right_action), opposite(e.left_action), sym)
+
+
+def _orbit_action_data(x: FiniteGroupoid, g: GroupAction, h: GroupAction):
+    """The inputs of semidirect_space_action for x/H x| G acting on x.
+
+    Returns g on x/H, g on the arrow set, x/H acting on the arrow set, and
+    the orbit data of h.
+    """
+    quot, qmap = quotient_groupoid(x, h)
+    g_on_quot = GroupAction(
+        g.group, quot,
+        {(t, p): qmap.arrow_map[g.act[(t, p)]] for t in g.group.elements for p in quot.arrows},
+        g.side,
+    )
+    g_on_space = group_set_action(
+        g.group, x.arrows,
+        {(t, z): g.act[(t, z)] for t in g.group.elements for z in x.arrows}, g.side)
+    base = orbit_space_action(x, h, _quotient=(quot, qmap))
+    return (g_on_quot, g_on_space, base), qmap
+
+
 def symmetric_groupoid_equivalence(x: FiniteGroupoid, g: GroupAction,
                                    h: GroupAction) -> GroupoidEquivalence:
     """The arrow set of x as an (x/H x| G) - (H |x G\\x) equivalence.
@@ -872,38 +945,13 @@ def symmetric_groupoid_equivalence(x: FiniteGroupoid, g: GroupAction,
             f"actions do not commute at (t,h,x)=({fmt(wit[0])},{fmt(wit[1])},{fmt(wit[2])})"
         )
 
-    # left side: quotient by H, then the semidirect product with G
-    yh, hmap = quotient_groupoid(x, h)
-    g_on_yh = GroupAction(
-        g.group, yh,
-        {(t, p): hmap.arrow_map[g.act[(t, p)]] for t in g.group.elements for p in yh.arrows},
-        "left",
-    )
-    p_groupoid = semidirect_left(yh, g_on_yh)
-    g_on_space = group_set_action(
-        g.group, x.arrows,
-        {(t, z): g.act[(t, z)] for t in g.group.elements for z in x.arrows}, "left")
-    left_base = orbit_space_action(x, h, _quotient=(yh, hmap))
-    left_action = semidirect_space_action(g_on_yh, g_on_space, left_base,
-                                          semidirect=p_groupoid)
+    left_data, hmap = _orbit_action_data(x, g, h)
+    left_action = semidirect_space_action(*left_data)
+    # the right side is the left side of (x^op, H^op, G^op), read back
+    right_data, gmap = _orbit_action_data(opposite(x), opposite(h), opposite(g))
+    right_action = semidirect_right_space_action(*map(opposite, right_data))
 
-    # right side: quotient by G, then the semidirect product with H
-    gr = g.converted()
-    yg, gmap = quotient_groupoid(x, gr)
-    h_on_yg = GroupAction(
-        h.group, yg,
-        {(k, p): gmap.arrow_map[h.act[(k, p)]] for k in h.group.elements for p in yg.arrows},
-        "right",
-    )
-    q_groupoid = semidirect_right(h_on_yg, yg)
-    h_on_space = group_set_action(
-        h.group, x.arrows,
-        {(k, z): h.act[(k, z)] for k in h.group.elements for z in x.arrows}, "right")
-    right_base = orbit_space_action_right(x, g, _quotient=(yg, gmap))
-    right_action = semidirect_right_space_action(h_on_yg, h_on_space, right_base,
-                                                 semidirect=q_groupoid)
-
-    sym = SymmetricData(x, g, h, yh, hmap, yg, gmap, g_on_yh, h_on_yg)
+    sym = SymmetricData(x, g, h, hmap, gmap)
     return GroupoidEquivalence(left_action, right_action, sym)
 
 
@@ -911,7 +959,7 @@ def left_bracket(e: GroupoidEquivalence, z1, z2):
     """The unique left-groupoid arrow p with z1 == p.z2 (same sigma fiber)."""
     if e.sigma[z1] != e.sigma[z2]:
         raise InvalidStructureError(
-            f"left_bracket needs sigma({fmt(z1)}) == sigma({fmt(z2)})"
+            f"no bracket: {fmt(z1)} and {fmt(z2)} lie in different fibers"
         )
     if e.symmetric is not None:
         sym = e.symmetric
@@ -925,8 +973,8 @@ def left_bracket(e: GroupoidEquivalence, z1, z2):
                 f"no group translate matches sources of {fmt(z1)}, {fmt(z2)}"
             )
         t = hits[0]
-        w = x.comp[(z1, g.act[(t, x.inv[z2])])]
-        return (sym.h_map.arrow_map[w], t)
+        w = sym.h_map.arrow_map[x.comp[(z1, g.act[(t, x.inv[z2])])]]
+        return (t, w) if sym.group_first else (w, t)
     hits = [p for p in e.left_groupoid.arrows
             if e.left_defined(p, z2) and e.left_apply(p, z2) == z1]
     if len(hits) > 1:
@@ -939,34 +987,11 @@ def left_bracket(e: GroupoidEquivalence, z1, z2):
 
 
 def right_bracket(e: GroupoidEquivalence, z1, z2):
-    """The unique right-groupoid arrow q with z2 == z1.q (same rho fiber)."""
-    if e.rho[z1] != e.rho[z2]:
-        raise InvalidStructureError(
-            f"right_bracket needs rho({fmt(z1)}) == rho({fmt(z2)})"
-        )
-    if e.symmetric is not None:
-        sym = e.symmetric
-        x, h = sym.base, sym.h_action
-        hits = [k for k in h.group.elements
-                if h.unit_image(k, x.rng[z1]) == x.rng[z2]]
-        if len(hits) > 1:
-            raise InternalConsistencyError("multiple translates in right_bracket")
-        if not hits:
-            raise InvalidStructureError(
-                f"no group translate matches ranges of {fmt(z1)}, {fmt(z2)}"
-            )
-        k = hits[0]
-        w = x.comp[(h.act[(k, x.inv[z1])], z2)]
-        return (k, sym.g_map.arrow_map[w])
-    hits = [q for q in e.right_groupoid.arrows
-            if e.right_defined(z1, q) and e.right_apply(z1, q) == z2]
-    if len(hits) > 1:
-        raise InternalConsistencyError("right translate not unique; action not free")
-    if not hits:
-        raise InvalidStructureError(
-            f"no right translate carries {fmt(z1)} to {fmt(z2)}"
-        )
-    return hits[0]
+    """The unique right-groupoid arrow q with z2 == z1.q (same rho fiber).
+
+    It is the left bracket of the opposite equivalence at (z2, z1).
+    """
+    return left_bracket(opposite(e), z2, z1)
 
 
 def verify_groupoid_equivalence(e: GroupoidEquivalence) -> ValidationReport:
@@ -984,15 +1009,13 @@ def verify_groupoid_equivalence(e: GroupoidEquivalence) -> ValidationReport:
     if not rep.ok:
         return rep
 
-    bad = next(((p, z) for (p, z), v in e.left_action.act.items()
-                if v == z and not p_gpd.is_unit_arrow(p)), None)
-    rep.add("(i) left action free", bad is None,
-            f"({fmt(bad[0])},{fmt(bad[1])})" if bad else None)
-
-    bad = next(((q, z) for (q, z), v in e.right_action.act.items()
-                if v == z and not q_gpd.is_unit_arrow(q)), None)
-    rep.add("(ii) right action free", bad is None,
-            f"({fmt(bad[0])},{fmt(bad[1])})" if bad else None)
+    # items (ii) and (v) are items (i) and (iv) of the opposite equivalence
+    e_op = opposite(e)
+    for f, name in ((e, "(i) left action free"), (e_op, "(ii) right action free")):
+        bad = next(((p, z) for (p, z), v in f.left_action.act.items()
+                    if v == z and not f.left_groupoid.is_unit_arrow(p)), None)
+        rep.add(name, bad is None,
+                f"({fmt(bad[0])},{fmt(bad[1])})" if bad else None)
 
     bad = None
     for (p, z) in e.left_action.act:
@@ -1010,69 +1033,49 @@ def verify_groupoid_equivalence(e: GroupoidEquivalence) -> ValidationReport:
             f"({fmt(bad[0])},{fmt(bad[1])},{fmt(bad[2])})" if bad else None)
 
     # (iv) rho is right-invariant and induces a bijection Z/Q -> left units
-    bad = next(((q, z) for (q, z), v in e.right_action.act.items()
-                if e.rho[v] != e.rho[z]), None)
-    rep.add("(iv) rho invariant under the right action", bad is None,
-            f"({fmt(bad[0])},{fmt(bad[1])})" if bad else None)
-    orbits = _orbit_partition(z_set, ((z, v) for (q, z), v in e.right_action.act.items()))
-    rho_vals = {canonical_min(o): {e.rho[z] for z in o} for o in orbits}
-    bad = next((o for o, vals in rho_vals.items() if len(vals) != 1), None)
-    single = bad is None
-    vals = [next(iter(v)) for v in rho_vals.values()] if single else []
-    bij = single and len(set(map(fmt, vals))) == len(vals) and \
-        set(map(fmt, vals)) == set(map(fmt, p_gpd.units))
-    rep.add("(iv) rho factors to a bijection onto left units", bij,
-            None if bij else (f"orbit of {fmt(bad)}" if bad else "not bijective"))
-
-    # (v) mirrored for sigma
-    bad = next(((p, z) for (p, z), v in e.left_action.act.items()
-                if e.sigma[v] != e.sigma[z]), None)
-    rep.add("(v) sigma invariant under the left action", bad is None,
-            f"({fmt(bad[0])},{fmt(bad[1])})" if bad else None)
-    orbits = _orbit_partition(z_set, ((z, v) for (p, z), v in e.left_action.act.items()))
-    sig_vals = {canonical_min(o): {e.sigma[z] for z in o} for o in orbits}
-    bad = next((o for o, vals in sig_vals.items() if len(vals) != 1), None)
-    single = bad is None
-    vals = [next(iter(v)) for v in sig_vals.values()] if single else []
-    bij = single and len(set(map(fmt, vals))) == len(vals) and \
-        set(map(fmt, vals)) == set(map(fmt, q_gpd.units))
-    rep.add("(v) sigma factors to a bijection onto right units", bij,
-            None if bij else (f"orbit of {fmt(bad)}" if bad else "not bijective"))
+    for f, invariant, bijective in (
+            (e, "(iv) rho invariant under the right action",
+             "(iv) rho factors to a bijection onto left units"),
+            (e_op, "(v) sigma invariant under the left action",
+             "(v) sigma factors to a bijection onto right units")):
+        bad = next(((q, z) for (q, z), v in f.right_action.act.items()
+                    if f.rho[v] != f.rho[z]), None)
+        rep.add(invariant, bad is None,
+                f"({fmt(bad[0])},{fmt(bad[1])})" if bad else None)
+        orbits = _orbit_partition(z_set, ((z, v) for (q, z), v in f.right_action.act.items()))
+        rho_vals = {canonical_min(o): {f.rho[z] for z in o} for o in orbits}
+        bad = next((o for o, vals in rho_vals.items() if len(vals) != 1), None)
+        single = bad is None
+        vals = [next(iter(v)) for v in rho_vals.values()] if single else []
+        bij = single and len(set(map(fmt, vals))) == len(vals) and \
+            set(map(fmt, vals)) == set(map(fmt, f.left_groupoid.units))
+        rep.add(bijective, bij,
+                None if bij else (f"orbit of {fmt(bad)}" if bad else "not bijective"))
 
     if not rep.ok:
         return rep
 
-    bad = None
-    seen_p, seen_q = set(), set()
-    for z1 in z_set:
-        for z2 in z_set:
-            if e.sigma[z1] == e.sigma[z2]:
-                try:
-                    p = left_bracket(e, z1, z2)
-                except (InvalidStructureError, InternalConsistencyError):
-                    bad = ("left", z1, z2)
-                    break
-                seen_p.add(p)
-                if not e.left_defined(p, z2) or e.left_apply(p, z2) != z1:
-                    bad = ("left", z1, z2)
-                    break
-            if e.rho[z1] == e.rho[z2]:
-                try:
-                    q = right_bracket(e, z1, z2)
-                except (InvalidStructureError, InternalConsistencyError):
-                    bad = ("right", z1, z2)
-                    break
-                seen_q.add(q)
-                if not e.right_defined(z1, q) or e.right_apply(z1, q) != z2:
-                    bad = ("right", z1, z2)
-                    break
-        if bad:
+    # the right bracket at (z1, z2) is the left bracket of e_op at (z2, z1)
+    bad, seen = None, {"left": set(), "right": set()}
+    for z1, z2, (f, side, flip) in itertools.product(
+            z_set, z_set, ((e, "left", False), (e_op, "right", True))):
+        a, b = (z2, z1) if flip else (z1, z2)
+        if f.sigma[a] != f.sigma[b]:
+            continue
+        try:
+            p = left_bracket(f, a, b)
+        except (InvalidStructureError, InternalConsistencyError):
+            bad = (side, z1, z2)
+            break
+        seen[side].add(p)
+        if not f.left_defined(p, b) or f.left_apply(p, b) != a:
+            bad = (side, z1, z2)
             break
     rep.add("bracket characterizing identities", bad is None,
             f"{bad[0]} pair ({fmt(bad[1])},{fmt(bad[2])})" if bad else None)
     if bad is None:
         rep.add("brackets jointly surjective",
-                seen_p == set(p_gpd.arrows) and seen_q == set(q_gpd.arrows))
+                seen["left"] == set(p_gpd.arrows) and seen["right"] == set(q_gpd.arrows))
     rep.note("properness: vacuously true (finite discrete space)")
     return rep
 

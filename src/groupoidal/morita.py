@@ -24,7 +24,6 @@ from .bundles import (
     exchange_residual,
     identity_fiber_maps,
     induced_quotient_bundle_action,
-    induced_quotient_bundle_action_right,
     make_trivial_cbundle,
     one_sided_equivalence,
     one_sided_transformation_equivalence,
@@ -56,7 +55,9 @@ from .groupoids import (
     FiniteGroupoid,
     GroupAction,
     SpaceAction,
+    group_set_action,
     left_bracket,
+    opposite,
     right_bracket,
     validate_groupoid,
 )
@@ -126,28 +127,21 @@ def linking_system(e: BundleEquivalence, tol: float = DEFAULT_TOL,
     for (x, y), v in q_gpd.comp.items():
         comp[(("q", x), ("q", y))] = ("q", v)
         mult[(("q", x), ("q", y))] = q_bun.mult[(x, y)]
-    for (p, z), v in base.left_action.act.items():
-        comp[(("p", p), ("z", z))] = ("z", v)
-        mult[(("p", p), ("z", z))] = e.left_tensors[(p, z)]
-        # adjoint row: zbar . inv(p) = (p . z)bar
-        pi = p_gpd.inv[p]
-        comp[(("zb", z), ("p", pi))] = ("zb", v)
-        mult[(("zb", z), ("p", pi))] = np.conjugate(np.einsum(
-            "lai,ag->lig", e.left_tensors[(p, z)], p_bun.star[pi]))
-    for (q, z), v in base.right_action.act.items():
-        comp[(("z", z), ("q", q))] = ("z", v)
-        mult[(("z", z), ("q", q))] = e.right_tensors[(z, q)]
-        # adjoint row: inv(q) . zbar = (z . q)bar
-        qi = q_gpd.inv[q]
-        comp[(("q", qi), ("zb", z))] = ("zb", v)
-        mult[(("q", qi), ("zb", z))] = np.conjugate(np.einsum(
-            "lia,ag->lgi", e.right_tensors[(z, q)], q_bun.star[qi]))
-    for (z1, z2), tensor in e.left_inner.items():
-        comp[(("z", z1), ("zb", z2))] = ("p", left_bracket(base, z1, z2))
-        mult[(("z", z1), ("zb", z2))] = tensor
-    for (z1, z2), tensor in e.right_inner.items():
-        comp[(("zb", z1), ("z", z2))] = ("q", right_bracket(base, z1, z2))
-        mult[(("zb", z1), ("z", z2))] = tensor
+    def put(key, value, tensor, mirrored):
+        # a product of the opposite bimodule, read back in this one's order
+        if mirrored:
+            key, tensor = key[::-1], tensor.transpose(0, 2, 1)
+        comp[key], mult[key] = value, tensor
+
+    for f, tag, mirrored in ((e, "p", False), (opposite(e), "q", True)):
+        for (p, z), v in f.base.left_action.act.items():
+            put(((tag, p), ("z", z)), ("z", v), f.left_tensors[(p, z)], mirrored)
+            # adjoint row: zbar . inv(p) = (p . z)bar
+            pi = f.base.left_groupoid.inv[p]
+            put((("zb", z), (tag, pi)), ("zb", v), np.conjugate(np.einsum(
+                "lai,ag->lig", f.left_tensors[(p, z)], f.left_bundle.star[pi])), mirrored)
+        for (z1, z2), tensor in f.left_inner.items():
+            put((("z", z1), ("zb", z2)), (tag, left_bracket(f.base, z1, z2)), tensor, mirrored)
 
     inv = {}
     for x in p_gpd.arrows:
@@ -405,7 +399,7 @@ def _positivity_margin(ls: LinkingSystem, side: str) -> float:
     r = pi.size
     idx = {lbl: k for k, lbl in enumerate(corner.basis)}
     tag = "p" if side == "left" else "q"
-    base = e.base
+    base, base_op = e.base, opposite(e.base)
     z_basis = [(z, i) for z in base.space for i in range(e.dims[z])]
     m = len(z_basis)
     gram = np.zeros((m * r, m * r), dtype=complex)
@@ -417,7 +411,7 @@ def _positivity_margin(ls: LinkingSystem, side: str) -> float:
                 continue
             tensor = inner[key]
             arrow = (left_bracket(base, z1, z2) if side == "left"
-                     else right_bracket(base, z1, z2))
+                     else left_bracket(base_op, z2, z1))
             coeffs = tensor[:, i, j]
             vec = np.zeros(corner.dimension, dtype=complex)
             for k, c in enumerate(coeffs):
@@ -451,13 +445,8 @@ def symmetric_morita(a: FellBundle, g: BundleAction, h: BundleAction,
     left_alg = crossed_product(h_quot[0], g_on_quot)
     res_l = _identify_corner(ls.corner_left, left_alg)
 
-    g_right = BundleAction(
-        g.group, a, g.base_action.converted(),
-        {(t, x): g.fiber_maps[(g.group.inv_elem(t), x)]
-         for t in g.group.elements for x in a.base.arrows},
-        "right")
-    g_quot = quotient_fell_bundle(a, g_right)
-    h_on_gquot = induced_quotient_bundle_action_right(a, h, g_quot)
+    g_quot = quotient_fell_bundle(a, g.converted())
+    h_on_gquot = induced_quotient_bundle_action(a, h, g_quot)
     right_alg = section_algebra(semidirect_right_fell_bundle(h_on_gquot, g_quot[0]))
     res_r = _identify_corner(ls.corner_right, right_alg)
 
@@ -592,11 +581,10 @@ def raeburn(points, g_space: SpaceAction, h_space: SpaceAction,
 
     cert = symmetric_morita(bundle, gba, hba, tol=tol, seed=seed)
 
-    # induced-algebra identifications with matching induced actions
-    res_h = _raeburn_side(bundle, gba, hba, b, sigma, tau, g_space, h_space,
-                          side="left", tol=tol)
-    res_g = _raeburn_side(bundle, gba, hba, b, sigma, tau, g_space, h_space,
-                          side="right", tol=tol)
+    # induced-algebra identifications with matching induced actions; over G
+    # the two groups trade places, each seen from the other side
+    res_h = _raeburn_side(bundle, gba, hba, b, sigma, tau, tol)
+    res_g = _raeburn_side(bundle, hba.converted(), gba.converted(), b, tau, sigma, tol)
     cert.notes.append(f"induced algebra over H identified equivariantly "
                       f"(residual {res_h:.3e})")
     cert.notes.append(f"induced algebra over G identified equivariantly "
@@ -607,52 +595,36 @@ def raeburn(points, g_space: SpaceAction, h_space: SpaceAction,
     return cert
 
 
-def _raeburn_side(bundle: FellBundle, gba: BundleAction, hba: BundleAction,
-                  b: StarAlgebra, sigma: AlgebraAction, tau: AlgebraAction,
-                  g_space: SpaceAction, h_space: SpaceAction,
-                  side: str, tol: float) -> float:
-    """Verify Ind ~ quotient sections and the matching of induced actions."""
-    if side == "left":
-        quot = quotient_fell_bundle(bundle, hba)
-        act_on_quot = induced_quotient_bundle_action(bundle, gba, quot)
-        ind, theta = induced_algebra(b, h_space, tau)
-        outer_grp, outer_space = gba.group, g_space
-    else:
-        g_right = BundleAction(
-            gba.group, bundle, gba.base_action.converted(),
-            {(t, x): gba.fiber_maps[(gba.group.inv_elem(t), x)]
-             for t in gba.group.elements for x in bundle.base.arrows},
-            "right")
-        quot = quotient_fell_bundle(bundle, g_right)
-        act_on_quot = induced_quotient_bundle_action_right(bundle, hba, quot)
-        g_as_right = SpaceAction(
-            g_space.groupoid, g_space.space, dict(g_space.fibring),
-            {(t, u): g_space.act[(g_space.groupoid.inv_elem(t), u)]
-             for (t, u) in g_space.act}, "right")
-        ind, theta = induced_algebra(b, g_as_right, sigma)
-        outer_grp, outer_space = hba.group, h_space
+def _raeburn_side(bundle: FellBundle, outer: BundleAction, inner: BundleAction,
+                  b: StarAlgebra, outer_alg: AlgebraAction, inner_alg: AlgebraAction,
+                  tol: float) -> float:
+    """Verify Ind ~ quotient sections and the matching of induced actions.
 
+    ``inner`` is the free right action quotiented out, ``outer`` the left
+    action that descends to the quotient; ``*_alg`` act on the fiber b.
+    """
+    quot = quotient_fell_bundle(bundle, inner)
+    act_on_quot = induced_quotient_bundle_action(bundle, outer, quot)
+    inner_space = group_set_action(inner.group, bundle.base.arrows,
+                                   inner.base_action.act, "right")
+    ind, theta = induced_algebra(b, inner_space, inner_alg)
     res = max(verify_algebra_iso(theta, tol).metrics.values())
 
     # induced action on equivariant functions, evaluated at each orbit
-    # representative r': left side (t.f)(r') = sigma_t(f(inv(t).r')),
-    # right side (t.f)(r') = inv(tau_t)(f(r'.inv(t)))
+    # representative r': (t.f)(r') = outer_t(f(inv(t).r'))
     qb, qm = quot
     reps = tuple(qb.base.arrows)
     nb = b.dimension
     sections = section_action(act_on_quot)
-    for t in outer_grp.elements:
+    grp = outer.group
+    for t in grp.elements:
         ind_mat = np.zeros((ind.dimension, ind.dimension), dtype=complex)
         for ri, r in enumerate(reps):
-            moved = outer_space.act[(outer_grp.inv_elem(t), r)]
+            moved = outer.base_action.act[(grp.inv_elem(t), r)]
             rep2 = qm.base.arrow_map[moved]
             shift = qm.base.shift[moved]
             rj = reps.index(rep2)
-            if side == "left":
-                block = sigma.matrices[t] @ tau.matrices[tau.group.inv_elem(shift)]
-            else:
-                block = tau.matrices[tau.group.inv_elem(t)] @ \
-                    sigma.matrices[sigma.group.inv_elem(shift)]
+            block = outer_alg.matrices[t] @ inner_alg.matrices[inner_alg.group.inv_elem(shift)]
             ind_mat[ri * nb:(ri + 1) * nb, rj * nb:(rj + 1) * nb] = block
         lhs = theta.matrix @ ind_mat
         rhs = sections.matrices[t] @ theta.matrix
@@ -688,12 +660,7 @@ def coaction_demo(b: FellBundle, tol: float = DEFAULT_TOL,
     cert = one_sided_morita(big, gba, tol=tol, seed=seed)
 
     # identify the orbit bundle with the original bundle over the group
-    g_right = BundleAction(
-        grp, big, rt.converted(),
-        {(t, z): gba.fiber_maps[(grp.inv_elem(t), z)]
-         for t in grp.elements for z in tg.arrows},
-        "right")
-    quot, qm = quotient_fell_bundle(big, g_right)
+    quot, qm = quotient_fell_bundle(big, gba.converted())
     arrow_map = {p: p[0] for p in quot.base.arrows}
     iso = BundleIso(quot, b, arrow_map,
                     {p: np.eye(quot.dim[p], dtype=complex) for p in quot.base.arrows})

@@ -18,6 +18,7 @@ from groupoidal import (
     make_pair_groupoid,
     make_trivial_cbundle,
     multiply_elements,
+    opposite,
     one_sided_equivalence,
     one_sided_transformation_equivalence,
     orbit_bundle_action,
@@ -383,6 +384,10 @@ def test_randomized_principal_decompositions():
         bundle, hba = random_free_action_instance(rng)
         pfd = principal_fell_decomposition(bundle, hba)
         assert verify_bundle_iso(pfd.iso).ok
+        # the opposite bundle is a Fell bundle, and opposite is an involution
+        assert validate_fell_bundle(opposite(bundle)).ok
+        again = opposite(opposite(bundle))
+        assert all(np.array_equal(again.mult[k], m) for k, m in bundle.mult.items())
 
 
 # ---------------------------------------------------------------------------
@@ -548,3 +553,4 @@ def test_randomized_symmetric_equivalences_verify():
         e = symmetric_action_equivalence(lb, gba, hba)
         rep = verify_bundle_equivalence(e)
         assert rep.ok, rep.failures()
+        assert verify_bundle_equivalence(opposite(e)).ok

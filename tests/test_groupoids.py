@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from groupoidal import (
+    FiniteGroup,
     InvalidStructureError,
     NonFreeActionError,
     SpaceAction,
@@ -17,6 +18,7 @@ from groupoidal import (
     left_translation_action,
     make_group,
     make_pair_groupoid,
+    opposite,
     orbit_space_action,
     principal_decomposition,
     quotient_groupoid,
@@ -59,11 +61,15 @@ def test_pair_groupoid_rejects_zero():
 
 def test_corrupted_comp_detected_with_witness():
     g = make_pair_groupoid(3)
+    g_op = opposite(g)
     g.comp[((1, 2), (2, 3))] = (2, 3)
     rep = validate_groupoid(g)
     assert not rep.ok
     bad = rep.failures()[0]
     assert "(1,2)" in (bad.witness or "") and "(2,3)" in (bad.witness or "")
+    # the opposite is a view: the edit shows through and is caught there too
+    assert g_op.comp[((2, 3), (1, 2))] == (2, 3)
+    assert not validate_groupoid(g_op).ok
 
 
 def test_make_group_cyclic_orders():
@@ -71,6 +77,7 @@ def test_make_group_cyclic_orders():
     z3 = cyclic_group(3)
     assert len(z3.elements) == 3
     assert validate_groupoid(z3).ok
+    assert isinstance(opposite(z3), FiniteGroup) and validate_groupoid(opposite(z3)).ok
     # exhaustive associativity oracle on the table itself
     for a, b, c in itertools.product(z3.elements, repeat=3):
         assert z3.mul(z3.mul(a, b), c) == z3.mul(a, z3.mul(b, c))
@@ -468,6 +475,12 @@ def test_randomized_equivalences_all_verify():
         e = symmetric_groupoid_equivalence(base, gact, hact)
         rep = verify_groupoid_equivalence(e)
         assert rep.ok, rep.failures()
+        # the opposite is an involution and a (Q^op, P^op) equivalence
+        base_op = opposite(base)
+        assert validate_groupoid(base_op).ok
+        again = opposite(base_op)
+        assert (again.src, again.rng, dict(again.comp)) == (base.src, base.rng, base.comp)
+        assert verify_groupoid_equivalence(opposite(e)).ok
 
 
 # ---------------------------------------------------------------------------
