@@ -2,8 +2,10 @@
 
 The goldens under ``tests/golden/`` hold the CLI ``--json`` reports for the
 shipped model and the built-in demos (seed 0, default flags), and the
-failing checks of a bundle equivalence whose right inner product was
-corrupted.  Regenerate them all with ``PYTHONPATH=src python
+failing checks, with their witnesses, of three corrupted instances: a
+bundle equivalence with one right inner product negated, one with a right
+module tensor perturbed, and a linking bundle with one product tensor
+scaled.  Regenerate them all with ``PYTHONPATH=src python
 tests/test_golden.py`` and review the diff.
 """
 
@@ -14,7 +16,12 @@ from pathlib import Path
 
 import pytest
 
-from groupoidal import symmetric_action_equivalence, verify_bundle_equivalence
+from groupoidal import (
+    linking_system,
+    symmetric_action_equivalence,
+    validate_fell_bundle,
+    verify_bundle_equivalence,
+)
 from groupoidal.cli import main
 from groupoidal.instances import symmetric_z2z2_bundle
 
@@ -40,15 +47,48 @@ def cli_report(args, workdir) -> bytes:
     return out.read_bytes()
 
 
+def failures_json(rep) -> bytes:
+    failures = [[c.name, c.witness] for c in rep.failures()]
+    return (json.dumps(failures, indent=2) + "\n").encode()
+
+
 def right_corruption_failures() -> bytes:
     """Failing checks after negating one off-diagonal right inner product."""
     lb, gba, hba = symmetric_z2z2_bundle()
     e = symmetric_action_equivalence(lb, gba, hba)
     key = next(k for k in e.right_inner if k[0] != k[1])
     e.right_inner[key] = -e.right_inner[key]
-    rep = verify_bundle_equivalence(e)
-    failures = [[c.name, c.witness] for c in rep.failures()]
-    return (json.dumps(failures, indent=2) + "\n").encode()
+    return failures_json(verify_bundle_equivalence(e))
+
+
+def right_tensor_corruption_failures() -> bytes:
+    """Failing checks after perturbing one right module tensor (step 1 and on)."""
+    lb, gba, hba = symmetric_z2z2_bundle()
+    e = symmetric_action_equivalence(lb, gba, hba)
+    key = next(k for k in e.right_tensors if k[0] != k[1][1])
+    e.right_tensors[key] = e.right_tensors[key] + 0.25
+    return failures_json(verify_bundle_equivalence(e))
+
+
+def linking_mult_corruption_failures() -> bytes:
+    """Failing checks after scaling one product tensor of the linking bundle.
+
+    The scaled product is <z, z>_L, the pair (z, zb) that is its own
+    partner under (x, y) -> (inv y, inv x), so one pair attains the
+    antihomomorphism residual.
+    """
+    lb, gba, hba = symmetric_z2z2_bundle()
+    ls = linking_system(symmetric_action_equivalence(lb, gba, hba))
+    key = next(k for k in ls.bundle.mult
+               if k[0][0] == "z" and k[1][0] == "zb" and k[0][1] == k[1][1])
+    ls.bundle.mult[key] = 1.5 * ls.bundle.mult[key]
+    return failures_json(validate_fell_bundle(ls.bundle))
+
+
+WITNESS_RUNS = {
+    "right_tensor_corruption": right_tensor_corruption_failures,
+    "linking_mult_corruption": linking_mult_corruption_failures,
+}
 
 
 @pytest.mark.parametrize("name", sorted(CLI_RUNS))
@@ -61,6 +101,11 @@ def test_right_inner_corruption_matches_golden():
     assert right_corruption_failures() == golden
 
 
+@pytest.mark.parametrize("name", sorted(WITNESS_RUNS))
+def test_corruption_witnesses_match_golden(name):
+    assert WITNESS_RUNS[name]() == (GOLDEN / f"{name}.json").read_bytes()
+
+
 def _regenerate() -> None:
     from test_morita import mixed_group_orders_certificate
 
@@ -69,6 +114,8 @@ def _regenerate() -> None:
         for name, args in CLI_RUNS.items():
             (GOLDEN / f"{name}.json").write_bytes(cli_report(args, workdir))
     (GOLDEN / "right_inner_corruption.json").write_bytes(right_corruption_failures())
+    for name, failures in WITNESS_RUNS.items():
+        (GOLDEN / f"{name}.json").write_bytes(failures())
     (GOLDEN / "mixed_group_orders_certificate.json").write_text(
         mixed_group_orders_certificate().to_json() + "\n")
 
