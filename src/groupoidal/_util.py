@@ -1,6 +1,8 @@
-"""Shared helpers: stable identifier ordering and identifier formatting."""
+"""Shared helpers: identifier ordering and formatting, residual reductions."""
 
 from __future__ import annotations
+
+import numpy as np
 
 
 def sort_key(obj):
@@ -23,6 +25,26 @@ def sort_key(obj):
 def canonical_min(items):
     """Minimal element of ``items`` under :func:`sort_key`."""
     return min(items, key=sort_key)
+
+
+def deviation(a, b) -> float:
+    """max |a - b| over all entries, 0.0 for empty arrays; NaN propagates."""
+    diff = np.abs(np.asarray(a) - np.asarray(b))
+    return float(np.max(diff)) if diff.size else 0.0
+
+
+def worst_residual(values) -> tuple[float, int | None]:
+    """The largest residual and the index of its first occurrence.
+
+    NaN counts as larger than every number, so a NaN residual is the one
+    reported, and it fails every ``<= tol`` test; ``max()`` and ``d > worst``
+    would drop it.  No residuals give (0.0, None).
+    """
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        return 0.0, None
+    i = int(np.argmax(arr))
+    return float(arr[i]), i
 
 
 def fmt(obj) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import fmt
+from ._util import deviation, fmt, worst_residual
 from .bundles import (
     BundleAction,
     FellBundle,
@@ -89,22 +89,19 @@ def check_star_algebra(a: StarAlgebra, tol: float = DEFAULT_TOL) -> ValidationRe
         return rep
 
     lstack = np.transpose(struct, (1, 0, 2))  # lstack[i] = left mult by e_i
-    worst = 0.0
-    for i in range(n):
-        lhs = np.tensordot(struct[:, i, :].T, lstack, axes=([1], [0]))
-        rhs = lstack[i] @ lstack
-        if lhs.size:
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    worst, _i = worst_residual([
+        deviation(np.tensordot(struct[:, i, :].T, lstack, axes=([1], [0])), lstack[i] @ lstack)
+        for i in range(n)])
     rep.record_metric("associativity", worst)
     rep.add("associative", worst <= tol)
 
-    d = float(np.max(np.abs(invol @ np.conjugate(invol) - np.eye(n)))) if n else 0.0
+    d = deviation(invol @ np.conjugate(invol), np.eye(n))
     rep.record_metric("involution", d)
     rep.add("involution involutive", d <= tol)
 
     lhs = np.einsum("kl,lij->kij", invol, np.conjugate(struct))
     rhs = np.einsum("kab,aj,bi->kij", struct, invol, invol, optimize=True)
-    d = float(np.max(np.abs(lhs - rhs))) if n else 0.0
+    d = deviation(lhs, rhs)
     rep.record_metric("antihomomorphism", d)
     rep.add("(ab)* == b*a*", d <= tol)
     return rep
@@ -485,27 +482,21 @@ def check_algebra_action(act: AlgebraAction, tol: float = DEFAULT_TOL) -> Valida
             fmt(bad) if bad is not None else None)
     if bad is not None:
         return rep
-    d = float(np.max(np.abs(act.matrices[g.identity] - np.eye(n)))) if n else 0.0
+    d = deviation(act.matrices[g.identity], np.eye(n))
     rep.add("identity acts trivially", d <= tol)
-    worst = 0.0
-    for s in g.elements:
-        for t in g.elements:
-            prod = g.mul(s, t) if act.side == "left" else g.mul(t, s)
-            d = np.max(np.abs(act.matrices[s] @ act.matrices[t] - act.matrices[prod]))
-            worst = max(worst, float(d)) if n else worst
+    worst, _i = worst_residual([
+        deviation(act.matrices[s] @ act.matrices[t],
+                  act.matrices[g.mul(s, t) if act.side == "left" else g.mul(t, s)])
+        for s in g.elements for t in g.elements])
     rep.record_metric("group law", worst)
     rep.add("group law", worst <= tol)
-    worst = 0.0
+    res = []
     for t in g.elements:
         u = act.matrices[t]
-        lhs = np.einsum("kl,lij->kij", u, a.struct)
-        rhs = np.einsum("kab,ai,bj->kij", a.struct, u, u)
-        if n:
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        lhs2 = u @ a.invol
-        rhs2 = a.invol @ np.conjugate(u)
-        if n:
-            worst = max(worst, float(np.max(np.abs(lhs2 - rhs2))))
+        res.append(deviation(np.einsum("kl,lij->kij", u, a.struct),
+                             np.einsum("kab,ai,bj->kij", a.struct, u, u)))
+        res.append(deviation(u @ a.invol, a.invol @ np.conjugate(u)))
+    worst, _i = worst_residual(res)
     rep.record_metric("automorphism", worst)
     rep.add("acts by *-automorphisms", worst <= tol)
     return rep

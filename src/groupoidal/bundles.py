@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import fmt
+from ._util import deviation, fmt, worst_residual
 from .groupoids import (
     FiniteGroup,
     FiniteGroupoid,
@@ -49,6 +49,7 @@ from .groupoids import (
     trivial_action,
     verify_groupoid_equivalence,
     _Transposed,
+    _arrow_ids,
     _flip,
     _other_side,
     _unique_unit_shift,
@@ -63,7 +64,86 @@ DEFAULT_TOL = 1e-9
 
 
 def _close(a, b, tol) -> bool:
-    return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) <= tol if np.size(a) else True
+    return deviation(a, b) <= tol
+
+
+# ---------------------------------------------------------------------------
+# batched residual kernels
+#
+# A check compares two einsum expressions on every tuple of an enumeration.
+# The tensors of each tuple are read from numbered tables; the tuples are
+# grouped by the shapes of their tensors, and each shape class is evaluated
+# by one einsum per side and chunk.  The residual of a tuple, max |lhs - rhs|
+# with NaN propagating, lands at the tuple's place in the enumeration, so
+# worst_residual() names the first tuple that attains the maximum.
+
+_CHUNK = 1 << 16  # residual entries per batched einsum; bounds scratch memory
+
+
+def _numbered(table) -> tuple[dict, list]:
+    """The keys of a tensor table numbered in table order, and its tensors."""
+    keys = list(table)
+    return {k: i for i, k in enumerate(keys)}, [table[k] for k in keys]
+
+
+def _shape_classes(tensors: list):
+    """Each tensor's shape class and place in it, and one stack per class."""
+    classes: dict = {}
+    stacks: list = []
+    cls = np.empty(len(tensors), dtype=np.intp)
+    pos = np.empty(len(tensors), dtype=np.intp)
+    for i, t in enumerate(tensors):
+        c = classes.get(t.shape)
+        if c is None:
+            c = classes[t.shape] = len(stacks)
+            stacks.append([])
+        cls[i], pos[i] = c, len(stacks[c])
+        stacks[c].append(t)
+    return cls, pos, [np.array(members) for members in stacks]
+
+
+def _residuals(lhs: str, rhs: str, tables: list, rows) -> np.ndarray:
+    """max |lhs - rhs| for each row of tensor ids, in row order.
+
+    ``lhs`` and ``rhs`` are einsum specs over the same output indices; their
+    inputs, lhs first, are read from ``tables`` (lists of tensors) at the ids
+    in the matching column of ``rows``.
+    """
+    inputs = [spec.split("->")[0].split(",") for spec in (lhs, rhs)]
+    out = lhs.split("->")[1]
+    n_lhs = len(inputs[0])
+    batched = ["Z" + spec.replace(",", ",Z").replace("->", "->Z") for spec in (lhs, rhs)]
+    rows = np.asarray(rows, dtype=np.intp).reshape(-1, len(tables))
+    residuals = np.zeros(len(rows))
+    if not len(rows):
+        return residuals
+
+    by_table: dict = {}
+    cols = []  # per input: shape class and stack position of each row's tensor
+    key = np.zeros(len(rows), dtype=np.int64)
+    for j, tensors in enumerate(tables):
+        if id(tensors) not in by_table:
+            by_table[id(tensors)] = _shape_classes(tensors)
+        cls, pos, stacks = by_table[id(tensors)]
+        cols.append((cls[rows[:, j]], pos[rows[:, j]], stacks))
+        key = key * len(stacks) + cols[-1][0]
+
+    order = np.argsort(key, kind="stable")
+    for members in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        stacks = [col[2][col[0][members[0]]] for col in cols]
+        dims = {}
+        for subs, stack in zip(inputs[0] + inputs[1], stacks):
+            dims.update(zip(subs, stack.shape[1:]))
+        width = int(np.prod([dims[c] for c in out]))
+        if width == 0:
+            continue
+        step = max(1, _CHUNK // width)
+        for start in range(0, len(members), step):
+            chunk = members[start:start + step]
+            ops = [stack[col[1][chunk]] for stack, col in zip(stacks, cols)]
+            diff = np.einsum(batched[0], *ops[:n_lhs]) - np.einsum(batched[1], *ops[n_lhs:])
+            residuals[chunk] = np.abs(diff).reshape(len(chunk), -1).max(axis=1)
+    return residuals
 
 
 @dataclass(eq=False)
@@ -130,7 +210,13 @@ def trivial_line_bundle(base: FiniteGroupoid) -> FellBundle:
 
 
 def validate_fell_bundle(b: FellBundle, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Associativity, involution, and dimension axioms, checked entrywise."""
+    """Associativity, involution, and dimension axioms, checked entrywise.
+
+    Associativity runs over composable_triples() and the antihomomorphism
+    law over composable_pairs(), each batched by fiber-shape class.  A
+    check's metric is its largest residual, its witness the first tuple in
+    that enumeration order attaining it, and a NaN residual fails.
+    """
     rep = ValidationReport(subject="fell bundle")
     g = b.base
 
@@ -143,10 +229,11 @@ def validate_fell_bundle(b: FellBundle, tol: float = DEFAULT_TOL) -> ValidationR
     bad = [x for x in g.arrows if b.dim[x] != b.dim[g.inv[x]]]
     rep.add("dim(x) == dim(inv x)", not bad, fmt(bad[0]) if bad else None)
 
-    pairs = set(g.composable_pairs())
-    missing = pairs - set(b.mult)
-    extra = set(b.mult) - pairs
-    wit = next(iter(missing or extra), None)
+    pairs = list(g.composable_pairs())
+    pair_set = set(pairs)
+    missing = [k for k in pairs if k not in b.mult]
+    extra = [k for k in b.mult if k not in pair_set]
+    wit = (missing or extra or [None])[0]
     rep.add("mult defined exactly on composable pairs", not (missing or extra),
             f"({fmt(wit[0])},{fmt(wit[1])})" if wit else None)
     if missing:
@@ -166,44 +253,62 @@ def validate_fell_bundle(b: FellBundle, tol: float = DEFAULT_TOL) -> ValidationR
     if not rep.ok:
         return rep
 
-    worst, wit = 0.0, None
-    for x, y, z in g.composable_triples():
-        lhs = np.einsum("kij,lkm->lijm", b.mult[(x, y)], b.mult[(g.comp[(x, y)], z)])
-        rhs = np.einsum("kjm,lik->lijm", b.mult[(y, z)], b.mult[(x, g.comp[(y, z)])])
-        if lhs.size:
-            d = float(np.max(np.abs(lhs - rhs)))
-            if d > worst:
-                worst, wit = d, (x, y, z)
+    # integer tables: pair_id[x, y] numbers the composable pairs, comp[x, y]
+    # is the product; -1 marks a pair that is not composable
+    ix = {x: i for i, x in enumerate(g.arrows)}
+    n = len(ix)
+    pair_id = np.full((n, n), -1, dtype=np.intp)
+    comp = np.full((n, n), -1, dtype=np.intp)
+    px, py = _arrow_ids(pairs, ix, 2)
+    pair_id[px, py] = np.arange(len(pairs))
+    comp[px, py] = [ix[g.comp[k]] for k in pairs]
+    mults = [b.mult[k] for k in pairs]
+
+    x, y, z = _arrow_ids(g.composable_triples(), ix, 3)
+    ids = np.stack([pair_id[x, y], pair_id[comp[x, y], z],
+                    pair_id[y, z], pair_id[x, comp[y, z]]], axis=1)
+    _require_products(ids, g, x, y, z)
+    worst, i = worst_residual(
+        _residuals("kij,lkm->lijm", "kjm,lik->lijm", [mults] * 4, ids))
     rep.record_metric("associativity", worst)
     rep.add("mult associative", worst <= tol,
-            f"triple ({fmt(wit[0])},{fmt(wit[1])},{fmt(wit[2])})" if worst > tol else None)
+            None if worst <= tol else
+            f"triple ({fmt(g.arrows[x[i]])},{fmt(g.arrows[y[i]])},{fmt(g.arrows[z[i]])})")
 
-    worst, wit = 0.0, None
-    for x in g.arrows:
-        d = float(np.max(np.abs(b.star[g.inv[x]] @ np.conjugate(b.star[x])
-                                - np.eye(b.dim[x])))) if b.dim[x] else 0.0
-        if d > worst:
-            worst, wit = d, x
+    worst, i = worst_residual([
+        deviation(b.star[g.inv[a]] @ np.conjugate(b.star[a]), np.eye(b.dim[a]))
+        for a in g.arrows])
     rep.record_metric("involution", worst)
-    rep.add("star involutive", worst <= tol, fmt(wit) if worst > tol else None)
+    rep.add("star involutive", worst <= tol,
+            None if worst <= tol else fmt(g.arrows[i]))
 
-    worst, wit = 0.0, None
-    for (x, y) in pairs:
-        xy = g.comp[(x, y)]
-        lhs = np.einsum("kl,lij->kij", b.star[xy], np.conjugate(b.mult[(x, y)]))
-        rhs = np.einsum("kab,aj,bi->kij", b.mult[(g.inv[y], g.inv[x])],
-                        b.star[y], b.star[x])
-        if lhs.size:
-            d = float(np.max(np.abs(lhs - rhs)))
-            if d > worst:
-                worst, wit = d, (x, y)
+    inv = np.array([ix[g.inv[a]] for a in g.arrows], dtype=np.intp)
+    stars = [b.star[a] for a in g.arrows]
+    ids = np.stack([comp[px, py], np.arange(len(pairs)),
+                    pair_id[inv[py], inv[px]], py, px], axis=1)
+    _require_products(ids, g, inv[py], inv[px])
+    worst, i = worst_residual(_residuals(
+        "kl,lij->kij", "kab,aj,bi->kij",
+        [stars, [np.conjugate(m) for m in mults], mults, stars, stars], ids))
     rep.record_metric("antihomomorphism", worst)
     rep.add("(ab)* == b*a*", worst <= tol,
-            f"pair ({fmt(wit[0])},{fmt(wit[1])})" if worst > tol else None)
+            None if worst <= tol else f"pair ({fmt(pairs[i][0])},{fmt(pairs[i][1])})")
 
     rep.note("unit fibers are *-algebras; their C*-certification is a "
              "star_structure_report obligation")
     return rep
+
+
+def _require_products(ids: np.ndarray, g: FiniteGroupoid, *cols) -> None:
+    """Raise if a tuple reads a product over a pair that is not composable.
+
+    That happens only when the base's composition table is not a groupoid's;
+    the message names the tuple.
+    """
+    bad = np.flatnonzero((ids < 0).any(axis=1))
+    if bad.size:
+        wit = tuple(g.arrows[c[bad[0]]] for c in cols)
+        raise InvalidStructureError(f"products at {fmt(wit)} are not composable")
 
 
 # ---------------------------------------------------------------------------
@@ -274,47 +379,44 @@ def check_bundle_action(ba: BundleAction, tol: float = DEFAULT_TOL) -> Validatio
     rep.add("identity acts as the identity map", bad is None,
             fmt(bad) if bad is not None else None)
 
-    worst, wit = 0.0, None
+    tuples, res = [], []
     for s, t in itertools.product(g.elements, repeat=2):
         prod = g.mul(s, t) if ba.side == "left" else g.mul(t, s)
         for x in b.base.arrows:
             lhs = ba.fiber_maps[(s, act.act[(t, x)])] @ ba.fiber_maps[(t, x)]
-            d = float(np.max(np.abs(lhs - ba.fiber_maps[(prod, x)]))) if lhs.size else 0.0
-            if d > worst:
-                worst, wit = d, (s, t, x)
+            tuples.append((s, t, x))
+            res.append(deviation(lhs, ba.fiber_maps[(prod, x)]))
+    worst, i = worst_residual(res)
     rep.record_metric("group law", worst)
     rep.add("fiber maps satisfy the group law", worst <= tol,
-            f"({fmt(wit[0])},{fmt(wit[1])},{fmt(wit[2])})" if worst > tol else None)
+            None if worst <= tol else fmt(tuples[i]))
 
-    worst, wit = 0.0, None
+    fid, fms = _numbered(ba.fiber_maps)
+    mid, mts = _numbered(b.mult)
+    tuples, ids = [], []
     for t in g.elements:
         for (x, y) in b.base.composable_pairs():
-            tx, ty = act.act[(t, x)], act.act[(t, y)]
-            lhs = np.einsum("kl,lij->kij", ba.fiber_maps[(t, b.base.comp[(x, y)])],
-                            b.mult[(x, y)])
-            rhs = np.einsum("kab,ai,bj->kij", b.mult[(tx, ty)],
-                            ba.fiber_maps[(t, x)], ba.fiber_maps[(t, y)])
-            if lhs.size:
-                d = float(np.max(np.abs(lhs - rhs)))
-                if d > worst:
-                    worst, wit = d, (t, x, y)
+            tuples.append((t, x, y))
+            ids.append((fid[(t, b.base.comp[(x, y)])], mid[(x, y)],
+                        mid[(act.act[(t, x)], act.act[(t, y)])], fid[(t, x)], fid[(t, y)]))
+    worst, i = worst_residual(_residuals(
+        "kl,lij->kij", "kab,ai,bj->kij", [fms, mts, mts, fms, fms], ids))
     rep.record_metric("multiplicativity", worst)
     rep.add("fiber maps preserve multiplication", worst <= tol,
-            f"({fmt(wit[0])},{fmt(wit[1])},{fmt(wit[2])})" if worst > tol else None)
+            None if worst <= tol else fmt(tuples[i]))
 
-    worst, wit = 0.0, None
+    tuples, res = [], []
     for t in g.elements:
         for x in b.base.arrows:
             tx = act.act[(t, x)]
             lhs = b.star[tx] @ np.conjugate(ba.fiber_maps[(t, x)])
             rhs = ba.fiber_maps[(t, b.base.inv[x])] @ b.star[x]
-            if lhs.size:
-                d = float(np.max(np.abs(lhs - rhs)))
-                if d > worst:
-                    worst, wit = d, (t, x)
+            tuples.append((t, x))
+            res.append(deviation(lhs, rhs))
+    worst, i = worst_residual(res)
     rep.record_metric("star equivariance", worst)
     rep.add("fiber maps preserve the involution", worst <= tol,
-            f"({fmt(wit[0])},{fmt(wit[1])})" if worst > tol else None)
+            None if worst <= tol else fmt(tuples[i]))
 
     rep.note("isometry: automorphisms of the *-structure are isometric for "
              "the regular-representation norms, so no norm check is stored")
@@ -565,28 +667,27 @@ def check_module_action(m: BundleModuleAction, tol: float = DEFAULT_TOL) -> Vali
     """(pq).b == p.(q.b) entrywise over all composable module triples."""
     rep = ValidationReport(subject="bundle module action")
     rep.merge(check_space_action(m.base), prefix="base: ")
-    missing = set(m.base.act) - set(m.tensors)
+    missing = [k for k in m.base.act if k not in m.tensors]
     rep.add("tensors cover the defined pairs", not missing,
-            fmt(next(iter(missing))) if missing else None)
+            fmt(missing[0]) if missing else None)
     if not rep.ok:
         return rep
     acting = m.acting
-    worst, wit = 0.0, None
-    for (q, z) in m.base.act:
-        qz = m.base.act[(q, z)]
+    tid, tts = _numbered(m.tensors)
+    mid, mts = _numbered(acting.mult)
+    tuples, ids = [], []
+    for (q, z), qz in m.base.act.items():
         for p in acting.base.arrows:
             if not acting.base.composable(p, q):
                 continue
-            pq = acting.base.comp[(p, q)]
-            lhs = np.einsum("lam,mbj->labj", m.tensors[(p, qz)], m.tensors[(q, z)])
-            rhs = np.einsum("lcj,cab->labj", m.tensors[(pq, z)], acting.mult[(p, q)])
-            if lhs.size:
-                d = float(np.max(np.abs(lhs - rhs)))
-                if d > worst:
-                    worst, wit = d, (p, q, z)
+            tuples.append((p, q, z))
+            ids.append((tid[(p, qz)], tid[(q, z)],
+                        tid[(acting.base.comp[(p, q)], z)], mid[(p, q)]))
+    worst, i = worst_residual(_residuals(
+        "lam,mbj->labj", "lcj,cab->labj", [tts, tts, tts, mts], ids))
     rep.record_metric("module associativity", worst)
     rep.add("module action associative", worst <= tol,
-            f"({fmt(wit[0])},{fmt(wit[1])},{fmt(wit[2])})" if worst > tol else None)
+            None if worst <= tol else fmt(tuples[i]))
     return rep
 
 
@@ -605,15 +706,11 @@ def _check_symmetric_bundle_hypotheses(a: FellBundle, g: BundleAction,
         raise InvalidStructureError(
             f"base actions do not commute at ({fmt(wit[0])},{fmt(wit[1])},{fmt(wit[2])})"
         )
-    worst = 0.0
-    for t in g.group.elements:
-        for k in h.group.elements:
-            for x in a.base.arrows:
-                lhs = h.fiber_maps[(k, g.base_action.act[(t, x)])] @ g.fiber_maps[(t, x)]
-                rhs = g.fiber_maps[(t, h.base_action.act[(k, x)])] @ h.fiber_maps[(k, x)]
-                if lhs.size:
-                    worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    if worst > DEFAULT_TOL:
+    worst, _i = worst_residual([
+        deviation(h.fiber_maps[(k, g.base_action.act[(t, x)])] @ g.fiber_maps[(t, x)],
+                  g.fiber_maps[(t, h.base_action.act[(k, x)])] @ h.fiber_maps[(k, x)])
+        for t in g.group.elements for k in h.group.elements for x in a.base.arrows])
+    if not worst <= DEFAULT_TOL:
         raise InvalidStructureError(
             f"fiber actions do not commute (residual {worst:.3e})"
         )
@@ -648,35 +745,30 @@ def verify_bundle_iso(iso: BundleIso, tol: float = DEFAULT_TOL) -> ValidationRep
     if not rep.ok:
         return rep
 
-    worst, wit = 0.0, None
+    fid, fms = _numbered(iso.fiber_maps)
+    sid, sts = _numbered(src.mult)
+    tid, tts = _numbered(tgt.mult)
+    pairs, ids = [], []
     for (x, y) in src.base.composable_pairs():
         fx, fy = amap[x], amap[y]
         if not tgt.base.composable(fx, fy) or tgt.base.comp[(fx, fy)] != amap[src.base.comp[(x, y)]]:
             rep.add("arrow map multiplicative", False, f"({fmt(x)},{fmt(y)})")
             return rep
-        lhs = np.einsum("kl,lij->kij", iso.fiber_maps[src.base.comp[(x, y)]],
-                        src.mult[(x, y)])
-        rhs = np.einsum("kab,ai,bj->kij", tgt.mult[(fx, fy)],
-                        iso.fiber_maps[x], iso.fiber_maps[y])
-        if lhs.size:
-            d = float(np.max(np.abs(lhs - rhs)))
-            if d > worst:
-                worst, wit = d, (x, y)
+        pairs.append((x, y))
+        ids.append((fid[src.base.comp[(x, y)]], sid[(x, y)], tid[(fx, fy)], fid[x], fid[y]))
+    worst, i = worst_residual(_residuals(
+        "kl,lij->kij", "kab,ai,bj->kij", [fms, sts, tts, fms, fms], ids))
     rep.record_metric("multiplicativity", worst)
     rep.add("fiber maps multiplicative", worst <= tol,
-            f"({fmt(wit[0])},{fmt(wit[1])})" if worst > tol else None)
+            None if worst <= tol else fmt(pairs[i]))
 
-    worst, wit = 0.0, None
-    for x in src.base.arrows:
-        lhs = tgt.star[amap[x]] @ np.conjugate(iso.fiber_maps[x])
-        rhs = iso.fiber_maps[src.base.inv[x]] @ src.star[x]
-        if lhs.size:
-            d = float(np.max(np.abs(lhs - rhs)))
-            if d > worst:
-                worst, wit = d, x
+    worst, i = worst_residual([
+        deviation(tgt.star[amap[x]] @ np.conjugate(iso.fiber_maps[x]),
+                  iso.fiber_maps[src.base.inv[x]] @ src.star[x])
+        for x in src.base.arrows])
     rep.record_metric("star preservation", worst)
     rep.add("fiber maps star-preserving", worst <= tol,
-            fmt(wit) if worst > tol else None)
+            None if worst <= tol else fmt(src.base.arrows[i]))
     return rep
 
 
@@ -707,19 +799,18 @@ def principal_fell_decomposition(a: FellBundle, ba: BundleAction) -> PrincipalFe
 
     # equivariance: tau(a.h) == tau(a).h where H moves the space coordinate
     h = ba.group
-    worst = 0.0
+    res = []
     for t in h.elements:
         for x in a.base.arrows:
             tx = ba.base_action.act[(t, x)]
-            lhs = fiber_maps[tx] @ ba.fiber_maps[(t, x)]
-            if lhs.size:
-                worst = max(worst, float(np.max(np.abs(lhs - fiber_maps[x]))))
+            res.append(deviation(fiber_maps[tx] @ ba.fiber_maps[(t, x)], fiber_maps[x]))
             if arrow_map[tx] != (arrow_map[x][0],
                                  ba.base_action.unit_image(t, arrow_map[x][1])):
                 raise InternalConsistencyError(
                     f"tau not equivariant over ({fmt(t)},{fmt(x)})"
                 )
-    if worst > DEFAULT_TOL:
+    worst, _i = worst_residual(res)
+    if not worst <= DEFAULT_TOL:
         raise InternalConsistencyError(
             f"tau fiber maps not equivariant (residual {worst:.3e})"
         )
@@ -957,6 +1048,11 @@ def verify_bundle_equivalence(e: BundleEquivalence,
     correct pairs and landing over the bracket arrows; Step 3 adjoint
     symmetry; Step 4 module compatibility; Step 5 the exchange identity;
     Step 6 per-fiber fullness and positivity of both inner products.
+
+    Steps 1 and 3-5 are batched by fiber-shape class.  Each records its
+    largest residual as its metric; its witness is the first tuple, in the
+    order of the tables the step walks, that attains it; a NaN residual
+    fails.  The brackets of all inner-product pairs are computed once.
     """
     rep = ValidationReport(subject="bundle equivalence")
     base = e.base
@@ -977,9 +1073,9 @@ def verify_bundle_equivalence(e: BundleEquivalence,
 
     # structural coverage
     for f, side, orient in sides:
-        missing = set(f.base.left_action.act) - set(f.left_tensors)
+        missing = [k for k in f.base.left_action.act if k not in f.left_tensors]
         rep.add(f"{side} tensors cover the action", not missing,
-                fmt(orient(next(iter(missing)))) if missing else None)
+                fmt(orient(missing[0])) if missing else None)
     for f, name in ((e, "left inner product defined on sigma pairs"),
                     (e_op, "right inner product defined on rho pairs")):
         pairs = {(z1, z2) for z1 in base.space for z2 in base.space
@@ -996,109 +1092,90 @@ def verify_bundle_equivalence(e: BundleEquivalence,
     if not rep.ok:
         return rep
 
-    # Step 2: inner products land over the bracket arrows
+    # Step 2: inner products land over the bracket arrows.  The brackets of
+    # all inner-product pairs are tabled once; steps 3-5 read the tables.
+    brackets = {}
     for f, side, orient in sides:
-        bad = None
-        for (z1, z2), tsr in f.left_inner.items():
-            p = left_bracket(f.base, z1, z2)
-            if tsr.shape != (f.left_bundle.dim[p], e.dims[z1], e.dims[z2]):
-                bad = orient((z1, z2))
-                break
+        br = brackets[side] = _bracket_table(f)
+        bad = next((pair for pair, tsr in f.left_inner.items()
+                    if tsr.shape != (f.left_bundle.dim[br[pair]],
+                                     e.dims[pair[0]], e.dims[pair[1]])), None)
         rep.add(f"step 2: {side} inner product lands over the {side} bracket",
-                bad is None, fmt(bad) if bad else None)
+                bad is None, fmt(orient(bad)) if bad else None)
     if not rep.ok:
         return rep
 
     # Step 1: the module actions commute
-    worst, wit = 0.0, None
-    for (p, z) in base.left_action.act:
-        pz = base.left_apply(p, z)
-        for q in q_gpd.arrows:
-            if not base.right_defined(z, q):
-                continue
-            zq = base.right_apply(z, q)
-            lhs = np.einsum("lmc,maj->lajc", e.right_tensors[(pz, q)],
-                            e.left_tensors[(p, z)])
-            rhs = np.einsum("lam,mjc->lajc", e.left_tensors[(p, zq)],
-                            e.right_tensors[(z, q)])
-            if lhs.size:
-                d = float(np.max(np.abs(lhs - rhs)))
-                if d > worst:
-                    worst, wit = d, (p, z, q)
+    lid, lts = _numbered(e.left_tensors)
+    rid, rts = _numbered(e.right_tensors)
+    right_of = _right_arrows_by_point(base)
+    right_act = base.right_action.act
+    tuples, ids = [], []
+    for (p, z), pz in base.left_action.act.items():
+        for q in right_of[z]:
+            tuples.append((p, z, q))
+            ids.append((rid[(pz, q)], lid[(p, z)], lid[(p, right_act[(q, z)])], rid[(z, q)]))
+    worst, i = worst_residual(
+        _residuals("lmc,maj->lajc", "lam,mjc->lajc", [rts, lts, lts, rts], ids))
     rep.record_metric("step1 commuting", worst)
     rep.add("step 1: module actions commute", worst <= tol,
-            fmt(wit) if worst > tol else None)
+            None if worst <= tol else fmt(tuples[i]))
 
     # Step 3: adjoint symmetry of both inner products
-    worst, wit = 0.0, None
+    tuples, parts = [], []
     for f, side, orient in sides:
-        f_base, f_gpd, f_bundle = f.base, f.base.left_groupoid, f.left_bundle
-        for (z1, z2), tsr in f.left_inner.items():
-            p = left_bracket(f_base, z1, z2)
-            if f_gpd.inv[p] != left_bracket(f_base, z2, z1):
-                rep.add(f"step 3: {side} bracket antisymmetry", False, fmt(orient((z1, z2))))
-                return rep
-            lhs = np.einsum("kl,lij->kij", f_bundle.star[p], np.conjugate(tsr))
-            rhs = np.transpose(f.left_inner[(z2, z1)], (0, 2, 1))
-            if lhs.size:
-                d = float(np.max(np.abs(lhs - rhs)))
-                if d > worst:
-                    worst, wit = d, orient((z1, z2))
+        br, f_gpd = brackets[side], f.base.left_groupoid
+        bad = next((pair for pair, p in br.items()
+                    if f_gpd.inv[p] != br[(pair[1], pair[0])]), None)
+        if bad:
+            rep.add(f"step 3: {side} bracket antisymmetry", False, fmt(orient(bad)))
+            return rep
+        iid, its = _numbered(f.left_inner)
+        aid = {a: k for k, a in enumerate(f_gpd.arrows)}
+        stars = [f.left_bundle.star[a] for a in f_gpd.arrows]
+        ids = [(aid[br[pair]], k, iid[(pair[1], pair[0])]) for pair, k in iid.items()]
+        parts.append(_residuals("kl,lij->kij", "kji->kij",
+                                [stars, [np.conjugate(t) for t in its], its], ids))
+        tuples += [orient(pair) for pair in iid]
+    worst, i = worst_residual(np.concatenate(parts))
     rep.record_metric("step3 adjoint symmetry", worst)
     rep.add("step 3: inner products adjoint-symmetric", worst <= tol,
-            fmt(wit) if worst > tol else None)
+            None if worst <= tol else fmt(tuples[i]))
 
     # Step 4: module compatibility on both sides
-    worst, wit = 0.0, None
+    tuples, parts = [], []
     for f, side, orient in sides:
-        f_base, f_gpd, f_bundle = f.base, f.base.left_groupoid, f.left_bundle
-        for (p, z2) in f_base.left_action.act:
-            z2p = f_base.left_apply(p, z2)
-            for z3 in f_base.space:
-                if f_base.sigma[z2] != f_base.sigma[z3]:
-                    continue
-                b23 = left_bracket(f_base, z2, z3)
+        f_base, f_gpd, br = f.base, f.base.left_groupoid, brackets[side]
+        iid, its = _numbered(f.left_inner)
+        lid, lts = _numbered(f.left_tensors)
+        mid, mts = _numbered(f.left_bundle.mult)
+        same_sigma = _points_by(f_base.space, f_base.sigma)
+        ids = []
+        for (p, z2), z2p in f_base.left_action.act.items():
+            for z3 in same_sigma[f_base.sigma[z2]]:
+                b23 = br[(z2, z3)]
                 if not f_gpd.composable(p, b23) or \
-                   f_gpd.comp[(p, b23)] != left_bracket(f_base, z2p, z3):
+                   f_gpd.comp[(p, b23)] != br[(z2p, z3)]:
                     rep.add(f"step 4: {side} bracket composition", False,
                             fmt(orient((p, z2, z3))))
                     return rep
-                lhs = np.einsum("lmk,maj->lajk", f.left_inner[(z2p, z3)],
-                                f.left_tensors[(p, z2)])
-                rhs = np.einsum("laq,qjk->lajk", f_bundle.mult[(p, b23)],
-                                f.left_inner[(z2, z3)])
-                if lhs.size:
-                    d = float(np.max(np.abs(lhs - rhs)))
-                    if d > worst:
-                        worst, wit = d, orient((p, z2, z3))
+                tuples.append(orient((p, z2, z3)))
+                ids.append((iid[(z2p, z3)], lid[(p, z2)], mid[(p, b23)], iid[(z2, z3)]))
+        parts.append(_residuals("lmk,maj->lajk", "laq,qjk->lajk", [its, lts, mts, its], ids))
+    worst, i = worst_residual(np.concatenate(parts))
     rep.record_metric("step4 module compatibility", worst)
     rep.add("step 4: inner products compatible with the module actions",
-            worst <= tol, fmt(wit) if worst > tol else None)
+            worst <= tol, None if worst <= tol else fmt(tuples[i]))
 
     # Step 5: the exchange identity  <a,b>_L . c == a . <b,c>_R
-    worst, wit = 0.0, None
-    for (z1, z2) in e.left_inner:
-        p12 = left_bracket(base, z1, z2)
-        for z3 in base.space:
-            if base.rho[z2] != base.rho[z3]:
-                continue
-            q23 = left_bracket(e_op.base, z3, z2)
-            if not base.left_defined(p12, z3) or not base.right_defined(z1, q23) or \
-               base.left_apply(p12, z3) != base.right_apply(z1, q23):
-                rep.add("step 5: exchange identity (points)", False,
-                        fmt((z1, z2, z3)))
-                return rep
-            lhs = np.einsum("mlk,lij->mijk", e.left_tensors[(p12, z3)],
-                            e.left_inner[(z1, z2)])
-            rhs = np.einsum("mil,ljk->mijk", e.right_tensors[(z1, q23)],
-                            e.right_inner[(z2, z3)])
-            if lhs.size:
-                d = float(np.max(np.abs(lhs - rhs)))
-                if d > worst:
-                    worst, wit = d, (z1, z2, z3)
+    tuples, residuals, bad = _exchange(e, brackets["left"], brackets["right"])
+    if bad:
+        rep.add("step 5: exchange identity (points)", False, fmt(bad))
+        return rep
+    worst, i = worst_residual(residuals)
     rep.record_metric("step5 exchange", worst)
     rep.add("step 5: exchange identity", worst <= tol,
-            fmt(wit) if worst > tol else None)
+            None if worst <= tol else fmt(tuples[i]))
 
     # Step 6: per-fiber imprimitivity (fullness and positivity)
     from .algebras import fiber_algebra, regular_representation
@@ -1147,19 +1224,62 @@ def verify_bundle_equivalence(e: BundleEquivalence,
 
 
 def exchange_residual(e: BundleEquivalence) -> float:
-    """Max entrywise deviation of <a,b>_L . c - a . <b,c>_R over all triples."""
-    base, base_op = e.base, opposite(e.base)
-    worst = 0.0
-    for (z1, z2) in e.left_inner:
-        p12 = left_bracket(base, z1, z2)
-        for z3 in base.space:
-            if base.rho[z2] != base.rho[z3]:
-                continue
-            q23 = left_bracket(base_op, z3, z2)
-            lhs = np.einsum("mlk,lij->mijk", e.left_tensors[(p12, z3)],
-                            e.left_inner[(z1, z2)])
-            rhs = np.einsum("mil,ljk->mijk", e.right_tensors[(z1, q23)],
-                            e.right_inner[(z2, z3)])
-            if lhs.size:
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    """Max entrywise deviation of <a,b>_L . c - a . <b,c>_R over all triples.
+
+    It is the metric of step 5 of verify_bundle_equivalence, computed alone.
+    """
+    tuples, residuals, bad = _exchange(e, _bracket_table(e), _bracket_table(opposite(e)))
+    if bad:
+        raise InvalidStructureError(f"exchange identity: points disagree at {fmt(bad)}")
+    return worst_residual(residuals)[0]
+
+
+def _bracket_table(e: BundleEquivalence) -> dict:
+    """The left bracket of every left inner-product pair, in table order."""
+    return {pair: left_bracket(e.base, *pair) for pair in e.left_inner}
+
+
+def _points_by(points, label: dict) -> dict:
+    """The points grouped by their label, each group in point order."""
+    groups: dict = {}
+    for z in points:
+        groups.setdefault(label[z], []).append(z)
+    return groups
+
+
+def _right_arrows_by_point(base: GroupoidEquivalence) -> dict:
+    """For each point z, the right-groupoid arrows q with z.q defined, in arrow order."""
+    order = {q: k for k, q in enumerate(base.right_groupoid.arrows)}
+    arrows: dict = {z: [] for z in base.space}
+    for (q, z) in base.right_action.act:
+        arrows[z].append(q)
+    for qs in arrows.values():
+        qs.sort(key=order.__getitem__)
+    return arrows
+
+
+def _exchange(e: BundleEquivalence, brackets: dict, brackets_op: dict):
+    """The exchange-identity triples (z1, z2, z3) in order, and their residuals.
+
+    ``brackets`` and ``brackets_op`` are the bracket tables of e and of its
+    opposite.  The third value is the first triple whose two sides act on
+    different points, if any; the residuals are then None.
+    """
+    base = e.base
+    iid, its = _numbered(e.left_inner)
+    jid, jts = _numbered(e.right_inner)
+    lid, lts = _numbered(e.left_tensors)
+    rid, rts = _numbered(e.right_tensors)
+    same_rho = _points_by(base.space, base.rho)
+    left_act, right_act = base.left_action.act, base.right_action.act
+    tuples, ids = [], []
+    for (z1, z2), k in iid.items():
+        p12 = brackets[(z1, z2)]
+        for z3 in same_rho[base.rho[z2]]:
+            q23 = brackets_op[(z3, z2)]
+            point = left_act.get((p12, z3))
+            if point is None or point != right_act.get((q23, z1)):
+                return tuples, None, (z1, z2, z3)
+            tuples.append((z1, z2, z3))
+            ids.append((lid[(p12, z3)], k, rid[(z1, q23)], jid[(z2, z3)]))
+    return tuples, _residuals("mlk,lij->mijk", "mil,ljk->mijk", [lts, its, rts, jts], ids), None

@@ -23,6 +23,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property, singledispatch
 
+import numpy as np
+
 from ._util import canonical_min, fmt, sort_key
 from .report import (
     InternalConsistencyError,
@@ -57,16 +59,26 @@ class FiniteGroupoid:
         u = self.rng[x]
         return self.src[x] == u and self.unit_arrow[u] == x
 
+    def _range_fibers(self) -> dict:
+        """Arrows by range unit, each list in arrow order (built per call)."""
+        fibers: dict = {}
+        for y in self.arrows:
+            fibers.setdefault(self.rng[y], []).append(y)
+        return fibers
+
     def composable_pairs(self):
+        """(x, y) with src(x) == rng(y): x in arrow order, then y in arrow order."""
+        fibers = self._range_fibers()
         for x in self.arrows:
-            for y in self.arrows:
-                if self.src[x] == self.rng[y]:
-                    yield (x, y)
+            for y in fibers.get(self.src[x], ()):
+                yield (x, y)
 
     def composable_triples(self):
-        for x, y in self.composable_pairs():
-            for z in self.arrows:
-                if self.src[y] == self.rng[z]:
+        """(x, y, z) with (x, y) and (y, z) composable, in the order of pairs."""
+        fibers = self._range_fibers()
+        for x in self.arrows:
+            for y in fibers.get(self.src[x], ()):
+                for z in fibers.get(self.src[y], ()):
                     yield (x, y, z)
 
     def range_fiber(self, u):
@@ -299,6 +311,13 @@ def product_with_group(x: FiniteGroupoid, g: FiniteGroup) -> FiniteGroupoid:
 # validation
 
 
+def _arrow_ids(tuples, ix: dict, k: int) -> tuple:
+    """Columns of arrow indices of an enumeration of k-tuples of arrows."""
+    flat = np.fromiter(map(ix.__getitem__, itertools.chain.from_iterable(tuples)),
+                       dtype=np.intp)
+    return tuple(flat.reshape(-1, k).T)
+
+
 def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     """Exhaustively check every groupoid axiom; failures carry witnesses."""
     rep = ValidationReport(subject="groupoid")
@@ -332,15 +351,20 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     rep.add("rng(xy)=rng(x), src(xy)=src(y)", not bad,
             f"pair ({fmt(bad[0][0])},{fmt(bad[0][1])})" if bad else None)
 
-    bad = None
-    for x, y, z in g.composable_triples():
-        lhs = g.comp.get((g.comp[(x, y)], z))
-        rhs = g.comp.get((x, g.comp[(y, z)]))
-        if lhs is None or rhs is None or lhs != rhs:
-            bad = (x, y, z)
-            break
-    rep.add("associativity", bad is None,
-            f"triple ({fmt(bad[0])},{fmt(bad[1])},{fmt(bad[2])})" if bad else None)
+    # associativity on an integer product table; index n stands for a
+    # product that is missing or not an arrow, and counts as a mismatch
+    ix = {x: i for i, x in enumerate(g.arrows)}
+    n = len(ix)
+    table = np.full((n + 1, n + 1), n, dtype=np.intp)
+    for (x, y), v in g.comp.items():
+        if x in ix and y in ix:
+            table[ix[x], ix[y]] = ix.get(v, n)
+    x, y, z = _arrow_ids(g.composable_triples(), ix, 3)
+    lhs, rhs = table[table[x, y], z], table[x, table[y, z]]
+    bad = np.flatnonzero((lhs == n) | (lhs != rhs))
+    wit = tuple(g.arrows[k[bad[0]]] for k in (x, y, z)) if bad.size else None
+    rep.add("associativity", wit is None,
+            f"triple ({fmt(wit[0])},{fmt(wit[1])},{fmt(wit[2])})" if wit else None)
 
     bad = [x for x in g.arrows if g.inv[g.inv[x]] != x]
     rep.add("inv involutive", not bad, fmt(bad[0]) if bad else None)
@@ -552,10 +576,11 @@ def check_space_action(a: SpaceAction) -> ValidationReport:
     if bad:
         return rep
 
-    dom = {(x, u) for x in g.arrows for u in a.space if g.src[x] == a.fibring[u]}
-    missing = dom - set(a.act)
-    extra = set(a.act) - dom
-    wit = next(iter(missing or extra), None)
+    dom = [(x, u) for x in g.arrows for u in a.space if g.src[x] == a.fibring[u]]
+    dom_set = set(dom)
+    missing = [k for k in dom if k not in a.act]
+    extra = [k for k in a.act if k not in dom_set]
+    wit = (missing or extra or [None])[0]
     rep.add("defined iff fibring matches", not missing and not extra,
             f"({fmt(wit[0])},{fmt(wit[1])})" if wit else None)
     if missing:

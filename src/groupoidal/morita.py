@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import fmt
+from ._util import deviation, fmt
 from .bundles import (
     BundleAction,
     BundleEquivalence,
@@ -61,7 +61,7 @@ from .groupoids import (
     right_bracket,
     validate_groupoid,
 )
-from .report import InvalidStructureError
+from .report import InvalidStructureError, ValidationReport
 
 DEFAULT_TOL = 1e-9
 
@@ -72,7 +72,9 @@ class LinkingSystem:
 
     Arrows are tagged: ("p", .) and ("q", .) are the two corners, ("z", .)
     the equivalence space, ("zb", .) its formal adjoint copy.  The corner
-    projections sum the units of the unit-fiber algebras.
+    projections sum the units of the unit-fiber algebras.  ``verification``
+    is the equivalence's verify_bundle_equivalence report when the system
+    was assembled with strict=True, else None.
     """
 
     equivalence: BundleEquivalence
@@ -83,6 +85,7 @@ class LinkingSystem:
     corner_right: StarAlgebra
     projection_left: np.ndarray
     projection_right: np.ndarray
+    verification: ValidationReport | None = None
 
 
 def linking_system(e: BundleEquivalence, tol: float = DEFAULT_TOL,
@@ -93,8 +96,9 @@ def linking_system(e: BundleEquivalence, tol: float = DEFAULT_TOL,
     the verification so that deliberately broken data can still be assembled
     for negative controls.
     """
+    verification = None
     if strict:
-        verify_bundle_equivalence(e, tol).require("linking_system")
+        verification = verify_bundle_equivalence(e, tol).require("linking_system")
 
     base = e.base
     p_gpd, q_gpd = base.left_groupoid, base.right_groupoid
@@ -181,7 +185,7 @@ def linking_system(e: BundleEquivalence, tol: float = DEFAULT_TOL,
     proj_l = _corner_projection(algebra, bundle, "pu")
     proj_r = _corner_projection(algebra, bundle, "qu")
     return LinkingSystem(e, groupoid, bundle, algebra,
-                         corner_left, corner_right, proj_l, proj_r)
+                         corner_left, corner_right, proj_l, proj_r, verification)
 
 
 def _corner_projection(algebra: StarAlgebra, bundle: FellBundle, unit_tag: str) -> np.ndarray:
@@ -289,18 +293,26 @@ def verify_morita(ls: LinkingSystem, tol: float = DEFAULT_TOL,
     pos_l = _positivity_margin(ls, side="left")
     pos_r = _positivity_margin(ls, side="right")
 
-    ex_res = exchange_residual(e)
+    # strict assembly already verified the exchange identity (step 5)
+    ex_res = (exchange_residual(e) if ls.verification is None
+              else ls.verification.metrics["step5 exchange"])
 
     rep_l = star_structure_report(ls.corner_left, tol=tol, seed=seed)
     rep_r = star_structure_report(ls.corner_right, tol=tol, seed=seed)
 
-    unit = alg.unit()
-    if unit is None:
-        notes.append("linking algebra has no unit")
-    else:
-        defect = float(np.max(np.abs(ls.projection_left + ls.projection_right - unit)))
-        if defect > max(tol, 1e-8):
-            notes.append(f"corner projections do not sum to the unit (defect {defect:.3e})")
+    # the corner projections should sum to the unit: check p e_j == e_j p
+    # == e_j directly, and solve for a unit only when that fails
+    p = ls.projection_left + ls.projection_right
+    eye, limit = np.eye(alg.dimension), max(tol, 1e-8)
+    if not (alg.dimension and deviation(alg.left_matrix(p), eye) <= limit
+            and deviation(alg.right_matrix(p), eye) <= limit):
+        unit = alg.unit()
+        if unit is None:
+            notes.append("linking algebra has no unit")
+        else:
+            defect = float(np.max(np.abs(p - unit)))
+            if defect > limit:
+                notes.append(f"corner projections do not sum to the unit (defect {defect:.3e})")
 
     if rep_l.status == "indeterminate" or rep_r.status == "indeterminate":
         verdict = "indeterminate"

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -46,6 +51,8 @@ from groupoidal.instances import (
     random_free_action_instance,
 )
 
+from groupoidal._util import fmt
+
 from conftest import assert_close, line_bundle_action
 
 
@@ -73,6 +80,64 @@ def test_negated_star_matrix_detected():
     names = [c.name for c in rep.failures()]
     assert "star involutive" in names or "(ab)* == b*a*" in names
     assert any(c.witness for c in rep.failures())
+
+
+def test_nan_product_tensor_fails_with_witness():
+    b = trivial_line_bundle(make_pair_groupoid(3))
+    g = b.base
+    key = ((1, 2), (2, 3))
+    b.mult[key] = b.mult[key] * np.nan
+    rep = validate_fell_bundle(b)
+    assert not rep.ok
+    assert np.isnan(rep.metrics["associativity"]) and np.isnan(rep.metrics["antihomomorphism"])
+    # the witness is the first tuple, in enumeration order, that reads the poisoned product
+    x, y, z = next((x, y, z) for x, y, z in g.composable_triples()
+                   if key in {(x, y), (g.comp[(x, y)], z), (y, z), (x, g.comp[(y, z)])})
+    failures = {c.name: c.witness for c in rep.failures()}
+    assert failures["mult associative"] == f"triple ({fmt(x)},{fmt(y)},{fmt(z)})"
+    x, y = next((x, y) for x, y in g.composable_pairs()
+                if key in {(x, y), (g.inv[y], g.inv[x])})
+    assert failures["(ab)* == b*a*"] == f"pair ({fmt(x)},{fmt(y)})"
+
+
+def test_nan_inner_product_fails_with_witness(z2z2_bundle):
+    e = symmetric_action_equivalence(*z2z2_bundle)
+    key = next(k for k in e.left_inner if k[0] != k[1])
+    e.left_inner[key] = e.left_inner[key] * np.nan
+    rep = verify_bundle_equivalence(e)
+    assert not rep.ok
+    failures = {c.name: c.witness for c in rep.failures()}
+    first = next(k for k in e.left_inner if k in (key, key[::-1]))
+    assert failures["step 3: inner products adjoint-symmetric"] == fmt(first)
+    z3 = next(z for z in e.base.space if e.base.rho[z] == e.base.rho[key[1]])
+    assert failures["step 5: exchange identity"] == fmt((*key, z3))
+    assert np.isnan(rep.metrics["step5 exchange"])
+
+
+HASH_CASE = """
+from groupoidal import linking_system, symmetric_action_equivalence, validate_fell_bundle
+from groupoidal.instances import symmetric_z2z2_bundle
+ls = linking_system(symmetric_action_equivalence(*symmetric_z2z2_bundle()))
+for x in ls.groupoid.arrows:
+    if x[0] == "z":
+        ls.bundle.star[x] = 2 * ls.bundle.star[x]
+print([(c.name, c.witness) for c in validate_fell_bundle(ls.bundle).failures()])
+"""
+
+
+def test_witnesses_do_not_depend_on_the_hash_seed():
+    # the Z2xZ2 linking bundle with its z stars doubled fails the
+    # antihomomorphism law at many pairs; the witness is the first of them
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", HASH_CASE], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert "(ab)* == b*a*" in outputs[0]
 
 
 def test_bundle_elements_multiply_and_star():
