@@ -50,6 +50,7 @@ from .groupoids import (
     verify_groupoid_equivalence,
     _Transposed,
     _arrow_ids,
+    _group_by,
     _flip,
     _other_side,
     _unique_unit_shift,
@@ -61,10 +62,6 @@ from .report import (
 )
 
 DEFAULT_TOL = 1e-9
-
-
-def _close(a, b, tol) -> bool:
-    return deviation(a, b) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +371,7 @@ def check_bundle_action(ba: BundleAction, tol: float = DEFAULT_TOL) -> Validatio
         return rep
 
     bad = next((x for x in b.base.arrows
-                if not _close(ba.fiber_maps[(g.identity, x)], np.eye(b.dim[x]), tol)),
+                if not deviation(ba.fiber_maps[(g.identity, x)], np.eye(b.dim[x])) <= tol),
                None)
     rep.add("identity acts as the identity map", bad is None,
             fmt(bad) if bad is not None else None)
@@ -1149,7 +1146,7 @@ def verify_bundle_equivalence(e: BundleEquivalence,
         iid, its = _numbered(f.left_inner)
         lid, lts = _numbered(f.left_tensors)
         mid, mts = _numbered(f.left_bundle.mult)
-        same_sigma = _points_by(f_base.space, f_base.sigma)
+        same_sigma = _group_by(f_base.space, f_base.sigma)
         ids = []
         for (p, z2), z2p in f_base.left_action.act.items():
             for z3 in same_sigma[f_base.sigma[z2]]:
@@ -1228,7 +1225,7 @@ def exchange_residual(e: BundleEquivalence) -> float:
 
     It is the metric of step 5 of verify_bundle_equivalence, computed alone.
     """
-    tuples, residuals, bad = _exchange(e, _bracket_table(e), _bracket_table(opposite(e)))
+    _tuples, residuals, bad = _exchange(e, _bracket_table(e), _bracket_table(opposite(e)))
     if bad:
         raise InvalidStructureError(f"exchange identity: points disagree at {fmt(bad)}")
     return worst_residual(residuals)[0]
@@ -1237,14 +1234,6 @@ def exchange_residual(e: BundleEquivalence) -> float:
 def _bracket_table(e: BundleEquivalence) -> dict:
     """The left bracket of every left inner-product pair, in table order."""
     return {pair: left_bracket(e.base, *pair) for pair in e.left_inner}
-
-
-def _points_by(points, label: dict) -> dict:
-    """The points grouped by their label, each group in point order."""
-    groups: dict = {}
-    for z in points:
-        groups.setdefault(label[z], []).append(z)
-    return groups
 
 
 def _right_arrows_by_point(base: GroupoidEquivalence) -> dict:
@@ -1263,14 +1252,14 @@ def _exchange(e: BundleEquivalence, brackets: dict, brackets_op: dict):
 
     ``brackets`` and ``brackets_op`` are the bracket tables of e and of its
     opposite.  The third value is the first triple whose two sides act on
-    different points, if any; the residuals are then None.
+    different points, if any; the other two are then None.
     """
     base = e.base
     iid, its = _numbered(e.left_inner)
     jid, jts = _numbered(e.right_inner)
     lid, lts = _numbered(e.left_tensors)
     rid, rts = _numbered(e.right_tensors)
-    same_rho = _points_by(base.space, base.rho)
+    same_rho = _group_by(base.space, base.rho)
     left_act, right_act = base.left_action.act, base.right_action.act
     tuples, ids = [], []
     for (z1, z2), k in iid.items():
@@ -1279,7 +1268,7 @@ def _exchange(e: BundleEquivalence, brackets: dict, brackets_op: dict):
             q23 = brackets_op[(z3, z2)]
             point = left_act.get((p12, z3))
             if point is None or point != right_act.get((q23, z1)):
-                return tuples, None, (z1, z2, z3)
+                return None, None, (z1, z2, z3)
             tuples.append((z1, z2, z3))
             ids.append((lid[(p12, z3)], k, rid[(z1, q23)], jid[(z2, z3)]))
     return tuples, _residuals("mlk,lij->mijk", "mil,ljk->mijk", [lts, its, rts, jts], ids), None

@@ -34,6 +34,14 @@ from .report import (
 )
 
 
+def _group_by(items, label) -> dict:
+    """The items grouped by ``label[item]``, each group in item order."""
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(label[item], []).append(item)
+    return groups
+
+
 @dataclass
 class FiniteGroupoid:
     """A finite groupoid given by explicit source/range/composition tables."""
@@ -59,23 +67,16 @@ class FiniteGroupoid:
         u = self.rng[x]
         return self.src[x] == u and self.unit_arrow[u] == x
 
-    def _range_fibers(self) -> dict:
-        """Arrows by range unit, each list in arrow order (built per call)."""
-        fibers: dict = {}
-        for y in self.arrows:
-            fibers.setdefault(self.rng[y], []).append(y)
-        return fibers
-
     def composable_pairs(self):
         """(x, y) with src(x) == rng(y): x in arrow order, then y in arrow order."""
-        fibers = self._range_fibers()
+        fibers = _group_by(self.arrows, self.rng)
         for x in self.arrows:
             for y in fibers.get(self.src[x], ()):
                 yield (x, y)
 
     def composable_triples(self):
         """(x, y, z) with (x, y) and (y, z) composable, in the order of pairs."""
-        fibers = self._range_fibers()
+        fibers = _group_by(self.arrows, self.rng)
         for x in self.arrows:
             for y in fibers.get(self.src[x], ()):
                 for z in fibers.get(self.src[y], ()):
