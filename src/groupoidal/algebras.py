@@ -184,6 +184,10 @@ class Representation:
     star_residual: float
     notes: list = field(default_factory=list)
     _stack: np.ndarray = field(default=None, repr=False)
+    # orthonormal basis of the representation space (columns, in algebra
+    # coordinates) and the projection onto its coordinates
+    _basis: np.ndarray = field(default=None, repr=False)
+    _proj: np.ndarray = field(default=None, repr=False)
 
     def stack(self) -> np.ndarray:
         if self._stack is None:
@@ -192,6 +196,23 @@ class Representation:
 
     def of_vec(self, v) -> np.ndarray:
         return np.tensordot(np.asarray(v), self.stack(), axes=(0, 0))
+
+    def gram_margin(self, coeffs) -> float:
+        """Min eigenvalue of the block Gram matrix [pi(c_ab)].
+
+        ``coeffs[a, b]`` holds the algebra coordinates of the (a, b) entry,
+        so ``coeffs`` has shape (m, m, dim) and the Gram is (m*r) x (m*r).
+        The hermitian part is diagonalized; a Gram that is not finite gives
+        NaN without an eigensolve, and an empty one gives 0.0.
+        """
+        m, r = coeffs.shape[0], self.size
+        if m * r == 0:
+            return 0.0
+        gram = np.tensordot(coeffs, self.stack(), axes=(2, 0))
+        gram = gram.transpose(0, 2, 1, 3).reshape(m * r, m * r)
+        if not np.isfinite(gram).all():
+            return float("nan")
+        return float(np.min(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))))
 
 
 def regular_representation(a: StarAlgebra, tol: float = DEFAULT_TOL) -> Representation:
@@ -249,6 +270,8 @@ def regular_representation(a: StarAlgebra, tol: float = DEFAULT_TOL) -> Represen
         star_residual=star_res,
         notes=notes,
         _stack=stack,
+        _basis=basis_t,
+        _proj=proj,
     )
 
 
@@ -304,29 +327,30 @@ def _center_basis(a: StarAlgebra, tol: float) -> np.ndarray:
         return np.zeros((0, 0))
     mats = np.concatenate([(a.struct[:, :, j] - a.struct[:, j, :])
                            for j in range(n)], axis=0)
-    _u, s, vh = np.linalg.svd(mats)
-    null = s <= tol * max(1.0, s[0] if len(s) else 1.0)
-    basis = vh[: len(s)][null]
-    extra = vh[len(s):]  # rows beyond min(m, n) are automatically null
-    if extra.size:
-        basis = np.concatenate([basis, extra], axis=0)
-    return basis.conj()
+    # the stack has n*n >= n rows, so vh is n x n
+    _u, s, vh = np.linalg.svd(mats, full_matrices=False)
+    null = s <= tol * max(1.0, s[0])
+    return vh[null].conj()
 
 
 def star_structure_report(a: StarAlgebra, tol: float = DEFAULT_TOL,
-                          seed: int = 0, max_attempts: int = 8) -> StarStructureReport:
+                          seed: int = 0, max_attempts: int = 8, *,
+                          representation: Representation | None = None
+                          ) -> StarStructureReport:
     """Wedderburn-style invariants via spectral splitting of the center.
 
     Blocks come from the eigenspace decomposition of a random hermitian
     central element in a faithful representation; the random combination is
     drawn from a seeded generator and retried if the spectrum is too
-    clustered to split reliably.
+    clustered to split reliably.  ``representation``, if given, is
+    ``regular_representation(a, tol)`` already computed; it is read, never
+    changed.
     """
     n = a.dimension
     law_rep = check_star_algebra(a, max(tol, 1e-8))
     notes = [f"algebra law violation: {c.name}" for c in law_rep.failures()]
 
-    rep = regular_representation(a, tol)
+    rep = representation if representation is not None else regular_representation(a, tol)
     radical = n - rep.gram_rank
     notes += rep.notes
     norms = tuple(float(np.linalg.norm(m, 2)) if m.size else 0.0 for m in rep.matrices)
@@ -340,7 +364,7 @@ def star_structure_report(a: StarAlgebra, tol: float = DEFAULT_TOL,
             return StarStructureReport(n, radical, 0, (), False,
                                        "ok", seed, 0, norms, notes)
         # quotient by the kernel of the trace form, then split there
-        work = _quotient_algebra(a, rep, tol)
+        work = _quotient_algebra(a, rep)
         work_rep = regular_representation(work, tol)
         notes.append(f"blocks computed on the semisimple quotient (dim {work.dimension})")
 
@@ -401,20 +425,9 @@ def star_structure_report(a: StarAlgebra, tol: float = DEFAULT_TOL,
                                "ok", seed, rng_attempts, norms, notes)
 
 
-def _quotient_algebra(a: StarAlgebra, rep: Representation, tol: float) -> StarAlgebra:
+def _quotient_algebra(a: StarAlgebra, rep: Representation) -> StarAlgebra:
     """The image of a in its GNS representation, as an abstract algebra."""
-    n = a.dimension
-    lstack = np.transpose(a.struct, (1, 0, 2))
-    # rebuild the projection pair used by regular_representation
-    tr = np.array([np.trace(lstack[k]) for k in range(n)])
-    prod_tr = np.einsum("kaj,k->aj", a.struct, tr)
-    gram = np.einsum("ai,aj->ij", a.invol, prod_tr)
-    gram = 0.5 * (gram + gram.conj().T)
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    scale = max(1.0, float(np.max(np.abs(eigvals))))
-    keep = eigvals > tol * scale
-    t_mat = eigvecs[:, keep] / np.sqrt(eigvals[keep])
-    proj = t_mat.conj().T @ gram
+    t_mat, proj = rep._basis, rep._proj
     r = t_mat.shape[1]
     struct = np.zeros((r, r, r), dtype=complex)
     for i in range(r):

@@ -1188,30 +1188,22 @@ def verify_bundle_equivalence(e: BundleEquivalence,
 
     for z in base.space:
         d = e.dims[z]
-        pu = p_gpd.unit_arrow[base.rho[z]]
-        tsr = e.left_inner[(z, z)].reshape(p_bundle.dim[pu], d * d)
-        if np.linalg.matrix_rank(tsr, tol=1e-7) != p_bundle.dim[pu]:
-            bad = ("left fullness", z)
+        sides = (("left", p_bundle, e.left_inner[(z, z)], p_gpd.unit_arrow[base.rho[z]]),
+                 ("right", q_bundle, e.right_inner[(z, z)], q_gpd.unit_arrow[base.sigma[z]]))
+        for side, bundle, inner, unit in sides:
+            # a non-finite inner product has no rank: it fails here, with its z
+            if not np.isfinite(inner).all():
+                bad = (f"{side} inner product not finite", z)
+            elif np.linalg.matrix_rank(inner.reshape(bundle.dim[unit], d * d),
+                                       tol=1e-7) != bundle.dim[unit]:
+                bad = (f"{side} fullness", z)
+            if bad:
+                break
+        if bad:
             break
-        qu = q_gpd.unit_arrow[base.sigma[z]]
-        tsr = e.right_inner[(z, z)].reshape(q_bundle.dim[qu], d * d)
-        if np.linalg.matrix_rank(tsr, tol=1e-7) != q_bundle.dim[qu]:
-            bad = ("right fullness", z)
-            break
-        for (bundle, inner, unit) in (
-            (p_bundle, e.left_inner[(z, z)], pu),
-            (q_bundle, e.right_inner[(z, z)], qu),
-        ):
-            pi = unit_rep(bundle, unit)
-            r = pi.size
-            gram = np.zeros((d * r, d * r), dtype=complex)
-            for i in range(d):
-                for j in range(d):
-                    block = pi.of_vec(inner[:, i, j])
-                    gram[i * r:(i + 1) * r, j * r:(j + 1) * r] = block
-            herm = 0.5 * (gram + gram.conj().T)
-            if gram.size:
-                worst_pos = min(worst_pos, float(np.min(np.linalg.eigvalsh(herm))))
+        for _side, bundle, inner, unit in sides:
+            worst_pos = min(worst_pos,
+                            unit_rep(bundle, unit).gram_margin(inner.transpose(1, 2, 0)))
     rep.add("step 6: inner products full on unit fibers", bad is None,
             f"{bad[0]} at {fmt(bad[1])}" if bad else None)
     rep.record_metric("step6 positivity margin", worst_pos)

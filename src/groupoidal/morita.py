@@ -38,6 +38,7 @@ from .bundles import (
 from .algebras import (
     AlgebraAction,
     AlgebraIso,
+    Representation,
     StarAlgebra,
     StarStructureReport,
     check_algebra_action,
@@ -55,6 +56,7 @@ from .groupoids import (
     FiniteGroupoid,
     GroupAction,
     SpaceAction,
+    _group_by,
     group_set_action,
     left_bracket,
     opposite,
@@ -280,32 +282,50 @@ class MoritaCertificate:
 
 def verify_morita(ls: LinkingSystem, tol: float = DEFAULT_TOL,
                   seed: int = 0) -> MoritaCertificate:
-    """Fullness, positivity, exchange residual, and corner invariants."""
+    """Fullness, positivity, exchange residual, and corner invariants.
+
+    Each corner's regular representation is computed once and serves both
+    its positivity margin and its structure report.  The positivity margin
+    of a side is the minimum over the components of its inner-product table
+    (sections linked by a defined inner product) of each component's Gram
+    eigenvalues: the same number as for one Gram over all sections.  An
+    inner product that is not finite makes the certificate not-certified,
+    with a note naming it.
+    """
     e = ls.equivalence
     alg = ls.algebra
     notes = []
+    for side, inner in (("left", e.left_inner), ("right", e.right_inner)):
+        bad = next((key for key, t in inner.items() if not np.isfinite(t).all()), None)
+        if bad is not None:
+            notes.append(f"{side} inner product not finite at {fmt(bad)}")
+    finite = not notes
 
     # fullness: the ideal generated by the off-diagonal inner products
     full_l = _fullness_rank(ls, side="left")
     full_r = _fullness_rank(ls, side="right")
 
-    # positivity of the corner-valued Gram matrices over all Z sections
-    pos_l = _positivity_margin(ls, side="left")
-    pos_r = _positivity_margin(ls, side="right")
+    # positivity of the corner-valued Gram matrices over all Z sections, and
+    # the corner invariants, from one representation per corner
+    pi_l = regular_representation(ls.corner_left, tol)
+    pos_l = _positivity_margin(ls, "left", pi_l)
+    pi_r = regular_representation(ls.corner_right, tol)
+    pos_r = _positivity_margin(ls, "right", pi_r)
 
     # strict assembly already verified the exchange identity (step 5)
     ex_res = (exchange_residual(e) if ls.verification is None
               else ls.verification.metrics["step5 exchange"])
 
-    rep_l = star_structure_report(ls.corner_left, tol=tol, seed=seed)
-    rep_r = star_structure_report(ls.corner_right, tol=tol, seed=seed)
+    rep_l = star_structure_report(ls.corner_left, tol=tol, seed=seed, representation=pi_l)
+    rep_r = star_structure_report(ls.corner_right, tol=tol, seed=seed, representation=pi_r)
 
     # the corner projections should sum to the unit: check p e_j == e_j p
-    # == e_j directly, and solve for a unit only when that fails
+    # == e_j directly, and solve for a unit only when that fails; a linking
+    # algebra with non-finite products has no unit to solve for
     p = ls.projection_left + ls.projection_right
     eye, limit = np.eye(alg.dimension), max(tol, 1e-8)
-    if not (alg.dimension and deviation(alg.left_matrix(p), eye) <= limit
-            and deviation(alg.right_matrix(p), eye) <= limit):
+    if finite and not (alg.dimension and deviation(alg.left_matrix(p), eye) <= limit
+                       and deviation(alg.right_matrix(p), eye) <= limit):
         unit = alg.unit()
         if unit is None:
             notes.append("linking algebra has no unit")
@@ -317,7 +337,7 @@ def verify_morita(ls: LinkingSystem, tol: float = DEFAULT_TOL,
     if rep_l.status == "indeterminate" or rep_r.status == "indeterminate":
         verdict = "indeterminate"
     else:
-        ok = (full_l == ls.corner_left.dimension
+        ok = (finite and full_l == ls.corner_left.dimension
               and full_r == ls.corner_right.dimension
               and pos_l >= -tol and pos_r >= -tol
               and ex_res <= tol
@@ -328,9 +348,9 @@ def verify_morita(ls: LinkingSystem, tol: float = DEFAULT_TOL,
                 notes.append(f"left corner not full (rank {full_l} of {ls.corner_left.dimension})")
             if full_r != ls.corner_right.dimension:
                 notes.append(f"right corner not full (rank {full_r} of {ls.corner_right.dimension})")
-            if pos_l < -tol or pos_r < -tol:
+            if not (pos_l >= -tol and pos_r >= -tol):
                 notes.append("an inner product fails positivity")
-            if ex_res > tol:
+            if not ex_res <= tol:
                 notes.append(f"exchange residual {ex_res:.3e} above tolerance")
             if rep_l.center_dimension != rep_r.center_dimension:
                 notes.append("corner center dimensions differ")
@@ -353,7 +373,7 @@ def verify_morita(ls: LinkingSystem, tol: float = DEFAULT_TOL,
 
 
 def _fullness_rank(ls: LinkingSystem, side: str) -> int:
-    """Rank of the ideal generated by the inner products inside a corner."""
+    """Rank of the ideal generated by the finite inner products inside a corner."""
     e = ls.equivalence
     corner = ls.corner_left if side == "left" else ls.corner_right
     n = corner.dimension
@@ -363,6 +383,8 @@ def _fullness_rank(ls: LinkingSystem, side: str) -> int:
     tag = "p" if side == "left" else "q"
     inner = e.left_inner if side == "left" else e.right_inner
     for (z1, z2), tensor in inner.items():
+        if not np.isfinite(tensor).all():
+            continue  # no rank to contribute; verify_morita notes it
         arrow = (left_bracket(base, z1, z2) if side == "left"
                  else right_bracket(base, z1, z2))
         d = tensor.shape[0]
@@ -398,43 +420,62 @@ def _span_basis(vectors: np.ndarray) -> np.ndarray:
     return vh[: len(s)][keep]
 
 
-def _positivity_margin(ls: LinkingSystem, side: str) -> float:
+def _positivity_margin(ls: LinkingSystem, side: str, pi: Representation) -> float:
     """Min eigenvalue of [pi(<e_i, e_j>)] over all equivalence sections.
 
     The block Gram matrix collects the corner-valued inner products of all
     basis sections supported on the equivalence space; its positivity under
-    a faithful representation of the corner certifies <f, f> >= 0.
+    a faithful representation pi of the corner certifies <f, f> >= 0.
+
+    <z1, z2> is defined only for the keys (z1, z2) of the inner-product
+    table (sigma(z1) == sigma(z2) on the left, rho on the right), so the
+    Gram is block-diagonal over the components of the points linked by
+    those keys.  Each component gets its own Gram and eigensolve, and the
+    margin is the minimum over components: the smallest eigenvalue of the
+    whole Gram, which is permutation-similar to their direct sum.  A Gram
+    that is not finite gives NaN.
     """
     e = ls.equivalence
     corner = ls.corner_left if side == "left" else ls.corner_right
-    pi = regular_representation(corner)
-    r = pi.size
     idx = {lbl: k for k, lbl in enumerate(corner.basis)}
     tag = "p" if side == "left" else "q"
     base, base_op = e.base, opposite(e.base)
-    z_basis = [(z, i) for z in base.space for i in range(e.dims[z])]
-    m = len(z_basis)
-    gram = np.zeros((m * r, m * r), dtype=complex)
     inner = e.left_inner if side == "left" else e.right_inner
-    for a, (z1, i) in enumerate(z_basis):
-        for b, (z2, j) in enumerate(z_basis):
-            key = (z1, z2)
-            if key not in inner:
-                continue
-            tensor = inner[key]
-            arrow = (left_bracket(base, z1, z2) if side == "left"
-                     else left_bracket(base_op, z2, z1))
-            coeffs = tensor[:, i, j]
-            vec = np.zeros(corner.dimension, dtype=complex)
-            for k, c in enumerate(coeffs):
-                if c != 0:
-                    vec[idx[((tag, arrow), k)]] = c
-            block = pi.of_vec(vec)
-            gram[a * r:(a + 1) * r, b * r:(b + 1) * r] = block
-    if gram.size == 0:
-        return 0.0
-    herm = 0.5 * (gram + gram.conj().T)
-    return float(np.min(np.linalg.eigvalsh(herm)))
+    margins = []
+    for points in _components(base.space, inner):
+        offset, m = {}, 0
+        for z in points:
+            offset[z], m = m, m + e.dims[z]
+        if m == 0:
+            continue
+        coeffs = np.zeros((m, m, corner.dimension), dtype=complex)
+        for z1 in points:
+            for z2 in points:
+                tensor = inner.get((z1, z2))
+                if tensor is None:
+                    continue
+                arrow = (left_bracket(base, z1, z2) if side == "left"
+                         else left_bracket(base_op, z2, z1))
+                cols = [idx[((tag, arrow), k)] for k in range(tensor.shape[0])]
+                a, b = offset[z1], offset[z2]
+                coeffs[a:a + e.dims[z1], b:b + e.dims[z2], cols] = tensor.transpose(1, 2, 0)
+        margins.append(pi.gram_margin(coeffs))
+    return float(np.min(margins)) if margins else 0.0
+
+
+def _components(points, pairs) -> list:
+    """The classes of points linked by the pairs, each in point order."""
+    root = {z: z for z in points}
+
+    def find(z):
+        while root[z] != z:
+            root[z] = root[root[z]]
+            z = root[z]
+        return z
+
+    for z1, z2 in pairs:
+        root[find(z1)] = find(z2)
+    return list(_group_by(points, {z: find(z) for z in points}).values())
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,31 @@ def test_nilpotent_radical_flagged():
 # structure reports
 
 
+def _unit_plus_nilpotent():
+    # span{u, x}, x^2 = 0: the report splits its semisimple quotient
+    struct = np.zeros((2, 2, 2), dtype=complex)
+    struct[0, 0, 0] = struct[1, 0, 1] = struct[1, 1, 0] = 1.0
+    return StarAlgebra(("u", "x"), struct, np.eye(2, dtype=complex))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: diagonal_algebra(3),
+    lambda: matrix_algebra(2),
+    lambda: section_algebra(trivial_line_bundle(make_pair_groupoid(3))),
+    _unit_plus_nilpotent,
+], ids=["diagonal", "matrix", "pair3", "nilpotent"])
+def test_report_with_precomputed_representation(make):
+    # a representation passed in gives the report computed from scratch, and
+    # is left as it was
+    alg = make()
+    rep = regular_representation(alg, 1e-9)
+    before = (rep.size, list(rep.notes), rep.stack().copy())
+    assert star_structure_report(alg, representation=rep).to_dict() == \
+        star_structure_report(alg).to_dict()
+    assert (rep.size, rep.notes) == before[:2]
+    assert np.array_equal(rep.stack(), before[2])
+
+
 def test_report_scalars():
     sr = star_structure_report(diagonal_algebra(1))
     assert sr.blocks == (1,) and sr.center_dimension == 1 and sr.is_cstar

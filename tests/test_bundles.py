@@ -114,6 +114,22 @@ def test_nan_inner_product_fails_with_witness(z2z2_bundle):
     assert np.isnan(rep.metrics["step5 exchange"])
 
 
+def test_nan_diagonal_inner_product_fails_step_6(z2z2_bundle):
+    # step 6 takes ranks and eigenvalues of the diagonal inner products; a
+    # NaN there fails the fullness check with its point instead of raising,
+    # and the failures of steps 3-5 are still reported
+    e = symmetric_action_equivalence(*z2z2_bundle)
+    z = e.base.space[0]
+    e.left_inner[(z, z)] = e.left_inner[(z, z)] * np.nan
+    rep = verify_bundle_equivalence(e)
+    failures = {c.name: c.witness for c in rep.failures()}
+    assert failures["step 6: inner products full on unit fibers"] == \
+        f"left inner product not finite at {fmt(z)}"
+    assert failures["step 3: inner products adjoint-symmetric"] == fmt((z, z))
+    assert "step 4: inner products compatible with the module actions" in failures
+    assert "step 5: exchange identity" in failures
+
+
 HASH_CASE = """
 from groupoidal import linking_system, symmetric_action_equivalence, validate_fell_bundle
 from groupoidal.instances import symmetric_z2z2_bundle

@@ -23,6 +23,7 @@ from groupoidal import (
     trivial_line_bundle,
     verify_morita,
 )
+from groupoidal._util import fmt
 from groupoidal.groupoids import left_bracket
 from groupoidal.instances import cyclic_group, symmetric_z2z2_bundle
 
@@ -110,9 +111,8 @@ def margins_seen(monkeypatch, run):
     return calls
 
 
-def _symmetric(instance, strict=True):
-    return lambda: verify_morita(linking_system(
-        symmetric_action_equivalence(*instance()), strict=strict))
+def _symmetric(instance):
+    return lambda: verify_morita(linking_system(symmetric_action_equivalence(*instance())))
 
 
 CASES = {
@@ -133,3 +133,48 @@ def test_positivity_margin_matches_dense_reference(name, monkeypatch):
         assert abs(margin - reference) <= AGREE, (side, margin, reference)
         if name == "negated_diagonal" and side == "left":
             assert reference == pytest.approx(-1.795831523312721, abs=1e-9)
+
+
+def test_components_follow_the_inner_product_keys():
+    e = symmetric_action_equivalence(*symmetric_z2z2_bundle())
+    base = e.base
+    fibers = {}
+    for z in base.space:
+        fibers.setdefault(base.sigma[z], []).append(z)
+    assert morita._components(base.space, e.left_inner) == list(fibers.values())
+    # a synthetic key between two sigma-fibers joins them, in point order
+    first, second, *rest = fibers.values()
+    keys = [*e.left_inner, (second[0], first[-1])]
+    assert morita._components(base.space, keys) == \
+        [sorted(first + second, key=base.space.index), *rest]
+
+
+def test_one_regular_representation_per_corner(monkeypatch):
+    import groupoidal.algebras as algebras
+
+    ls = linking_system(symmetric_action_equivalence(*symmetric_z2z2_bundle()))
+    counts = {}
+    original = algebras.regular_representation
+
+    def counting(a, *args, **kwargs):
+        counts[id(a)] = counts.get(id(a), 0) + 1
+        return original(a, *args, **kwargs)
+
+    for module in (morita, algebras):
+        monkeypatch.setattr(module, "regular_representation", counting)
+    assert verify_morita(ls).verdict == "equivalent"
+    assert counts[id(ls.corner_left)] == 1
+    assert counts[id(ls.corner_right)] == 1
+
+
+def test_nan_inner_product_is_not_certified():
+    # an off-diagonal NaN has no rank and no spectrum: the certificate says
+    # so instead of raising from an SVD
+    e = symmetric_action_equivalence(*symmetric_z2z2_bundle())
+    key = next(k for k in e.left_inner if k[0] != k[1])
+    e.left_inner[key] = e.left_inner[key] * np.nan
+    cert = verify_morita(linking_system(e, strict=False))
+    assert cert.verdict == "not-certified"
+    assert np.isnan(cert.positivity_margin_left)
+    assert f"left inner product not finite at {fmt(key)}" in cert.notes
+    assert "an inner product fails positivity" in cert.notes
