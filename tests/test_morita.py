@@ -398,10 +398,10 @@ def test_phase_twisted_symmetric_instance():
     assert sorted(cert.left_report.blocks) == [2, 2, 2, 2]
 
 
-def test_two_dimensional_fiber_symmetric_instance():
+def two_dimensional_fiber_instance():
     # diagonal two-dimensional fibers with coordinate-swapping fiber maps
     from groupoidal.instances import symmetric_z2z2_actions
-    from groupoidal import FellBundle, check_bundle_action, verify_bundle_equivalence
+    from groupoidal import FellBundle
 
     g4, gact, hact = symmetric_z2z2_actions()
     dim = {x: 2 for x in g4.arrows}
@@ -418,6 +418,13 @@ def test_two_dimensional_fiber_symmetric_instance():
             for t in hact.group.elements for x in g4.arrows}
     gba = BundleAction(gact.group, bundle, gact, gfib, "left")
     hba = BundleAction(hact.group, bundle, hact, hfib, "right")
+    return bundle, gba, hba
+
+
+def test_two_dimensional_fiber_symmetric_instance():
+    from groupoidal import check_bundle_action, verify_bundle_equivalence
+
+    bundle, gba, hba = two_dimensional_fiber_instance()
     assert check_bundle_action(gba).ok and check_bundle_action(hba).ok
     e = symmetric_action_equivalence(bundle, gba, hba)
     rep = verify_bundle_equivalence(e)

@@ -27,6 +27,8 @@ from groupoidal._util import fmt
 from groupoidal.groupoids import left_bracket
 from groupoidal.instances import cyclic_group, symmetric_z2z2_bundle
 
+from test_morita import _phase_twisted_z2z2, two_dimensional_fiber_instance
+
 AGREE = 1e-12
 
 
@@ -91,6 +93,18 @@ def negated_diagonal_z2z2():
     return e
 
 
+def noisy_two_dimensional_fibers():
+    """Two-dimensional fibers with one off-diagonal inner product on each side
+    replaced by seeded complex noise, so every Gram block is generic."""
+    e = symmetric_action_equivalence(*two_dimensional_fiber_instance())
+    rng = np.random.default_rng(7)
+    for inner in (e.left_inner, e.right_inner):
+        key = next(k for k in inner if k[0] != k[1])
+        shape = inner[key].shape
+        inner[key] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return e
+
+
 def margins_seen(monkeypatch, run):
     """Run a certificate and return (ls, side, margin) for each positivity call."""
     calls = []
@@ -123,6 +137,10 @@ CASES = {
        for s in (1, 2, 3)},
     "negated_diagonal": lambda: verify_morita(linking_system(negated_diagonal_z2z2(),
                                                              strict=False)),
+    "phase_twisted": _symmetric(_phase_twisted_z2z2),
+    "two_dim_fibers": _symmetric(two_dimensional_fiber_instance),
+    "two_dim_fibers_noisy": lambda: verify_morita(linking_system(
+        noisy_two_dimensional_fibers(), strict=False)),
 }
 
 
