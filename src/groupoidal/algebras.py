@@ -5,10 +5,17 @@ weights, (f*g)(x) = sum over y with rng(y) == rng(x) of f(y)g(inv(y)x), and
 the involution f*(x) = (f(inv x))*.  Structure constants are stored densely:
 struct[k, i, j] is the k-th coordinate of e_i e_j, and invol[:, i] holds the
 coordinates of e_i* (the involution acts antilinearly, v* = invol @ conj(v)).
+A section algebra has few nonzero structure constants (one fiber product per
+composable pair), so the associativity law and the multiplicativity of the
+regular representation are checked by joining the nonzero constants, in
+chunks of at most ``bundles._CHUNK`` terms, rather than on dense n^4 tensors.
 
 C*-certification is numerical: the trace form of the left regular
 representation must be positive definite (no radical) and the induced
 representation faithful, multiplicative, and star-preserving to tolerance.
+The structure report splits that representation into its Wedderburn blocks
+(the simple matrix-algebra summands) and keeps an orthonormal basis of each
+block's subspace, so that Gram matrices can be diagonalized block by block.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import bundles
 from ._util import deviation, fmt, worst_residual
 from .bundles import (
     BundleAction,
@@ -88,10 +96,7 @@ def check_star_algebra(a: StarAlgebra, tol: float = DEFAULT_TOL) -> ValidationRe
     if not rep.ok:
         return rep
 
-    lstack = np.transpose(struct, (1, 0, 2))  # lstack[i] = left mult by e_i
-    worst, _i = worst_residual([
-        deviation(np.tensordot(struct[:, i, :].T, lstack, axes=([1], [0])), lstack[i] @ lstack)
-        for i in range(n)])
+    worst = _associativity_residual(struct)
     rep.record_metric("associativity", worst)
     rep.add("associative", worst <= tol)
 
@@ -105,6 +110,86 @@ def check_star_algebra(a: StarAlgebra, tol: float = DEFAULT_TOL) -> ValidationRe
     rep.record_metric("antihomomorphism", d)
     rep.add("(ab)* == b*a*", d <= tol)
     return rep
+
+
+def _nonzeros(struct: np.ndarray) -> tuple:
+    """The nonzero structure constants as arrays (k, i, j, value), ordered by
+    (i, j, k): struct[k, i, j] == value is the k-th coordinate of e_i e_j."""
+    i, j, k = np.nonzero(struct.transpose(1, 2, 0))
+    return k, i, j, struct[k, i, j]
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """The positions in the ranges [lo, hi), concatenated, and for each the
+    index of the range it came from."""
+    counts = hi - lo
+    owner = np.repeat(np.arange(len(lo)), counts)
+    first = np.cumsum(counts) - counts
+    return owner, np.arange(int(counts.sum())) - first[owner] + lo[owner]
+
+
+def _associativity_residual(struct: np.ndarray) -> float:
+    """max |(e_i e_j) e_b - e_i (e_j e_b)| over all basis triples and coordinates.
+
+    The coordinate a of the residual at (i, j, b) is
+    sum_k s[k,i,j] s[a,k,b] - sum_c s[a,i,c] s[c,j,b], a sum over pairs of
+    nonzero constants joined on k (or c).  The pairs are generated in chunks of
+    consecutive (i, j), each of at most ``bundles._CHUNK`` terms unless a single
+    (i, j) has more, and summed per coordinate.  A coordinate no pair reaches is
+    zero on both sides.  A non-finite constant gives NaN, as it does in the dense
+    products (NaN times the zeros of the other factor).
+    """
+    n = struct.shape[0]
+    if not np.isfinite(struct).all():
+        return float("nan")
+    k, i, j, v = _nonzeros(struct)
+    if not len(v):
+        return 0.0
+    ij = i * n + j  # nondecreasing
+    # the rows with i == m are by_middle[m]:by_middle[m + 1]
+    by_middle = np.searchsorted(i, np.arange(n + 1))
+    fm_order = np.lexsort((i, k))  # rows ordered by (k, i)
+    fm_keys = (k * n + i)[fm_order]
+    count_mid = np.diff(by_middle)
+
+    # terms per (i, j): left side sum over rows (k,i,j) of the rows with middle k;
+    # right side sum over c of #rows (a,i,c) times #rows (c,j,b)
+    lhs_terms = np.bincount(ij, weights=count_mid[k], minlength=n * n)
+    rows_ml = np.bincount(ij, minlength=n * n).reshape(n, n).astype(float)
+    rows_fm = np.bincount(k * n + i, minlength=n * n).reshape(n, n).astype(float)
+    cum = np.cumsum(lhs_terms + (rows_ml @ rows_fm).ravel())
+
+    worst, p0 = 0.0, 0
+    while p0 < n * n:
+        done = cum[p0 - 1] if p0 else 0.0
+        p1 = max(p0 + 1, int(np.searchsorted(cum, done + bundles._CHUNK, side="right")))
+        p1 = min(p1, n * n)
+        # (e_i e_j) e_b: rows t = (k,i,j) with p0 <= (i,j) < p1, each joined
+        # with the rows u = (a,k,b)
+        t = np.arange(*np.searchsorted(ij, [p0, p1]))
+        owner, u = _ranges(by_middle[k[t]], by_middle[k[t] + 1])
+        t = t[owner]
+        coords = [((ij[t] - p0) * n + k[u]) * n + j[u]]
+        terms = [v[t] * v[u]]
+        # e_i (e_j e_b): rows t = (a,i,c), each joined with the rows u = (c,j,b)
+        # whose (i, j) lies in the chunk
+        i0, i1 = p0 // n, (p1 - 1) // n
+        t = np.arange(by_middle[i0], by_middle[i1 + 1])
+        j_lo = np.where(i[t] == i0, p0 - i0 * n, 0)
+        j_hi = np.where(i[t] == i1, p1 - i1 * n, n)
+        owner, pos = _ranges(np.searchsorted(fm_keys, j[t] * n + j_lo),
+                             np.searchsorted(fm_keys, j[t] * n + j_hi))
+        t, u = t[owner], fm_order[pos]
+        coords.append(((i[t] * n + i[u] - p0) * n + k[t]) * n + j[u])
+        terms.append(-v[t] * v[u])
+        coords, terms = np.concatenate(coords), np.concatenate(terms)
+        if len(terms):
+            _keys, where = np.unique(coords, return_inverse=True)
+            sums = (np.bincount(where, weights=terms.real)
+                    + 1j * np.bincount(where, weights=terms.imag))
+            worst = max(worst, float(np.max(np.abs(sums))))
+        p0 = p1
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +238,14 @@ def fiber_algebra(b: FellBundle, unit_arrow) -> StarAlgebra:
 def subalgebra(a: StarAlgebra, keep, provenance: str | None = None) -> StarAlgebra:
     """Restrict to a basis subset; requires closure under product and star."""
     sel = [k for k, lbl in enumerate(a.basis) if keep(lbl)]
-    other = [k for k in range(a.dimension) if k not in set(sel)]
-    if other:
-        leak = float(np.max(np.abs(a.struct[np.ix_(other, sel, sel)])))
-        leak = max(leak, float(np.max(np.abs(a.invol[np.ix_(other, sel)]))))
-        if leak > DEFAULT_TOL:
-            raise InvalidStructureError("basis subset is not a *-subalgebra")
+    chosen = set(sel)
+    other = [k for k in range(a.dimension) if k not in chosen]
+    # the coordinates outside the subset of products and stars inside it;
+    # a NaN leak is no evidence of closure
+    leak, _i = worst_residual([deviation(a.struct[np.ix_(other, sel, sel)], 0),
+                               deviation(a.invol[np.ix_(other, sel)], 0)])
+    if not leak <= DEFAULT_TOL:
+        raise InvalidStructureError("basis subset is not a *-subalgebra")
     return StarAlgebra(
         basis=tuple(a.basis[k] for k in sel),
         struct=a.struct[np.ix_(sel, sel, sel)].copy(),
@@ -197,22 +284,55 @@ class Representation:
     def of_vec(self, v) -> np.ndarray:
         return np.tensordot(np.asarray(v), self.stack(), axes=(0, 0))
 
-    def gram_margin(self, coeffs) -> float:
+    def gram_margin(self, coeffs, blocks=None) -> float:
         """Min eigenvalue of the block Gram matrix [pi(c_ab)].
 
         ``coeffs[a, b]`` holds the algebra coordinates of the (a, b) entry,
         so ``coeffs`` has shape (m, m, dim) and the Gram is (m*r) x (m*r).
         The hermitian part is diagonalized; a Gram that is not finite gives
         NaN without an eigensolve, and an empty one gives 0.0.
+
+        ``blocks``, from :meth:`block_stacks`, compress pi to invariant
+        subspaces that together cover the space.  The Gram is then unitarily
+        similar to the direct sum of one (m*d) x (m*d) Gram per block, and the
+        margin is the minimum over those: the same number up to roundoff.
         """
-        m, r = coeffs.shape[0], self.size
-        if m * r == 0:
-            return 0.0
-        gram = np.tensordot(coeffs, self.stack(), axes=(2, 0))
-        gram = gram.transpose(0, 2, 1, 3).reshape(m * r, m * r)
-        if not np.isfinite(gram).all():
-            return float("nan")
-        return float(np.min(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))))
+        if blocks is None:
+            blocks = [self.stack()]
+        return float(np.min([_gram_margin(coeffs, stack) for stack in blocks]))
+
+    def block_stacks(self, bases, tol: float = DEFAULT_TOL) -> list:
+        """pi compressed to the subspaces spanned by ``bases``: for each
+        orthonormal column basis Q the stack of Q* pi(e_k) Q.
+
+        The bases are meant to be a structure report's ``block_bases`` for
+        this representation.  If they do not cover the space, or some pi(e_k)
+        moves a subspace off itself (|pi(e_k) Q - Q Q* pi(e_k) Q| above
+        max(tol, 1e-8)), the whole stack is the single block.
+        """
+        stack = self.stack()
+        if not bases or sum(q.shape[1] for q in bases) != self.size:
+            return [stack]
+        blocks = []
+        for q in bases:
+            moved = stack @ q
+            block = q.conj().T @ moved
+            if not deviation(moved, q @ block) <= max(tol, 1e-8):
+                return [stack]
+            blocks.append(block)
+        return blocks
+
+
+def _gram_margin(coeffs: np.ndarray, stack: np.ndarray) -> float:
+    """Min eigenvalue of the hermitian part of [sum_k coeffs[a, b, k] stack[k]]."""
+    m, r = coeffs.shape[0], stack.shape[1]
+    if m * r == 0:
+        return 0.0
+    gram = np.tensordot(coeffs, stack, axes=(2, 0))
+    gram = gram.transpose(0, 2, 1, 3).reshape(m * r, m * r)
+    if not np.isfinite(gram).all():
+        return float("nan")
+    return float(np.min(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))))
 
 
 def regular_representation(a: StarAlgebra, tol: float = DEFAULT_TOL) -> Representation:
@@ -220,7 +340,13 @@ def regular_representation(a: StarAlgebra, tol: float = DEFAULT_TOL) -> Represen
 
     The trace functional of the left regular representation positivizes the
     section pairing; a degenerate or indefinite Gram form flags the
-    representation as non-faithful.
+    representation as non-faithful.  A trace form that is not finite (a
+    non-finite structure constant) has no spectrum: the representation is
+    then empty and non-faithful, with NaN residuals.
+
+    The multiplicativity residual compares pi(e_i) pi(e_j), one product with
+    the (r, n*r) stack of all pi(e_j) per i, against pi(e_i e_j), summed
+    from the nonzero constants struct[k, i, j].
     """
     n = a.dimension
     lstack = np.transpose(a.struct, (1, 0, 2))
@@ -228,7 +354,14 @@ def regular_representation(a: StarAlgebra, tol: float = DEFAULT_TOL) -> Represen
     # gram[i, j] = tau(e_i* e_j)
     prod_tr = np.einsum("kaj,k->aj", a.struct, tr)
     gram = np.einsum("ai,aj->ij", a.invol, prod_tr)
-    herm_defect = float(np.max(np.abs(gram - gram.conj().T))) if n else 0.0
+    if not np.isfinite(gram).all():
+        nan, empty = float("nan"), np.zeros((n, 0, 0), dtype=complex)
+        return Representation(
+            size=0, matrices=list(empty), faithful=False, gram_rank=0,
+            gram_min_eig=nan, mult_residual=nan, star_residual=nan,
+            notes=["trace form not finite"], _stack=empty,
+            _basis=np.zeros((n, 0), dtype=complex), _proj=np.zeros((0, n), dtype=complex))
+    herm_defect = deviation(gram, gram.conj().T)
     gram = 0.5 * (gram + gram.conj().T)
     eigvals, eigvecs = np.linalg.eigh(gram) if n else (np.zeros(0), np.zeros((0, 0)))
     scale = max(1.0, float(np.max(np.abs(eigvals))) if n else 1.0)
@@ -243,14 +376,9 @@ def regular_representation(a: StarAlgebra, tol: float = DEFAULT_TOL) -> Represen
 
     mult_res, star_res = 0.0, 0.0
     if stack.size:
-        for i in range(n):
-            # pi(e_i) pi(e_j) against pi(e_i e_j), batched over j
-            lhs = mats[i] @ stack
-            rhs = np.tensordot(a.struct[:, i, :], stack, axes=(0, 0))
-            mult_res = max(mult_res, float(np.max(np.abs(lhs - rhs))))
+        mult_res = _multiplicativity_residual(a.struct, stack)
         adj = np.conjugate(np.transpose(stack, (0, 2, 1)))
-        star_mats = np.tensordot(a.invol.T, stack, axes=(1, 0))
-        star_res = float(np.max(np.abs(adj - star_mats)))
+        star_res = deviation(adj, np.tensordot(a.invol.T, stack, axes=(1, 0)))
 
     notes = []
     if herm_defect > tol:
@@ -275,6 +403,31 @@ def regular_representation(a: StarAlgebra, tol: float = DEFAULT_TOL) -> Represen
     )
 
 
+def _multiplicativity_residual(struct: np.ndarray, stack: np.ndarray) -> float:
+    """max |pi(e_i) pi(e_j) - sum_k struct[k,i,j] pi(e_k)| over i, j, NaN propagating.
+
+    For each i the products with every pi(e_j) come from one GEMM against
+    the (r, n*r) stack; the nonzero constants of e_i e_j are then subtracted,
+    at most ``bundles._CHUNK`` matrix entries at a time (or one matrix).
+    """
+    n, r = stack.shape[0], stack.shape[1]
+    wide = stack.transpose(1, 0, 2).reshape(r, n * r)
+    k, i, j, v = _nonzeros(struct)
+    by_middle = np.searchsorted(i, np.arange(n + 1))
+    step = max(1, bundles._CHUNK // (r * r))
+    worst = []
+    for m in range(n):
+        prod = stack[m] @ wide
+        diff = prod.reshape(r, n, r).transpose(1, 0, 2)  # diff[j] is a view into prod
+        for lo in range(by_middle[m], by_middle[m + 1], step):
+            t = np.arange(lo, min(lo + step, by_middle[m + 1]))
+            # rows are ordered by j within i: sum each run of equal j
+            starts = np.flatnonzero(np.r_[True, j[t][1:] != j[t][:-1]])
+            diff[j[t][starts]] -= np.add.reduceat(v[t, None, None] * stack[k[t]], starts)
+        worst.append(np.max(np.abs(prod)))
+    return worst_residual(worst)[0]
+
+
 @dataclass
 class StarStructureReport:
     dimension: int
@@ -287,6 +440,11 @@ class StarStructureReport:
     attempts: int
     generator_norms: tuple
     notes: list = field(default_factory=list)
+    # orthonormal column bases, in the coordinates of the regular
+    # representation, of the central spectral subspaces the blocks were
+    # measured on; empty unless the split was made there (status "ok", no
+    # radical).  Not part of the report's text, JSON or equality.
+    block_bases: tuple = field(default=(), repr=False, compare=False)
 
     def consistent(self) -> bool:
         return sum(b * b for b in self.blocks) + self.radical_dimension == self.dimension
@@ -342,7 +500,10 @@ def star_structure_report(a: StarAlgebra, tol: float = DEFAULT_TOL,
     Blocks come from the eigenspace decomposition of a random hermitian
     central element in a faithful representation; the random combination is
     drawn from a seeded generator and retried if the spectrum is too
-    clustered to split reliably.  ``representation``, if given, is
+    clustered to split reliably.  A block's size is read from the rank of
+    the representation compressed to its eigenspace, Q* pi(e_k) Q for an
+    orthonormal basis Q; with no radical the bases are kept as
+    ``block_bases``.  ``representation``, if given, is
     ``regular_representation(a, tol)`` already computed; it is read, never
     changed.
     """
@@ -391,25 +552,23 @@ def star_structure_report(a: StarAlgebra, tol: float = DEFAULT_TOL,
         z = coeffs @ herm_mat
         zmat = work_rep.of_vec(z)
         zmat = 0.5 * (zmat + zmat.conj().T)
-        eigvals = np.linalg.eigvalsh(zmat)
-        clusters = _cluster(eigvals, gap=1e-6 * max(1.0, float(np.max(np.abs(eigvals)))))
+        # eigenvalues ascending; a gap wider than the tolerance starts a new
+        # cluster, and each cluster's eigenvectors span one central subspace
+        eigvals, eigvecs = np.linalg.eigh(zmat)
+        gap = 1e-6 * max(1.0, float(np.max(np.abs(eigvals))))
+        bases = np.split(eigvecs, np.flatnonzero(np.diff(eigvals) > gap) + 1, axis=1)
         rng_attempts = attempt + 1
-        if len(clusters) != center_dim:
+        if len(bases) != center_dim:
             continue
-        projs = _spectral_projections(zmat, clusters)
         sizes = []
-        ok = True
-        for p in projs:
-            span = np.array([(p @ mmat @ p).ravel() for mmat in work_rep.matrices])
+        for q in bases:
+            span = (q.conj().T @ work_rep.stack() @ q).reshape(m, -1)
             d = int(np.linalg.matrix_rank(span, tol=1e-7))
             r = int(round(d ** 0.5))
             if r * r != d:
-                ok = False
                 break
             sizes.append(r)
-        if not ok:
-            continue
-        if sum(s * s for s in sizes) != m:
+        if len(sizes) != len(bases) or sum(s * s for s in sizes) != m:
             continue
         blocks = tuple(sorted(sizes))
         break
@@ -422,7 +581,8 @@ def star_structure_report(a: StarAlgebra, tol: float = DEFAULT_TOL,
                 and rep.mult_residual <= max(tol, 1e-8)
                 and rep.star_residual <= max(tol, 1e-8))
     return StarStructureReport(n, radical, center_dim, blocks, is_cstar,
-                               "ok", seed, rng_attempts, norms, notes)
+                               "ok", seed, rng_attempts, norms, notes,
+                               block_bases=tuple(bases) if radical == 0 else ())
 
 
 def _quotient_algebra(a: StarAlgebra, rep: Representation) -> StarAlgebra:
@@ -438,27 +598,6 @@ def _quotient_algebra(a: StarAlgebra, rep: Representation) -> StarAlgebra:
     for i in range(r):
         invol[:, i] = proj @ a.star_vec(t_mat[:, i])
     return StarAlgebra(tuple(range(r)), struct, invol, provenance="semisimple quotient")
-
-
-def _cluster(values: np.ndarray, gap: float) -> list:
-    clusters = []
-    for v in np.sort(values):
-        if clusters and v - clusters[-1][-1] <= gap:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    return clusters
-
-
-def _spectral_projections(zmat: np.ndarray, clusters: list) -> list:
-    eigvals, eigvecs = np.linalg.eigh(zmat)
-    projs = []
-    for cluster in clusters:
-        lo, hi = cluster[0] - 1e-9, cluster[-1] + 1e-9
-        sel = (eigvals >= lo) & (eigvals <= hi)
-        v = eigvecs[:, sel]
-        projs.append(v @ v.conj().T)
-    return projs
 
 
 # ---------------------------------------------------------------------------

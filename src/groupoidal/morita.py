@@ -285,12 +285,14 @@ def verify_morita(ls: LinkingSystem, tol: float = DEFAULT_TOL,
     """Fullness, positivity, exchange residual, and corner invariants.
 
     Each corner's regular representation is computed once and serves both
-    its positivity margin and its structure report.  The positivity margin
-    of a side is the minimum over the components of its inner-product table
-    (sections linked by a defined inner product) of each component's Gram
-    eigenvalues: the same number as for one Gram over all sections.  An
-    inner product that is not finite makes the certificate not-certified,
-    with a note naming it.
+    its structure report and its positivity margin, which is computed after
+    the report and reads its Wedderburn block bases.  The positivity margin
+    of a side is the minimum, over the components of its inner-product table
+    (sections linked by a defined inner product) and over the blocks of the
+    corner, of the eigenvalues of each component's Gram compressed to each
+    block: the same number, up to roundoff, as for one Gram over all
+    sections in the whole representation.  An inner product that is not
+    finite makes the certificate not-certified, with a note naming it.
     """
     e = ls.equivalence
     alg = ls.algebra
@@ -305,19 +307,19 @@ def verify_morita(ls: LinkingSystem, tol: float = DEFAULT_TOL,
     full_l = _fullness_rank(ls, side="left")
     full_r = _fullness_rank(ls, side="right")
 
-    # positivity of the corner-valued Gram matrices over all Z sections, and
-    # the corner invariants, from one representation per corner
+    # the corner invariants, then positivity of the corner-valued Gram
+    # matrices over all Z sections block by block, from one representation
+    # per corner
     pi_l = regular_representation(ls.corner_left, tol)
-    pos_l = _positivity_margin(ls, "left", pi_l)
+    rep_l = star_structure_report(ls.corner_left, tol=tol, seed=seed, representation=pi_l)
+    pos_l = _positivity_margin(ls, "left", pi_l, rep_l, tol)
     pi_r = regular_representation(ls.corner_right, tol)
-    pos_r = _positivity_margin(ls, "right", pi_r)
+    rep_r = star_structure_report(ls.corner_right, tol=tol, seed=seed, representation=pi_r)
+    pos_r = _positivity_margin(ls, "right", pi_r, rep_r, tol)
 
     # strict assembly already verified the exchange identity (step 5)
     ex_res = (exchange_residual(e) if ls.verification is None
               else ls.verification.metrics["step5 exchange"])
-
-    rep_l = star_structure_report(ls.corner_left, tol=tol, seed=seed, representation=pi_l)
-    rep_r = star_structure_report(ls.corner_right, tol=tol, seed=seed, representation=pi_r)
 
     # the corner projections should sum to the unit: check p e_j == e_j p
     # == e_j directly, and solve for a unit only when that fails; a linking
@@ -420,7 +422,8 @@ def _span_basis(vectors: np.ndarray) -> np.ndarray:
     return vh[: len(s)][keep]
 
 
-def _positivity_margin(ls: LinkingSystem, side: str, pi: Representation) -> float:
+def _positivity_margin(ls: LinkingSystem, side: str, pi: Representation,
+                       report: StarStructureReport, tol: float = DEFAULT_TOL) -> float:
     """Min eigenvalue of [pi(<e_i, e_j>)] over all equivalence sections.
 
     The block Gram matrix collects the corner-valued inner products of all
@@ -430,11 +433,20 @@ def _positivity_margin(ls: LinkingSystem, side: str, pi: Representation) -> floa
     <z1, z2> is defined only for the keys (z1, z2) of the inner-product
     table (sigma(z1) == sigma(z2) on the left, rho on the right), so the
     Gram is block-diagonal over the components of the points linked by
-    those keys.  Each component gets its own Gram and eigensolve, and the
-    margin is the minimum over components: the smallest eigenvalue of the
-    whole Gram, which is permutation-similar to their direct sum.  A Gram
-    that is not finite gives NaN.
+    those keys.  Each component's coefficient array is built once.  pi is
+    also split into the corner's Wedderburn blocks, the invariant subspaces
+    whose bases ``report`` (the structure report made from pi) keeps, and
+    each component gets one Gram and eigensolve per block.  The margin is
+    the minimum over components and blocks: the smallest eigenvalue of the
+    whole Gram, which is unitarily similar to their direct sum.  Without
+    usable bases (indeterminate report, radical, a subspace not invariant
+    to max(tol, 1e-8), bases not covering the space) the whole of pi is the
+    single block.  A Gram that is not finite, or a corner whose trace form
+    is not finite, gives NaN.
     """
+    if not np.isfinite(pi.gram_min_eig):
+        return float("nan")
+    blocks = pi.block_stacks(report.block_bases, tol)
     e = ls.equivalence
     corner = ls.corner_left if side == "left" else ls.corner_right
     idx = {lbl: k for k, lbl in enumerate(corner.basis)}
@@ -459,7 +471,7 @@ def _positivity_margin(ls: LinkingSystem, side: str, pi: Representation) -> floa
                 cols = [idx[((tag, arrow), k)] for k in range(tensor.shape[0])]
                 a, b = offset[z1], offset[z2]
                 coeffs[a:a + e.dims[z1], b:b + e.dims[z2], cols] = tensor.transpose(1, 2, 0)
-        margins.append(pi.gram_margin(coeffs))
+        margins.append(pi.gram_margin(coeffs, blocks))
     return float(np.min(margins)) if margins else 0.0
 
 

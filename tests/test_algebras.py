@@ -107,6 +107,20 @@ def test_subalgebra_closure_guard():
         subalgebra(alg, lambda lbl: lbl[0] == (1, 2))
 
 
+def test_subalgebra_rejects_nan_leak():
+    # NaN is no evidence of closure: the coordinate e_01 of e_00 e_00 is unknown
+    alg = matrix_algebra(2)
+    alg.struct[1, 0, 0] = np.nan
+    with pytest.raises(InvalidStructureError):
+        subalgebra(alg, lambda lbl: lbl == (0, 0))
+
+
+def test_subalgebra_of_nothing_is_zero_dimensional():
+    sub = subalgebra(matrix_algebra(2), lambda lbl: False)
+    assert sub.dimension == 0
+    assert sub.struct.shape == (0, 0, 0) and sub.invol.shape == (0, 0)
+
+
 # ---------------------------------------------------------------------------
 # regular representation
 
@@ -143,6 +157,19 @@ def test_nilpotent_radical_flagged():
     assert not sr.is_cstar
     assert sr.blocks == (1,)
     assert sr.consistent()
+
+
+def test_nan_structure_constant_gives_a_non_finite_trace_form():
+    alg = matrix_algebra(2)
+    alg.struct[1, 1, 2] = np.nan
+    assert np.isnan(check_star_algebra(alg).metrics["associativity"])
+    rep = regular_representation(alg)
+    assert not rep.faithful and rep.size == 0
+    assert rep.notes == ["trace form not finite"]
+    assert np.isnan(rep.mult_residual) and np.isnan(rep.star_residual)
+    sr = star_structure_report(alg)
+    assert (sr.status, sr.is_cstar, sr.blocks) == ("ok", False, ())
+    assert "trace form not finite" in sr.notes
 
 
 # ---------------------------------------------------------------------------

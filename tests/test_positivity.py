@@ -12,6 +12,7 @@ import pytest
 import groupoidal.morita as morita
 from groupoidal import (
     BundleAction,
+    FellBundle,
     action_from_unit_map,
     coaction_demo,
     identity_fiber_maps,
@@ -19,14 +20,16 @@ from groupoidal import (
     make_pair_groupoid,
     opposite,
     regular_representation,
+    star_structure_report,
     symmetric_action_equivalence,
     trivial_line_bundle,
     verify_morita,
 )
-from groupoidal._util import fmt
+from groupoidal._util import deviation, fmt
 from groupoidal.groupoids import left_bracket
-from groupoidal.instances import cyclic_group, symmetric_z2z2_bundle
+from groupoidal.instances import cyclic_group, matrix_algebra, symmetric_z2z2_bundle
 
+from test_algebras import _conjugate_basis, _direct_sum_blocks, _unit_plus_nilpotent
 from test_morita import _phase_twisted_z2z2, two_dimensional_fiber_instance
 
 AGREE = 1e-12
@@ -105,6 +108,14 @@ def noisy_two_dimensional_fibers():
     return e
 
 
+def matrix_fiber_bundle(order: int, k: int) -> FellBundle:
+    """The bundle over Z/order whose fibers are all the full k x k matrices."""
+    grp, mat = cyclic_group(order), matrix_algebra(k)
+    return FellBundle(grp, {x: k * k for x in grp.arrows},
+                      {pair: mat.struct.copy() for pair in grp.composable_pairs()},
+                      {x: mat.invol.copy() for x in grp.arrows})
+
+
 def margins_seen(monkeypatch, run):
     """Run a certificate and return (ls, side, margin) for each positivity call."""
     calls = []
@@ -135,6 +146,11 @@ CASES = {
     "coaction_z3": lambda: coaction_demo(trivial_line_bundle(cyclic_group(3))),
     **{f"pair6_seed{s}": _symmetric(lambda s=s: translation_instance(2, 3, seed=s))
        for s in (1, 2, 3)},
+    # the report seed picks the central element whose eigenspaces give the blocks
+    **{f"pair6_report_seed{r}": lambda r=r: verify_morita(linking_system(
+        symmetric_action_equivalence(*translation_instance(2, 3, seed=1))), seed=r)
+       for r in (1, 5)},
+    "coaction_m2_fibers": lambda: coaction_demo(matrix_fiber_bundle(2, 2)),
     "negated_diagonal": lambda: verify_morita(linking_system(negated_diagonal_z2z2(),
                                                              strict=False)),
     "phase_twisted": _symmetric(_phase_twisted_z2z2),
@@ -196,3 +212,85 @@ def test_nan_inner_product_is_not_certified():
     assert np.isnan(cert.positivity_margin_left)
     assert f"left inner product not finite at {fmt(key)}" in cert.notes
     assert "an inner product fails positivity" in cert.notes
+
+
+# ---------------------------------------------------------------------------
+# Wedderburn block split
+
+
+def _pair6_right_corner():
+    ls = linking_system(symmetric_action_equivalence(*translation_instance(2, 3, seed=1)))
+    return ls.corner_right
+
+
+BLOCK_CASES = {
+    "pair6_right_corner": _pair6_right_corner,
+    "blocks_1_2_random_basis": lambda: _conjugate_basis(
+        _direct_sum_blocks((1, 2)), np.random.default_rng(3)),
+    "blocks_1_1_3": lambda: _direct_sum_blocks((1, 1, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_block_bases_cover_the_space_and_are_invariant(name):
+    alg = BLOCK_CASES[name]()
+    pi = regular_representation(alg, 1e-8)
+    report = star_structure_report(alg, tol=1e-8, representation=pi)
+    bases = report.block_bases
+    assert report.status == "ok" and report.radical_dimension == 0
+    assert sorted(q.shape[1] for q in bases) == sorted(b * b for b in report.blocks)
+    whole = np.hstack(bases)
+    assert whole.shape == (pi.size, pi.size)
+    assert deviation(whole.conj().T @ whole, np.eye(pi.size)) <= 1e-10
+    stack = pi.stack()
+    for q in bases:
+        assert deviation(stack @ q, q @ (q.conj().T @ stack @ q)) <= 1e-8
+    blocks = pi.block_stacks(bases, 1e-8)
+    assert [b.shape[1:] for b in blocks] == [(q.shape[1], q.shape[1]) for q in bases]
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_block_grams_give_the_whole_gram_margin(name):
+    # generic coefficients, unlike the symmetric instances above, give each
+    # block its own smallest eigenvalue
+    alg = BLOCK_CASES[name]()
+    pi = regular_representation(alg, 1e-8)
+    bases = star_structure_report(alg, tol=1e-8, representation=pi).block_bases
+    blocks = pi.block_stacks(bases, 1e-8)
+    rng = np.random.default_rng(11)
+    for m in (1, 3):
+        coeffs = rng.standard_normal((m, m, alg.dimension)) \
+            + 1j * rng.standard_normal((m, m, alg.dimension))
+        per_block = [pi.gram_margin(coeffs, [b]) for b in blocks]
+        assert len(set(np.round(per_block, 6))) > 1
+        whole = pi.gram_margin(coeffs)
+        assert abs(pi.gram_margin(coeffs, blocks) - whole) <= AGREE * max(1.0, abs(whole))
+
+
+@pytest.mark.parametrize("case", ["radical", "indeterminate"])
+def test_reports_without_a_split_give_the_single_block(case):
+    # the radical's report splits the semisimple quotient, not pi; the
+    # indeterminate one never splits
+    alg = _unit_plus_nilpotent() if case == "radical" else _direct_sum_blocks((1, 2))
+    pi = regular_representation(alg)
+    report = star_structure_report(alg, representation=pi,
+                                   max_attempts=0 if case == "indeterminate" else 8)
+    if case == "radical":
+        assert report.radical_dimension == 1 and report.blocks == (1,)
+    else:
+        assert report.status == "indeterminate"
+    assert report.block_bases == ()
+    (block,) = pi.block_stacks(report.block_bases)
+    assert block is pi.stack()
+
+
+def test_bases_that_are_not_invariant_give_the_single_block():
+    alg = _direct_sum_blocks((1, 2))
+    pi = regular_representation(alg)
+    q, _r = np.linalg.qr(np.random.default_rng(0).standard_normal((pi.size, pi.size)))
+    (block,) = pi.block_stacks((q[:, :1], q[:, 1:]))
+    assert block is pi.stack()
+    # bases that leave part of the space out are not used either
+    report = star_structure_report(alg, representation=pi)
+    (block,) = pi.block_stacks(report.block_bases[:-1])
+    assert block is pi.stack()
