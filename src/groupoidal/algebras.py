@@ -242,8 +242,8 @@ def subalgebra(a: StarAlgebra, keep, provenance: str | None = None) -> StarAlgeb
     other = [k for k in range(a.dimension) if k not in chosen]
     # the coordinates outside the subset of products and stars inside it;
     # a NaN leak is no evidence of closure
-    leak, _i = worst_residual([deviation(a.struct[np.ix_(other, sel, sel)], 0),
-                               deviation(a.invol[np.ix_(other, sel)], 0)])
+    leak, _i = worst_residual([np.max(np.abs(a.struct[np.ix_(other, sel, sel)]), initial=0.0),
+                               np.max(np.abs(a.invol[np.ix_(other, sel)]), initial=0.0)])
     if not leak <= DEFAULT_TOL:
         raise InvalidStructureError("basis subset is not a *-subalgebra")
     return StarAlgebra(
