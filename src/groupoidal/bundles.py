@@ -27,12 +27,12 @@ from .groupoids import (
     QuotientMap,
     SpaceAction,
     actions_commute,
+    bracket_table,
     check_action,
     check_homomorphism,
     check_space_action,
     group_set_action,
     is_free,
-    left_bracket,
     left_translation_action,
     make_group,
     make_unit_groupoid,
@@ -730,11 +730,16 @@ class BundleIso:
 def verify_bundle_iso(iso: BundleIso, tol: float = DEFAULT_TOL) -> ValidationReport:
     rep = ValidationReport(subject="bundle isomorphism")
     src, tgt, amap = iso.source, iso.target, iso.arrow_map
-    image = set(amap.values())
-    rep.add("arrow map bijective", len(image) == len(src.base.arrows)
-            and image == set(tgt.base.arrows))
+    missing = next((x for x in src.base.arrows if x not in amap), None)
+    image = {amap.get(x) for x in src.base.arrows}
+    rep.add("arrow map bijective", missing is None and len(image) == len(src.base.arrows)
+            and image == set(tgt.base.arrows),
+            None if missing is None else f"missing image of {fmt(missing)}")
+    if not rep.ok:
+        return rep
     bad = next((x for x in src.base.arrows
-                if iso.fiber_maps[x].shape != (tgt.dim[amap[x]], src.dim[x])
+                if x not in iso.fiber_maps
+                or iso.fiber_maps[x].shape != (tgt.dim[amap[x]], src.dim[x])
                 or np.linalg.matrix_rank(iso.fiber_maps[x]) != src.dim[x]),
                None)
     rep.add("fiber maps are linear isomorphisms", bad is None,
@@ -1049,7 +1054,7 @@ def verify_bundle_equivalence(e: BundleEquivalence,
     Steps 1 and 3-5 are batched by fiber-shape class.  Each records its
     largest residual as its metric; its witness is the first tuple, in the
     order of the tables the step walks, that attains it; a NaN residual
-    fails.  The brackets of all inner-product pairs are computed once.
+    fails.  Steps 2-5 read the brackets of each side from bracket_table.
     """
     rep = ValidationReport(subject="bundle equivalence")
     base = e.base
@@ -1089,11 +1094,11 @@ def verify_bundle_equivalence(e: BundleEquivalence,
     if not rep.ok:
         return rep
 
-    # Step 2: inner products land over the bracket arrows.  The brackets of
-    # all inner-product pairs are tabled once; steps 3-5 read the tables.
+    # Step 2: inner products land over the bracket arrows.  The base passed
+    # its bracket check, so each side's table has every inner-product pair.
     brackets = {}
     for f, side, orient in sides:
-        br = brackets[side] = _bracket_table(f)
+        br = brackets[side] = bracket_table(f.base)
         bad = next((pair for pair, tsr in f.left_inner.items()
                     if tsr.shape != (f.left_bundle.dim[br[pair]],
                                      e.dims[pair[0]], e.dims[pair[1]])), None)
@@ -1122,8 +1127,8 @@ def verify_bundle_equivalence(e: BundleEquivalence,
     tuples, parts = [], []
     for f, side, orient in sides:
         br, f_gpd = brackets[side], f.base.left_groupoid
-        bad = next((pair for pair, p in br.items()
-                    if f_gpd.inv[p] != br[(pair[1], pair[0])]), None)
+        bad = next((pair for pair in f.left_inner
+                    if f_gpd.inv[br[pair]] != br[(pair[1], pair[0])]), None)
         if bad:
             rep.add(f"step 3: {side} bracket antisymmetry", False, fmt(orient(bad)))
             return rep
@@ -1165,7 +1170,7 @@ def verify_bundle_equivalence(e: BundleEquivalence,
             worst <= tol, None if worst <= tol else fmt(tuples[i]))
 
     # Step 5: the exchange identity  <a,b>_L . c == a . <b,c>_R
-    tuples, residuals, bad = _exchange(e, brackets["left"], brackets["right"])
+    tuples, residuals, bad = _exchange(e)
     if bad:
         rep.add("step 5: exchange identity (points)", False, fmt(bad))
         return rep
@@ -1217,15 +1222,10 @@ def exchange_residual(e: BundleEquivalence) -> float:
 
     It is the metric of step 5 of verify_bundle_equivalence, computed alone.
     """
-    _tuples, residuals, bad = _exchange(e, _bracket_table(e), _bracket_table(opposite(e)))
+    _tuples, residuals, bad = _exchange(e)
     if bad:
         raise InvalidStructureError(f"exchange identity: points disagree at {fmt(bad)}")
     return worst_residual(residuals)[0]
-
-
-def _bracket_table(e: BundleEquivalence) -> dict:
-    """The left bracket of every left inner-product pair, in table order."""
-    return {pair: left_bracket(e.base, *pair) for pair in e.left_inner}
 
 
 def _right_arrows_by_point(base: GroupoidEquivalence) -> dict:
@@ -1239,14 +1239,14 @@ def _right_arrows_by_point(base: GroupoidEquivalence) -> dict:
     return arrows
 
 
-def _exchange(e: BundleEquivalence, brackets: dict, brackets_op: dict):
+def _exchange(e: BundleEquivalence):
     """The exchange-identity triples (z1, z2, z3) in order, and their residuals.
 
-    ``brackets`` and ``brackets_op`` are the bracket tables of e and of its
-    opposite.  The third value is the first triple whose two sides act on
-    different points, if any; the other two are then None.
+    The third value is the first triple whose two sides act on different
+    points, if any; the other two are then None.
     """
     base = e.base
+    brackets, brackets_op = bracket_table(base), bracket_table(opposite(base))
     iid, its = _numbered(e.left_inner)
     jid, jts = _numbered(e.right_inner)
     lid, lts = _numbered(e.left_tensors)

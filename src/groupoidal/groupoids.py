@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from functools import cached_property, singledispatch
+from functools import singledispatch
 
 import numpy as np
 
@@ -40,6 +40,24 @@ def _group_by(items, label) -> dict:
     for item in items:
         groups.setdefault(label[item], []).append(item)
     return groups
+
+
+def _components(points, pairs) -> list:
+    """The classes of points linked by the pairs, each in point order.
+
+    Classes come in the order of their first members.
+    """
+    root = {z: z for z in points}
+
+    def find(z):
+        while root[z] != z:
+            root[z] = root[root[z]]
+            z = root[z]
+        return z
+
+    for z1, z2 in pairs:
+        root[find(z1)] = find(z2)
+    return list(_group_by(points, {z: find(z) for z in points}).values())
 
 
 @dataclass
@@ -124,10 +142,15 @@ class GroupoidHom:
 def check_homomorphism(f: GroupoidHom) -> ValidationReport:
     rep = ValidationReport(subject="groupoid homomorphism")
     src, tgt, m = f.source, f.target, f.arrow_map
-    rep.add("total", all(x in m for x in src.arrows),
-            None if all(x in m for x in src.arrows) else "missing arrow image")
-    ok = all(m[x] in tgt.arrows for x in src.arrows if x in m)
-    rep.add("arrows land in target", ok)
+    bad = next((x for x in src.arrows if x not in m), None)
+    rep.add("total", bad is None, None if bad is None else f"missing image of {fmt(bad)}")
+    if bad is not None:
+        return rep
+    targets = set(tgt.arrows)
+    bad = next((x for x in src.arrows if m[x] not in targets), None)
+    rep.add("arrows land in target", bad is None, fmt(bad) if bad is not None else None)
+    if bad is not None:
+        return rep
     for x, y in src.composable_pairs():
         if not tgt.composable(m[x], m[y]):
             rep.add("preserves composability", False, f"pair ({fmt(x)},{fmt(y)})")
@@ -860,39 +883,14 @@ def semidirect_right_space_action(h: GroupAction, s1: SpaceAction, s2: SpaceActi
 
 
 @dataclass
-class SymmetricData:
-    """Provenance of an equivalence built from commuting group actions.
-
-    g_action acts on the left of base and h_action on the right; h_map and
-    g_map hold their orbit data.  Left-groupoid arrows are labelled
-    (orbit, g) for x/H x| G, and (g, orbit) when ``group_first`` is set, as
-    for the opposite of H |x G\\x.
-    """
-
-    base: FiniteGroupoid
-    g_action: GroupAction
-    h_action: GroupAction
-    h_map: QuotientMap
-    g_map: QuotientMap
-    group_first: bool = False
-
-    @cached_property
-    def mirrored(self) -> "SymmetricData":
-        """The provenance of the opposite equivalence, built once."""
-        mirror = SymmetricData(opposite(self.base), opposite(self.h_action),
-                               opposite(self.g_action), self.g_map, self.h_map,
-                               not self.group_first)
-        mirror.__dict__["mirrored"] = self
-        return mirror
-
-
-@dataclass
 class GroupoidEquivalence:
-    """A finite set with commuting free left/right groupoid actions."""
+    """A finite set with commuting free left/right groupoid actions.
+
+    The actions determine the brackets: see left_bracket and bracket_table.
+    """
 
     left_action: SpaceAction
     right_action: SpaceAction
-    symmetric: SymmetricData | None = None
 
     @property
     def left_groupoid(self) -> FiniteGroupoid:
@@ -930,15 +928,13 @@ class GroupoidEquivalence:
 @opposite.register
 def _opposite_equivalence(e: GroupoidEquivalence) -> GroupoidEquivalence:
     """The (Q^op, P^op) equivalence on the same space and action tables."""
-    sym = e.symmetric and e.symmetric.mirrored
-    return GroupoidEquivalence(opposite(e.right_action), opposite(e.left_action), sym)
+    return GroupoidEquivalence(opposite(e.right_action), opposite(e.left_action))
 
 
 def _orbit_action_data(x: FiniteGroupoid, g: GroupAction, h: GroupAction):
     """The inputs of semidirect_space_action for x/H x| G acting on x.
 
-    Returns g on x/H, g on the arrow set, x/H acting on the arrow set, and
-    the orbit data of h.
+    Returns g on x/H, g on the arrow set, and x/H acting on the arrow set.
     """
     quot, qmap = quotient_groupoid(x, h)
     g_on_quot = GroupAction(
@@ -950,14 +946,16 @@ def _orbit_action_data(x: FiniteGroupoid, g: GroupAction, h: GroupAction):
         g.group, x.arrows,
         {(t, z): g.act[(t, z)] for t in g.group.elements for z in x.arrows}, g.side)
     base = orbit_space_action(x, h, _quotient=(quot, qmap))
-    return (g_on_quot, g_on_space, base), qmap
+    return g_on_quot, g_on_space, base
 
 
 def symmetric_groupoid_equivalence(x: FiniteGroupoid, g: GroupAction,
                                    h: GroupAction) -> GroupoidEquivalence:
     """The arrow set of x as an (x/H x| G) - (H |x G\\x) equivalence.
 
-    Requires free commuting actions: g on the left, h on the right.
+    Requires free commuting actions: g on the left, h on the right.  Only
+    the two actions are kept; the brackets are read from them as for any
+    other equivalence.
     """
     if g.side != "left" or h.side != "right":
         raise InvalidStructureError("expected a left action g and a right action h")
@@ -971,38 +969,26 @@ def symmetric_groupoid_equivalence(x: FiniteGroupoid, g: GroupAction,
             f"actions do not commute at (t,h,x)=({fmt(wit[0])},{fmt(wit[1])},{fmt(wit[2])})"
         )
 
-    left_data, hmap = _orbit_action_data(x, g, h)
-    left_action = semidirect_space_action(*left_data)
+    left_action = semidirect_space_action(*_orbit_action_data(x, g, h))
     # the right side is the left side of (x^op, H^op, G^op), read back
-    right_data, gmap = _orbit_action_data(opposite(x), opposite(h), opposite(g))
+    right_data = _orbit_action_data(opposite(x), opposite(h), opposite(g))
     right_action = semidirect_right_space_action(*map(opposite, right_data))
-
-    sym = SymmetricData(x, g, h, hmap, gmap)
-    return GroupoidEquivalence(left_action, right_action, sym)
+    return GroupoidEquivalence(left_action, right_action)
 
 
 def left_bracket(e: GroupoidEquivalence, z1, z2):
-    """The unique left-groupoid arrow p with z1 == p.z2 (same sigma fiber)."""
+    """The unique left-groupoid arrow p with z1 == p.z2 (same sigma fiber).
+
+    It is found by its definition, one search over the left arrows with
+    source rho(z2), so it checks a single pair independently of
+    bracket_table.
+    """
     if e.sigma[z1] != e.sigma[z2]:
         raise InvalidStructureError(
             f"no bracket: {fmt(z1)} and {fmt(z2)} lie in different fibers"
         )
-    if e.symmetric is not None:
-        sym = e.symmetric
-        x, g = sym.base, sym.g_action
-        hits = [t for t in g.group.elements
-                if g.unit_image(t, x.src[z2]) == x.src[z1]]
-        if len(hits) > 1:
-            raise InternalConsistencyError("multiple translates in left_bracket")
-        if not hits:
-            raise InvalidStructureError(
-                f"no group translate matches sources of {fmt(z1)}, {fmt(z2)}"
-            )
-        t = hits[0]
-        w = sym.h_map.arrow_map[x.comp[(z1, g.act[(t, x.inv[z2])])]]
-        return (t, w) if sym.group_first else (w, t)
-    hits = [p for p in e.left_groupoid.arrows
-            if e.left_defined(p, z2) and e.left_apply(p, z2) == z1]
+    act, src, u = e.left_action.act, e.left_groupoid.src, e.rho[z2]
+    hits = [p for p in e.left_groupoid.arrows if src[p] == u and act.get((p, z2)) == z1]
     if len(hits) > 1:
         raise InternalConsistencyError("left translate not unique; action not free")
     if not hits:
@@ -1020,8 +1006,22 @@ def right_bracket(e: GroupoidEquivalence, z1, z2):
     return left_bracket(opposite(e), z2, z1)
 
 
+def bracket_table(e: GroupoidEquivalence) -> dict:
+    """Every left bracket at once: {(p.z, z): p} over the left action table.
+
+    The entry at (z1, z2) is left_bracket(e, z1, z2) when the left action
+    is free.  The table of opposite(e) holds the right brackets: its entry
+    at (z2, z1) is right_bracket(e, z1, z2).
+    """
+    return {(pz, z): p for (p, z), pz in e.left_action.act.items()}
+
+
 def verify_groupoid_equivalence(e: GroupoidEquivalence) -> ValidationReport:
-    """Exhaustive check of the equivalence axioms plus bracket identities."""
+    """Exhaustive check of the equivalence axioms plus bracket identities.
+
+    Each bracket is found pair by pair through left_bracket and
+    right_bracket, by its definition, not read from bracket_table.
+    """
     rep = ValidationReport(subject="groupoid equivalence")
     p_gpd, q_gpd = e.left_groupoid, e.right_groupoid
     z_set = e.space
@@ -1068,7 +1068,7 @@ def verify_groupoid_equivalence(e: GroupoidEquivalence) -> ValidationReport:
                     if f.rho[v] != f.rho[z]), None)
         rep.add(invariant, bad is None,
                 f"({fmt(bad[0])},{fmt(bad[1])})" if bad else None)
-        orbits = _orbit_partition(z_set, ((z, v) for (q, z), v in f.right_action.act.items()))
+        orbits = _components(z_set, ((z, v) for (q, z), v in f.right_action.act.items()))
         rho_vals = {canonical_min(o): {f.rho[z] for z in o} for o in orbits}
         bad = next((o for o, vals in rho_vals.items() if len(vals) != 1), None)
         single = bad is None
@@ -1081,20 +1081,20 @@ def verify_groupoid_equivalence(e: GroupoidEquivalence) -> ValidationReport:
     if not rep.ok:
         return rep
 
-    # the right bracket at (z1, z2) is the left bracket of e_op at (z2, z1)
+    # the left bracket r at (z1, z2) has r.z2 == z1, the right one z1.r == z2
     bad, seen = None, {"left": set(), "right": set()}
-    for z1, z2, (f, side, flip) in itertools.product(
-            z_set, z_set, ((e, "left", False), (e_op, "right", True))):
-        a, b = (z2, z1) if flip else (z1, z2)
-        if f.sigma[a] != f.sigma[b]:
+    sides = (("left", e.sigma, left_bracket, e.left_action.act, False),
+             ("right", e.rho, right_bracket, e.right_action.act, True))
+    for z1, z2, (side, fiber, bracket, act, flip) in itertools.product(z_set, z_set, sides):
+        if fiber[z1] != fiber[z2]:
             continue
         try:
-            p = left_bracket(f, a, b)
+            r = bracket(e, z1, z2)
         except (InvalidStructureError, InternalConsistencyError):
             bad = (side, z1, z2)
             break
-        seen[side].add(p)
-        if not f.left_defined(p, b) or f.left_apply(p, b) != a:
+        seen[side].add(r)
+        if act.get((r, z1 if flip else z2)) != (z2 if flip else z1):
             bad = (side, z1, z2)
             break
     rep.add("bracket characterizing identities", bad is None,
@@ -1104,25 +1104,6 @@ def verify_groupoid_equivalence(e: GroupoidEquivalence) -> ValidationReport:
                 seen["left"] == set(p_gpd.arrows) and seen["right"] == set(q_gpd.arrows))
     rep.note("properness: vacuously true (finite discrete space)")
     return rep
-
-
-def _orbit_partition(points, edges) -> list[set]:
-    parent = {p: p for p in points}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups = {}
-    for p in points:
-        groups.setdefault(find(p), set()).add(p)
-    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------

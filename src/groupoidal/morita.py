@@ -56,11 +56,10 @@ from .groupoids import (
     FiniteGroupoid,
     GroupAction,
     SpaceAction,
-    _group_by,
+    _components,
+    bracket_table,
     group_set_action,
-    left_bracket,
     opposite,
-    right_bracket,
     validate_groupoid,
 )
 from .report import InvalidStructureError, ValidationReport
@@ -133,21 +132,22 @@ def linking_system(e: BundleEquivalence, tol: float = DEFAULT_TOL,
     for (x, y), v in q_gpd.comp.items():
         comp[(("q", x), ("q", y))] = ("q", v)
         mult[(("q", x), ("q", y))] = q_bun.mult[(x, y)]
-    def put(key, value, tensor, mirrored):
+    def put(key, value, tensor, from_op):
         # a product of the opposite bimodule, read back in this one's order
-        if mirrored:
+        if from_op:
             key, tensor = key[::-1], tensor.transpose(0, 2, 1)
         comp[key], mult[key] = value, tensor
 
-    for f, tag, mirrored in ((e, "p", False), (opposite(e), "q", True)):
+    for f, tag, from_op in ((e, "p", False), (opposite(e), "q", True)):
+        brackets = bracket_table(f.base)
         for (p, z), v in f.base.left_action.act.items():
-            put(((tag, p), ("z", z)), ("z", v), f.left_tensors[(p, z)], mirrored)
+            put(((tag, p), ("z", z)), ("z", v), f.left_tensors[(p, z)], from_op)
             # adjoint row: zbar . inv(p) = (p . z)bar
             pi = f.base.left_groupoid.inv[p]
             put((("zb", z), (tag, pi)), ("zb", v), np.conjugate(np.einsum(
-                "lai,ag->lig", f.left_tensors[(p, z)], f.left_bundle.star[pi])), mirrored)
+                "lai,ag->lig", f.left_tensors[(p, z)], f.left_bundle.star[pi])), from_op)
         for (z1, z2), tensor in f.left_inner.items():
-            put((("z", z1), ("zb", z2)), (tag, left_bracket(f.base, z1, z2)), tensor, mirrored)
+            put((("z", z1), ("zb", z2)), (tag, brackets[(z1, z2)]), tensor, from_op)
 
     inv = {}
     for x in p_gpd.arrows:
@@ -375,27 +375,29 @@ def verify_morita(ls: LinkingSystem, tol: float = DEFAULT_TOL,
 
 
 def _fullness_rank(ls: LinkingSystem, side: str) -> int:
-    """Rank of the ideal generated by the finite inner products inside a corner."""
+    """Rank of the ideal generated by the finite inner products inside a corner.
+
+    <z1, z2> lies over the corner arrow that the linking groupoid composes
+    from ("z", z1) and ("zb", z2) on the left, ("zb", z1) and ("z", z2) on
+    the right.
+    """
     e = ls.equivalence
     corner = ls.corner_left if side == "left" else ls.corner_right
     n = corner.dimension
     idx = {lbl: k for k, lbl in enumerate(corner.basis)}
-    base = e.base
     vectors = []
-    tag = "p" if side == "left" else "q"
-    inner = e.left_inner if side == "left" else e.right_inner
+    inner, tags = (e.left_inner, ("z", "zb")) if side == "left" else (e.right_inner, ("zb", "z"))
     for (z1, z2), tensor in inner.items():
         if not np.isfinite(tensor).all():
             continue  # no rank to contribute; verify_morita notes it
-        arrow = (left_bracket(base, z1, z2) if side == "left"
-                 else right_bracket(base, z1, z2))
+        arrow = ls.groupoid.comp[((tags[0], z1), (tags[1], z2))]
         d = tensor.shape[0]
         for i in range(tensor.shape[1]):
             for j in range(tensor.shape[2]):
                 vec = np.zeros(n, dtype=complex)
                 for k in range(d):
                     if tensor[k, i, j] != 0:
-                        vec[idx[((tag, arrow), k)]] = tensor[k, i, j]
+                        vec[idx[(arrow, k)]] = tensor[k, i, j]
                 vectors.append(vec)
     if not vectors:
         return 0
@@ -433,16 +435,18 @@ def _positivity_margin(ls: LinkingSystem, side: str, pi: Representation,
     <z1, z2> is defined only for the keys (z1, z2) of the inner-product
     table (sigma(z1) == sigma(z2) on the left, rho on the right), so the
     Gram is block-diagonal over the components of the points linked by
-    those keys.  Each component's coefficient array is built once.  pi is
-    also split into the corner's Wedderburn blocks, the invariant subspaces
-    whose bases ``report`` (the structure report made from pi) keeps, and
-    each component gets one Gram and eigensolve per block.  The margin is
-    the minimum over components and blocks: the smallest eigenvalue of the
-    whole Gram, which is unitarily similar to their direct sum.  Without
-    usable bases (indeterminate report, radical, a subspace not invariant
-    to max(tol, 1e-8), bases not covering the space) the whole of pi is the
-    single block.  A Gram that is not finite, or a corner whose trace form
-    is not finite, gives NaN.
+    those keys.  <z1, z2> lies over the corner arrow that the linking
+    groupoid composes from ("z", z1) and ("zb", z2) on the left, ("zb", z1)
+    and ("z", z2) on the right.  Each component's coefficient array is built
+    once.  pi is also split into the corner's Wedderburn blocks, the
+    invariant subspaces whose bases ``report`` (the structure report made
+    from pi) keeps, and each component gets one Gram and eigensolve per
+    block.  The margin is the minimum over components and blocks: the
+    smallest eigenvalue of the whole Gram, which is unitarily similar to
+    their direct sum.  Without usable bases (indeterminate report, radical,
+    a subspace not invariant to max(tol, 1e-8), bases not covering the
+    space) the whole of pi is the single block.  A Gram that is not finite,
+    or a corner whose trace form is not finite, gives NaN.
     """
     if not np.isfinite(pi.gram_min_eig):
         return float("nan")
@@ -450,11 +454,9 @@ def _positivity_margin(ls: LinkingSystem, side: str, pi: Representation,
     e = ls.equivalence
     corner = ls.corner_left if side == "left" else ls.corner_right
     idx = {lbl: k for k, lbl in enumerate(corner.basis)}
-    tag = "p" if side == "left" else "q"
-    base, base_op = e.base, opposite(e.base)
-    inner = e.left_inner if side == "left" else e.right_inner
+    inner, tags = (e.left_inner, ("z", "zb")) if side == "left" else (e.right_inner, ("zb", "z"))
     margins = []
-    for points in _components(base.space, inner):
+    for points in _components(e.base.space, inner):
         offset, m = {}, 0
         for z in points:
             offset[z], m = m, m + e.dims[z]
@@ -466,28 +468,12 @@ def _positivity_margin(ls: LinkingSystem, side: str, pi: Representation,
                 tensor = inner.get((z1, z2))
                 if tensor is None:
                     continue
-                arrow = (left_bracket(base, z1, z2) if side == "left"
-                         else left_bracket(base_op, z2, z1))
-                cols = [idx[((tag, arrow), k)] for k in range(tensor.shape[0])]
+                arrow = ls.groupoid.comp[((tags[0], z1), (tags[1], z2))]
+                cols = [idx[(arrow, k)] for k in range(tensor.shape[0])]
                 a, b = offset[z1], offset[z2]
                 coeffs[a:a + e.dims[z1], b:b + e.dims[z2], cols] = tensor.transpose(1, 2, 0)
         margins.append(pi.gram_margin(coeffs, blocks))
     return float(np.min(margins)) if margins else 0.0
-
-
-def _components(points, pairs) -> list:
-    """The classes of points linked by the pairs, each in point order."""
-    root = {z: z for z in points}
-
-    def find(z):
-        while root[z] != z:
-            root[z] = root[root[z]]
-            z = root[z]
-        return z
-
-    for z1, z2 in pairs:
-        root[find(z1)] = find(z2)
-    return list(_group_by(points, {z: find(z) for z in points}).values())
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,23 @@ def test_pullback_dimensions_transported(z2):
     assert all(pb.dim[(x, u)] == lb.dim[x] for (x, u) in tb_base.arrows)
 
 
+def test_verify_bundle_iso_reports_partial_maps():
+    lb = trivial_line_bundle(make_pair_groupoid(2))
+    arrows = lb.base.arrows
+    ident = {x: x for x in arrows}
+    eye = {x: np.eye(1, dtype=complex) for x in arrows}
+    assert verify_bundle_iso(BundleIso(lb, lb, ident, eye)).ok
+    partial = {x: y for x, y in ident.items() if x != (1, 2)}
+    rep = verify_bundle_iso(BundleIso(lb, lb, partial, eye))
+    assert [(c.name, c.witness) for c in rep.failures()] == \
+        [("arrow map bijective", "missing image of (1,2)")]
+    assert len(rep.checks) == 1
+    no_fiber = {x: m for x, m in eye.items() if x != (2, 1)}
+    rep = verify_bundle_iso(BundleIso(lb, lb, ident, no_fiber))
+    assert [(c.name, c.witness) for c in rep.failures()] == \
+        [("fiber maps are linear isomorphisms", "(2,1)")]
+
+
 def test_transformation_bundle_matches_pullback(z2):
     # the coordinate projection identifies the transformation bundle with
     # the pullback, here via (a, u) -> (a, p(a).u) which for the line bundle

@@ -5,12 +5,15 @@ import pytest
 
 from groupoidal import (
     FiniteGroup,
+    GroupoidHom,
     InvalidStructureError,
     NonFreeActionError,
     SpaceAction,
     action_from_unit_map,
+    bracket_table,
     check_action,
     check_covariant,
+    check_homomorphism,
     check_space_action,
     group_set_action,
     is_free,
@@ -18,6 +21,7 @@ from groupoidal import (
     left_translation_action,
     make_group,
     make_pair_groupoid,
+    one_sided_transformation_equivalence,
     opposite,
     orbit_space_action,
     principal_decomposition,
@@ -30,6 +34,7 @@ from groupoidal import (
     symmetric_groupoid_equivalence,
     transformation_groupoid,
     trivial_action,
+    trivial_line_bundle,
     validate_groupoid,
     verify_groupoid_equivalence,
 )
@@ -57,6 +62,22 @@ def test_pair_groupoid_counts(n, arrows):
 def test_pair_groupoid_rejects_zero():
     with pytest.raises(InvalidStructureError):
         make_pair_groupoid(0)
+
+
+def test_check_homomorphism_reports_partial_and_stray_maps():
+    g = make_pair_groupoid(2)
+    ident = {x: x for x in g.arrows}
+    assert check_homomorphism(GroupoidHom(g, g, ident)).ok
+    partial = {x: y for x, y in ident.items() if x != (1, 2)}
+    rep = check_homomorphism(GroupoidHom(g, g, partial))
+    assert [(c.name, c.witness) for c in rep.failures()] == \
+        [("total", "missing image of (1,2)")]
+    stray = {**ident, (1, 2): (1, 3)}
+    rep = check_homomorphism(GroupoidHom(g, g, stray))
+    assert [(c.name, c.witness) for c in rep.failures()] == \
+        [("arrows land in target", "(1,2)")]
+    with pytest.raises(InvalidStructureError, match="total"):
+        check_homomorphism(GroupoidHom(g, g, partial)).require()
 
 
 def test_corrupted_comp_detected_with_witness():
@@ -415,17 +436,40 @@ def test_brackets_characterize_and_are_unique(z2z2_actions):
     assert pairs > 0
 
 
-def test_bracket_formula_matches_generic_search(z2z2_actions):
-    g4, gact, hact = z2z2_actions
-    e = symmetric_groupoid_equivalence(g4, gact, hact)
-    generic = symmetric_groupoid_equivalence(g4, gact, hact)
-    generic.symmetric = None
-    for z1 in e.space:
-        for z2_ in e.space:
-            if e.sigma[z1] == e.sigma[z2_]:
-                assert left_bracket(e, z1, z2_) == left_bracket(generic, z1, z2_)
-            if e.rho[z1] == e.rho[z2_]:
-                assert right_bracket(e, z1, z2_) == right_bracket(generic, z1, z2_)
+def _brackets_by_search(e):
+    """Every left and right bracket of e, each found by its own search."""
+    pairs = list(itertools.product(e.space, repeat=2))
+    left = {(z1, z2): left_bracket(e, z1, z2) for z1, z2 in pairs
+            if e.sigma[z1] == e.sigma[z2]}
+    right = {(z1, z2): right_bracket(e, z1, z2) for z1, z2 in pairs
+             if e.rho[z1] == e.rho[z2]}
+    return left, right
+
+
+def _one_sided_transformation_base(z2):
+    grp = cyclic_group(2)
+    om = (0, 1)
+    yact = SpaceAction(grp, om, {u: grp.units[0] for u in om},
+                       {(g, u): (g + u) % 2 for g in grp.elements for u in om}, "left")
+    gact = group_set_action(z2, om, {(t, u): (t + u) % 2
+                                     for t in z2.elements for u in om}, "left")
+    return one_sided_transformation_equivalence(trivial_line_bundle(grp), yact, gact).base
+
+
+def test_bracket_table_matches_generic_search(z2):
+    # the table inverts the left action once; the search finds each bracket
+    # by its definition, so the two agree on every kind of equivalence
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for _ in range(6):
+        e = symmetric_groupoid_equivalence(*random_free_commuting_instance(rng))
+        cases += [e, opposite(e)]
+    cases.append(_one_sided_transformation_base(z2))
+    for e in cases:
+        left, right = _brackets_by_search(e)
+        assert left and right
+        assert bracket_table(e) == left
+        assert bracket_table(opposite(e)) == {(z2_, z1): q for (z1, z2_), q in right.items()}
 
 
 def test_bracket_rejects_mismatched_fibers(z2z2_actions):
