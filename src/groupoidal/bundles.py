@@ -1255,9 +1255,9 @@ def _exchange(e: BundleEquivalence):
     left_act, right_act = base.left_action.act, base.right_action.act
     tuples, ids = [], []
     for (z1, z2), k in iid.items():
-        p12 = brackets[(z1, z2)]
+        p12 = brackets.get((z1, z2))  # None, for a pair with no bracket, fails below
         for z3 in same_rho[base.rho[z2]]:
-            q23 = brackets_op[(z3, z2)]
+            q23 = brackets_op.get((z3, z2))
             point = left_act.get((p12, z3))
             if point is None or point != right_act.get((q23, z1)):
                 return None, None, (z1, z2, z3)

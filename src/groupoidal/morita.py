@@ -147,6 +147,8 @@ def linking_system(e: BundleEquivalence, tol: float = DEFAULT_TOL,
             put((("zb", z), (tag, pi)), ("zb", v), np.conjugate(np.einsum(
                 "lai,ag->lig", f.left_tensors[(p, z)], f.left_bundle.star[pi])), from_op)
         for (z1, z2), tensor in f.left_inner.items():
+            if (z1, z2) not in brackets:  # reachable only with strict=False
+                raise InvalidStructureError(f"no bracket at ({fmt(z1)},{fmt(z2)})")
             put((("z", z1), ("zb", z2)), (tag, brackets[(z1, z2)]), tensor, from_op)
 
     inv = {}

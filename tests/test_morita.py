@@ -136,6 +136,19 @@ def test_exchange_residual_matches_linking_defect(z2z2_bundle):
     assert exchange_residual(e) > 1e-9
 
 
+def test_unverified_paths_reject_a_pair_without_bracket(z2z2_bundle):
+    # an inner product on points in different sigma fibers has no bracket;
+    # the paths that skip verification must still name the pair
+    e = symmetric_action_equivalence(*z2z2_bundle)
+    z1, z2 = next((a, b) for a in e.base.space for b in e.base.space
+                  if e.base.sigma[a] != e.base.sigma[b])
+    e.left_inner[(z1, z2)] = e.left_inner[(z1, z1)]
+    with pytest.raises(InvalidStructureError, match="points disagree"):
+        exchange_residual(e)
+    with pytest.raises(InvalidStructureError, match="no bracket"):
+        linking_system(e, strict=False)
+
+
 # ---------------------------------------------------------------------------
 # headline certificates
 
