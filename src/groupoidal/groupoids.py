@@ -979,16 +979,16 @@ def symmetric_groupoid_equivalence(x: FiniteGroupoid, g: GroupAction,
 def left_bracket(e: GroupoidEquivalence, z1, z2):
     """The unique left-groupoid arrow p with z1 == p.z2 (same sigma fiber).
 
-    It is found by its definition, one search over the left arrows with
-    source rho(z2), so it checks a single pair independently of
-    bracket_table.
+    It is found by its definition, one pass over the sources of the left
+    arrows that tries those with source rho(z2), so it checks a single pair
+    independently of bracket_table.
     """
     if e.sigma[z1] != e.sigma[z2]:
         raise InvalidStructureError(
             f"no bracket: {fmt(z1)} and {fmt(z2)} lie in different fibers"
         )
-    act, src, u = e.left_action.act, e.left_groupoid.src, e.rho[z2]
-    hits = [p for p in e.left_groupoid.arrows if src[p] == u and act.get((p, z2)) == z1]
+    act, u = e.left_action.act, e.rho[z2]
+    hits = [p for p, s in e.left_groupoid.src.items() if s == u and act.get((p, z2)) == z1]
     if len(hits) > 1:
         raise InternalConsistencyError("left translate not unique; action not free")
     if not hits:
