@@ -477,6 +477,19 @@ def transformation_fell_bundle(a: FellBundle, act: SpaceAction) -> FellBundle:
     return FellBundle(base, dim, mult, star)
 
 
+def transformation_bundle_action(a: FellBundle, act: SpaceAction,
+                                 gact: SpaceAction) -> BundleAction:
+    """gact lifted to a*Omega by t.(x, u) = (x, t.u), with identity fiber maps."""
+    tb = transformation_fell_bundle(a, act)
+    grp = gact.groupoid
+    base = GroupAction(
+        grp, tb.base,
+        {(t, (x, u)): (x, gact.act[(t, u)])
+         for t in grp.elements for (x, u) in tb.base.arrows},
+        "left")
+    return BundleAction(grp, tb, base, identity_fiber_maps(tb, base), "left")
+
+
 # ---------------------------------------------------------------------------
 # semidirect-product bundles
 
@@ -973,15 +986,9 @@ def one_sided_transformation_equivalence(b: FellBundle, act: SpaceAction,
                     f"actions do not commute at ({fmt(x)},{fmt(t)},{fmt(u)})"
                 )
 
-    tb = transformation_fell_bundle(b, act)
+    g_on_tb = transformation_bundle_action(b, act, gact)
+    tb, g_on_tg = g_on_tb.bundle, g_on_tb.base_action
     tg = tb.base
-    g_on_tg = GroupAction(
-        grp, tg,
-        {(t, (x, u)): (x, gact.act[(t, u)])
-         for t in grp.elements for (x, u) in tg.arrows},
-        "left",
-    )
-    g_on_tb = BundleAction(grp, tb, g_on_tg, identity_fiber_maps(tb, g_on_tg), "left")
     p_bundle = semidirect_fell_bundle(tb, g_on_tb)
 
     g_on_z = group_set_action(

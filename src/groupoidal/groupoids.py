@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import singledispatch
 
 import numpy as np
@@ -74,12 +74,6 @@ class FiniteGroupoid:
 
     def composable(self, x, y) -> bool:
         return self.src[x] == self.rng[y]
-
-    def compose(self, x, y):
-        return self.comp[(x, y)]
-
-    def inverse(self, x):
-        return self.inv[x]
 
     def is_unit_arrow(self, x) -> bool:
         u = self.rng[x]
@@ -427,18 +421,12 @@ class GroupAction:
     target: FiniteGroupoid
     act: dict
     side: str  # "left" or "right"
-    _unit_act: dict = field(default=None, repr=False, compare=False)
 
     def apply(self, t, x):
         return self.act[(t, x)]
 
     def unit_image(self, t, u):
-        if self._unit_act is None:
-            self._unit_act = {}
-        key = (t, u)
-        if key not in self._unit_act:
-            self._unit_act[key] = self.target.rng[self.act[(t, self.target.unit_arrow[u])]]
-        return self._unit_act[key]
+        return self.target.rng[self.act[(t, self.target.unit_arrow[u])]]
 
     def converted(self) -> "GroupAction":
         """The same orbits viewed from the opposite side (t acts as inv(t))."""
@@ -483,15 +471,15 @@ def check_action(a: GroupAction) -> ValidationReport:
     if missing:
         return rep
 
+    arrows = set(x.arrows)
     bad = next((t for t in g.elements
-                if sorted(map(sort_key, (a.act[(t, ar)] for ar in x.arrows)))
-                != sorted(map(sort_key, x.arrows))), None)
+                if {a.act[(t, ar)] for ar in x.arrows} != arrows), None)
     rep.add("each element acts bijectively", bad is None,
             fmt(bad) if bad is not None else None)
 
-    bad = None
+    bad, pairs = None, list(x.composable_pairs())
     for t in g.elements:
-        for p, q in x.composable_pairs():
+        for p, q in pairs:
             tp, tq = a.act[(t, p)], a.act[(t, q)]
             if not x.composable(tp, tq) or x.comp[(tp, tq)] != a.act[(t, x.comp[(p, q)])]:
                 bad = (t, p, q)
@@ -574,9 +562,6 @@ class SpaceAction:
     act: dict
     side: str
 
-    def defined(self, x, u) -> bool:
-        return (x, u) in self.act
-
     def apply(self, x, u):
         return self.act[(x, u)]
 
@@ -610,21 +595,26 @@ def check_space_action(a: SpaceAction) -> ValidationReport:
     if missing:
         return rep
 
+    pos = {}  # each point's first place in the space
+    for i, u in enumerate(a.space):
+        pos.setdefault(u, i)
     bad = next(((x, u) for (x, u), v in a.act.items()
-                if v not in set(a.space)
+                if v not in pos
                 or a.fibring[v] != g.rng[x]), None)
     rep.add("fibring of the image", bad is None,
             f"({fmt(bad[0])},{fmt(bad[1])})" if bad else None)
     if bad:
         return rep
 
+    # per arrow y, the points u of the space with (y, u) defined, in space order
+    acted = {}
+    for y, u in sorted((k for k in a.act if k[1] in pos), key=lambda k: pos[k[1]]):
+        acted.setdefault(y, []).append(u)
     sentinel = object()
     bad = None
     for x, y in g.composable_pairs():
         xy = g.comp.get((x, y), sentinel)
-        for u in a.space:
-            if (y, u) not in a.act:
-                continue
+        for u in acted.get(y, ()):
             step = a.act.get((x, a.act[(y, u)]), sentinel)
             if a.act.get((xy, u), sentinel) is sentinel or step is sentinel \
                     or a.act[(xy, u)] != step:
@@ -1043,9 +1033,10 @@ def verify_groupoid_equivalence(e: GroupoidEquivalence) -> ValidationReport:
         rep.add(name, bad is None,
                 f"({fmt(bad[0])},{fmt(bad[1])})" if bad else None)
 
-    bad = None
+    # both actions passed "defined iff fibring matches": z.q needs rng(q) == sigma(z)
+    bad, fibers = None, _group_by(q_gpd.arrows, q_gpd.rng)
     for (p, z) in e.left_action.act:
-        for q in q_gpd.arrows:
+        for q in fibers.get(e.sigma.get(z), ()):
             if not e.right_defined(z, q):
                 continue
             if not e.right_defined(e.left_apply(p, z), q) or \

@@ -22,7 +22,6 @@ from .bundles import (
     BundleIso,
     FellBundle,
     exchange_residual,
-    identity_fiber_maps,
     induced_quotient_bundle_action,
     make_trivial_cbundle,
     one_sided_equivalence,
@@ -30,7 +29,7 @@ from .bundles import (
     quotient_fell_bundle,
     semidirect_right_fell_bundle,
     symmetric_action_equivalence,
-    transformation_fell_bundle,
+    transformation_bundle_action,
     validate_fell_bundle,
     verify_bundle_equivalence,
     verify_bundle_iso,
@@ -59,6 +58,7 @@ from .groupoids import (
     _components,
     bracket_table,
     group_set_action,
+    left_translation_action,
     opposite,
     validate_groupoid,
 )
@@ -93,6 +93,13 @@ def linking_system(e: BundleEquivalence, tol: float = DEFAULT_TOL,
                    strict: bool = True) -> LinkingSystem:
     """Assemble the linking groupoid and bundle from an equivalence.
 
+    The (C, B)-bimodule opposite(e) has the right corner of e as its left
+    corner, so both corners and both halves of the Z rows are built by one
+    left-handed pass over e (tag "p") and opposite(e) (tag "q"), whose
+    arrows are read back with src and rng swapped and whose products are
+    read back in reversed order.  The products are listed corner by corner,
+    then the Z rows of e, then those of opposite(e).
+
     With strict=True the equivalence is verified first; strict=False skips
     the verification so that deliberately broken data can still be assembled
     for negative controls.
@@ -102,43 +109,37 @@ def linking_system(e: BundleEquivalence, tol: float = DEFAULT_TOL,
         verification = verify_bundle_equivalence(e, tol).require("linking_system")
 
     base = e.base
-    p_gpd, q_gpd = base.left_groupoid, base.right_groupoid
-    p_bun, q_bun = e.left_bundle, e.right_bundle
     z_set = base.space
+    sides = ((e, "p", False), (opposite(e), "q", True))
+    src, rng, inv, unit_arrow, dim, star, comp, mult = {}, {}, {}, {}, {}, {}, {}, {}
+    corners = []
 
-    units = tuple(("pu", u) for u in p_gpd.units) + tuple(("qu", u) for u in q_gpd.units)
-    arrows = (tuple(("p", x) for x in p_gpd.arrows)
-              + tuple(("z", z) for z in z_set)
-              + tuple(("zb", z) for z in z_set)
-              + tuple(("q", x) for x in q_gpd.arrows))
-
-    src, rng = {}, {}
-    for x in p_gpd.arrows:
-        src[("p", x)] = ("pu", p_gpd.src[x])
-        rng[("p", x)] = ("pu", p_gpd.rng[x])
-    for z in z_set:
-        src[("z", z)] = ("qu", base.sigma[z])
-        rng[("z", z)] = ("pu", base.rho[z])
-        src[("zb", z)] = ("pu", base.rho[z])
-        rng[("zb", z)] = ("qu", base.sigma[z])
-    for x in q_gpd.arrows:
-        src[("q", x)] = ("qu", q_gpd.src[x])
-        rng[("q", x)] = ("qu", q_gpd.rng[x])
-
-    comp, mult = {}, {}
-    for (x, y), v in p_gpd.comp.items():
-        comp[(("p", x), ("p", y))] = ("p", v)
-        mult[(("p", x), ("p", y))] = p_bun.mult[(x, y)]
-    for (x, y), v in q_gpd.comp.items():
-        comp[(("q", x), ("q", y))] = ("q", v)
-        mult[(("q", x), ("q", y))] = q_bun.mult[(x, y)]
     def put(key, value, tensor, from_op):
         # a product of the opposite bimodule, read back in this one's order
         if from_op:
             key, tensor = key[::-1], tensor.transpose(0, 2, 1)
         comp[key], mult[key] = value, tensor
 
-    for f, tag, from_op in ((e, "p", False), (opposite(e), "q", True)):
+    for f, tag, from_op in sides:
+        gpd, bun, unit = f.base.left_groupoid, f.left_bundle, tag + "u"
+        s, r = (gpd.rng, gpd.src) if from_op else (gpd.src, gpd.rng)
+        for x in gpd.arrows:
+            src[(tag, x)], rng[(tag, x)] = (unit, s[x]), (unit, r[x])
+            inv[(tag, x)] = (tag, gpd.inv[x])
+            dim[(tag, x)], star[(tag, x)] = bun.dim[x], bun.star[x]
+        unit_arrow.update({(unit, u): (tag, gpd.unit_arrow[u]) for u in gpd.units})
+        corners.append(tuple((tag, x) for x in gpd.arrows))
+        for (x, y), v in gpd.comp.items():
+            put(((tag, x), (tag, y)), (tag, v), bun.mult[(x, y)], from_op)
+
+    for z in z_set:
+        src[("z", z)] = rng[("zb", z)] = ("qu", base.sigma[z])
+        rng[("z", z)] = src[("zb", z)] = ("pu", base.rho[z])
+        inv[("z", z)], inv[("zb", z)] = ("zb", z), ("z", z)
+        dim[("z", z)] = dim[("zb", z)] = e.dims[z]
+        star[("z", z)] = star[("zb", z)] = np.eye(e.dims[z], dtype=complex)
+
+    for f, tag, from_op in sides:
         brackets = bracket_table(f.base)
         for (p, z), v in f.base.left_action.act.items():
             put(((tag, p), ("z", z)), ("z", v), f.left_tensors[(p, z)], from_op)
@@ -151,31 +152,12 @@ def linking_system(e: BundleEquivalence, tol: float = DEFAULT_TOL,
                 raise InvalidStructureError(f"no bracket at ({fmt(z1)},{fmt(z2)})")
             put((("z", z1), ("zb", z2)), (tag, brackets[(z1, z2)]), tensor, from_op)
 
-    inv = {}
-    for x in p_gpd.arrows:
-        inv[("p", x)] = ("p", p_gpd.inv[x])
-    for x in q_gpd.arrows:
-        inv[("q", x)] = ("q", q_gpd.inv[x])
-    for z in z_set:
-        inv[("z", z)] = ("zb", z)
-        inv[("zb", z)] = ("z", z)
-    unit_arrow = {("pu", u): ("p", p_gpd.unit_arrow[u]) for u in p_gpd.units}
-    unit_arrow.update({("qu", u): ("q", q_gpd.unit_arrow[u]) for u in q_gpd.units})
-
-    groupoid = FiniteGroupoid(units, arrows, src, rng, comp, inv, unit_arrow)
+    arrows = (corners[0] + tuple(("z", z) for z in z_set)
+              + tuple(("zb", z) for z in z_set) + corners[1])
+    # the units are the keys of unit_arrow: the left corner's, then the right's
+    groupoid = FiniteGroupoid(tuple(unit_arrow), arrows, src, rng, comp, inv, unit_arrow)
     if strict:
         validate_groupoid(groupoid).require("linking groupoid")
-
-    dim = {("p", x): p_bun.dim[x] for x in p_gpd.arrows}
-    dim.update({("q", x): q_bun.dim[x] for x in q_gpd.arrows})
-    dim.update({("z", z): e.dims[z] for z in z_set})
-    dim.update({("zb", z): e.dims[z] for z in z_set})
-    star = {("p", x): p_bun.star[x] for x in p_gpd.arrows}
-    star.update({("q", x): q_bun.star[x] for x in q_gpd.arrows})
-    for z in z_set:
-        eye = np.eye(e.dims[z], dtype=complex)
-        star[("z", z)] = eye
-        star[("zb", z)] = eye
 
     bundle = FellBundle(groupoid, dim, mult, star)
     if strict:
@@ -487,16 +469,16 @@ def symmetric_morita(a: FellBundle, g: BundleAction, h: BundleAction,
     """Certificate for sections(a/H) x| G  ~  sections(G\\a) |x H.
 
     Beyond the linking certificate, the two corners are identified on a
-    basis with the independently built crossed products.
+    basis with the crossed products.  The left one is the section algebra of
+    the crossed-product bundle the equivalence already holds; the right one
+    is built independently, from the quotient by the converted G action.
     """
     e = symmetric_action_equivalence(a, g, h)
     ls = linking_system(e, tol=tol)
     cert = verify_morita(ls, tol=tol, seed=seed)
 
-    h_quot = quotient_fell_bundle(a, h)
-    g_on_quot = induced_quotient_bundle_action(a, g, h_quot)
-    left_alg = crossed_product(h_quot[0], g_on_quot)
-    res_l = _identify_corner(ls.corner_left, left_alg)
+    # e.left_bundle is the crossed-product bundle (a/H) x| G itself
+    res_l = _identify_corner(ls.corner_left, section_algebra(e.left_bundle))
 
     g_quot = quotient_fell_bundle(a, g.converted())
     h_on_gquot = induced_quotient_bundle_action(a, h, g_quot)
@@ -549,26 +531,14 @@ def one_sided_transformation_morita(b: FellBundle, act: SpaceAction,
     res = _identify_corner(ls.corner_right, section_algebra(b))
     cert.notes.append(f"right corner identified with the base sections "
                       f"(residual {res:.3e})")
-    cp = crossed_product(transformation_fell_bundle(b, act),
-                         _lift_group_action_to_transformation(b, act, gact))
+    g_on_tb = transformation_bundle_action(b, act, gact)
+    cp = crossed_product(g_on_tb.bundle, g_on_tb)
     res_l = _identify_corner(ls.corner_left, cp)
     cert.notes.append(f"left corner identified with the transformation crossed "
                       f"product (residual {res_l:.3e})")
     if max(res, res_l) > tol:
         cert.verdict = "not-certified"
     return cert
-
-
-def _lift_group_action_to_transformation(b: FellBundle, act: SpaceAction,
-                                         gact: SpaceAction) -> BundleAction:
-    tb = transformation_fell_bundle(b, act)
-    grp = gact.groupoid
-    base = GroupAction(
-        grp, tb.base,
-        {(t, (x, u)): (x, gact.act[(t, u)])
-         for t in grp.elements for (x, u) in tb.base.arrows},
-        "left")
-    return BundleAction(grp, tb, base, identity_fiber_maps(tb, base), "left")
 
 
 def cstar_bundle_morita(a: FellBundle, g: BundleAction,
@@ -698,18 +668,13 @@ def coaction_demo(b: FellBundle, tol: float = DEFAULT_TOL,
     grp = b.base
     if len(grp.units) != 1 or not isinstance(grp, FiniteGroup):
         raise InvalidStructureError("coaction_demo needs a bundle over a group")
-    unit = grp.units[0]
-    lt = SpaceAction(grp, tuple(grp.elements), {u: unit for u in grp.elements},
-                     {(g, u): grp.mul(g, u) for g in grp.elements for u in grp.elements},
-                     "left")
-    big = transformation_fell_bundle(b, lt)
-    tg = big.base
-    rt = GroupAction(
-        grp, tg,
-        {(t, (x, u)): (x, grp.mul(u, grp.inv_elem(t)))
-         for t in grp.elements for (x, u) in tg.arrows},
+    # right translation of the space coordinate, as the left action t.u = u inv(t)
+    rt = group_set_action(
+        grp, grp.elements,
+        {(t, u): grp.mul(u, grp.inv_elem(t)) for t in grp.elements for u in grp.elements},
         "left")
-    gba = BundleAction(grp, big, rt, identity_fiber_maps(big, rt), "left")
+    gba = transformation_bundle_action(b, left_translation_action(grp), rt)
+    big = gba.bundle
     cert = one_sided_morita(big, gba, tol=tol, seed=seed)
 
     # identify the orbit bundle with the original bundle over the group

@@ -1,10 +1,12 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from groupoidal import (
     FiniteGroup,
+    GroupoidEquivalence,
     GroupoidHom,
     InvalidStructureError,
     NonFreeActionError,
@@ -38,7 +40,8 @@ from groupoidal import (
     validate_groupoid,
     verify_groupoid_equivalence,
 )
-from groupoidal.groupoids import product_with_group
+from groupoidal._util import fmt
+from groupoidal.groupoids import _group_by, product_with_group
 from groupoidal.instances import cyclic_group, random_free_commuting_instance
 
 
@@ -525,6 +528,131 @@ def test_randomized_equivalences_all_verify():
         again = opposite(base_op)
         assert (again.src, again.rng, dict(again.comp)) == (base.src, base.rng, base.comp)
         assert verify_groupoid_equivalence(opposite(e)).ok
+
+
+def _composition_by_full_walk(a):
+    """The "compatible with composition" witness, walking every point of the
+    space for every composable pair (the reference for the indexed walk)."""
+    if a.side == "right":
+        a = opposite(a)
+    g, sentinel = a.groupoid, object()
+    for x, y in g.composable_pairs():
+        xy = g.comp.get((x, y), sentinel)
+        for u in a.space:
+            if (y, u) not in a.act:
+                continue
+            step = a.act.get((x, a.act[(y, u)]), sentinel)
+            if a.act.get((xy, u), sentinel) is sentinel or step is sentinel \
+                    or a.act[(xy, u)] != step:
+                return f"({fmt(x)},{fmt(y)},{fmt(u)})"
+    return None
+
+
+def _commute_by_full_walk(e):
+    """The "(iii) actions commute" witness, probing every right arrow for
+    every left-action entry (the reference for the fiber-indexed probe)."""
+    for (p, z) in e.left_action.act:
+        for q in e.right_groupoid.arrows:
+            if not e.right_defined(z, q):
+                continue
+            if not e.right_defined(e.left_apply(p, z), q) or \
+               not e.left_defined(p, e.right_apply(z, q)) or \
+               e.right_apply(e.left_apply(p, z), q) != e.left_apply(p, e.right_apply(z, q)):
+                return f"({fmt(p)},{fmt(z)},{fmt(q)})"
+    return None
+
+
+def _with_references(rep, references):
+    """rep's (name, verdict, witness) entries, those named in ``references``
+    recomputed by the reference walk."""
+    out = []
+    for c in rep.checks:
+        if c.name in references:
+            wit = references[c.name]()
+            out.append((c.name, wit is None, wit))
+        else:
+            out.append((c.name, c.ok, c.witness))
+    return out
+
+
+def _corrupted_actions(a, rng):
+    """Copies of a with one action entry corrupted, by kind of corruption."""
+    la = a if a.side == "left" else opposite(a)  # the same act table, read left
+    g, keys = la.groupoid, list(la.act)
+    cases = {}
+
+    def pick(seq):
+        return seq[int(rng.integers(len(seq)))]
+
+    k = pick(keys)
+    v = la.act[k]
+    # another image in the same fiber, so that the image check still passes
+    others = [u for u in la.space if la.fibring[u] == la.fibring[v] and u != v]
+    cases["wrong image"] = {**la.act, k: pick(others or [u for u in la.space if u != v])}
+    cases["deleted"] = {kk: w for kk, w in la.act.items() if kk != k}
+    outside = [(x, u) for x in g.arrows for u in la.space if g.src[x] != la.fibring[u]]
+    if outside:
+        x, u = pick(outside)
+        cases["extra"] = {**la.act, (x, u): pick(
+            [w for w in la.space if la.fibring[w] == g.rng[x]] or list(la.space))}
+    k2 = pick([kk for kk in keys if kk[0] == k[0] and la.act[kk] != v] or keys)
+    cases["swapped"] = {**la.act, k: la.act[k2], k2: v}
+    # witnesses follow the space order, not the order of the table
+    cases["swapped, table reversed"] = dict(reversed(cases["swapped"].items()))
+    return {kind: replace(a, act=act) for kind, act in cases.items()}
+
+
+def _conjugated_right_action(e, rng):
+    """The right action conjugated by a permutation of Z that preserves sigma:
+    both actions stay valid, so verification reaches item (iii)."""
+    perm = {}
+    for fiber in _group_by(e.space, e.sigma).values():
+        for z, w in zip(fiber, rng.permutation(len(fiber))):
+            perm[z] = fiber[int(w)]
+    act = {(q, perm[z]): perm[v] for (q, z), v in e.right_action.act.items()}
+    return replace(e.right_action, act=act)
+
+
+def _assert_matches_full_walks(e, a):
+    """Check a, and e with a in place of its action on a's side, against the
+    full walks; return the verification report."""
+    rep = check_space_action(a)
+    assert [(c.name, c.ok, c.witness) for c in rep.checks] == _with_references(
+        rep, {"compatible with composition": lambda: _composition_by_full_walk(a)})
+    f = GroupoidEquivalence(a, e.right_action) if a.side == "left" \
+        else GroupoidEquivalence(e.left_action, a)
+    rep = verify_groupoid_equivalence(f)
+    assert [(c.name, c.ok, c.witness) for c in rep.checks] == _with_references(rep, {
+        "left action: compatible with composition":
+            lambda: _composition_by_full_walk(f.left_action),
+        "right action: compatible with composition":
+            lambda: _composition_by_full_walk(f.right_action),
+        "(iii) actions commute": lambda: _commute_by_full_walk(f),
+    })
+    return rep
+
+
+def _fails(rep, suffix):
+    return any(c.name.endswith(suffix) and not c.ok for c in rep.checks)
+
+
+def test_indexed_walks_match_full_walks_on_corrupted_actions():
+    # seeded differential test: on corrupted actions, check_space_action and
+    # verify_groupoid_equivalence name the same checks with the same verdicts
+    # and witnesses as the full walks give
+    rng = np.random.default_rng(20261018)
+    composition_failures = conjugations_failing_iii = 0
+    for _ in range(30):
+        e = symmetric_groupoid_equivalence(*random_free_commuting_instance(rng))
+        for a in (*_corrupted_actions(e.left_action, rng).values(),
+                  *_corrupted_actions(e.right_action, rng).values()):
+            rep = _assert_matches_full_walks(e, a)
+            composition_failures += _fails(rep, "compatible with composition")
+        rep = _assert_matches_full_walks(e, _conjugated_right_action(e, rng))
+        conjugations_failing_iii += _fails(rep, "(iii) actions commute")
+    # the corruptions reach the walks under test, not only the earlier checks
+    assert composition_failures > 0
+    assert conjugations_failing_iii >= 20
 
 
 # ---------------------------------------------------------------------------
