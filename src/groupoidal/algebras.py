@@ -2,20 +2,25 @@
 
 The section algebra carries the convolution product with counting Haar
 weights, (f*g)(x) = sum over y with rng(y) == rng(x) of f(y)g(inv(y)x), and
-the involution f*(x) = (f(inv x))*.  Structure constants are stored densely:
-struct[k, i, j] is the k-th coordinate of e_i e_j, and invol[:, i] holds the
-coordinates of e_i* (the involution acts antilinearly, v* = invol @ conj(v)).
-A section algebra has few nonzero structure constants (one fiber product per
-composable pair), so the associativity law and the multiplicativity of the
-regular representation are checked by joining the nonzero constants, in
-chunks of at most ``bundles._CHUNK`` terms, rather than on dense n^4 tensors.
+the involution f*(x) = (f(inv x))*.  struct[k, i, j] is the k-th coordinate
+of e_i e_j, and invol[:, i] holds the coordinates of e_i* (the involution
+acts antilinearly, v* = invol @ conj(v)); both are dense arrays, filled one
+scatter per fiber-shape class.  A section algebra has few nonzero structure
+constants (one fiber product per composable pair), and every law is checked
+from the nonzeros only: associativity and the multiplicativity of the
+regular representation by one join of nonzero entries, in chunks of at most
+``bundles._CHUNK`` terms; the involution law, isomorphisms and actions by
+contracting the nonzeros of the tensor with those of the matrices.
 
 C*-certification is numerical: the trace form of the left regular
 representation must be positive definite (no radical) and the induced
 representation faithful, multiplicative, and star-preserving to tolerance.
-The structure report splits that representation into its Wedderburn blocks
-(the simple matrix-algebra summands) and keeps an orthonormal basis of each
-block's subspace, so that Gram matrices can be diagonalized block by block.
+The trace form is diagonalized per component of its nonzero pattern, one
+arrow's fiber for a section algebra, so pi(e_k) is zero outside the blocks
+the nonzero constants reach and is filled block by block.  The structure
+report splits that representation into its Wedderburn blocks (the simple
+matrix-algebra summands) and keeps an orthonormal basis of each block's
+subspace, so that Gram matrices can be diagonalized block by block.
 """
 
 from __future__ import annotations
@@ -67,9 +72,10 @@ class StarAlgebra:
         return np.einsum("kij,j->ki", self.struct, v)
 
     def unit(self, tol: float = DEFAULT_TOL) -> np.ndarray | None:
-        """Coordinates of the multiplicative unit, or None if there is none."""
+        """Coordinates of the multiplicative unit, or None if there is none
+        (also when a structure constant is not finite)."""
         n = self.dimension
-        if n == 0:
+        if n == 0 or not np.isfinite(self.struct).all():
             return None
         # solve u with u e_j == e_j and e_j u == e_j for all j
         lhs = np.concatenate(
@@ -104,9 +110,10 @@ def check_star_algebra(a: StarAlgebra, tol: float = DEFAULT_TOL) -> ValidationRe
     rep.record_metric("involution", d)
     rep.add("involution involutive", d <= tol)
 
-    lhs = np.einsum("kl,lij->kij", invol, np.conjugate(struct))
-    rhs = np.einsum("kab,aj,bi->kij", struct, invol, invol, optimize=True)
-    d = deviation(lhs, rhs)
+    # (ab)* == b*a*, compared with i and j swapped on both sides:
+    # sum_l invol[k,l] conj(s[l,j,i]) against sum_ab s[k,a,b] invol[a,i] invol[b,j]
+    d = _coo_residual((_coo_adjoints(struct), (invol.T, None, None)),
+                      (_coo(struct), (None, invol, invol)))
     rep.record_metric("antihomomorphism", d)
     rep.add("(ab)* == b*a*", d <= tol)
     return rep
@@ -128,35 +135,67 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple:
     return owner, np.arange(int(counts.sum())) - first[owner] + lo[owner]
 
 
-def _associativity_residual(struct: np.ndarray) -> float:
-    """max |(e_i e_j) e_b - e_i (e_j e_b)| over all basis triples and coordinates.
+def _summed(keys: np.ndarray, values: np.ndarray) -> tuple:
+    """The distinct keys, sorted, and the sum of the values at each."""
+    distinct, where = np.unique(keys, return_inverse=True)
+    return distinct, (np.bincount(where, weights=values.real, minlength=len(distinct))
+                      + 1j * np.bincount(where, weights=values.imag, minlength=len(distinct)))
 
-    The coordinate a of the residual at (i, j, b) is
-    sum_k s[k,i,j] s[a,k,b] - sum_c s[a,i,c] s[c,j,b], a sum over pairs of
-    nonzero constants joined on k (or c).  The pairs are generated in chunks of
-    consecutive (i, j), each of at most ``bundles._CHUNK`` terms unless a single
-    (i, j) has more, and summed per coordinate.  A coordinate no pair reaches is
-    zero on both sides.  A non-finite constant gives NaN, as it does in the dense
-    products (NaN times the zeros of the other factor).
+
+def _associativity_residual(struct: np.ndarray) -> float:
+    """max |(e_i e_j) e_b - e_i (e_j e_b)| over all basis triples and coordinates:
+    the join of the nonzero constants with themselves (see ``_join_residual``).
+    A non-finite constant gives NaN, as it does in the dense products (NaN
+    times the zeros of the other factor).
     """
-    n = struct.shape[0]
     if not np.isfinite(struct).all():
         return float("nan")
-    k, i, j, v = _nonzeros(struct)
-    if not len(v):
+    nonzeros = _nonzeros(struct)
+    n = struct.shape[0]
+    return _join_residual(nonzeros, nonzeros, n, n)
+
+
+def _multiplicativity_residual(struct: np.ndarray, stack: np.ndarray) -> float:
+    """max |pi(e_i) pi(e_j) - sum_k struct[k,i,j] pi(e_k)| over i, j and all
+    matrix entries: the join of the nonzero constants with the nonzero
+    entries p[a,k,b] = pi(e_k)[a,b] (see ``_join_residual``).  A non-finite
+    constant or matrix entry gives NaN.
+    """
+    if not (np.isfinite(struct).all() and np.isfinite(stack).all()):
+        return float("nan")
+    k, b, a = np.nonzero(stack.transpose(0, 2, 1))
+    return _join_residual(_nonzeros(struct), (a, k, b, stack[k, a, b]), *stack.shape[:2])
+
+
+def _join_residual(s: tuple, p: tuple, n: int, r: int) -> float:
+    """max over i, j, a, b of |sum_k s[k,i,j] p[a,k,b] - sum_c p[a,i,c] p[c,j,b]|.
+
+    ``s`` holds the nonzero structure constants as ``_nonzeros`` returns them,
+    over n basis elements; ``p`` the nonzero entries of a tensor p[a, k, b]
+    with a, b < r, as arrays (a, k, b, value) ordered by (k, b).  With p the
+    constants themselves this is the associativity residual
+    (e_i e_j) e_b - e_i (e_j e_b); with p[a,k,b] = pi(e_k)[a,b] it is the
+    multiplicativity residual pi(e_i e_j) - pi(e_i) pi(e_j).  Each entry is a
+    sum over pairs of nonzeros joined on k (or c).  The pairs are generated in
+    chunks of consecutive (i, j), each of at most ``bundles._CHUNK`` terms
+    unless a single (i, j) has more, and summed per entry.  An entry no pair
+    reaches is zero on both sides.
+    """
+    k, i, j, v = s
+    pa, pk, pb, pv = p
+    if not len(pv):
         return 0.0
     ij = i * n + j  # nondecreasing
-    # the rows with i == m are by_middle[m]:by_middle[m + 1]
-    by_middle = np.searchsorted(i, np.arange(n + 1))
-    fm_order = np.lexsort((i, k))  # rows ordered by (k, i)
-    fm_keys = (k * n + i)[fm_order]
-    count_mid = np.diff(by_middle)
+    # the entries of p with middle m are by_middle[m]:by_middle[m + 1]
+    by_middle = np.searchsorted(pk, np.arange(n + 1))
+    fm_order = np.lexsort((pk, pa))  # entries of p ordered by (first, middle)
+    fm_keys = (pa * n + pk)[fm_order]
 
-    # terms per (i, j): left side sum over rows (k,i,j) of the rows with middle k;
-    # right side sum over c of #rows (a,i,c) times #rows (c,j,b)
-    lhs_terms = np.bincount(ij, weights=count_mid[k], minlength=n * n)
-    rows_ml = np.bincount(ij, minlength=n * n).reshape(n, n).astype(float)
-    rows_fm = np.bincount(k * n + i, minlength=n * n).reshape(n, n).astype(float)
+    # terms per (i, j): left side sum over (k,i,j) of the entries of p with
+    # middle k; right side sum over c of #p[.,i,c] times #p[c,j,.]
+    lhs_terms = np.bincount(ij, weights=np.diff(by_middle)[k], minlength=n * n)
+    rows_ml = np.bincount(pk * r + pb, minlength=n * r).reshape(n, r).astype(float)
+    rows_fm = np.bincount(pa * n + pk, minlength=r * n).reshape(r, n).astype(float)
     cum = np.cumsum(lhs_terms + (rows_ml @ rows_fm).ravel())
 
     worst, p0 = 0.0, 0
@@ -164,32 +203,98 @@ def _associativity_residual(struct: np.ndarray) -> float:
         done = cum[p0 - 1] if p0 else 0.0
         p1 = max(p0 + 1, int(np.searchsorted(cum, done + bundles._CHUNK, side="right")))
         p1 = min(p1, n * n)
-        # (e_i e_j) e_b: rows t = (k,i,j) with p0 <= (i,j) < p1, each joined
-        # with the rows u = (a,k,b)
+        # sum_k s[k,i,j] p[a,k,b]: constants t = (k,i,j) with p0 <= (i,j) < p1,
+        # each joined with the entries u = (a,k,b)
         t = np.arange(*np.searchsorted(ij, [p0, p1]))
         owner, u = _ranges(by_middle[k[t]], by_middle[k[t] + 1])
         t = t[owner]
-        coords = [((ij[t] - p0) * n + k[u]) * n + j[u]]
-        terms = [v[t] * v[u]]
-        # e_i (e_j e_b): rows t = (a,i,c), each joined with the rows u = (c,j,b)
-        # whose (i, j) lies in the chunk
+        coords = [((ij[t] - p0) * r + pa[u]) * r + pb[u]]
+        terms = [v[t] * pv[u]]
+        # sum_c p[a,i,c] p[c,j,b]: entries t = (a,i,c), each joined with the
+        # entries u = (c,j,b) whose (i, j) lies in the chunk
         i0, i1 = p0 // n, (p1 - 1) // n
         t = np.arange(by_middle[i0], by_middle[i1 + 1])
-        j_lo = np.where(i[t] == i0, p0 - i0 * n, 0)
-        j_hi = np.where(i[t] == i1, p1 - i1 * n, n)
-        owner, pos = _ranges(np.searchsorted(fm_keys, j[t] * n + j_lo),
-                             np.searchsorted(fm_keys, j[t] * n + j_hi))
+        j_lo = np.where(pk[t] == i0, p0 - i0 * n, 0)
+        j_hi = np.where(pk[t] == i1, p1 - i1 * n, n)
+        owner, pos = _ranges(np.searchsorted(fm_keys, pb[t] * n + j_lo),
+                             np.searchsorted(fm_keys, pb[t] * n + j_hi))
         t, u = t[owner], fm_order[pos]
-        coords.append(((i[t] * n + i[u] - p0) * n + k[t]) * n + j[u])
-        terms.append(-v[t] * v[u])
+        coords.append(((pk[t] * n + pk[u] - p0) * r + pa[t]) * r + pb[u])
+        terms.append(-pv[t] * pv[u])
         coords, terms = np.concatenate(coords), np.concatenate(terms)
         if len(terms):
-            _keys, where = np.unique(coords, return_inverse=True)
-            sums = (np.bincount(where, weights=terms.real)
-                    + 1j * np.bincount(where, weights=terms.imag))
-            worst = max(worst, float(np.max(np.abs(sums))))
+            worst = max(worst, float(np.max(np.abs(_summed(coords, terms)[1]))))
         p0 = p1
     return worst
+
+
+def _coo(t: np.ndarray) -> tuple:
+    """The nonzero entries of a dense array: (flat coordinates, values, shape)."""
+    where = np.nonzero(t)
+    return np.ravel_multi_index(where, t.shape), t[where], t.shape
+
+
+def _coo_adjoints(t: np.ndarray) -> tuple:
+    """The nonzero entries of the stack of adjoints, conj(t[k, b, a]) at
+    (k, a, b), as ``_coo`` gives them."""
+    keys, vals, shape = _coo(t.transpose(0, 2, 1))
+    return keys, np.conjugate(vals), shape
+
+
+def _contract(coo: tuple, mats) -> tuple:
+    """out[I0, I1, I2] = sum t[x0, x1, x2] m0[x0, I0] m1[x1, I1] m2[x2, I2],
+    over the nonzeros of t and of the matrices.
+
+    ``coo`` is t as ``_coo`` gives it, ``mats`` one matrix per axis (None
+    leaves the axis as it is); the result is in the same form, each
+    coordinate once.  Every entry of t is joined with the nonzeros of the
+    matching row of the axis's matrix, at most ``bundles._CHUNK`` products
+    at a time unless one entry alone has more.
+    """
+    keys, vals, shape = coo
+    for axis, m in enumerate(mats):
+        if m is None:
+            continue
+        rows, cols = np.nonzero(m)
+        row_start = np.searchsorted(rows, np.arange(m.shape[0] + 1))
+        where = np.unravel_index(keys, shape)
+        x = where[axis]
+        shape = shape[:axis] + (m.shape[1],) + shape[axis + 1:]
+        cum = np.cumsum(row_start[x + 1] - row_start[x])
+        parts, lo = [], 0
+        while lo < len(x):
+            done = cum[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(cum, done + bundles._CHUNK, side="right")))
+            owner, pos = _ranges(row_start[x[lo:hi]], row_start[x[lo:hi] + 1])
+            owner += lo
+            out = [w[owner] for w in where]
+            out[axis] = cols[pos]
+            parts.append(_summed(np.ravel_multi_index(out, shape),
+                                 vals[owner] * m[rows[pos], cols[pos]]))
+            lo = hi
+        keys, vals = (_summed(np.concatenate([q[0] for q in parts]),
+                              np.concatenate([q[1] for q in parts]))
+                      if parts else (keys[:0], vals[:0]))
+    return keys, vals, shape
+
+
+def _coo_residual(lhs: tuple, rhs: tuple) -> float:
+    """max |L - R| over all entries of two tensors of one shape, each given
+    as (coo, mats) for ``_contract``; 0.0 where neither side has a nonzero.
+
+    A non-finite value or matrix entry gives NaN, as in the dense products
+    (NaN times the zeros of the other factors).
+    """
+    keys, vals = [], []
+    for sign, (coo, mats) in ((1.0, lhs), (-1.0, rhs)):
+        if not (np.isfinite(coo[1]).all()
+                and all(m is None or np.isfinite(m).all() for m in mats)):
+            return float("nan")
+        out = _contract(coo, mats)
+        keys.append(out[0])
+        vals.append(sign * out[1])
+    _keys, sums = _summed(np.concatenate(keys), np.concatenate(vals))
+    return float(np.max(np.abs(sums))) if len(sums) else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -197,28 +302,38 @@ def _associativity_residual(struct: np.ndarray) -> float:
 
 
 def section_algebra(b: FellBundle) -> StarAlgebra:
-    """Convolution *-algebra of all sections of a finite Fell bundle."""
+    """Convolution *-algebra of all sections of a finite Fell bundle.
+
+    The constants of e_(x,i) e_(y,j) are the fiber product b.mult[(x, y)],
+    and e_(x,i)* is the column b.star[x][:, i] over inv(x); each is written
+    in one scatter per shape class of those tensors, nonzero entries only.
+    """
     g = b.base
     basis = tuple((x, i) for x in g.arrows for i in range(b.dim[x]))
-    idx = {lbl: k for k, lbl in enumerate(basis)}
-    n = len(basis)
-    struct = np.zeros((n, n, n), dtype=complex)
-    for (x, y), tensor in b.mult.items():
-        xy = g.comp[(x, y)]
-        for i in range(b.dim[x]):
-            for j in range(b.dim[y]):
-                col = tensor[:, i, j]
-                for k in range(b.dim[xy]):
-                    if col[k] != 0:
-                        struct[idx[(xy, k)], idx[(x, i)], idx[(y, j)]] += col[k]
-    invol = np.zeros((n, n), dtype=complex)
+    fiber, n = {}, 0  # arrow -> (first coordinate, dimension)
     for x in g.arrows:
-        xi = g.inv[x]
-        for i in range(b.dim[x]):
-            for k in range(b.dim[xi]):
-                if b.star[x][k, i] != 0:
-                    invol[idx[(xi, k)], idx[(x, i)]] = b.star[x][k, i]
+        fiber[x], n = (n, b.dim[x]), n + b.dim[x]
+    struct = np.zeros((n, n, n), dtype=complex)
+    _scatter(struct, list(b.mult.values()), [(g.comp[p], *p) for p in b.mult], fiber)
+    invol = np.zeros((n, n), dtype=complex)
+    _scatter(invol, [b.star[x] for x in g.arrows], [(g.inv[x], x) for x in g.arrows], fiber)
     return StarAlgebra(basis, struct, invol, provenance="sections")
+
+
+def _scatter(out: np.ndarray, tensors: list, arrows: list, fiber: dict) -> None:
+    """Write the nonzero entries of each tensor t into ``out``, its axis m at
+    the coordinates of the fiber over arrows[t][m], up to that fiber's
+    dimension."""
+    if not tensors:
+        return
+    cls, _pos, stacks = bundles._shape_classes(tensors)
+    at = np.array([fiber[x] for axes in arrows for x in axes]).reshape(len(arrows), -1, 2)
+    for c, stack in enumerate(stacks):
+        t, *entry = np.nonzero(stack)
+        m = np.flatnonzero(cls == c)[t]
+        inside = np.all([e < at[m, axis, 1] for axis, e in enumerate(entry)], axis=0)
+        out[tuple(at[m, axis, 0][inside] + e[inside] for axis, e in enumerate(entry))] = \
+            stack[(t, *entry)][inside]
 
 
 def fiber_algebra(b: FellBundle, unit_arrow) -> StarAlgebra:
@@ -344,16 +459,21 @@ def regular_representation(a: StarAlgebra, tol: float = DEFAULT_TOL) -> Represen
     non-finite structure constant) has no spectrum: the representation is
     then empty and non-faithful, with NaN residuals.
 
-    The multiplicativity residual compares pi(e_i) pi(e_j), one product with
-    the (r, n*r) stack of all pi(e_j) per i, against pi(e_i e_j), summed
-    from the nonzero constants struct[k, i, j].
+    The trace form is diagonalized once per connected component of its
+    nonzero pattern, batched over the components of one size.  For a section
+    algebra tau(e_i* e_j) vanishes unless e_i and e_j lie over one arrow, so
+    each component is one fiber; a form with no zero pattern is a single
+    component.  The orthonormal basis lists the kept eigenvectors in
+    ascending order of eigenvalue, ties in component order.  pi(e_k) maps
+    component B into component A only through the block struct[A, k, B] of
+    the constants, so pi(e_k) is filled block by block, each block
+    P_A struct[A, k, B] T_B for the projection P_A onto A's basis vectors
+    and the basis T_B of B, batched per shape class of blocks; every other
+    entry is exactly zero.  The multiplicativity and star residuals are
+    computed from the nonzeros of pi and of the constants.
     """
     n = a.dimension
-    lstack = np.transpose(a.struct, (1, 0, 2))
-    tr = np.array([np.trace(lstack[k]) for k in range(n)])
-    # gram[i, j] = tau(e_i* e_j)
-    prod_tr = np.einsum("kaj,k->aj", a.struct, tr)
-    gram = np.einsum("ai,aj->ij", a.invol, prod_tr)
+    gram = _trace_form(a)
     if not np.isfinite(gram).all():
         nan, empty = float("nan"), np.zeros((n, 0, 0), dtype=complex)
         return Representation(
@@ -363,22 +483,35 @@ def regular_representation(a: StarAlgebra, tol: float = DEFAULT_TOL) -> Represen
             _basis=np.zeros((n, 0), dtype=complex), _proj=np.zeros((0, n), dtype=complex))
     herm_defect = deviation(gram, gram.conj().T)
     gram = 0.5 * (gram + gram.conj().T)
-    eigvals, eigvecs = np.linalg.eigh(gram) if n else (np.zeros(0), np.zeros((0, 0)))
+
+    # one eigensolve per component, batched over the components of one size;
+    # the eigenpairs of a component take its slots, members[start:start+size]
+    comp = _pattern_components(gram != 0)
+    members, start, size = _grouped(comp, int(comp.max(initial=-1)) + 1)
+    eigvals, eigvecs = np.zeros(n), np.zeros((n, n), dtype=complex)
+    for s in np.unique(size):
+        slots = start[size == s, None] + np.arange(s)
+        idx = members[slots]
+        vals, vecs = np.linalg.eigh(gram[idx[:, :, None], idx[:, None, :]])
+        eigvals[slots] = vals
+        eigvecs[idx[:, :, None], slots[:, None, :]] = vecs
     scale = max(1.0, float(np.max(np.abs(eigvals))) if n else 1.0)
-    keep = eigvals > tol * scale
-    rank = int(np.count_nonzero(keep))
+    order = np.argsort(eigvals, kind="stable")
+    keep = order[eigvals[order] > tol * scale]
+    rank = len(keep)
     min_eig = float(np.min(eigvals)) if n else 0.0
 
     basis_t = eigvecs[:, keep] / np.sqrt(eigvals[keep])
     proj = basis_t.conj().T @ gram  # coordinates in the orthonormal basis
-    mats = [proj @ lstack[k] @ basis_t for k in range(n)]
-    stack = np.array(mats) if n else np.zeros((0, 0, 0), dtype=complex)
+    stack = _block_stack(a.struct, proj, basis_t, comp, comp[members[keep]])
+    mats = list(stack)
 
     mult_res, star_res = 0.0, 0.0
     if stack.size:
         mult_res = _multiplicativity_residual(a.struct, stack)
-        adj = np.conjugate(np.transpose(stack, (0, 2, 1)))
-        star_res = deviation(adj, np.tensordot(a.invol.T, stack, axes=(1, 0)))
+        # pi(e_k)* == pi(e_k*) == sum_l invol[l, k] pi(e_l)
+        star_res = _coo_residual((_coo_adjoints(stack), (None, None, None)),
+                                 (_coo(stack), (a.invol, None, None)))
 
     notes = []
     if herm_defect > tol:
@@ -403,29 +536,86 @@ def regular_representation(a: StarAlgebra, tol: float = DEFAULT_TOL) -> Represen
     )
 
 
-def _multiplicativity_residual(struct: np.ndarray, stack: np.ndarray) -> float:
-    """max |pi(e_i) pi(e_j) - sum_k struct[k,i,j] pi(e_k)| over i, j, NaN propagating.
+def _trace_form(a: StarAlgebra) -> np.ndarray:
+    """gram[i, j] = tau(e_i* e_j), tau the trace of left multiplication."""
+    lstack = np.transpose(a.struct, (1, 0, 2))
+    tr = np.array([np.trace(lstack[k]) for k in range(a.dimension)])
+    prod_tr = np.einsum("kaj,k->aj", a.struct, tr)
+    return np.einsum("ai,aj->ij", a.invol, prod_tr)
 
-    For each i the products with every pi(e_j) come from one GEMM against
-    the (r, n*r) stack; the nonzero constants of e_i e_j are then subtracted,
-    at most ``bundles._CHUNK`` matrix entries at a time (or one matrix).
+
+def _pattern_components(pattern: np.ndarray) -> np.ndarray:
+    """The connected component of each index in the graph of a symmetric
+    boolean matrix, numbered 0, 1, ... in order of smallest index."""
+    n = pattern.shape[0]
+    label = np.arange(n)
+    rows, cols = np.nonzero(pattern)  # rows nondecreasing
+    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]]) if len(rows) else rows
+    while True:
+        # each index takes the smallest label among its neighbours, then the
+        # label of its label
+        new = label.copy()
+        if len(rows):
+            new[rows[starts]] = np.minimum(label[rows[starts]],
+                                           np.minimum.reduceat(label[cols], starts))
+        new = new[new]
+        if np.array_equal(new, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = new
+
+
+def _grouped(labels: np.ndarray, count: int) -> tuple:
+    """The positions grouped by label, ascending within a group, and the start
+    and size of each of the ``count`` groups in that order."""
+    size = np.bincount(labels, minlength=count)
+    return np.argsort(labels, kind="stable"), np.cumsum(size) - size, size
+
+
+def _block_stack(struct: np.ndarray, proj: np.ndarray, basis_t: np.ndarray,
+                 comp: np.ndarray, col_comp: np.ndarray) -> np.ndarray:
+    """The stack of pi(e_k) = proj L_k basis_t, L_k = struct[:, k, :], from
+    the nonzero constants.
+
+    ``comp`` gives the trace-form component of each algebra index and
+    ``col_comp`` that of each column of ``basis_t``; ``proj`` and
+    ``basis_t`` vanish off the diagonal blocks of component A's columns and
+    indices.  So pi(e_k) maps component B's columns into A's only through
+    the constants struct[A, k, B], by P_A struct[A, k, B] T_B, where P_A and
+    T_B are those blocks of ``proj`` and ``basis_t``.  The products are
+    batched per shape class of blocks; every other entry is exactly zero.
     """
-    n, r = stack.shape[0], stack.shape[1]
-    wide = stack.transpose(1, 0, 2).reshape(r, n * r)
-    k, i, j, v = _nonzeros(struct)
-    by_middle = np.searchsorted(i, np.arange(n + 1))
-    step = max(1, bundles._CHUNK // (r * r))
-    worst = []
-    for m in range(n):
-        prod = stack[m] @ wide
-        diff = prod.reshape(r, n, r).transpose(1, 0, 2)  # diff[j] is a view into prod
-        for lo in range(by_middle[m], by_middle[m + 1], step):
-            t = np.arange(lo, min(lo + step, by_middle[m + 1]))
-            # rows are ordered by j within i: sum each run of equal j
-            starts = np.flatnonzero(np.r_[True, j[t][1:] != j[t][:-1]])
-            diff[j[t][starts]] -= np.add.reduceat(v[t, None, None] * stack[k[t]], starts)
-        worst.append(np.max(np.abs(prod)))
-    return worst_residual(worst)[0]
+    n, r = basis_t.shape
+    n_comp = int(comp.max(initial=-1)) + 1
+    rows_of, row_start, row_size = _grouped(comp, n_comp)
+    cols_of, col_start, col_size = _grouped(col_comp, n_comp)
+    local = np.empty(n, dtype=np.intp)
+    local[rows_of] = np.arange(n) - row_start[comp[rows_of]]
+
+    stack = np.zeros((n, r, r), dtype=complex)
+    first, k, last, v = _nonzeros(struct)
+    blocks, where = np.unique((k * n_comp + comp[first]) * n_comp + comp[last],
+                              return_inverse=True)
+    gen, src, dst = blocks // n_comp ** 2, blocks // n_comp % n_comp, blocks % n_comp
+    shape = np.stack([row_size[src], col_size[src], row_size[dst], col_size[dst]], axis=1)
+    kinds, kind = np.unique(shape.reshape(-1, 4), axis=0, return_inverse=True)
+    kind = kind.ravel()
+    for q, (s_a, w_a, s_b, w_b) in enumerate(kinds):
+        if not (w_a and w_b):
+            continue
+        these = np.flatnonzero(kind == q)
+        at = np.full(len(blocks), -1)
+        at[these] = np.arange(len(these))
+        nz = np.flatnonzero(at[where] >= 0)
+        block = np.zeros((len(these), s_a, s_b), dtype=complex)
+        block[at[where[nz]], local[first[nz]], local[last[nz]]] = v[nz]
+        a_row = rows_of[row_start[src[these], None] + np.arange(s_a)]
+        b_row = rows_of[row_start[dst[these], None] + np.arange(s_b)]
+        a_col = cols_of[col_start[src[these], None] + np.arange(w_a)]
+        b_col = cols_of[col_start[dst[these], None] + np.arange(w_b)]
+        stack[gen[these, None, None], a_col[:, :, None], b_col[:, None, :]] = (
+            proj[a_col[:, :, None], a_row[:, None, :]] @ block
+            @ basis_t[b_row[:, :, None], b_col[:, None, :]])
+    return stack
 
 
 @dataclass
@@ -514,7 +704,7 @@ def star_structure_report(a: StarAlgebra, tol: float = DEFAULT_TOL,
     rep = representation if representation is not None else regular_representation(a, tol)
     radical = n - rep.gram_rank
     notes += rep.notes
-    norms = tuple(float(np.linalg.norm(m, 2)) if m.size else 0.0 for m in rep.matrices)
+    norms = _generator_norms(rep.stack())
 
     # split blocks in the (semisimple) faithful quotient image
     if radical == 0:
@@ -585,6 +775,16 @@ def star_structure_report(a: StarAlgebra, tol: float = DEFAULT_TOL,
                                block_bases=tuple(bases) if radical == 0 else ())
 
 
+def _generator_norms(stack: np.ndarray) -> tuple:
+    """The operator norm of each pi(e_k), from the rows and columns it
+    touches: deleting zero rows and columns keeps the singular values."""
+    norms = []
+    for m in stack:
+        rows, cols = np.flatnonzero(m.any(axis=1)), np.flatnonzero(m.any(axis=0))
+        norms.append(float(np.linalg.norm(m[np.ix_(rows, cols)], 2)) if len(rows) else 0.0)
+    return tuple(norms)
+
+
 def _quotient_algebra(a: StarAlgebra, rep: Representation) -> StarAlgebra:
     """The image of a in its GNS representation, as an abstract algebra."""
     t_mat, proj = rep._basis, rep._proj
@@ -643,10 +843,10 @@ def check_algebra_action(act: AlgebraAction, tol: float = DEFAULT_TOL) -> Valida
     rep.record_metric("group law", worst)
     rep.add("group law", worst <= tol)
     res = []
+    struct = _coo(a.struct)
     for t in g.elements:
         u = act.matrices[t]
-        res.append(deviation(np.einsum("kl,lij->kij", u, a.struct),
-                             np.einsum("kab,ai,bj->kij", a.struct, u, u)))
+        res.append(_coo_residual((struct, (u.T, None, None)), (struct, (None, u, u))))
         res.append(deviation(u @ a.invol, a.invol @ np.conjugate(u)))
     worst, _i = worst_residual(res)
     rep.record_metric("automorphism", worst)
@@ -665,13 +865,14 @@ def verify_algebra_iso(iso: AlgebraIso, tol: float = DEFAULT_TOL) -> ValidationR
     rep = ValidationReport(subject="algebra isomorphism")
     n, m = iso.source.dimension, iso.target.dimension
     u = iso.matrix
+    # a matrix that is not finite has no rank to compute
     rep.add("square and invertible", n == m and u.shape == (m, n)
-            and (n == 0 or np.linalg.matrix_rank(u) == n))
+            and (n == 0 or (np.isfinite(u).all() and np.linalg.matrix_rank(u) == n)))
     if not rep.ok:
         return rep
-    lhs = np.einsum("kl,lij->kij", u, iso.source.struct)
-    rhs = np.einsum("kab,ai,bj->kij", iso.target.struct, u, u, optimize=True)
-    d = float(np.max(np.abs(lhs - rhs))) if n else 0.0
+    # u (e_i e_j) == (u e_i)(u e_j)
+    d = _coo_residual((_coo(iso.source.struct), (u.T, None, None)),
+                      (_coo(iso.target.struct), (None, u, u)))
     rep.record_metric("multiplicativity", d)
     rep.add("multiplicative", d <= tol)
     lhs = u @ iso.source.invol

@@ -3,6 +3,7 @@ import pytest
 
 from groupoidal import (
     AlgebraAction,
+    AlgebraIso,
     BundleAction,
     InvalidStructureError,
     StarAlgebra,
@@ -515,3 +516,21 @@ def test_report_recovers_blocks_in_random_basis(blocks):
     assert sr.blocks == tuple(sorted(blocks))
     assert sr.center_dimension == len(blocks)
     assert sr.is_cstar
+
+
+def test_iso_with_non_finite_matrix_fails_its_report():
+    # a matrix that is not finite has no rank: the report fails instead of
+    # raising from an SVD
+    a = matrix_algebra(2)
+    u = np.eye(4, dtype=complex)
+    u[0, 0] = np.nan
+    rep = verify_algebra_iso(AlgebraIso(a, a, u))
+    assert [c.name for c in rep.failures()] == ["square and invertible"]
+
+
+def test_non_finite_constants_have_no_unit():
+    a = matrix_algebra(2)
+    struct = a.struct.copy()
+    struct[1, 0, 1] = np.nan
+    assert StarAlgebra(a.basis, struct, a.invol).unit() is None
+    assert a.unit() is not None

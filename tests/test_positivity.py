@@ -214,6 +214,17 @@ def test_nan_inner_product_is_not_certified():
     assert "an inner product fails positivity" in cert.notes
 
 
+def test_nan_module_product_is_not_certified():
+    # a NaN product that is no inner product leaves every inner product
+    # finite; the unit check reports it instead of raising from lstsq
+    e = symmetric_action_equivalence(*symmetric_z2z2_bundle())
+    key = next(iter(e.left_tensors))
+    e.left_tensors[key] = e.left_tensors[key] * np.nan
+    cert = verify_morita(linking_system(e, strict=False))
+    assert cert.verdict == "not-certified"
+    assert "linking algebra has no unit" in cert.notes
+
+
 # ---------------------------------------------------------------------------
 # Wedderburn block split
 
