@@ -596,13 +596,15 @@ def _block_stack(struct: np.ndarray, proj: np.ndarray, basis_t: np.ndarray,
     blocks, where = np.unique((k * n_comp + comp[first]) * n_comp + comp[last],
                               return_inverse=True)
     gen, src, dst = blocks // n_comp ** 2, blocks // n_comp % n_comp, blocks % n_comp
-    shape = np.stack([row_size[src], col_size[src], row_size[dst], col_size[dst]], axis=1)
-    kinds, kind = np.unique(shape.reshape(-1, 4), axis=0, return_inverse=True)
-    kind = kind.ravel()
-    for q, (s_a, w_a, s_b, w_b) in enumerate(kinds):
+    # blocks of one kind have the same row and column counts on both sides
+    comp_kind = row_size * (r + 1) + col_size
+    kind = comp_kind[src] * (n + 1) * (r + 1) + comp_kind[dst]
+    for q in np.unique(kind):
+        these = np.flatnonzero(kind == q)
+        s_a, w_a = row_size[src[these[0]]], col_size[src[these[0]]]
+        s_b, w_b = row_size[dst[these[0]]], col_size[dst[these[0]]]
         if not (w_a and w_b):
             continue
-        these = np.flatnonzero(kind == q)
         at = np.full(len(blocks), -1)
         at[these] = np.arange(len(these))
         nz = np.flatnonzero(at[where] >= 0)

@@ -224,9 +224,9 @@ def test_contraction_helper_matches_dense_references(kind, chunk, monkeypatch):
 
             act = AlgebraAction(cyclic_group(2), alg, {0: np.eye(n, dtype=complex), 1: u})
             metric = check_algebra_action(act).metrics["automorphism"]
-            reference = max(dense_transport(alg.struct, alg.struct, m)
-                            for m in act.matrices.values())
-            reference = max(reference, deviation(u @ alg.invol, alg.invol @ np.conjugate(u)))
+            reference = float(np.max([dense_transport(alg.struct, alg.struct, m)
+                                      for m in act.matrices.values()]
+                                     + [deviation(u @ alg.invol, alg.invol @ np.conjugate(u))]))
             assert agree(metric, reference), (name, metric, reference)
 
 
