@@ -15,8 +15,8 @@ contracting the nonzeros of the tensor with those of the matrices.
 C*-certification is numerical: the trace form of the left regular
 representation must be positive definite (no radical) and the induced
 representation faithful, multiplicative, and star-preserving to tolerance.
-The trace form is diagonalized per component of its nonzero pattern, one
-arrow's fiber for a section algebra, so pi(e_k) is zero outside the blocks
+The trace form is diagonalized per component of its nonzero pattern, within
+one arrow's fiber for a section algebra, so pi(e_k) is zero outside the blocks
 the nonzero constants reach and is filled block by block.  The structure
 report splits that representation into its Wedderburn blocks (the simple
 matrix-algebra summands) and keeps an orthonormal basis of each block's
@@ -462,15 +462,13 @@ def regular_representation(a: StarAlgebra, tol: float = DEFAULT_TOL) -> Represen
     The trace form is diagonalized once per connected component of its
     nonzero pattern, batched over the components of one size.  For a section
     algebra tau(e_i* e_j) vanishes unless e_i and e_j lie over one arrow, so
-    each component is one fiber; a form with no zero pattern is a single
-    component.  The orthonormal basis lists the kept eigenvectors in
-    ascending order of eigenvalue, ties in component order.  pi(e_k) maps
-    component B into component A only through the block struct[A, k, B] of
-    the constants, so pi(e_k) is filled block by block, each block
-    P_A struct[A, k, B] T_B for the projection P_A onto A's basis vectors
-    and the basis T_B of B, batched per shape class of blocks; every other
-    entry is exactly zero.  The multiplicativity and star residuals are
-    computed from the nonzeros of pi and of the constants.
+    each component lies in one fiber (all of it, unless tau is already
+    diagonal there); a form with no zero pattern is a single component.  The orthonormal basis lists the kept eigenvectors in
+    ascending order of eigenvalue, ties in component order, as one
+    eigensolve of the whole form would.  pi(e_k) is filled block by block
+    from the nonzero constants (``_block_stack``), and the multiplicativity
+    and star residuals are computed from the nonzeros of pi and of the
+    constants.
     """
     n = a.dimension
     gram = _trace_form(a)

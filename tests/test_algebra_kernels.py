@@ -35,7 +35,7 @@ from groupoidal import bundles
 from groupoidal._util import deviation
 from groupoidal.instances import cyclic_group, matrix_algebra, random_free_action_instance
 
-from test_algebras import _conjugate_basis, _direct_sum_blocks, _unit_plus_nilpotent
+from test_algebras import _conjugate_basis, _unit_plus_nilpotent
 
 AGREE = 1e-12  # relative to max(1, reference)
 
