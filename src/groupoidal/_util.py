@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# absolute tolerance of every entrywise check unless a caller passes its own
+DEFAULT_TOL = 1e-9
+
 
 def sort_key(obj):
     """Stable total order on identifiers (ints, strings, nested tuples).

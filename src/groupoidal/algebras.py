@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bundles
-from ._util import deviation, fmt, worst_residual
+from ._util import DEFAULT_TOL, deviation, fmt, worst_residual
 from .bundles import (
     BundleAction,
     FellBundle,
@@ -41,8 +41,6 @@ from .bundles import (
 )
 from .groupoids import FiniteGroup, GroupAction, SpaceAction
 from .report import InvalidStructureError, ValidationReport
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(eq=False)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
+from ._util import DEFAULT_TOL
 from .algebras import (
     AlgebraAction,
     check_algebra_action,
@@ -90,6 +91,16 @@ from .runtime import (
 
 EXIT_PASS, EXIT_FAIL, EXIT_INDETERMINATE, EXIT_USAGE = 0, 1, 2, 3
 
+# each construction of `build` and the number of arguments it takes; the
+# arguments of pair_groupoid and cyclic_group are positive integers
+_BUILD_ARITY = {
+    "pair_groupoid": 1, "cyclic_group": 1, "transformation_groupoid": 1,
+    "semidirect_left": 2, "semidirect_right": 2, "quotient_groupoid": 2,
+    "orbit_space_action": 2, "section_algebra": 1, "crossed_product": 2,
+    "semidirect_fell_bundle": 2, "quotient_fell_bundle": 2,
+    "transformation_fell_bundle": 2, "pullback_bundle": 2,
+}
+
 
 @dataclass
 class RunReport:
@@ -148,9 +159,20 @@ def _report_lines(rep: ValidationReport) -> list:
     return str(rep).splitlines()
 
 
+def _positive_int(text: str, name: str) -> int:
+    """``text`` as an integer >= 1, or a usage error naming the argument."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ModelError(f"{name} must be a positive integer, got {text!r}")
+    return value
+
+
 def _default_tol() -> float:
     env = os.environ.get("GROUPOIDAL_TOL")
-    return float(env) if env else 1e-9
+    return float(env) if env else DEFAULT_TOL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,13 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("build", help="run a construction and emit a model file")
-    p.add_argument("construction", choices=[
-        "pair_groupoid", "cyclic_group", "transformation_groupoid",
-        "semidirect_left", "semidirect_right", "quotient_groupoid",
-        "orbit_space_action", "section_algebra", "crossed_product",
-        "semidirect_fell_bundle", "quotient_fell_bundle",
-        "transformation_fell_bundle", "pullback_bundle",
-    ])
+    p.add_argument("construction", choices=list(_BUILD_ARITY))
     p.add_argument("args", nargs="*")
     p.add_argument("-m", "--model", default=None)
     p.add_argument("-o", "--out", required=True)
@@ -305,23 +321,27 @@ def _validated(report: RunReport, name: str, thunk) -> None:
 
 
 def _cmd_build(args) -> RunReport:
+    c, a = args.construction, args.args
+    if len(a) != _BUILD_ARITY[c]:
+        raise ModelError(f"build {c} takes {_BUILD_ARITY[c]} argument(s), got {len(a)}")
+    if c in ("pair_groupoid", "cyclic_group"):
+        a = [_positive_int(a[0], f"the argument of build {c}")]
     model = parse_model(args.model) if args.model else ModelFile()
     rt = RuntimeModel(model)
     out = ModelFile()
     report = RunReport("build", args.seed, args.tol,
                        show_timings=args.timings)
     name = args.name
-    c, a = args.construction, args.args
 
     def groupoid_out(g, label):
         out.groupoids[label] = groupoid_to_decl(label, g)
 
     if c == "pair_groupoid":
-        g = make_pair_groupoid(int(a[0]))
+        g = make_pair_groupoid(a[0])
         out.groupoids[name] = groupoid_to_decl(name, g)
         lines = [f"pair groupoid on {a[0]} points: {len(g.arrows)} arrows"]
     elif c == "cyclic_group":
-        g = cyclic_group(int(a[0]))
+        g = cyclic_group(a[0])
         out.groups[name] = group_to_decl(name, g)
         lines = [f"cyclic group of order {a[0]}"]
     elif c == "transformation_groupoid":
@@ -512,11 +532,11 @@ def _run_morita_scenario(args, rt, scen, refs):
 
 
 def _cmd_demo(args) -> RunReport:
+    order = _positive_int(args.group.lstrip("Zz/"), "the n of --group Zn")
     report = RunReport(f"demo {args.which}", args.seed, args.tol,
                        show_timings=args.timings)
     started = time.perf_counter()
     if args.which == "coaction":
-        order = int(args.group.lstrip("Zz/"))
         cert = coaction_demo(trivial_line_bundle(cyclic_group(order)),
                              tol=args.tol, seed=args.seed)
         name = f"coaction Z{order} ({args.bundle} bundle)"

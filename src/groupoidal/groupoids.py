@@ -876,7 +876,7 @@ def semidirect_right_space_action(h: GroupAction, s1: SpaceAction, s2: SpaceActi
 class GroupoidEquivalence:
     """A finite set with commuting free left/right groupoid actions.
 
-    The actions determine the brackets: see left_bracket and bracket_table.
+    The actions determine the brackets: see bracket_table.
     """
 
     left_action: SpaceAction
@@ -966,42 +966,14 @@ def symmetric_groupoid_equivalence(x: FiniteGroupoid, g: GroupAction,
     return GroupoidEquivalence(left_action, right_action)
 
 
-def left_bracket(e: GroupoidEquivalence, z1, z2):
-    """The unique left-groupoid arrow p with z1 == p.z2 (same sigma fiber).
-
-    It is found by its definition, one pass over the sources of the left
-    arrows that tries those with source rho(z2), so it checks a single pair
-    independently of bracket_table.
-    """
-    if e.sigma[z1] != e.sigma[z2]:
-        raise InvalidStructureError(
-            f"no bracket: {fmt(z1)} and {fmt(z2)} lie in different fibers"
-        )
-    act, u = e.left_action.act, e.rho[z2]
-    hits = [p for p, s in e.left_groupoid.src.items() if s == u and act.get((p, z2)) == z1]
-    if len(hits) > 1:
-        raise InternalConsistencyError("left translate not unique; action not free")
-    if not hits:
-        raise InvalidStructureError(
-            f"no left translate carries {fmt(z2)} to {fmt(z1)}"
-        )
-    return hits[0]
-
-
-def right_bracket(e: GroupoidEquivalence, z1, z2):
-    """The unique right-groupoid arrow q with z2 == z1.q (same rho fiber).
-
-    It is the left bracket of the opposite equivalence at (z2, z1).
-    """
-    return left_bracket(opposite(e), z2, z1)
-
-
 def bracket_table(e: GroupoidEquivalence) -> dict:
     """Every left bracket at once: {(p.z, z): p} over the left action table.
 
-    The entry at (z1, z2) is left_bracket(e, z1, z2) when the left action
-    is free.  The table of opposite(e) holds the right brackets: its entry
-    at (z2, z1) is right_bracket(e, z1, z2).
+    When the left action is free, the entry at (z1, z2) is the bracket
+    [z1, z2], the unique left arrow p with p.z2 == z1, and a pair has a key
+    exactly when it lies in one sigma fiber.  The table of opposite(e)
+    holds the right brackets: its entry at (z2, z1) is the unique right
+    arrow q with z1.q == z2.
     """
     return {(pz, z): p for (p, z), pz in e.left_action.act.items()}
 
@@ -1009,8 +981,9 @@ def bracket_table(e: GroupoidEquivalence) -> dict:
 def verify_groupoid_equivalence(e: GroupoidEquivalence) -> ValidationReport:
     """Exhaustive check of the equivalence axioms plus bracket identities.
 
-    Each bracket is found pair by pair through left_bracket and
-    right_bracket, by its definition, not read from bracket_table.
+    The brackets are read from bracket_table(e) and bracket_table(opposite(e)):
+    a same-fiber pair with no key has no bracket and fails.  Once items
+    (i), (iv) and (v) pass, every same-fiber pair has exactly one.
     """
     rep = ValidationReport(subject="groupoid equivalence")
     p_gpd, q_gpd = e.left_groupoid, e.right_groupoid
@@ -1072,22 +1045,20 @@ def verify_groupoid_equivalence(e: GroupoidEquivalence) -> ValidationReport:
     if not rep.ok:
         return rep
 
-    # the left bracket r at (z1, z2) has r.z2 == z1, the right one z1.r == z2
+    # the left bracket at (z1, z2) is the key (z1, z2) of the left table,
+    # the right one the key (z2, z1) of the opposite's table
     bad, seen = None, {"left": set(), "right": set()}
-    sides = (("left", e.sigma, left_bracket, e.left_action.act, False),
-             ("right", e.rho, right_bracket, e.right_action.act, True))
-    for z1, z2, (side, fiber, bracket, act, flip) in itertools.product(z_set, z_set, sides):
+    sides = {"left": (e.sigma, bracket_table(e), False),
+             "right": (e.rho, bracket_table(e_op), True)}
+    for z1, z2, side in itertools.product(z_set, z_set, sides):
+        fiber, table, flip = sides[side]
         if fiber[z1] != fiber[z2]:
             continue
-        try:
-            r = bracket(e, z1, z2)
-        except (InvalidStructureError, InternalConsistencyError):
+        key = (z2, z1) if flip else (z1, z2)
+        if key not in table:
             bad = (side, z1, z2)
             break
-        seen[side].add(r)
-        if act.get((r, z1 if flip else z2)) != (z2 if flip else z1):
-            bad = (side, z1, z2)
-            break
+        seen[side].add(table[key])
     rep.add("bracket characterizing identities", bad is None,
             f"{bad[0]} pair ({fmt(bad[1])},{fmt(bad[2])})" if bad else None)
     if bad is None:

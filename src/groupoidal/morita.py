@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import deviation, fmt
+from ._util import DEFAULT_TOL, deviation, fmt
 from .bundles import (
     BundleAction,
     BundleEquivalence,
@@ -63,8 +63,6 @@ from .groupoids import (
     validate_groupoid,
 )
 from .report import InvalidStructureError, ValidationReport
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(eq=False)

@@ -53,7 +53,7 @@ from groupoidal.instances import (
 
 from groupoidal._util import fmt
 
-from conftest import assert_close, line_bundle_action
+from conftest import assert_close, bracket_by_search, line_bundle_action
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +516,10 @@ def test_trivial_groups_exchange_is_associativity(triv):
 
 def test_inner_product_projection_compatibility(z2z2_bundle):
     # p(<a,b>_L) is the left bracket of the base points
-    from groupoidal import left_bracket
     lb, gba, hba = z2z2_bundle
     e = symmetric_action_equivalence(lb, gba, hba)
     for (z1, z2_), tensor in e.left_inner.items():
-        p = left_bracket(e.base, z1, z2_)
+        p = bracket_by_search(e.base, z1, z2_)
         assert tensor.shape[0] == e.left_bundle.dim[p]
 
 
@@ -554,10 +553,9 @@ def test_one_sided_transformation_equivalence(z2):
         assert e.base.sigma[(y, u)] == grp.src[y]
     # left inner product instance: <(b, t.u), (c, u)>_L sits over
     # (bc*, t.p(c).u, t)
-    from groupoidal import left_bracket
     for (z1, z2_) in e.left_inner:
         (y1, u1), (y2, u2) = z1, z2_
-        p = left_bracket(e.base, z1, z2_)
+        p = bracket_by_search(e.base, z1, z2_)
         (w, uw), t = p
         assert w == grp.comp[(y1, grp.inv[y2])]
         assert uw == yact.apply(y2, u1)
@@ -610,10 +608,9 @@ def test_adjoint_symmetry_exhaustive(z2z2_bundle):
     # star of the left inner product equals the swapped left inner product
     lb, gba, hba = z2z2_bundle
     e = symmetric_action_equivalence(lb, gba, hba)
-    from groupoidal import left_bracket
     p_bun = e.left_bundle
     for (z1, z2_), tensor in e.left_inner.items():
-        p = left_bracket(e.base, z1, z2_)
+        p = bracket_by_search(e.base, z1, z2_)
         starred = np.einsum("kl,lij->kij", p_bun.star[p], np.conjugate(tensor))
         swapped = np.transpose(e.left_inner[(z2_, z1)], (0, 2, 1))
         assert_close(starred, swapped)

@@ -8,9 +8,11 @@ from groupoidal import (
     FiniteGroup,
     GroupoidEquivalence,
     GroupoidHom,
+    InternalConsistencyError,
     InvalidStructureError,
     NonFreeActionError,
     SpaceAction,
+    ValidationReport,
     action_from_unit_map,
     bracket_table,
     check_action,
@@ -19,7 +21,6 @@ from groupoidal import (
     check_space_action,
     group_set_action,
     is_free,
-    left_bracket,
     left_translation_action,
     make_group,
     make_pair_groupoid,
@@ -28,7 +29,6 @@ from groupoidal import (
     orbit_space_action,
     principal_decomposition,
     quotient_groupoid,
-    right_bracket,
     semidirect_left,
     semidirect_right,
     semidirect_right_space_action,
@@ -43,6 +43,8 @@ from groupoidal import (
 from groupoidal._util import fmt
 from groupoidal.groupoids import _group_by, product_with_group
 from groupoidal.instances import cyclic_group, random_free_commuting_instance
+
+from conftest import bracket_by_search
 
 
 # ---------------------------------------------------------------------------
@@ -406,24 +408,27 @@ def test_rho_factoring_property(z2z2_actions):
 
 
 def test_left_bracket_unit_case(z2z2_actions):
+    # the diagonal entries of both bracket tables are unit arrows
     g4, gact, hact = z2z2_actions
     e = symmetric_groupoid_equivalence(g4, gact, hact)
+    left, right = bracket_table(e), bracket_table(opposite(e))
     for z in e.space:
-        p = left_bracket(e, z, z)
+        p = left[(z, z)]
         assert e.left_groupoid.is_unit_arrow(p)
         assert e.left_groupoid.rng[p] == e.rho[z]
-        q = right_bracket(e, z, z)
+        q = right[(z, z)]
         assert e.right_groupoid.is_unit_arrow(q)
 
 
 def test_brackets_characterize_and_are_unique(z2z2_actions):
     g4, gact, hact = z2z2_actions
     e = symmetric_groupoid_equivalence(g4, gact, hact)
+    left, right = bracket_table(e), bracket_table(opposite(e))
     pairs = 0
     for z1 in e.space:
         for z2_ in e.space:
             if e.sigma[z1] == e.sigma[z2_]:
-                p = left_bracket(e, z1, z2_)
+                p = left[(z1, z2_)]
                 assert e.left_apply(p, z2_) == z1
                 # uniqueness oracle: scan every left arrow
                 hits = [q for q in e.left_groupoid.arrows
@@ -431,20 +436,22 @@ def test_brackets_characterize_and_are_unique(z2z2_actions):
                 assert hits == [p]
                 pairs += 1
             if e.rho[z1] == e.rho[z2_]:
-                q = right_bracket(e, z1, z2_)
+                q = right[(z2_, z1)]
                 assert e.right_apply(z1, q) == z2_
                 hits = [r for r in e.right_groupoid.arrows
                         if e.right_defined(z1, r) and e.right_apply(z1, r) == z2_]
                 assert hits == [q]
     assert pairs > 0
+    assert len(left) == pairs
 
 
 def _brackets_by_search(e):
     """Every left and right bracket of e, each found by its own search."""
     pairs = list(itertools.product(e.space, repeat=2))
-    left = {(z1, z2): left_bracket(e, z1, z2) for z1, z2 in pairs
+    e_op = opposite(e)
+    left = {(z1, z2): bracket_by_search(e, z1, z2) for z1, z2 in pairs
             if e.sigma[z1] == e.sigma[z2]}
-    right = {(z1, z2): right_bracket(e, z1, z2) for z1, z2 in pairs
+    right = {(z1, z2): bracket_by_search(e_op, z2, z1) for z1, z2 in pairs
              if e.rho[z1] == e.rho[z2]}
     return left, right
 
@@ -475,14 +482,64 @@ def test_bracket_table_matches_generic_search(z2):
         assert bracket_table(opposite(e)) == {(z2_, z1): q for (z1, z2_), q in right.items()}
 
 
+def _search_bracket_checks(e):
+    """(name, ok, witness) of both bracket checks, each bracket found by
+    bracket_by_search: the verifier's bracket block before it read
+    bracket_table."""
+    rep = ValidationReport()
+    e_op = opposite(e)
+    bad, seen = None, {"left": set(), "right": set()}
+    sides = (("left", e.sigma, lambda z1, z2: bracket_by_search(e, z1, z2),
+              e.left_action.act, False),
+             ("right", e.rho, lambda z1, z2: bracket_by_search(e_op, z2, z1),
+              e.right_action.act, True))
+    for z1, z2, (side, fiber, bracket, act, flip) in itertools.product(e.space, e.space, sides):
+        if fiber[z1] != fiber[z2]:
+            continue
+        try:
+            r = bracket(z1, z2)
+        except (InvalidStructureError, InternalConsistencyError):
+            bad = (side, z1, z2)
+            break
+        seen[side].add(r)
+        if act.get((r, z1 if flip else z2)) != (z2 if flip else z1):
+            bad = (side, z1, z2)
+            break
+    rep.add("bracket characterizing identities", bad is None,
+            f"{bad[0]} pair ({fmt(bad[1])},{fmt(bad[2])})" if bad else None)
+    if bad is None:
+        rep.add("brackets jointly surjective",
+                seen["left"] == set(e.left_groupoid.arrows)
+                and seen["right"] == set(e.right_groupoid.arrows))
+    return [(c.name, c.ok, c.witness) for c in rep.checks]
+
+
+def test_bracket_checks_match_per_pair_search(z2):
+    # the verifier reads its brackets from bracket_table; its two bracket
+    # checks must come out as the per-pair search made them
+    rng = np.random.default_rng(20261019)
+    cases = []
+    for _ in range(30):
+        e = symmetric_groupoid_equivalence(*random_free_commuting_instance(rng))
+        cases += [e, opposite(e)]
+    cases.append(_one_sided_transformation_base(z2))
+    names = {"bracket characterizing identities", "brackets jointly surjective"}
+    for e in cases:
+        rep = verify_groupoid_equivalence(e)
+        got = [(c.name, c.ok, c.witness) for c in rep.checks if c.name in names]
+        assert len(got) == 2
+        assert got == _search_bracket_checks(e)
+
+
 def test_bracket_rejects_mismatched_fibers(z2z2_actions):
     # under this instance the arrows (1,2) and (1,1) lie in different
-    # sigma fibers, so the bracket is a precondition violation
+    # sigma fibers, so the pair has no bracket and no key in the table
     g4, gact, hact = z2z2_actions
     e = symmetric_groupoid_equivalence(g4, gact, hact)
     assert e.sigma[(1, 2)] != e.sigma[(1, 1)]
-    with pytest.raises(InvalidStructureError):
-        left_bracket(e, (1, 2), (1, 1))
+    table = bracket_table(e)
+    assert ((1, 2), (1, 1)) not in table
+    assert all(e.sigma[z1] == e.sigma[z2_] for z1, z2_ in table)
 
 
 def test_sigma_corruption_detected(z2z2_actions):

@@ -264,6 +264,19 @@ def test_cli_usage_error_exit_code(capsys, tmp_path):
     p.write_text("version 1\nnonsense\n")
     code = main(["validate", str(p)])
     assert code == 3
+    # malformed arguments name themselves on one error line, no traceback
+    out = str(tmp_path / "out.model")
+    for argv, named in (
+            (["demo", "coaction", "--group", "X"], "--group"),
+            (["demo", "coaction", "--group", "Z0"], "--group"),
+            (["build", "pair_groupoid", "-o", out], "build pair_groupoid"),
+            (["build", "pair_groupoid", "abc", "-o", out], "build pair_groupoid"),
+            (["build", "cyclic_group", "0", "-o", out], "build cyclic_group"),
+            (["build", "semidirect_left", "X", "-o", out], "build semidirect_left")):
+        capsys.readouterr()
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], (argv, err)
 
 
 def test_cli_tol_env_override(tmp_path, capsys, monkeypatch):
@@ -434,8 +447,7 @@ def test_every_operation_reachable_from_cli(tmp_path, capsys):
         "semidirect_space_action": gpd_mod.semidirect_space_action,
         "semidirect_right_space_action": gpd_mod.semidirect_right_space_action,
         "symmetric_groupoid_equivalence": gpd_mod.symmetric_groupoid_equivalence,
-        "left_bracket": gpd_mod.left_bracket,
-        "right_bracket": gpd_mod.right_bracket,
+        "bracket_table": gpd_mod.bracket_table,
         "verify_groupoid_equivalence": gpd_mod.verify_groupoid_equivalence,
         "principal_decomposition": gpd_mod.principal_decomposition,
         "validate_fell_bundle": bun_mod.validate_fell_bundle,

@@ -26,9 +26,9 @@ from groupoidal import (
     verify_morita,
 )
 from groupoidal._util import deviation, fmt
-from groupoidal.groupoids import left_bracket
 from groupoidal.instances import cyclic_group, matrix_algebra, symmetric_z2z2_bundle
 
+from conftest import bracket_by_search
 from test_algebras import _conjugate_basis, _direct_sum_blocks, _unit_plus_nilpotent
 from test_morita import _phase_twisted_z2z2, two_dimensional_fiber_instance
 
@@ -54,8 +54,8 @@ def dense_positivity_margin(ls, side: str) -> float:
             if key not in inner:
                 continue
             tensor = inner[key]
-            arrow = (left_bracket(base, z1, z2) if side == "left"
-                     else left_bracket(base_op, z2, z1))
+            arrow = (bracket_by_search(base, z1, z2) if side == "left"
+                     else bracket_by_search(base_op, z2, z1))
             vec = np.zeros(corner.dimension, dtype=complex)
             for k, c in enumerate(tensor[:, i, j]):
                 if c != 0:
