@@ -248,23 +248,9 @@ def validate_fell_bundle(b: FellBundle, tol: float = DEFAULT_TOL) -> ValidationR
     if not rep.ok:
         return rep
 
-    # integer tables: pair_id[x, y] numbers the composable pairs, comp[x, y]
-    # is the product; -1 marks a pair that is not composable
-    ix = {x: i for i, x in enumerate(g.arrows)}
-    n = len(ix)
-    pair_id = np.full((n, n), -1, dtype=np.intp)
-    comp = np.full((n, n), -1, dtype=np.intp)
-    px, py = _arrow_ids(pairs, ix, 2)
-    pair_id[px, py] = np.arange(len(pairs))
-    comp[px, py] = [ix[g.comp[k]] for k in pairs]
-    mults = [b.mult[k] for k in pairs]
-
-    x, y, z = _arrow_ids(g.composable_triples(), ix, 3)
-    ids = np.stack([pair_id[x, y], pair_id[comp[x, y], z],
-                    pair_id[y, z], pair_id[x, comp[y, z]]], axis=1)
-    _require_products(ids, g, x, y, z)
-    worst, i = worst_residual(
-        _residuals("kij,lkm->lijm", "kjm,lik->lijm", [mults] * 4, ids))
+    kernels = _Products(b)
+    x, y, z = _arrow_ids(g.composable_triples(), kernels.ix, 3)
+    worst, i = worst_residual(kernels.associativity(x, y, z))
     rep.record_metric("associativity", worst)
     rep.add("mult associative", worst <= tol,
             None if worst <= tol else
@@ -277,14 +263,7 @@ def validate_fell_bundle(b: FellBundle, tol: float = DEFAULT_TOL) -> ValidationR
     rep.add("star involutive", worst <= tol,
             None if worst <= tol else fmt(g.arrows[i]))
 
-    inv = np.array([ix[g.inv[a]] for a in g.arrows], dtype=np.intp)
-    stars = [b.star[a] for a in g.arrows]
-    ids = np.stack([comp[px, py], np.arange(len(pairs)),
-                    pair_id[inv[py], inv[px]], py, px], axis=1)
-    _require_products(ids, g, inv[py], inv[px])
-    worst, i = worst_residual(_residuals(
-        "kl,lij->kij", "kab,aj,bi->kij",
-        [stars, [np.conjugate(m) for m in mults], mults, stars, stars], ids))
+    worst, i = worst_residual(kernels.antihomomorphism(kernels.px, kernels.py))
     rep.record_metric("antihomomorphism", worst)
     rep.add("(ab)* == b*a*", worst <= tol,
             None if worst <= tol else f"pair ({fmt(pairs[i][0])},{fmt(pairs[i][1])})")
@@ -292,6 +271,42 @@ def validate_fell_bundle(b: FellBundle, tol: float = DEFAULT_TOL) -> ValidationR
     rep.note("unit fibers are *-algebras; their C*-certification is a "
              "star_structure_report obligation")
     return rep
+
+
+class _Products:
+    """A bundle's two product laws, batched over any tuples of arrow ids.
+
+    pair_id[x, y] numbers the composable pairs in composable_pairs() order
+    and comp[x, y] is the product, -1 where (x, y) is not composable; a law
+    returns one residual per tuple, in the order given.
+    """
+
+    def __init__(self, b: FellBundle):
+        g = self.base = b.base
+        self.ix = {x: i for i, x in enumerate(g.arrows)}
+        pairs = list(g.composable_pairs())
+        self.px, self.py = _arrow_ids(pairs, self.ix, 2)
+        self.pair_id, self.comp = np.full((2, len(self.ix), len(self.ix)), -1, dtype=np.intp)
+        self.pair_id[self.px, self.py] = np.arange(len(pairs))
+        self.comp[self.px, self.py] = [self.ix[g.comp[k]] for k in pairs]
+        self.inv = np.array([self.ix[g.inv[a]] for a in g.arrows], dtype=np.intp)
+        self.mults, self.stars = [b.mult[k] for k in pairs], [b.star[a] for a in g.arrows]
+
+    def associativity(self, x, y, z) -> np.ndarray:
+        pair_id, comp = self.pair_id, self.comp
+        ids = np.stack([pair_id[x, y], pair_id[comp[x, y], z],
+                        pair_id[y, z], pair_id[x, comp[y, z]]], axis=1)
+        _require_products(ids, self.base, x, y, z)
+        return _residuals("kij,lkm->lijm", "kjm,lik->lijm", [self.mults] * 4, ids)
+
+    def antihomomorphism(self, x, y) -> np.ndarray:
+        inv, stars = self.inv, self.stars
+        ids = np.stack([self.comp[x, y], self.pair_id[x, y],
+                        self.pair_id[inv[y], inv[x]], y, x], axis=1)
+        _require_products(ids, self.base, inv[y], inv[x])
+        conj = [np.conjugate(m) for m in self.mults]
+        return _residuals("kl,lij->kij", "kab,aj,bi->kij",
+                          [stars, conj, self.mults, stars, stars], ids)
 
 
 def _require_products(ids: np.ndarray, g: FiniteGroupoid, *cols) -> None:
@@ -1042,11 +1057,96 @@ def one_sided_transformation_equivalence(b: FellBundle, act: SpaceAction,
 
 
 # ---------------------------------------------------------------------------
+# the linking bundle
+
+
+def linking_bundle(e: BundleEquivalence) -> FellBundle:
+    """The linking bundle of e over its linking groupoid, assembled unchecked.
+
+    Arrows are tagged: ("p", .) and ("q", .) are the two corners, ("z", .)
+    the equivalence space, ("zb", .) its formal adjoint copy.  Both corners
+    and both halves of the Z rows come from one left-handed pass over e (tag
+    "p") and opposite(e) (tag "q"), read back with src and rng swapped and
+    products reversed.  Products are listed corner by corner, then the Z rows
+    of e, then of opposite(e).  A pair with no bracket raises.
+    """
+    base = e.base
+    sides = ((e, "p", False), (opposite(e), "q", True))
+    src, rng, inv, unit_arrow, dim, star, comp, mult = {}, {}, {}, {}, {}, {}, {}, {}
+    corners = []
+
+    def put(key, value, tensor, from_op):
+        # a product of the opposite bimodule, read back in this one's order
+        if from_op:
+            key, tensor = key[::-1], tensor.transpose(0, 2, 1)
+        comp[key], mult[key] = value, tensor
+
+    for f, tag, from_op in sides:
+        gpd, bun, unit = f.base.left_groupoid, f.left_bundle, tag + "u"
+        s, r = (gpd.rng, gpd.src) if from_op else (gpd.src, gpd.rng)
+        for x in gpd.arrows:
+            src[(tag, x)], rng[(tag, x)] = (unit, s[x]), (unit, r[x])
+            inv[(tag, x)] = (tag, gpd.inv[x])
+            dim[(tag, x)], star[(tag, x)] = bun.dim[x], bun.star[x]
+        unit_arrow.update({(unit, u): (tag, gpd.unit_arrow[u]) for u in gpd.units})
+        corners.append(tuple((tag, x) for x in gpd.arrows))
+        for (x, y), v in gpd.comp.items():
+            put(((tag, x), (tag, y)), (tag, v), bun.mult[(x, y)], from_op)
+
+    for z in base.space:
+        src[("z", z)] = rng[("zb", z)] = ("qu", base.sigma[z])
+        rng[("z", z)] = src[("zb", z)] = ("pu", base.rho[z])
+        inv[("z", z)], inv[("zb", z)] = ("zb", z), ("z", z)
+        dim[("z", z)] = dim[("zb", z)] = e.dims[z]
+        star[("z", z)] = star[("zb", z)] = np.eye(e.dims[z], dtype=complex)
+
+    for f, tag, from_op in sides:
+        brackets = bracket_table(f.base)
+        for (p, z), v in f.base.left_action.act.items():
+            put(((tag, p), ("z", z)), ("z", v), f.left_tensors[(p, z)], from_op)
+            # adjoint row: zbar . inv(p) = (p . z)bar
+            pi = f.base.left_groupoid.inv[p]
+            put((("zb", z), (tag, pi)), ("zb", v), np.conjugate(np.einsum(
+                "lai,ag->lig", f.left_tensors[(p, z)], f.left_bundle.star[pi])), from_op)
+        for (z1, z2), tensor in f.left_inner.items():
+            if (z1, z2) not in brackets:  # reachable only on unverified paths
+                raise InvalidStructureError(f"no bracket at ({fmt(z1)},{fmt(z2)})")
+            put((("z", z1), ("zb", z2)), (tag, brackets[(z1, z2)]), tensor, from_op)
+
+    arrows = (corners[0] + tuple(("z", z) for z in base.space)
+              + tuple(("zb", z) for z in base.space) + corners[1])
+    # the units are the keys of unit_arrow: the left corner's, then the right's
+    groupoid = FiniteGroupoid(tuple(unit_arrow), arrows, src, rng, comp, inv, unit_arrow)
+    return FellBundle(groupoid, dim, mult, star)
+
+
+# a tag pattern: one letter per linking arrow, "b" for "zb" ("pzb" is (p,z,zb)), in base 4
+_DIGITS = str.maketrans("pzbq", "0123")
+
+
+def _codes(*patterns: str) -> list:
+    return [int(p.translate(_DIGITS), 4) for p in patterns]
+
+
+def _patterns(g: FiniteGroupoid, *cols) -> np.ndarray:
+    """The code of each tuple of linking arrows, given as id columns."""
+    tag = np.array(_codes(*(a[0][-1] for a in g.arrows)), dtype=np.intp)
+    return sum(tag[c] * 4 ** k for k, c in enumerate(reversed(cols)))
+
+
+# ---------------------------------------------------------------------------
 # equivalence verification
 
 
+@dataclass(eq=False)
+class EquivalenceReport(ValidationReport):
+    """A report with the linking bundle it checked (None if it stopped early)."""
+
+    linking: FellBundle | None = None
+
+
 def verify_bundle_equivalence(e: BundleEquivalence,
-                              tol: float = DEFAULT_TOL) -> ValidationReport:
+                              tol: float = DEFAULT_TOL) -> EquivalenceReport:
     """The six verification steps for an equivalence bimodule, entrywise.
 
     Step 1 commuting module actions; Step 2 inner products defined on the
@@ -1054,25 +1154,28 @@ def verify_bundle_equivalence(e: BundleEquivalence,
     symmetry; Step 4 module compatibility; Step 5 the exchange identity;
     Step 6 per-fiber fullness and positivity of both inner products.
 
-    Steps 1 and 3-5 are batched by fiber-shape class.  Each records its
-    largest residual as its metric; its witness is the first tuple, in the
-    order of the tables the step walks, that attains it; a NaN residual
-    fails.  Steps 2-5 read the brackets of each side from bracket_table.
+    Steps 1 and 3-5 are laws of linking_bundle(e), a Fell bundle exactly
+    when e is an equivalence (Muhly-Williams).  After step 2 it is assembled,
+    kept as the report's ``linking``, and checked in one pass: its corners
+    are the left and right bundles, validated first, and every other
+    composable triple (associativity) and pair ((ab)* == b*a*) is evaluated
+    once.  Step 1 reads the tag class (p,z,q), step 3 (z,zb) then (zb,z),
+    step 4 (p,z,zb) then (zb,z,q), step 5 (z,zb,z); the other classes are
+    the two "linking bundle:" checks, reported once steps 1-5 pass.  A
+    check's metric is its largest residual, a NaN fails, and its witness is
+    the first tuple attaining it in linking-groupoid order ((zb,z,q) in right
+    action table order), named without tags by the steps.
     """
-    rep = ValidationReport(subject="bundle equivalence")
+    rep = EquivalenceReport(subject="bundle equivalence")
     base = e.base
-    p_bundle, q_bundle = e.left_bundle, e.right_bundle
-    p_gpd, q_gpd = base.left_groupoid, base.right_groupoid
-
     rep.merge(verify_groupoid_equivalence(base), prefix="base: ")
-    rep.merge(validate_fell_bundle(p_bundle, tol), prefix="left bundle: ")
-    rep.merge(validate_fell_bundle(q_bundle, tol), prefix="right bundle: ")
+    rep.merge(validate_fell_bundle(e.left_bundle, tol), prefix="left bundle: ")
+    rep.merge(validate_fell_bundle(e.right_bundle, tol), prefix="right bundle: ")
     if not rep.ok:
         return rep
 
-    # The right half of each check through step 4 is its left half run on
-    # the opposite bimodule; orient() turns its witnesses back into this
-    # bimodule's order.
+    # The right half of each check through step 2 is its left half run on the
+    # opposite bimodule; orient() turns its witnesses back into e's order.
     e_op = opposite(e)
     sides = ((e, "left", lambda w: w), (e_op, "right", lambda w: w[::-1]))
 
@@ -1081,11 +1184,16 @@ def verify_bundle_equivalence(e: BundleEquivalence,
         missing = [k for k in f.base.left_action.act if k not in f.left_tensors]
         rep.add(f"{side} tensors cover the action", not missing,
                 fmt(orient(missing[0])) if missing else None)
-    for f, name in ((e, "left inner product defined on sigma pairs"),
-                    (e_op, "right inner product defined on rho pairs")):
-        pairs = {(z1, z2) for z1 in base.space for z2 in base.space
-                 if f.base.sigma[z1] == f.base.sigma[z2]}
-        rep.add(name, set(f.left_inner) == pairs)
+    index = {z: k for k, z in enumerate(base.space)}
+    for name, table, fiber in (
+            ("left inner product defined on sigma pairs", e.left_inner, base.sigma),
+            ("right inner product defined on rho pairs", e.right_inner, base.rho)):
+        pairs = [(z1, z2) for z1 in base.space for z2 in base.space if fiber[z1] == fiber[z2]]
+        missing = [k for k in pairs if k not in table]
+        extra = sorted(set(table) - set(pairs),
+                       key=lambda k: ([index.get(z, len(index)) for z in k], fmt(k)))
+        wit = (missing or extra or [None])[0]
+        rep.add(name, wit is None, None if wit is None else fmt(wit))
     if not rep.ok:
         return rep
 
@@ -1098,12 +1206,9 @@ def verify_bundle_equivalence(e: BundleEquivalence,
         return rep
 
     # Step 2: inner products land over the bracket arrows.  The base passed
-    # its bracket check, so each side's table has every inner-product pair,
-    # and by freeness inv([z1,z2]) == [z2,z1] and p.[z2,z3] == [p.z2,z3];
-    # steps 3 and 4 rely on both.
-    brackets = {}
+    # its bracket check, so each side's table has every inner-product pair.
     for f, side, orient in sides:
-        br = brackets[side] = bracket_table(f.base)
+        br = bracket_table(f.base)
         bad = next((pair for pair, tsr in f.left_inner.items()
                     if tsr.shape != (f.left_bundle.dim[br[pair]],
                                      e.dims[pair[0]], e.dims[pair[1]])), None)
@@ -1112,151 +1217,104 @@ def verify_bundle_equivalence(e: BundleEquivalence,
     if not rep.ok:
         return rep
 
-    # Step 1: the module actions commute
-    lid, lts = _numbered(e.left_tensors)
-    rid, rts = _numbered(e.right_tensors)
-    right_of = _right_arrows_by_point(base)
-    right_act = base.right_action.act
-    tuples, ids = [], []
-    for (p, z), pz in base.left_action.act.items():
-        for q in right_of[z]:
-            tuples.append((p, z, q))
-            ids.append((rid[(pz, q)], lid[(p, z)], lid[(p, right_act[(q, z)])], rid[(z, q)]))
-    worst, i = worst_residual(
-        _residuals("lmc,maj->lajc", "lam,mjc->lajc", [rts, lts, lts, rts], ids))
-    rep.record_metric("step1 commuting", worst)
-    rep.add("step 1: module actions commute", worst <= tol,
-            None if worst <= tol else fmt(tuples[i]))
+    # Steps 1 and 3-5 and the other classes: one pass outside the corners
+    link = linking_bundle(e)
+    g = link.base
+    kernels = _Products(link)
+    x, y, w = _arrow_ids(g.composable_triples(), kernels.ix, 3)
+    triples = _patterns(g, x, y, w)
+    keep = ~np.isin(triples, _codes("ppp", "qqq"))
+    x, y, w, triples = x[keep], y[keep], w[keep], triples[keep]
+    pairs = _patterns(g, kernels.px, kernels.py)
+    keep = ~np.isin(pairs, _codes("pp", "qq"))
+    px, py, pairs = kernels.px[keep], kernels.py[keep], pairs[keep]
+    assoc, anti = kernels.associativity(x, y, w), kernels.antihomomorphism(px, py)
 
-    # Step 3: adjoint symmetry of both inner products
-    tuples, parts = [], []
-    for f, side, orient in sides:
-        br, f_gpd = brackets[side], f.base.left_groupoid
-        iid, its = _numbered(f.left_inner)
-        aid = {a: k for k, a in enumerate(f_gpd.arrows)}
-        stars = [f.left_bundle.star[a] for a in f_gpd.arrows]
-        ids = [(aid[br[pair]], k, iid[(pair[1], pair[0])]) for pair, k in iid.items()]
-        parts.append(_residuals("kl,lij->kij", "kji->kij",
-                                [stars, [np.conjugate(t) for t in its], its], ids))
-        tuples += [orient(pair) for pair in iid]
-    worst, i = worst_residual(np.concatenate(parts))
-    rep.record_metric("step3 adjoint symmetry", worst)
-    rep.add("step 3: inner products adjoint-symmetric", worst <= tol,
-            None if worst <= tol else fmt(tuples[i]))
+    def rows(codes, *patterns):
+        return np.flatnonzero(np.isin(codes, _codes(*patterns)))
 
-    # Step 4: module compatibility on both sides
-    tuples, parts = [], []
-    for f, side, orient in sides:
-        f_base, br = f.base, brackets[side]
-        iid, its = _numbered(f.left_inner)
-        lid, lts = _numbered(f.left_tensors)
-        mid, mts = _numbered(f.left_bundle.mult)
-        same_sigma = _group_by(f_base.space, f_base.sigma)
-        ids = []
-        for (p, z2), z2p in f_base.left_action.act.items():
-            for z3 in same_sigma[f_base.sigma[z2]]:
-                tuples.append(orient((p, z2, z3)))
-                ids.append((iid[(z2p, z3)], lid[(p, z2)], mid[(p, br[(z2, z3)])],
-                            iid[(z2, z3)]))
-        parts.append(_residuals("lmk,maj->lajk", "laq,qjk->lajk", [its, lts, mts, its], ids))
-    worst, i = worst_residual(np.concatenate(parts))
-    rep.record_metric("step4 module compatibility", worst)
-    rep.add("step 4: inner products compatible with the module actions",
-            worst <= tol, None if worst <= tol else fmt(tuples[i]))
+    def record(name, metric, residuals, at, witness):
+        worst, i = worst_residual(residuals[at])
+        rep.record_metric(metric, worst)
+        rep.add(name, worst <= tol, None if worst <= tol else witness(at[i]))
 
-    # Step 5: the exchange identity  <a,b>_L . c == a . <b,c>_R
-    tuples, residuals, bad = _exchange(e, brackets["left"], brackets["right"])
-    if bad:
-        rep.add("step 5: exchange identity (points)", False, fmt(bad))
-        return rep
-    worst, i = worst_residual(residuals)
-    rep.record_metric("step5 exchange", worst)
-    rep.add("step 5: exchange identity", worst <= tol,
-            None if worst <= tol else fmt(tuples[i]))
+    def points(*cols):  # a step names its tuple without the tags
+        return lambda r: fmt(tuple(g.arrows[c[r]][1] for c in cols))
 
-    # Step 6: per-fiber imprimitivity (fullness and positivity)
+    record("step 1: module actions commute", "step1 commuting",
+           assoc, rows(triples, "pzq"), points(x, y, w))
+    record("step 3: inner products adjoint-symmetric", "step3 adjoint symmetry",
+           anti, np.concatenate([rows(pairs, "zb"), rows(pairs, "bz")]), points(px, py))
+    # the right class of step 4 in the order of the right action table at (q, z2)
+    right = rows(triples, "bzq")
+    rank = {k: n for n, k in enumerate(base.right_action.act)}
+    walk = [rank[(g.arrows[c][1], g.arrows[b][1])] for b, c in zip(y[right], w[right])]
+    record("step 4: inner products compatible with the module actions",
+           "step4 module compatibility", assoc,
+           np.concatenate([rows(triples, "pzb"), right[np.lexsort((x[right], walk))]]),
+           points(x, y, w))
+    record("step 5: exchange identity", "step5 exchange",
+           assoc, rows(triples, "zbz"), points(x, y, w))
+    if rep.ok:  # the other classes, once the named steps hold
+        record("linking bundle: mult associative", "linking bundle: associativity", assoc,
+               np.flatnonzero(~np.isin(triples, _codes("pzq", "pzb", "bzq", "zbz"))),
+               lambda r: f"triple {fmt((g.arrows[x[r]], g.arrows[y[r]], g.arrows[w[r]]))}")
+        record("linking bundle: (ab)* == b*a*", "linking bundle: antihomomorphism", anti,
+               np.flatnonzero(~np.isin(pairs, _codes("zb", "bz"))),
+               lambda r: f"pair {fmt((g.arrows[px[r]], g.arrows[py[r]]))}")
+
+    # Step 6: per-fiber imprimitivity (fullness and positivity), on the unit
+    # fibers of the linking bundle
     from .algebras import fiber_algebra, regular_representation
 
-    bad, worst_pos = None, 0.0
-    rep_cache: dict = {}
-
-    def unit_rep(bundle, unit):
-        key = (id(bundle), unit)
-        if key not in rep_cache:
-            rep_cache[key] = regular_representation(fiber_algebra(bundle, unit))
-        return rep_cache[key]
-
+    bad, worst_pos, reps = None, 0.0, {}
     for z in base.space:
         d = e.dims[z]
-        sides = (("left", p_bundle, e.left_inner[(z, z)], p_gpd.unit_arrow[base.rho[z]]),
-                 ("right", q_bundle, e.right_inner[(z, z)], q_gpd.unit_arrow[base.sigma[z]]))
-        for side, bundle, inner, unit in sides:
+        sides = (("left", e.left_inner[(z, z)], g.unit_arrow[("pu", base.rho[z])]),
+                 ("right", e.right_inner[(z, z)], g.unit_arrow[("qu", base.sigma[z])]))
+        for side, inner, unit in sides:
             # a non-finite inner product has no rank: it fails here, with its z
             if not np.isfinite(inner).all():
                 bad = (f"{side} inner product not finite", z)
-            elif np.linalg.matrix_rank(inner.reshape(bundle.dim[unit], d * d),
-                                       tol=1e-7) != bundle.dim[unit]:
+            elif np.linalg.matrix_rank(inner.reshape(link.dim[unit], d * d),
+                                       tol=1e-7) != link.dim[unit]:
                 bad = (f"{side} fullness", z)
             if bad:
                 break
         if bad:
             break
-        for _side, bundle, inner, unit in sides:
-            worst_pos = min(worst_pos,
-                            unit_rep(bundle, unit).gram_margin(inner.transpose(1, 2, 0)))
+        for _side, inner, unit in sides:
+            if unit not in reps:
+                reps[unit] = regular_representation(fiber_algebra(link, unit))
+            worst_pos = min(worst_pos, reps[unit].gram_margin(inner.transpose(1, 2, 0)))
     rep.add("step 6: inner products full on unit fibers", bad is None,
             f"{bad[0]} at {fmt(bad[1])}" if bad else None)
     rep.record_metric("step6 positivity margin", worst_pos)
     rep.add("step 6: inner products positive", worst_pos >= -tol,
             None if worst_pos >= -tol else f"min eigenvalue {worst_pos:.3e}")
+    rep.linking = link
     return rep
 
 
 def exchange_residual(e: BundleEquivalence) -> float:
     """Max entrywise deviation of <a,b>_L . c - a . <b,c>_R over all triples.
 
-    It is the metric of step 5 of verify_bundle_equivalence, computed alone.
-    """
-    _tuples, residuals, bad = _exchange(e, bracket_table(e.base),
-                                        bracket_table(opposite(e.base)))
-    if bad:
-        raise InvalidStructureError(f"exchange identity: points disagree at {fmt(bad)}")
-    return worst_residual(residuals)[0]
-
-
-def _right_arrows_by_point(base: GroupoidEquivalence) -> dict:
-    """For each point z, the right-groupoid arrows q with z.q defined, in arrow order."""
-    order = {q: k for k, q in enumerate(base.right_groupoid.arrows)}
-    arrows: dict = {z: [] for z in base.space}
-    for (q, z) in base.right_action.act:
-        arrows[z].append(q)
-    for qs in arrows.values():
-        qs.sort(key=order.__getitem__)
-    return arrows
-
-
-def _exchange(e: BundleEquivalence, brackets: dict, brackets_op: dict):
-    """The exchange-identity triples (z1, z2, z3) in order, and their residuals.
-
-    ``brackets`` and ``brackets_op`` are the bracket tables of e.base and of
-    its opposite.  The third value is the first triple whose two sides act
-    on different points, if any; the other two are then None.
+    It is the metric of step 5 of verify_bundle_equivalence, computed alone on
+    linking_bundle(e); it raises if the two sides of a triple lie over
+    different points.
     """
     base = e.base
-    iid, its = _numbered(e.left_inner)
-    jid, jts = _numbered(e.right_inner)
-    lid, lts = _numbered(e.left_tensors)
-    rid, rts = _numbered(e.right_tensors)
-    same_rho = _group_by(base.space, base.rho)
+    brackets, brackets_op = bracket_table(base), bracket_table(opposite(base))
     left_act, right_act = base.left_action.act, base.right_action.act
-    tuples, ids = [], []
-    for (z1, z2), k in iid.items():
+    same_rho = _group_by(base.space, base.rho)
+    for (z1, z2) in e.left_inner:
         p12 = brackets.get((z1, z2))  # None, for a pair with no bracket, fails below
         for z3 in same_rho[base.rho[z2]]:
-            q23 = brackets_op.get((z3, z2))
             point = left_act.get((p12, z3))
-            if point is None or point != right_act.get((q23, z1)):
-                return None, None, (z1, z2, z3)
-            tuples.append((z1, z2, z3))
-            ids.append((lid[(p12, z3)], k, rid[(z1, q23)], jid[(z2, z3)]))
-    return tuples, _residuals("mlk,lij->mijk", "mil,ljk->mijk", [lts, its, rts, jts], ids), None
+            if point is None or point != right_act.get((brackets_op.get((z3, z2)), z1)):
+                raise InvalidStructureError(
+                    f"exchange identity: points disagree at {fmt((z1, z2, z3))}")
+    kernels = _Products(linking_bundle(e))
+    x, y, w = _arrow_ids(kernels.base.composable_triples(), kernels.ix, 3)
+    at = np.isin(_patterns(kernels.base, x, y, w), _codes("zbz"))
+    return worst_residual(kernels.associativity(x[at], y[at], w[at]))[0]

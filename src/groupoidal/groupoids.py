@@ -1008,13 +1008,12 @@ def verify_groupoid_equivalence(e: GroupoidEquivalence) -> ValidationReport:
 
     # both actions passed "defined iff fibring matches": z.q needs rng(q) == sigma(z)
     bad, fibers = None, _group_by(q_gpd.arrows, q_gpd.rng)
-    for (p, z) in e.left_action.act:
+    left, right = e.left_action.act, e.right_action.act
+    for (p, z), pz in left.items():
         for q in fibers.get(e.sigma.get(z), ()):
-            if not e.right_defined(z, q):
-                continue
-            if not e.right_defined(e.left_apply(p, z), q) or \
-               not e.left_defined(p, e.right_apply(z, q)) or \
-               e.right_apply(e.left_apply(p, z), q) != e.left_apply(p, e.right_apply(z, q)):
+            zq = right.get((q, z))
+            if zq is not None and (right.get((q, pz)) is None
+                                   or right[(q, pz)] != left.get((p, zq))):
                 bad = (p, z, q)
                 break
         if bad:

@@ -2,10 +2,11 @@
 
 A BundleEquivalence is assembled into a single linking Fell bundle over the
 linking groupoid (corner arrows, the equivalence space, its formal adjoint
-copy, and the opposite corner).  The section algebra of that bundle is the
-linking algebra; the certificate checks corner fullness, positivity of the
-inner products under the regular representations of the corners, the
-exchange residual, and matching Wedderburn invariants of the two corners.
+copy, and the opposite corner), which verify_bundle_equivalence checks once,
+each step reading its own tag classes.  Its section algebra is the linking
+algebra; the certificate checks corner fullness, positivity of the inner
+products under the regular representations of the corners, the exchange
+residual, and matching Wedderburn invariants of the two corners.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .bundles import (
     FellBundle,
     exchange_residual,
     induced_quotient_bundle_action,
+    linking_bundle,
     make_trivial_cbundle,
     one_sided_equivalence,
     one_sided_transformation_equivalence,
@@ -30,7 +32,6 @@ from .bundles import (
     semidirect_right_fell_bundle,
     symmetric_action_equivalence,
     transformation_bundle_action,
-    validate_fell_bundle,
     verify_bundle_equivalence,
     verify_bundle_iso,
 )
@@ -56,10 +57,8 @@ from .groupoids import (
     GroupAction,
     SpaceAction,
     _components,
-    bracket_table,
     group_set_action,
     left_translation_action,
-    opposite,
     validate_groupoid,
 )
 from .report import InvalidStructureError, ValidationReport
@@ -69,10 +68,9 @@ from .report import InvalidStructureError, ValidationReport
 class LinkingSystem:
     """The linking groupoid, linking bundle, and its section algebra.
 
-    Arrows are tagged: ("p", .) and ("q", .) are the two corners, ("z", .)
-    the equivalence space, ("zb", .) its formal adjoint copy.  The corner
-    projections sum the units of the unit-fiber algebras.  ``verification``
-    is the equivalence's verify_bundle_equivalence report when the system
+    Arrows are tagged as in bundles.linking_bundle.  The corner projections
+    sum the units of the unit-fiber algebras.  ``verification`` is the
+    verify_bundle_equivalence report that checked ``bundle`` when the system
     was assembled with strict=True, else None.
     """
 
@@ -89,77 +87,18 @@ class LinkingSystem:
 
 def linking_system(e: BundleEquivalence, tol: float = DEFAULT_TOL,
                    strict: bool = True) -> LinkingSystem:
-    """Assemble the linking groupoid and bundle from an equivalence.
+    """The linking groupoid, bundle and algebra of an equivalence.
 
-    The (C, B)-bimodule opposite(e) has the right corner of e as its left
-    corner, so both corners and both halves of the Z rows are built by one
-    left-handed pass over e (tag "p") and opposite(e) (tag "q"), whose
-    arrows are read back with src and rng swapped and whose products are
-    read back in reversed order.  The products are listed corner by corner,
-    then the Z rows of e, then those of opposite(e).
-
-    With strict=True the equivalence is verified first; strict=False skips
-    the verification so that deliberately broken data can still be assembled
-    for negative controls.
+    With strict=True the bundle is the one verify_bundle_equivalence checked,
+    and the linking groupoid is validated; strict=False assembles
+    linking_bundle(e) unchecked, for negative controls on broken data.
     """
-    verification = None
     if strict:
         verification = verify_bundle_equivalence(e, tol).require("linking_system")
-
-    base = e.base
-    z_set = base.space
-    sides = ((e, "p", False), (opposite(e), "q", True))
-    src, rng, inv, unit_arrow, dim, star, comp, mult = {}, {}, {}, {}, {}, {}, {}, {}
-    corners = []
-
-    def put(key, value, tensor, from_op):
-        # a product of the opposite bimodule, read back in this one's order
-        if from_op:
-            key, tensor = key[::-1], tensor.transpose(0, 2, 1)
-        comp[key], mult[key] = value, tensor
-
-    for f, tag, from_op in sides:
-        gpd, bun, unit = f.base.left_groupoid, f.left_bundle, tag + "u"
-        s, r = (gpd.rng, gpd.src) if from_op else (gpd.src, gpd.rng)
-        for x in gpd.arrows:
-            src[(tag, x)], rng[(tag, x)] = (unit, s[x]), (unit, r[x])
-            inv[(tag, x)] = (tag, gpd.inv[x])
-            dim[(tag, x)], star[(tag, x)] = bun.dim[x], bun.star[x]
-        unit_arrow.update({(unit, u): (tag, gpd.unit_arrow[u]) for u in gpd.units})
-        corners.append(tuple((tag, x) for x in gpd.arrows))
-        for (x, y), v in gpd.comp.items():
-            put(((tag, x), (tag, y)), (tag, v), bun.mult[(x, y)], from_op)
-
-    for z in z_set:
-        src[("z", z)] = rng[("zb", z)] = ("qu", base.sigma[z])
-        rng[("z", z)] = src[("zb", z)] = ("pu", base.rho[z])
-        inv[("z", z)], inv[("zb", z)] = ("zb", z), ("z", z)
-        dim[("z", z)] = dim[("zb", z)] = e.dims[z]
-        star[("z", z)] = star[("zb", z)] = np.eye(e.dims[z], dtype=complex)
-
-    for f, tag, from_op in sides:
-        brackets = bracket_table(f.base)
-        for (p, z), v in f.base.left_action.act.items():
-            put(((tag, p), ("z", z)), ("z", v), f.left_tensors[(p, z)], from_op)
-            # adjoint row: zbar . inv(p) = (p . z)bar
-            pi = f.base.left_groupoid.inv[p]
-            put((("zb", z), (tag, pi)), ("zb", v), np.conjugate(np.einsum(
-                "lai,ag->lig", f.left_tensors[(p, z)], f.left_bundle.star[pi])), from_op)
-        for (z1, z2), tensor in f.left_inner.items():
-            if (z1, z2) not in brackets:  # reachable only with strict=False
-                raise InvalidStructureError(f"no bracket at ({fmt(z1)},{fmt(z2)})")
-            put((("z", z1), ("zb", z2)), (tag, brackets[(z1, z2)]), tensor, from_op)
-
-    arrows = (corners[0] + tuple(("z", z) for z in z_set)
-              + tuple(("zb", z) for z in z_set) + corners[1])
-    # the units are the keys of unit_arrow: the left corner's, then the right's
-    groupoid = FiniteGroupoid(tuple(unit_arrow), arrows, src, rng, comp, inv, unit_arrow)
-    if strict:
-        validate_groupoid(groupoid).require("linking groupoid")
-
-    bundle = FellBundle(groupoid, dim, mult, star)
-    if strict:
-        validate_fell_bundle(bundle, tol).require("linking bundle")
+        bundle = verification.linking
+        validate_groupoid(bundle.base).require("linking groupoid")
+    else:
+        verification, bundle = None, linking_bundle(e)
 
     algebra = section_algebra(bundle)
     algebra.provenance = "linking algebra"
@@ -168,7 +107,7 @@ def linking_system(e: BundleEquivalence, tol: float = DEFAULT_TOL,
 
     proj_l = _corner_projection(algebra, bundle, "pu")
     proj_r = _corner_projection(algebra, bundle, "qu")
-    return LinkingSystem(e, groupoid, bundle, algebra,
+    return LinkingSystem(e, bundle.base, bundle, algebra,
                          corner_left, corner_right, proj_l, proj_r, verification)
 
 

@@ -13,8 +13,11 @@ import pytest
 from groupoidal import (
     BundleAction,
     exchange_residual,
+    group_set_action,
     identity_fiber_maps,
+    left_translation_action,
     linking_system,
+    one_sided_equivalence,
     opposite,
     quotient_fell_bundle,
     symmetric_action_equivalence,
@@ -24,10 +27,17 @@ from groupoidal import (
     verify_bundle_equivalence,
 )
 from groupoidal import bundles
+from groupoidal.bundles import transformation_bundle_action
 from groupoidal._util import fmt
-from groupoidal.instances import random_free_action_instance, random_free_commuting_instance
+from groupoidal.instances import (
+    random_free_action_instance,
+    random_free_commuting_instance,
+    symmetric_z2z2_bundle,
+)
 
 from conftest import bracket_by_search
+from test_morita import two_dimensional_fiber_instance
+from test_positivity import matrix_fiber_bundle
 
 
 def test_residual_kernel_matches_each_tuple(monkeypatch):
@@ -189,6 +199,63 @@ def test_equivalence_kernels_match_reference(seed):
         expected = fmt(wit) if worst > 1e-9 else None
         assert witness(rep, STEPS[metric]) == expected
     assert exchange_residual(e) == rep.metrics["step5 exchange"]
+
+
+def two_dimensional_equivalence(rng, kind):
+    """An equivalence whose fibers are two-dimensional, or full 2 x 2 matrices."""
+    if kind == "one-sided":  # over a two-dimensional draw of a free action
+        while True:
+            bundle, hba = random_free_action_instance(rng)
+            if max(bundle.dim.values()) > 1:
+                return one_sided_equivalence(bundle, hba.converted())
+    if kind == "symmetric":
+        return symmetric_action_equivalence(*two_dimensional_fiber_instance())
+    # M2 fibers over Z/2 as a transformation bundle, as the coaction demo builds it
+    b = matrix_fiber_bundle(2, 2)
+    grp = b.base
+    rt = group_set_action(
+        grp, grp.elements,
+        {(t, u): grp.mul(u, grp.inv_elem(t)) for t in grp.elements for u in grp.elements},
+        "left")
+    gba = transformation_bundle_action(b, left_translation_action(grp), rt)
+    return one_sided_equivalence(gba.bundle, gba)
+
+
+@pytest.mark.parametrize("kind", ["one-sided", "symmetric", "matrix"])
+@pytest.mark.parametrize("seed", range(4))
+def test_equivalence_kernels_match_reference_on_wide_fibers(kind, seed):
+    # every residual of a fiber wider than 1 is a sum of products
+    rng = np.random.default_rng(6000 + seed)
+    e = two_dimensional_equivalence(rng, kind)
+    assert max(e.dims.values()) > 1
+    names = ("left_tensors", "right_tensors", "left_inner", "right_inner")
+    corrupt(getattr(e, names[seed]), rng, 2.0 if seed % 2 else None)
+    rep = verify_bundle_equivalence(e)
+    assert not rep.ok
+    for metric, (worst, wit) in reference_equivalence(e).items():
+        assert rep.metrics[metric] == worst
+        expected = fmt(wit) if worst > 1e-9 else None
+        assert witness(rep, STEPS[metric]) == expected
+    assert exchange_residual(e) == rep.metrics["step5 exchange"]
+
+
+def test_strict_linking_system_evaluates_each_tuple_once(monkeypatch):
+    # the corners are validated as the left and right bundles and every other
+    # tuple of the linking groupoid in one pass, so the kernels see each
+    # composable triple and pair once
+    e = symmetric_action_equivalence(*symmetric_z2z2_bundle())
+    rows = {3: 0, 4: 0}  # by the number of output indices: pairs, triples
+    original = bundles._residuals
+
+    def counting(lhs, rhs, tables, ids):
+        rows[len(lhs.split("->")[1])] += len(np.asarray(ids).reshape(-1, len(tables)))
+        return original(lhs, rhs, tables, ids)
+
+    monkeypatch.setattr(bundles, "_residuals", counting)
+    ls = linking_system(e)
+    monkeypatch.undo()
+    assert rows[4] == len(list(ls.groupoid.composable_triples()))
+    assert rows[3] == len(list(ls.groupoid.composable_pairs()))
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -130,6 +130,34 @@ def test_nan_diagonal_inner_product_fails_step_6(z2z2_bundle):
     assert "step 5: exchange identity" in failures
 
 
+def test_inner_product_coverage_names_the_pair(z2z2_bundle):
+    # the witness is the first missing pair, else the first extra pair, in
+    # space order, as e's (z1, z2)
+    e = symmetric_action_equivalence(*z2z2_bundle)
+    space = e.base.space
+    checks = (("left inner product defined on sigma pairs", e.left_inner, e.base.sigma),
+              ("right inner product defined on rho pairs", e.right_inner, e.base.rho))
+
+    def witnesses():
+        failures = {c.name: c.witness for c in verify_bundle_equivalence(e).failures()}
+        return [failures.get(name) for name, _table, _fiber in checks]
+
+    defined, outside = [], []
+    for _name, table, fiber in checks:
+        same = [(z1, z2) for z1 in space for z2 in space if fiber[z1] == fiber[z2]]
+        other = [(z1, z2) for z1 in space for z2 in space if fiber[z1] != fiber[z2]]
+        defined.append(same)
+        outside.append(other[0])
+        for key in (other[-1], other[0]):  # the first in space order is added last
+            table[key] = table[(key[0], key[0])]
+    assert witnesses() == [fmt(pair) for pair in outside]
+
+    for (_name, table, _fiber), same in zip(checks, defined):
+        for key in (same[-1], same[1]):
+            del table[key]
+    assert witnesses() == [fmt(same[1]) for same in defined]
+
+
 HASH_CASE = """
 from groupoidal import linking_system, symmetric_action_equivalence, validate_fell_bundle
 from groupoidal.instances import symmetric_z2z2_bundle
