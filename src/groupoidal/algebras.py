@@ -308,14 +308,21 @@ def section_algebra(b: FellBundle) -> StarAlgebra:
     """
     g = b.base
     basis = tuple((x, i) for x in g.arrows for i in range(b.dim[x]))
-    fiber, n = {}, 0  # arrow -> (first coordinate, dimension)
-    for x in g.arrows:
-        fiber[x], n = (n, b.dim[x]), n + b.dim[x]
+    fiber, n = _section_fibers(b)
     struct = np.zeros((n, n, n), dtype=complex)
     _scatter(struct, list(b.mult.values()), [(g.comp[p], *p) for p in b.mult], fiber)
     invol = np.zeros((n, n), dtype=complex)
     _scatter(invol, [b.star[x] for x in g.arrows], [(g.inv[x], x) for x in g.arrows], fiber)
     return StarAlgebra(basis, struct, invol, provenance="sections")
+
+
+def _section_fibers(b: FellBundle) -> tuple[dict, int]:
+    """Each arrow's (first coordinate, dimension) in the basis of
+    section_algebra(b), and the dimension of that algebra."""
+    fiber, n = {}, 0
+    for x in b.base.arrows:
+        fiber[x], n = (n, b.dim[x]), n + b.dim[x]
+    return fiber, n
 
 
 def _scatter(out: np.ndarray, tensors: list, arrows: list, fiber: dict) -> None:

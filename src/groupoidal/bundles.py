@@ -625,13 +625,16 @@ class BundleModuleAction:
     """A Fell bundle acting on a fibered family of vector spaces.
 
     tensors[(p, z)] has shape (carrier_dim[base.act(p, z)], acting fiber dim,
-    carrier_dim[z]) and is defined exactly where the base action is.
+    carrier_dim[z]) and is defined exactly where the base action is.  For
+    the orbit actions below, ``quotient`` is the map onto the orbit bundle
+    that the acting bundle is built on.
     """
 
     acting: FellBundle
     base: SpaceAction
     carrier_dims: dict
     tensors: dict
+    quotient: BundleQuotientMap | None = None
 
 
 def orbit_bundle_action(a: FellBundle, ba: BundleAction) -> BundleModuleAction:
@@ -647,19 +650,25 @@ def orbit_bundle_action(a: FellBundle, ba: BundleAction) -> BundleModuleAction:
         tensors[(p, z)] = np.einsum(
             "kaj,ai->kij", a.mult[(tp, z)], ba.fiber_maps[(t, p)])
     dims = {z: a.dim[z] for z in a.base.arrows}
-    return BundleModuleAction(qb, base, dims, tensors)
+    return BundleModuleAction(qb, base, dims, tensors, qm)
 
 
 def semidirect_orbit_bundle_action(a: FellBundle, g: BundleAction,
-                                   h: BundleAction,
-                                   _quotient: tuple | None = None) -> BundleModuleAction:
+                                   h: BundleAction) -> BundleModuleAction:
     """(a/H) x| G acting on the fibers of a, (a.H, t).b = (a.h)(t.b).
 
     The representative shift h with src(a).h == t.rng(b) realizes the module
     product when sources do not literally match.
     """
     _check_symmetric_bundle_hypotheses(a, g, h)
-    quot = _quotient if _quotient is not None else quotient_fell_bundle(a, h)
+    return _semidirect_orbit_bundle_action(a, g, h)
+
+
+def _semidirect_orbit_bundle_action(a: FellBundle, g: BundleAction,
+                                    h: BundleAction) -> BundleModuleAction:
+    """semidirect_orbit_bundle_action without checking the symmetric
+    hypotheses, which the caller has checked."""
+    quot = quotient_fell_bundle(a, h)
     qb, qm = quot
     g_on_quot = induced_quotient_bundle_action(a, g, quot)
     acting = semidirect_fell_bundle(qb, g_on_quot)
@@ -683,7 +692,7 @@ def semidirect_orbit_bundle_action(a: FellBundle, g: BundleAction,
             "kab,ai,bj->kij", a.mult[(pk, tz)],
             h.fiber_maps[(k, p)], g.fiber_maps[(t, z)])
     dims = {z: a.dim[z] for z in a.base.arrows}
-    return BundleModuleAction(acting, base, dims, tensors)
+    return BundleModuleAction(acting, base, dims, tensors, qm)
 
 
 def check_module_action(m: BundleModuleAction, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -889,15 +898,12 @@ def _opposite_bundle_equivalence(e: BundleEquivalence) -> BundleEquivalence:
     )
 
 
-def _left_module(a: FellBundle, g: BundleAction, h: BundleAction, sigma: dict):
-    """The left half of the symmetric equivalence: a/H x| G acting on a.
-
-    Returns the module action and the inner product <a, b>_L = (a(t.b*).H, t)
-    on the pairs with equal ``sigma``, t the unique matching translate.
-    """
-    quot = quotient_fell_bundle(a, h)
-    module = semidirect_orbit_bundle_action(a, g, h, _quotient=quot)
-    x, gact, transport = a.base, g.base_action, quot[1].fiber_transport
+def _left_inner(a: FellBundle, g: BundleAction, module: BundleModuleAction,
+                sigma: dict) -> dict:
+    """The left inner product of the symmetric equivalence, with ``module``
+    the action of a/H x| G on a: <a, b>_L = (a(t.b*).H, t) on the pairs
+    with equal ``sigma``, t the unique matching translate."""
+    x, gact, transport = a.base, g.base_action, module.quotient.fiber_transport
     inner = {}
     for z1 in x.arrows:
         for z2 in x.arrows:
@@ -908,7 +914,7 @@ def _left_module(a: FellBundle, g: BundleAction, h: BundleAction, sigma: dict):
                 inner[(z1, z2)] = np.einsum(
                     "lm,mic,cj->lij",
                     transport[x.comp[(z1, tz2i)]], a.mult[(z1, tz2i)], twist)
-    return module, inner
+    return inner
 
 
 def symmetric_action_equivalence(a: FellBundle, g: BundleAction,
@@ -921,12 +927,17 @@ def symmetric_action_equivalence(a: FellBundle, g: BundleAction,
       right action  a.(k, G.b) = (a.k)(t.b)
       right inner   <a, b>_R  = (k, G.((a*.k)b))
     The right half is the left half for a^op under H^op and G^op, read back
-    through opposite() with each label (G.b, k) renamed (k, G.b).
+    through opposite() with each label (G.b, k) renamed (k, G.b).  The
+    symmetric hypotheses are checked once, by semidirect_orbit_bundle_action
+    on the left half; they hold for the opposite data exactly when they hold
+    for the data, so the right half is built unchecked.
     """
-    _check_symmetric_bundle_hypotheses(a, g, h)
+    left = semidirect_orbit_bundle_action(a, g, h)
+    a_op, h_op, g_op = opposite(a), opposite(h), opposite(g)
+    right = _semidirect_orbit_bundle_action(a_op, h_op, g_op)
     base = symmetric_groupoid_equivalence(a.base, g.base_action, h.base_action)
-    left, left_inner = _left_module(a, g, h, base.sigma)
-    right, right_inner = _left_module(opposite(a), opposite(h), opposite(g), base.rho)
+    left_inner = _left_inner(a, g, left, base.sigma)
+    right_inner = _left_inner(a_op, h_op, right, base.rho)
     q_op, q_gpd, x = opposite(right.acting), base.right_groupoid, a.base
     return BundleEquivalence(
         base=base,
@@ -1302,8 +1313,15 @@ def exchange_residual(e: BundleEquivalence) -> float:
 
     It is the metric of step 5 of verify_bundle_equivalence, computed alone
     over the (z, zb, z) triples of linking_bundle(e); it raises if the two
-    sides of a triple lie over different points.
+    sides of a triple lie over different points, before assembling it.
     """
+    triples = _exchange_triples(e)
+    return _exchange_residual(linking_bundle(e), triples)
+
+
+def _exchange_triples(e: BundleEquivalence) -> list:
+    """The (z, zb, z) triples of e's linking groupoid, left inner-product
+    table order; raises if the two sides of one lie over different points."""
     base = e.base
     brackets, brackets_op = bracket_table(base), bracket_table(opposite(base))
     left_act, right_act = base.left_action.act, base.right_action.act
@@ -1317,5 +1335,11 @@ def exchange_residual(e: BundleEquivalence) -> float:
                 raise InvalidStructureError(
                     f"exchange identity: points disagree at {fmt((z1, z2, z3))}")
             triples.append((("z", z1), ("zb", z2), ("z", z3)))
-    kernels = _Products(linking_bundle(e))
+    return triples
+
+
+def _exchange_residual(link: FellBundle, triples: list) -> float:
+    """The worst associativity residual of a linking bundle over the given
+    (z, zb, z) triples: the exchange residual of its equivalence."""
+    kernels = _Products(link)
     return worst_residual(kernels.associativity(*_arrow_ids(triples, kernels.ix, 3)))[0]

@@ -4,15 +4,20 @@ A BundleEquivalence is assembled into a single linking Fell bundle over the
 linking groupoid (corner arrows, the equivalence space, its formal adjoint
 copy, and the opposite corner), which verify_bundle_equivalence checks once,
 each step reading its own tag classes.  Its section algebra is the linking
-algebra; the certificate checks corner fullness, positivity of the inner
-products under the regular representations of the corners, the exchange
-residual, and matching Wedderburn invariants of the two corners.
+algebra.  The certificate reads only its two corners, the section algebras
+of the linking bundle restricted to one tag each, and the products of the
+linking bundle that involve a unit arrow; the dense linking algebra is built
+only on demand.  The certificate checks corner fullness, positivity of the
+inner products under the regular representations of the corners, the
+exchange residual, that the corner projections sum to the unit, and
+matching Wedderburn invariants of the two corners.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +27,8 @@ from .bundles import (
     BundleEquivalence,
     BundleIso,
     FellBundle,
-    exchange_residual,
+    _exchange_residual,
+    _exchange_triples,
     induced_quotient_bundle_action,
     linking_bundle,
     make_trivial_cbundle,
@@ -41,14 +47,15 @@ from .algebras import (
     Representation,
     StarAlgebra,
     StarStructureReport,
+    _section_fibers,
     check_algebra_action,
     crossed_product,
+    fiber_algebra,
     induced_algebra,
     regular_representation,
     section_action,
     section_algebra,
     star_structure_report,
-    subalgebra,
     verify_algebra_iso,
 )
 from .groupoids import (
@@ -66,32 +73,44 @@ from .report import InvalidStructureError, ValidationReport
 
 @dataclass(eq=False)
 class LinkingSystem:
-    """The linking groupoid, linking bundle, and its section algebra.
+    """The linking groupoid and bundle of an equivalence, and its corners.
 
-    Arrows are tagged as in bundles.linking_bundle.  The corner projections
-    sum the units of the unit-fiber algebras.  ``verification`` is the
-    verify_bundle_equivalence report that checked ``bundle`` when the system
-    was assembled with strict=True, else None.
+    Arrows are tagged as in bundles.linking_bundle.  Each corner is the
+    section algebra of the linking bundle restricted to the arrows of one
+    tag, "p" on the left and "q" on the right: the linking algebra's basis,
+    constants and involution on the corner's coordinates.  The corner
+    projections, in linking-algebra coordinates, sum the units of the
+    unit-fiber algebras.  ``algebra``, the dense linking algebra, is built
+    on first read; the certificate does not read it.  ``verification`` is
+    the verify_bundle_equivalence report that checked ``bundle`` when the
+    system was assembled with strict=True, else None.
     """
 
     equivalence: BundleEquivalence
     groupoid: FiniteGroupoid
     bundle: FellBundle
-    algebra: StarAlgebra
     corner_left: StarAlgebra
     corner_right: StarAlgebra
     projection_left: np.ndarray
     projection_right: np.ndarray
     verification: ValidationReport | None = None
 
+    @cached_property
+    def algebra(self) -> StarAlgebra:
+        algebra = section_algebra(self.bundle)
+        algebra.provenance = "linking algebra"
+        return algebra
+
 
 def linking_system(e: BundleEquivalence, tol: float = DEFAULT_TOL,
                    strict: bool = True) -> LinkingSystem:
-    """The linking groupoid, bundle and algebra of an equivalence.
+    """The linking groupoid, bundle and corners of an equivalence.
 
     With strict=True the bundle is the one verify_bundle_equivalence checked,
     and the linking groupoid is validated; strict=False assembles
     linking_bundle(e) unchecked, for negative controls on broken data.
+    Either way each corner is built from the linking bundle restricted to
+    its tag, and the linking algebra is left to ``LinkingSystem.algebra``.
     """
     if strict:
         verification = verify_bundle_equivalence(e, tol).require("linking_system")
@@ -100,35 +119,95 @@ def linking_system(e: BundleEquivalence, tol: float = DEFAULT_TOL,
     else:
         verification, bundle = None, linking_bundle(e)
 
-    algebra = section_algebra(bundle)
-    algebra.provenance = "linking algebra"
-    corner_left = subalgebra(algebra, lambda lbl: lbl[0][0] == "p", "left corner")
-    corner_right = subalgebra(algebra, lambda lbl: lbl[0][0] == "q", "right corner")
-
-    proj_l = _corner_projection(algebra, bundle, "pu")
-    proj_r = _corner_projection(algebra, bundle, "qu")
-    return LinkingSystem(e, bundle.base, bundle, algebra,
-                         corner_left, corner_right, proj_l, proj_r, verification)
+    return LinkingSystem(e, bundle.base, bundle,
+                         _corner(bundle, "p", "left corner"),
+                         _corner(bundle, "q", "right corner"),
+                         _corner_projection(bundle, "pu"), _corner_projection(bundle, "qu"),
+                         verification)
 
 
-def _corner_projection(algebra: StarAlgebra, bundle: FellBundle, unit_tag: str) -> np.ndarray:
-    """Sum of the unit-fiber algebra units over one corner's units."""
-    from .algebras import fiber_algebra
+def _corner(bundle: FellBundle, tag: str, provenance: str) -> StarAlgebra:
+    """The section algebra of the linking bundle over the arrows tagged ``tag``.
 
-    vec = np.zeros(algebra.dimension, dtype=complex)
+    The arrows keep their linking-groupoid order, so the basis, constants
+    and involution are the linking algebra's on those coordinates, provided
+    the corner is closed: every product of two corner arrows, in product
+    order, and the inverse of every corner arrow must be a corner arrow.
+    The first that is not raises, naming it.
+    """
+    g = bundle.base
+    arrows = tuple(x for x in g.arrows if x[0] == tag)
+    inside = set(arrows)
+    pairs = [p for p in bundle.mult if p[0] in inside and p[1] in inside]
+    bad = next((p for p in pairs if g.comp[p] not in inside), None)
+    if bad is not None:
+        raise InvalidStructureError(
+            f"{provenance} not closed: product at {fmt(bad)} lies over {fmt(g.comp[bad])}")
+    bad = next((x for x in arrows if g.inv[x] not in inside), None)
+    if bad is not None:
+        raise InvalidStructureError(
+            f"{provenance} not closed: inverse of {fmt(bad)} is {fmt(g.inv[bad])}")
+    units = tuple(u for u in g.units if u[0] == tag + "u")
+    base = FiniteGroupoid(units, arrows, {x: g.src[x] for x in arrows},
+                          {x: g.rng[x] for x in arrows}, {p: g.comp[p] for p in pairs},
+                          {x: g.inv[x] for x in arrows}, {u: g.unit_arrow[u] for u in units})
+    algebra = section_algebra(FellBundle(base, {x: bundle.dim[x] for x in arrows},
+                                         {p: bundle.mult[p] for p in pairs},
+                                         {x: bundle.star[x] for x in arrows}))
+    algebra.provenance = provenance
+    return algebra
+
+
+def _corner_projection(bundle: FellBundle, unit_tag: str) -> np.ndarray:
+    """Sum of the unit-fiber algebra units over one corner's units, in the
+    coordinates of the linking algebra."""
+    fibers, n = _section_fibers(bundle)
+    vec = np.zeros(n, dtype=complex)
     for u in bundle.base.units:
         if u[0] != unit_tag:
             continue
         ua = bundle.base.unit_arrow[u]
-        fib = fiber_algebra(bundle, ua)
-        unit = fib.unit()
+        unit = fiber_algebra(bundle, ua).unit()
         if unit is None:
             raise InvalidStructureError(
                 f"unit fiber at {fmt(u)} has no multiplicative unit"
             )
-        for i, c in enumerate(unit):
-            vec[algebra.basis.index((ua, i))] = c
+        first = fibers[ua][0]
+        vec[first:first + len(unit)] = unit
     return vec
+
+
+def _acts_as_unit(bundle: FellBundle, p: np.ndarray, limit: float) -> bool:
+    """Whether p e_j == e_j == e_j p, to ``limit``, for every basis element
+    e_j of the linking algebra, p a vector supported on the unit arrows.
+
+    Only the products of the linking bundle with a unit arrow on the left
+    (for p e_j) or on the right (for e_j p) meet p's support; each fills one
+    block of the n x n matrix of multiplication by p, and both matrices are
+    compared with the identity.  A linking product that is not finite, or
+    an empty bundle, fails, as in the dense matrices (NaN times their
+    zeros).  Entries beyond a fiber's dimension are dropped, as in
+    section_algebra.
+    """
+    g = bundle.base
+    fibers, n = _section_fibers(bundle)
+    values = np.concatenate([np.zeros(0)] + [t.ravel() for t in bundle.mult.values()])
+    if n == 0 or not np.isfinite(values).all():
+        return False
+    units = {g.unit_arrow[u] for u in g.units}
+    left, right = np.zeros((2, n, n), dtype=complex)
+    for (x, y), t in bundle.mult.items():
+        if x not in units and y not in units:
+            continue
+        (k0, dk), (i0, di), (j0, dj) = fibers[g.comp[(x, y)]], fibers[x], fibers[y]
+        t = t[:dk, :di, :dj]
+        dk, di, dj = t.shape
+        if x in units:
+            left[k0:k0 + dk, j0:j0 + dj] += np.einsum("kij,i->kj", t, p[i0:i0 + di])
+        if y in units:
+            right[k0:k0 + dk, i0:i0 + di] += np.einsum("kij,j->ki", t, p[j0:j0 + dj])
+    eye = np.eye(n)
+    return deviation(left, eye) <= limit and deviation(right, eye) <= limit
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +293,13 @@ def verify_morita(ls: LinkingSystem, tol: float = DEFAULT_TOL,
     block: the same number, up to roundoff, as for one Gram over all
     sections in the whole representation.  An inner product that is not
     finite makes the certificate not-certified, with a note naming it.
+
+    The exchange residual of an unverified system is read from ``ls.bundle``.
+    That the corner projections sum to the unit is checked on the products
+    of ``ls.bundle`` with a unit arrow (``_acts_as_unit``); only if that
+    fails is the dense ``ls.algebra`` built, to solve for its unit.
     """
     e = ls.equivalence
-    alg = ls.algebra
     notes = []
     for side, inner in (("left", e.left_inner), ("right", e.right_inner)):
         bad = next((key for key, t in inner.items() if not np.isfinite(t).all()), None)
@@ -239,17 +322,17 @@ def verify_morita(ls: LinkingSystem, tol: float = DEFAULT_TOL,
     pos_r = _positivity_margin(ls, "right", pi_r, rep_r, tol)
 
     # strict assembly already verified the exchange identity (step 5)
-    ex_res = (exchange_residual(e) if ls.verification is None
+    ex_res = (_exchange_residual(ls.bundle, _exchange_triples(e)) if ls.verification is None
               else ls.verification.metrics["step5 exchange"])
 
     # the corner projections should sum to the unit: check p e_j == e_j p
-    # == e_j directly, and solve for a unit only when that fails; a linking
-    # algebra with non-finite products has no unit to solve for
+    # == e_j from the linking bundle's unit products, and solve for a unit in
+    # the dense linking algebra only when that fails; a linking algebra with
+    # non-finite products has no unit to solve for
     p = ls.projection_left + ls.projection_right
-    eye, limit = np.eye(alg.dimension), max(tol, 1e-8)
-    if finite and not (alg.dimension and deviation(alg.left_matrix(p), eye) <= limit
-                       and deviation(alg.right_matrix(p), eye) <= limit):
-        unit = alg.unit()
+    limit = max(tol, 1e-8)
+    if finite and not _acts_as_unit(ls.bundle, p, limit):
+        unit = ls.algebra.unit()
         if unit is None:
             notes.append("linking algebra has no unit")
         else:
