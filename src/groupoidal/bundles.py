@@ -898,12 +898,11 @@ def _opposite_bundle_equivalence(e: BundleEquivalence) -> BundleEquivalence:
     )
 
 
-def _left_inner(a: FellBundle, g: BundleAction, module: BundleModuleAction,
-                sigma: dict) -> dict:
-    """The left inner product of the symmetric equivalence, with ``module``
-    the action of a/H x| G on a: <a, b>_L = (a(t.b*).H, t) on the pairs
-    with equal ``sigma``, t the unique matching translate."""
-    x, gact, transport = a.base, g.base_action, module.quotient.fiber_transport
+def _left_inner(a: FellBundle, g: BundleAction, transport: dict, sigma: dict) -> dict:
+    """The left inner product of the symmetric equivalence, with ``transport``
+    the fiber transport of a onto a/H: <a, b>_L = (a(t.b*).H, t) on the
+    pairs with equal ``sigma``, t the unique matching translate."""
+    x, gact = a.base, g.base_action
     inner = {}
     for z1 in x.arrows:
         for z2 in x.arrows:
@@ -936,8 +935,8 @@ def symmetric_action_equivalence(a: FellBundle, g: BundleAction,
     a_op, h_op, g_op = opposite(a), opposite(h), opposite(g)
     right = _semidirect_orbit_bundle_action(a_op, h_op, g_op)
     base = symmetric_groupoid_equivalence(a.base, g.base_action, h.base_action)
-    left_inner = _left_inner(a, g, left, base.sigma)
-    right_inner = _left_inner(a_op, h_op, right, base.rho)
+    left_inner = _left_inner(a, g, left.quotient.fiber_transport, base.sigma)
+    right_inner = _left_inner(a_op, h_op, right.quotient.fiber_transport, base.rho)
     q_op, q_gpd, x = opposite(right.acting), base.right_groupoid, a.base
     return BundleEquivalence(
         base=base,
