@@ -1,8 +1,9 @@
 """Byte-for-byte golden outputs, so refactors prove behaviour is unchanged.
 
 The goldens under ``tests/golden/`` hold the CLI ``--json`` reports for the
-shipped model and the built-in demos (seed 0, default flags), and the
-failing checks, with their witnesses, of three corrupted instances: a
+shipped model, the transformation and C*-bundle scenarios of the model
+texts in ``test_modelio`` and the built-in demos (seed 0, default flags),
+and the failing checks, with their witnesses, of three corrupted instances: a
 bundle equivalence with one right inner product negated, one with a right
 module tensor perturbed, and a linking bundle with one product tensor
 scaled.  Regenerate them all with ``PYTHONPATH=src python
@@ -25,6 +26,8 @@ from groupoidal import (
 from groupoidal.cli import main
 from groupoidal.instances import symmetric_z2z2_bundle
 
+from test_modelio import COVERAGE_MODEL, _cstar_model_text
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MODEL = str(Path(__file__).resolve().parent.parent / "models" / "symmetric_z2z2.model")
 
@@ -40,11 +43,24 @@ CLI_RUNS = {
     "demo_coaction_z3": ["demo", "coaction", "--group", "Z3"],
 }
 
+# certificates of scenarios declared in model texts, run from a written copy
+MODEL_RUNS = {
+    "morita_trans": (COVERAGE_MODEL, ["morita", "trans"]),
+    "morita_cstar": (_cstar_model_text(None), ["morita", "cstar"]),
+}
+
 
 def cli_report(args, workdir) -> bytes:
     out = Path(workdir) / "report.json"
     main([*args, "--json", str(out)])
     return out.read_bytes()
+
+
+def model_report(name, workdir) -> bytes:
+    text, args = MODEL_RUNS[name]
+    model = Path(workdir) / "scenario.model"
+    model.write_text(text)
+    return cli_report([*args, str(model)], workdir)
 
 
 def failures_json(rep) -> bytes:
@@ -96,6 +112,11 @@ def test_cli_report_matches_golden(name, tmp_path):
     assert cli_report(CLI_RUNS[name], tmp_path) == (GOLDEN / f"{name}.json").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(MODEL_RUNS))
+def test_model_text_report_matches_golden(name, tmp_path):
+    assert model_report(name, tmp_path) == (GOLDEN / f"{name}.json").read_bytes()
+
+
 def test_right_inner_corruption_matches_golden():
     golden = (GOLDEN / "right_inner_corruption.json").read_bytes()
     assert right_corruption_failures() == golden
@@ -113,6 +134,8 @@ def _regenerate() -> None:
     with tempfile.TemporaryDirectory() as workdir:
         for name, args in CLI_RUNS.items():
             (GOLDEN / f"{name}.json").write_bytes(cli_report(args, workdir))
+        for name in MODEL_RUNS:
+            (GOLDEN / f"{name}.json").write_bytes(model_report(name, workdir))
     (GOLDEN / "right_inner_corruption.json").write_bytes(right_corruption_failures())
     for name, failures in WITNESS_RUNS.items():
         (GOLDEN / f"{name}.json").write_bytes(failures())
