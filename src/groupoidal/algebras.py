@@ -383,23 +383,20 @@ class Representation:
     """Matrices of the basis elements in a GNS-style orthonormal basis."""
 
     size: int
-    matrices: list
+    matrices: np.ndarray  # (dimension, size, size): pi(e_k) for each basis element
     faithful: bool
     gram_rank: int
     gram_min_eig: float
     mult_residual: float
     star_residual: float
     notes: list = field(default_factory=list)
-    _stack: np.ndarray = field(default=None, repr=False)
     # orthonormal basis of the representation space (columns, in algebra
     # coordinates) and the projection onto its coordinates
     _basis: np.ndarray = field(default=None, repr=False)
     _proj: np.ndarray = field(default=None, repr=False)
 
     def stack(self) -> np.ndarray:
-        if self._stack is None:
-            self._stack = np.array(self.matrices)
-        return self._stack
+        return self.matrices
 
     def of_vec(self, v) -> np.ndarray:
         return np.tensordot(np.asarray(v), self.stack(), axes=(0, 0))
@@ -480,9 +477,9 @@ def regular_representation(a: StarAlgebra, tol: float = DEFAULT_TOL) -> Represen
     if not np.isfinite(gram).all():
         nan, empty = float("nan"), np.zeros((n, 0, 0), dtype=complex)
         return Representation(
-            size=0, matrices=list(empty), faithful=False, gram_rank=0,
+            size=0, matrices=empty, faithful=False, gram_rank=0,
             gram_min_eig=nan, mult_residual=nan, star_residual=nan,
-            notes=["trace form not finite"], _stack=empty,
+            notes=["trace form not finite"],
             _basis=np.zeros((n, 0), dtype=complex), _proj=np.zeros((0, n), dtype=complex))
     herm_defect = deviation(gram, gram.conj().T)
     gram = 0.5 * (gram + gram.conj().T)
@@ -507,7 +504,6 @@ def regular_representation(a: StarAlgebra, tol: float = DEFAULT_TOL) -> Represen
     basis_t = eigvecs[:, keep] / np.sqrt(eigvals[keep])
     proj = basis_t.conj().T @ gram  # coordinates in the orthonormal basis
     stack = _block_stack(a.struct, proj, basis_t, comp, comp[members[keep]])
-    mats = list(stack)
 
     mult_res, star_res = 0.0, 0.0
     if stack.size:
@@ -526,14 +522,13 @@ def regular_representation(a: StarAlgebra, tol: float = DEFAULT_TOL) -> Represen
     faithful = rank == n and min_eig >= -tol * scale and herm_defect <= tol
     return Representation(
         size=int(rank),
-        matrices=mats,
+        matrices=stack,
         faithful=faithful,
         gram_rank=rank,
         gram_min_eig=min_eig,
         mult_residual=mult_res,
         star_residual=star_res,
         notes=notes,
-        _stack=stack,
         _basis=basis_t,
         _proj=proj,
     )

@@ -5,12 +5,13 @@ linking groupoid (corner arrows, the equivalence space, its formal adjoint
 copy, and the opposite corner), which verify_bundle_equivalence checks once,
 each step reading its own tag classes.  Its section algebra is the linking
 algebra.  The certificate reads only its two corners, the section algebras
-of the linking bundle restricted to one tag each, and the products of the
-linking bundle that involve a unit arrow; the dense linking algebra is built
-only on demand.  The certificate checks corner fullness, positivity of the
-inner products under the regular representations of the corners, the
-exchange residual, that the corner projections sum to the unit, and
-matching Wedderburn invariants of the two corners.
+of the linking bundle restricted to one tag each, the inner products in
+corner coordinates, and the products of the linking bundle that involve a
+unit arrow; it never builds the dense linking algebra.  The certificate
+checks corner fullness, positivity of the inner products under the regular
+representations of the corners, the exchange residual, that the corner
+projections sum to the unit, and matching Wedderburn invariants of the two
+corners.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class LinkingSystem:
     constants and involution on the corner's coordinates.  The corner
     projections, in linking-algebra coordinates, sum the units of the
     unit-fiber algebras.  ``algebra``, the dense linking algebra, is built
-    on first read; the certificate does not read it.  ``verification`` is
+    on first read; no certificate check reads it.  ``verification`` is
     the verify_bundle_equivalence report that checked ``bundle`` when the
     system was assembled with strict=True, else None.
     """
@@ -177,23 +178,22 @@ def _corner_projection(bundle: FellBundle, unit_tag: str) -> np.ndarray:
     return vec
 
 
-def _acts_as_unit(bundle: FellBundle, p: np.ndarray, limit: float) -> bool:
-    """Whether p e_j == e_j == e_j p, to ``limit``, for every basis element
-    e_j of the linking algebra, p a vector supported on the unit arrows.
+def _unit_defect(bundle: FellBundle, p: np.ndarray) -> float:
+    """max |p e_j - e_j| and |e_j p - e_j| over the basis elements e_j of the
+    linking algebra, p a vector supported on the unit arrows.
 
     Only the products of the linking bundle with a unit arrow on the left
     (for p e_j) or on the right (for e_j p) meet p's support; each fills one
     block of the n x n matrix of multiplication by p, and both matrices are
-    compared with the identity.  A linking product that is not finite, or
-    an empty bundle, fails, as in the dense matrices (NaN times their
-    zeros).  Entries beyond a fiber's dimension are dropped, as in
-    section_algebra.
+    compared with the identity.  An empty bundle, or a linking product that
+    is not finite, has no unit to compare with and gives NaN.  Entries
+    beyond a fiber's dimension are dropped, as in section_algebra.
     """
     g = bundle.base
     fibers, n = _section_fibers(bundle)
     values = np.concatenate([np.zeros(0)] + [t.ravel() for t in bundle.mult.values()])
     if n == 0 or not np.isfinite(values).all():
-        return False
+        return float("nan")
     units = {g.unit_arrow[u] for u in g.units}
     left, right = np.zeros((2, n, n), dtype=complex)
     for (x, y), t in bundle.mult.items():
@@ -207,7 +207,7 @@ def _acts_as_unit(bundle: FellBundle, p: np.ndarray, limit: float) -> bool:
         if y in units:
             right[k0:k0 + dk, i0:i0 + di] += np.einsum("kij,j->ki", t, p[j0:j0 + dj])
     eye = np.eye(n)
-    return deviation(left, eye) <= limit and deviation(right, eye) <= limit
+    return max(deviation(left, eye), deviation(right, eye))
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +294,13 @@ def verify_morita(ls: LinkingSystem, tol: float = DEFAULT_TOL,
     sections in the whole representation.  An inner product that is not
     finite makes the certificate not-certified, with a note naming it.
 
-    The exchange residual of an unverified system is read from ``ls.bundle``.
-    That the corner projections sum to the unit is checked on the products
-    of ``ls.bundle`` with a unit arrow (``_acts_as_unit``); only if that
-    fails is the dense ``ls.algebra`` built, to solve for its unit.
+    Fullness and positivity read one table of each side's inner products
+    in corner coordinates (``_inner_table``).  The exchange residual of an
+    unverified system is read from ``ls.bundle``.  That the corner
+    projections sum to the unit is checked on the products of ``ls.bundle``
+    with a unit arrow (``_unit_defect``); a defect that is not finite means
+    the linking algebra has no unit.  No check builds the dense
+    ``ls.algebra``.
     """
     e = ls.equivalence
     notes = []
@@ -307,38 +310,32 @@ def verify_morita(ls: LinkingSystem, tol: float = DEFAULT_TOL,
             notes.append(f"{side} inner product not finite at {fmt(bad)}")
     finite = not notes
 
-    # fullness: the ideal generated by the off-diagonal inner products
-    full_l = _fullness_rank(ls, side="left")
-    full_r = _fullness_rank(ls, side="right")
+    # fullness: the ideal generated by the finite inner products
+    table_l, table_r = _inner_table(ls, "left"), _inner_table(ls, "right")
+    full_l = _fullness_rank(ls, "left", table_l)
+    full_r = _fullness_rank(ls, "right", table_r)
 
     # the corner invariants, then positivity of the corner-valued Gram
     # matrices over all Z sections block by block, from one representation
     # per corner
     pi_l = regular_representation(ls.corner_left, tol)
     rep_l = star_structure_report(ls.corner_left, tol=tol, seed=seed, representation=pi_l)
-    pos_l = _positivity_margin(ls, "left", pi_l, rep_l, tol)
+    pos_l = _positivity_margin(ls, "left", table_l, pi_l, rep_l, tol)
     pi_r = regular_representation(ls.corner_right, tol)
     rep_r = star_structure_report(ls.corner_right, tol=tol, seed=seed, representation=pi_r)
-    pos_r = _positivity_margin(ls, "right", pi_r, rep_r, tol)
+    pos_r = _positivity_margin(ls, "right", table_r, pi_r, rep_r, tol)
 
     # strict assembly already verified the exchange identity (step 5)
     ex_res = (_exchange_residual(ls.bundle, _exchange_triples(e)) if ls.verification is None
               else ls.verification.metrics["step5 exchange"])
 
-    # the corner projections should sum to the unit: check p e_j == e_j p
-    # == e_j from the linking bundle's unit products, and solve for a unit in
-    # the dense linking algebra only when that fails; a linking algebra with
-    # non-finite products has no unit to solve for
-    p = ls.projection_left + ls.projection_right
-    limit = max(tol, 1e-8)
-    if finite and not _acts_as_unit(ls.bundle, p, limit):
-        unit = ls.algebra.unit()
-        if unit is None:
-            notes.append("linking algebra has no unit")
-        else:
-            defect = float(np.max(np.abs(p - unit)))
-            if defect > limit:
-                notes.append(f"corner projections do not sum to the unit (defect {defect:.3e})")
+    # the corner projections should sum to the unit: p e_j == e_j p == e_j
+    # on the linking bundle's unit products
+    defect = _unit_defect(ls.bundle, ls.projection_left + ls.projection_right)
+    if finite and not np.isfinite(defect):
+        notes.append("linking algebra has no unit")
+    elif finite and defect > max(tol, 1e-8):
+        notes.append(f"corner projections do not sum to the unit (defect {defect:.3e})")
 
     if rep_l.status == "indeterminate" or rep_r.status == "indeterminate":
         verdict = "indeterminate"
@@ -378,34 +375,58 @@ def verify_morita(ls: LinkingSystem, tol: float = DEFAULT_TOL,
     )
 
 
-def _fullness_rank(ls: LinkingSystem, side: str) -> int:
-    """Rank of the ideal generated by the finite inner products inside a corner.
+def _inner_table(ls: LinkingSystem, side: str) -> list:
+    """One side's inner products in corner coordinates, per component.
 
+    <z1, z2> is defined only for the keys (z1, z2) of the inner-product
+    table (sigma(z1) == sigma(z2) on the left, rho on the right), so the
+    table splits over the components of the points linked by those keys.
     <z1, z2> lies over the corner arrow that the linking groupoid composes
     from ("z", z1) and ("zb", z2) on the left, ("zb", z1) and ("z", z2) on
-    the right.
+    the right.  A component whose points carry m > 0 section coordinates
+    gives a pair (coeffs, finite): coeffs[a, b], of shape (m, m, dim), holds
+    the corner coordinates of the inner product of sections a and b, and
+    the (m, m) mask ``finite`` marks the entries read from a finite inner
+    product.
     """
     e = ls.equivalence
     corner = ls.corner_left if side == "left" else ls.corner_right
-    n = corner.dimension
     idx = {lbl: k for k, lbl in enumerate(corner.basis)}
-    vectors = []
     inner, tags = (e.left_inner, ("z", "zb")) if side == "left" else (e.right_inner, ("zb", "z"))
-    for (z1, z2), tensor in inner.items():
-        if not np.isfinite(tensor).all():
-            continue  # no rank to contribute; verify_morita notes it
-        arrow = ls.groupoid.comp[((tags[0], z1), (tags[1], z2))]
-        d = tensor.shape[0]
-        for i in range(tensor.shape[1]):
-            for j in range(tensor.shape[2]):
-                vec = np.zeros(n, dtype=complex)
-                for k in range(d):
-                    if tensor[k, i, j] != 0:
-                        vec[idx[(arrow, k)]] = tensor[k, i, j]
-                vectors.append(vec)
-    if not vectors:
-        return 0
-    span = _span_basis(np.array(vectors))
+    table = []
+    for points in _components(e.base.space, inner):
+        offset, m = {}, 0
+        for z in points:
+            offset[z], m = m, m + e.dims[z]
+        if m == 0:
+            continue
+        coeffs = np.zeros((m, m, corner.dimension), dtype=complex)
+        finite = np.zeros((m, m), dtype=bool)
+        for z1 in points:
+            for z2 in points:
+                tensor = inner.get((z1, z2))
+                if tensor is None:
+                    continue
+                arrow = ls.groupoid.comp[((tags[0], z1), (tags[1], z2))]
+                cols = [idx[(arrow, k)] for k in range(tensor.shape[0])]
+                a = slice(offset[z1], offset[z1] + e.dims[z1])
+                b = slice(offset[z2], offset[z2] + e.dims[z2])
+                coeffs[a, b, cols] = tensor.transpose(1, 2, 0)
+                finite[a, b] = np.isfinite(tensor).all()
+        table.append((coeffs, finite))
+    return table
+
+
+def _fullness_rank(ls: LinkingSystem, side: str, table: list) -> int:
+    """Rank of the ideal generated by the finite inner products inside a corner.
+
+    ``table`` is the side's ``_inner_table``; an inner product that is not
+    finite contributes no rank (verify_morita notes it).
+    """
+    corner = ls.corner_left if side == "left" else ls.corner_right
+    n = corner.dimension
+    span = _span_basis(np.concatenate(
+        [np.zeros((0, n), dtype=complex)] + [coeffs[finite] for coeffs, finite in table]))
     # close under multiplication by the corner on both sides
     while span.shape[0] < n:
         grown = list(span)
@@ -428,55 +449,29 @@ def _span_basis(vectors: np.ndarray) -> np.ndarray:
     return vh[: len(s)][keep]
 
 
-def _positivity_margin(ls: LinkingSystem, side: str, pi: Representation,
+def _positivity_margin(ls: LinkingSystem, side: str, table: list, pi: Representation,
                        report: StarStructureReport, tol: float = DEFAULT_TOL) -> float:
     """Min eigenvalue of [pi(<e_i, e_j>)] over all equivalence sections.
 
     The block Gram matrix collects the corner-valued inner products of all
     basis sections supported on the equivalence space; its positivity under
     a faithful representation pi of the corner certifies <f, f> >= 0.
-
-    <z1, z2> is defined only for the keys (z1, z2) of the inner-product
-    table (sigma(z1) == sigma(z2) on the left, rho on the right), so the
-    Gram is block-diagonal over the components of the points linked by
-    those keys.  <z1, z2> lies over the corner arrow that the linking
-    groupoid composes from ("z", z1) and ("zb", z2) on the left, ("zb", z1)
-    and ("z", z2) on the right.  Each component's coefficient array is built
-    once.  pi is also split into the corner's Wedderburn blocks, the
-    invariant subspaces whose bases ``report`` (the structure report made
-    from pi) keeps, and each component gets one Gram and eigensolve per
-    block.  The margin is the minimum over components and blocks: the
-    smallest eigenvalue of the whole Gram, which is unitarily similar to
-    their direct sum.  Without usable bases (indeterminate report, radical,
-    a subspace not invariant to max(tol, 1e-8), bases not covering the
-    space) the whole of pi is the single block.  A Gram that is not finite,
-    or a corner whose trace form is not finite, gives NaN.
+    ``table``, the side's ``_inner_table`` read from ``ls``, splits it into
+    one Gram per component of the inner-product keys.  pi is also split
+    into the corner's Wedderburn blocks, the invariant subspaces whose
+    bases ``report`` (the structure report made from pi) keeps, and each
+    component gets one Gram and eigensolve per block.  The margin is the
+    minimum over components and blocks: the smallest eigenvalue of the
+    whole Gram, which is unitarily similar to their direct sum.  Without
+    usable bases (indeterminate report, radical, a subspace not invariant
+    to max(tol, 1e-8), bases not covering the space) the whole of pi is the
+    single block.  A Gram that is not finite, or a corner whose trace form
+    is not finite, gives NaN.
     """
     if not np.isfinite(pi.gram_min_eig):
         return float("nan")
     blocks = pi.block_stacks(report.block_bases, tol)
-    e = ls.equivalence
-    corner = ls.corner_left if side == "left" else ls.corner_right
-    idx = {lbl: k for k, lbl in enumerate(corner.basis)}
-    inner, tags = (e.left_inner, ("z", "zb")) if side == "left" else (e.right_inner, ("zb", "z"))
-    margins = []
-    for points in _components(e.base.space, inner):
-        offset, m = {}, 0
-        for z in points:
-            offset[z], m = m, m + e.dims[z]
-        if m == 0:
-            continue
-        coeffs = np.zeros((m, m, corner.dimension), dtype=complex)
-        for z1 in points:
-            for z2 in points:
-                tensor = inner.get((z1, z2))
-                if tensor is None:
-                    continue
-                arrow = ls.groupoid.comp[((tags[0], z1), (tags[1], z2))]
-                cols = [idx[(arrow, k)] for k in range(tensor.shape[0])]
-                a, b = offset[z1], offset[z2]
-                coeffs[a:a + e.dims[z1], b:b + e.dims[z2], cols] = tensor.transpose(1, 2, 0)
-        margins.append(pi.gram_margin(coeffs, blocks))
+    margins = [pi.gram_margin(coeffs, blocks) for coeffs, _finite in table]
     return float(np.min(margins)) if margins else 0.0
 
 

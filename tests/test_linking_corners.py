@@ -4,7 +4,8 @@ Corners come from the linking bundle restricted to one tag, and the unit
 check reads the linking bundle's products with a unit arrow.  Both are
 compared here with the dense linking algebra they replace:
 ``subalgebra(ls.algebra, ...)`` for the corners and the left and right
-multiplication matrices of the projection sum for the unit check.
+multiplication matrices of the projection sum for the unit check, whose
+defect passes at 1e-8 exactly when the dense matrices do.
 """
 
 import numpy as np
@@ -134,7 +135,7 @@ CORRUPTIONS = {
 def test_unit_check_agrees_with_the_dense_matrices(name):
     ls = linking_system(EQUIVALENCES[name]())
     p = ls.projection_left + ls.projection_right
-    assert morita._acts_as_unit(ls.bundle, p, 1e-8) is True
+    assert morita._unit_defect(ls.bundle, p) <= 1e-8
     assert _dense_acts_as_unit(ls, p, 1e-8) is True
 
 
@@ -145,15 +146,28 @@ def test_unit_check_agrees_with_the_dense_matrices_on_corrupted_data(name, corru
     CORRUPTIONS[corruption](e)
     ls = linking_system(e, strict=False)
     p = ls.projection_left + ls.projection_right
-    assert morita._acts_as_unit(ls.bundle, p, 1e-8) is False
+    assert not morita._unit_defect(ls.bundle, p) <= 1e-8
     assert _dense_acts_as_unit(ls, p, 1e-8) is False
 
 
 def test_unit_check_fails_on_an_empty_bundle_and_a_zero_sum():
     ls = linking_system(EQUIVALENCES["z2z2"]())
     empty = FellBundle(FiniteGroupoid((), (), {}, {}, {}, {}, {}), {}, {}, {})
-    assert morita._acts_as_unit(empty, np.zeros(0), 1e-8) is False
-    assert morita._acts_as_unit(ls.bundle, np.zeros(len(ls.projection_left)), 1e-8) is False
+    assert np.isnan(morita._unit_defect(empty, np.zeros(0)))
+    assert morita._unit_defect(ls.bundle, np.zeros(len(ls.projection_left))) == 1.0
+
+
+@pytest.mark.parametrize("corruption,note", [
+    ("nan_module_product", "linking algebra has no unit"),
+    ("scaled_unit_product", "corner projections do not sum to the unit (defect 3.333e-01)"),
+])
+def test_failed_unit_check_is_noted_without_the_linking_algebra(corruption, note):
+    e = EQUIVALENCES["z2z2"]()
+    CORRUPTIONS[corruption](e)
+    ls = linking_system(e, strict=False)
+    cert = verify_morita(ls)
+    assert note in cert.notes
+    assert "algebra" not in vars(ls)
 
 
 def test_corner_that_is_not_closed_names_the_product():

@@ -118,6 +118,31 @@ def test_zeroed_off_diagonal_fails_fullness(z2z2_bundle):
     assert any("not full" in note for note in cert.notes)
 
 
+def test_fullness_closes_one_inner_product_under_the_corner(z2z2_bundle):
+    # a single nonzero inner product spans one dimension; the ideal it
+    # generates is reached only by closing that span under the corner
+    e = symmetric_action_equivalence(*z2z2_bundle)
+    kept = next(k for k in e.left_inner if k[0] == k[1])
+    for key in e.left_inner:
+        if key != kept:
+            e.left_inner[key] = np.zeros_like(e.left_inner[key])
+    ls = linking_system(e, strict=False)
+    corner = ls.corner_left
+    z = kept[0]
+    arrow = ls.groupoid.comp[(("z", z), ("zb", z))]
+    s = np.zeros(corner.dimension, dtype=complex)
+    for k, c in enumerate(e.left_inner[kept][:, 0, 0]):
+        s[corner.basis.index((arrow, k))] = c
+    n = corner.dimension
+    ideal = [s] + [corner.struct[:, :, j] @ (corner.struct[:, i, :] @ s)
+                   for i in range(n) for j in range(n)]
+    assert np.linalg.matrix_rank(s[None, :]) == 1
+    assert np.linalg.matrix_rank(np.array(ideal)) == n == 16
+    cert = verify_morita(ls)
+    assert cert.fullness_rank_left == n
+    assert cert.fullness_rank_right == ls.corner_right.dimension
+
+
 def test_positivity_margin_over_all_sections(z2z2_bundle):
     lb, gba, hba = z2z2_bundle
     e = symmetric_action_equivalence(lb, gba, hba)
