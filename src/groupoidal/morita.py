@@ -310,20 +310,20 @@ def verify_morita(ls: LinkingSystem, tol: float = DEFAULT_TOL,
             notes.append(f"{side} inner product not finite at {fmt(bad)}")
     finite = not notes
 
-    # fullness: the ideal generated by the finite inner products
-    table_l, table_r = _inner_table(ls, "left"), _inner_table(ls, "right")
-    full_l = _fullness_rank(ls, "left", table_l)
-    full_r = _fullness_rank(ls, "right", table_r)
-
-    # the corner invariants, then positivity of the corner-valued Gram
+    # per corner: its invariants, then fullness (the ideal generated by the
+    # finite inner products) and positivity of the corner-valued Gram
     # matrices over all Z sections block by block, from one representation
-    # per corner
-    pi_l = regular_representation(ls.corner_left, tol)
-    rep_l = star_structure_report(ls.corner_left, tol=tol, seed=seed, representation=pi_l)
-    pos_l = _positivity_margin(ls, "left", table_l, pi_l, rep_l, tol)
-    pi_r = regular_representation(ls.corner_right, tol)
-    rep_r = star_structure_report(ls.corner_right, tol=tol, seed=seed, representation=pi_r)
-    pos_r = _positivity_margin(ls, "right", table_r, pi_r, rep_r, tol)
+    # and one inner-product table; neither is held through the other
+    # corner's structure report
+    sides = []
+    for side, corner in (("left", ls.corner_left), ("right", ls.corner_right)):
+        pi = regular_representation(corner, tol)
+        report = star_structure_report(corner, tol=tol, seed=seed, representation=pi)
+        table = _inner_table(ls, side)
+        sides.append((_fullness_rank(ls, side, table), report,
+                      _positivity_margin(ls, side, table, pi, report, tol)))
+        del pi, table
+    (full_l, rep_l, pos_l), (full_r, rep_r, pos_r) = sides
 
     # strict assembly already verified the exchange identity (step 5)
     ex_res = (_exchange_residual(ls.bundle, _exchange_triples(e)) if ls.verification is None
