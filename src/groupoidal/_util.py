@@ -50,6 +50,15 @@ def worst_residual(values) -> tuple[float, int | None]:
     return float(arr[i]), i
 
 
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """The positions in the ranges [lo, hi), concatenated, and for each the
+    index of the range it came from."""
+    counts = hi - lo
+    owner = np.repeat(np.arange(len(lo)), counts)
+    first = np.cumsum(counts) - counts
+    return owner, np.arange(int(counts.sum())) - first[owner] + lo[owner]
+
+
 def fmt(obj) -> str:
     """Compact, whitespace-free text form of an identifier.
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bundles
-from ._util import DEFAULT_TOL, deviation, fmt, worst_residual
+from ._util import DEFAULT_TOL, _ranges, deviation, fmt, worst_residual
 from .bundles import (
     BundleAction,
     FellBundle,
@@ -122,15 +122,6 @@ def _nonzeros(struct: np.ndarray) -> tuple:
     (i, j, k): struct[k, i, j] == value is the k-th coordinate of e_i e_j."""
     i, j, k = np.nonzero(struct.transpose(1, 2, 0))
     return k, i, j, struct[k, i, j]
-
-
-def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple:
-    """The positions in the ranges [lo, hi), concatenated, and for each the
-    index of the range it came from."""
-    counts = hi - lo
-    owner = np.repeat(np.arange(len(lo)), counts)
-    first = np.cumsum(counts) - counts
-    return owner, np.arange(int(counts.sum())) - first[owner] + lo[owner]
 
 
 def _summed(keys: np.ndarray, values: np.ndarray) -> tuple:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import DEFAULT_TOL, deviation, fmt, worst_residual
+from ._util import DEFAULT_TOL, _ranges, deviation, fmt, worst_residual
 from .groupoids import (
     FiniteGroup,
     FiniteGroupoid,
@@ -49,8 +49,6 @@ from .groupoids import (
     trivial_action,
     verify_groupoid_equivalence,
     _Transposed,
-    _arrow_ids,
-    _group_by,
     _flip,
     _other_side,
     _unique_unit_shift,
@@ -207,10 +205,13 @@ def trivial_line_bundle(base: FiniteGroupoid) -> FellBundle:
 def validate_fell_bundle(b: FellBundle, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Associativity, involution, and dimension axioms, checked entrywise.
 
-    Associativity runs over composable_triples() and the antihomomorphism
-    law over composable_pairs(), each batched by fiber-shape class.  A
-    check's metric is its largest residual, its witness the first tuple in
-    that enumeration order attaining it, and a NaN residual fails.
+    Associativity runs over the composable triples and the antihomomorphism
+    law over the composable pairs, as numbered by _Products in the order of
+    composable_triples() and composable_pairs(), each batched by fiber-shape
+    class.  A check's metric is its largest residual, its witness the first
+    tuple in that order attaining it, and a NaN residual fails.  A triple
+    whose two products lie over different arrows (the base is not
+    associative) raises InvalidStructureError naming it.
     """
     rep = ValidationReport(subject="fell bundle")
     g = b.base
@@ -249,7 +250,7 @@ def validate_fell_bundle(b: FellBundle, tol: float = DEFAULT_TOL) -> ValidationR
         return rep
 
     kernels = _Products(b)
-    x, y, z = _arrow_ids(g.composable_triples(), kernels.ix, 3)
+    x, y, z = kernels.triples()
     worst, i = worst_residual(kernels.associativity(x, y, z))
     rep.record_metric("associativity", worst)
     rep.add("mult associative", worst <= tol,
@@ -274,29 +275,54 @@ def validate_fell_bundle(b: FellBundle, tol: float = DEFAULT_TOL) -> ValidationR
 
 
 class _Products:
-    """A bundle's two product laws, batched over any tuples of arrow ids.
+    """A bundle's composable tuples as arrow-id columns, and its two product
+    laws batched over any tuples of them.
 
-    pair_id[x, y] numbers the composable pairs in composable_pairs() order
-    and comp[x, y] is the product, -1 where (x, y) is not composable; a law
-    returns one residual per tuple, in the order given.
+    (px, py) numbers the composable pairs in composable_pairs() order, read
+    from integer source and range ids: x in arrow order, then y in arrow
+    order; triples() extends each pair (x, y) by the pairs (y, z).
+    pair_id[x, y] is the number of a pair and comp[x, y] its product, -1
+    where (x, y) is not composable; prod[k] is the product of pair k.  A
+    law returns one residual per tuple, in the order given; associativity
+    raises on a triple whose two products lie over different arrows.
     """
 
     def __init__(self, b: FellBundle):
         g = self.base = b.base
+        n = len(g.arrows)
         self.ix = {x: i for i, x in enumerate(g.arrows)}
-        pairs = list(g.composable_pairs())
-        self.px, self.py = _arrow_ids(pairs, self.ix, 2)
-        self.pair_id, self.comp = np.full((2, len(self.ix), len(self.ix)), -1, dtype=np.intp)
+        point: dict = {}
+        s, r = (np.array([point.setdefault(end[x], len(point)) for x in g.arrows], dtype=np.intp)
+                for end in (g.src, g.rng))
+        by_rng = np.argsort(r, kind="stable")
+        fiber = np.searchsorted(r[by_rng], np.arange(len(point) + 1))
+        self.px, at = _ranges(fiber[s], fiber[s + 1])
+        self.py = by_rng[at]
+        # the pairs (x, .) are rows row[x] to row[x + 1] of (px, py)
+        self.row = np.searchsorted(self.px, np.arange(n + 1))
+        pairs = [(g.arrows[x], g.arrows[y]) for x, y in zip(self.px.tolist(), self.py.tolist())]
+        self.prod = np.array([self.ix[g.comp[k]] for k in pairs], dtype=np.intp)
+        self.pair_id, self.comp = np.full((2, n, n), -1, dtype=np.intp)
         self.pair_id[self.px, self.py] = np.arange(len(pairs))
-        self.comp[self.px, self.py] = [self.ix[g.comp[k]] for k in pairs]
+        self.comp[self.px, self.py] = self.prod
         self.inv = np.array([self.ix[g.inv[a]] for a in g.arrows], dtype=np.intp)
         self.mults, self.stars = [b.mult[k] for k in pairs], [b.star[a] for a in g.arrows]
+
+    def triples(self) -> tuple:
+        """The composable triples as id columns, in composable_triples()
+        order: each pair (x, y) followed by the pairs (y, z)."""
+        k, j = _ranges(self.row[self.py], self.row[self.py + 1])
+        return self.px[k], self.py[k], self.py[j]
 
     def associativity(self, x, y, z) -> np.ndarray:
         pair_id, comp = self.pair_id, self.comp
         ids = np.stack([pair_id[x, y], pair_id[comp[x, y], z],
                         pair_id[y, z], pair_id[x, comp[y, z]]], axis=1)
         _require_products(ids, self.base, x, y, z)
+        bad = np.flatnonzero(self.prod[ids[:, 1]] != self.prod[ids[:, 3]])
+        if bad.size:
+            wit = tuple(self.base.arrows[c[bad[0]]] for c in (x, y, z))
+            raise InvalidStructureError(f"products of {fmt(wit)} lie over different arrows")
         return _residuals("kij,lkm->lijm", "kjm,lik->lijm", [self.mults] * 4, ids)
 
     def antihomomorphism(self, x, y) -> np.ndarray:
@@ -337,9 +363,6 @@ class BundleAction:
 
     def apply(self, t, x, vec) -> np.ndarray:
         return self.fiber_maps[(t, x)] @ vec
-
-    def matrix(self, t, x) -> np.ndarray:
-        return self.fiber_maps[(t, x)]
 
     def converted(self) -> "BundleAction":
         """The same orbits viewed from the opposite side (t acts as inv(t))."""
@@ -554,9 +577,6 @@ class BundleQuotientMap:
 
     base: QuotientMap
     fiber_transport: dict
-
-    def rep(self, x):
-        return self.base.arrow_map[x]
 
 
 def quotient_fell_bundle(a: FellBundle, ba: BundleAction) -> tuple[FellBundle, BundleQuotientMap]:
@@ -1231,7 +1251,7 @@ def verify_bundle_equivalence(e: BundleEquivalence,
     link = linking_bundle(e)
     g = link.base
     kernels = _Products(link)
-    x, y, w = _arrow_ids(g.composable_triples(), kernels.ix, 3)
+    x, y, w = kernels.triples()
     triple_class = _patterns(g, x, y, w)
     keep = ~np.isin(triple_class, _codes("ppp", "qqq"))
     x, y, w, triple_class = x[keep], y[keep], w[keep], triple_class[keep]
@@ -1311,34 +1331,17 @@ def exchange_residual(e: BundleEquivalence) -> float:
     """Max entrywise deviation of <a,b>_L . c - a . <b,c>_R over all triples.
 
     It is the metric of step 5 of verify_bundle_equivalence, computed alone
-    over the (z, zb, z) triples of linking_bundle(e); it raises if the two
-    sides of a triple lie over different points, before assembling it.
+    over the (z, zb, z) triples of linking_bundle(e).  A pair with no
+    bracket raises while the bundle is assembled, and a triple whose two
+    sides lie over different points raises from the associativity kernel.
     """
-    triples = _exchange_triples(e)
-    return _exchange_residual(linking_bundle(e), triples)
+    return _exchange_residual(linking_bundle(e))
 
 
-def _exchange_triples(e: BundleEquivalence) -> list:
-    """The (z, zb, z) triples of e's linking groupoid, left inner-product
-    table order; raises if the two sides of one lie over different points."""
-    base = e.base
-    brackets, brackets_op = bracket_table(base), bracket_table(opposite(base))
-    left_act, right_act = base.left_action.act, base.right_action.act
-    same_rho = _group_by(base.space, base.rho)
-    triples = []
-    for (z1, z2) in e.left_inner:
-        p12 = brackets.get((z1, z2))  # None, for a pair with no bracket, fails below
-        for z3 in same_rho[base.rho[z2]]:
-            point = left_act.get((p12, z3))
-            if point is None or point != right_act.get((brackets_op.get((z3, z2)), z1)):
-                raise InvalidStructureError(
-                    f"exchange identity: points disagree at {fmt((z1, z2, z3))}")
-            triples.append((("z", z1), ("zb", z2), ("z", z3)))
-    return triples
-
-
-def _exchange_residual(link: FellBundle, triples: list) -> float:
-    """The worst associativity residual of a linking bundle over the given
+def _exchange_residual(link: FellBundle) -> float:
+    """The worst associativity residual of a linking bundle over its
     (z, zb, z) triples: the exchange residual of its equivalence."""
     kernels = _Products(link)
-    return worst_residual(kernels.associativity(*_arrow_ids(triples, kernels.ix, 3)))[0]
+    x, y, z = kernels.triples()
+    zbz = _patterns(link.base, x, y, z) == _codes("zbz")[0]
+    return worst_residual(kernels.associativity(x[zbz], y[zbz], z[zbz]))[0]

@@ -329,13 +329,6 @@ def product_with_group(x: FiniteGroupoid, g: FiniteGroup) -> FiniteGroupoid:
 # validation
 
 
-def _arrow_ids(tuples, ix: dict, k: int) -> tuple:
-    """Columns of arrow indices of an enumeration of k-tuples of arrows."""
-    flat = np.fromiter(map(ix.__getitem__, itertools.chain.from_iterable(tuples)),
-                       dtype=np.intp)
-    return tuple(flat.reshape(-1, k).T)
-
-
 def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     """Exhaustively check every groupoid axiom; failures carry witnesses."""
     rep = ValidationReport(subject="groupoid")
@@ -377,7 +370,8 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     for (x, y), v in g.comp.items():
         if x in ix and y in ix:
             table[ix[x], ix[y]] = ix.get(v, n)
-    x, y, z = _arrow_ids(g.composable_triples(), ix, 3)
+    x, y, z = np.fromiter(map(ix.__getitem__, itertools.chain.from_iterable(
+        g.composable_triples())), dtype=np.intp).reshape(-1, 3).T
     lhs, rhs = table[table[x, y], z], table[x, table[y, z]]
     bad = np.flatnonzero((lhs == n) | (lhs != rhs))
     wit = tuple(g.arrows[k[bad[0]]] for k in (x, y, z)) if bad.size else None
@@ -729,9 +723,6 @@ class QuotientMap:
     shift: dict
     unit_map: dict
     unit_shift: dict
-
-    def rep(self, x):
-        return self.arrow_map[x]
 
 
 def quotient_groupoid(x: FiniteGroupoid, a: GroupAction) -> tuple[FiniteGroupoid, QuotientMap]:

@@ -11,7 +11,7 @@ unit arrow; it never builds the dense linking algebra.  The certificate
 checks corner fullness, positivity of the inner products under the regular
 representations of the corners, the exchange residual, that the corner
 projections sum to the unit, and matching Wedderburn invariants of the two
-corners.
+corners; each of them enters the verdict.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .bundles import (
     BundleIso,
     FellBundle,
     _exchange_residual,
-    _exchange_triples,
     induced_quotient_bundle_action,
     linking_bundle,
     make_trivial_cbundle,
@@ -299,8 +298,9 @@ def verify_morita(ls: LinkingSystem, tol: float = DEFAULT_TOL,
     unverified system is read from ``ls.bundle``.  That the corner
     projections sum to the unit is checked on the products of ``ls.bundle``
     with a unit arrow (``_unit_defect``); a defect that is not finite means
-    the linking algebra has no unit.  No check builds the dense
-    ``ls.algebra``.
+    the linking algebra has no unit.  A defect above max(tol, 1e-8), or
+    not finite, fails the verdict, with a note.  No check
+    builds the dense ``ls.algebra``.
     """
     e = ls.equivalence
     notes = []
@@ -326,15 +326,16 @@ def verify_morita(ls: LinkingSystem, tol: float = DEFAULT_TOL,
     (full_l, rep_l, pos_l), (full_r, rep_r, pos_r) = sides
 
     # strict assembly already verified the exchange identity (step 5)
-    ex_res = (_exchange_residual(ls.bundle, _exchange_triples(e)) if ls.verification is None
+    ex_res = (_exchange_residual(ls.bundle) if ls.verification is None
               else ls.verification.metrics["step5 exchange"])
 
     # the corner projections should sum to the unit: p e_j == e_j p == e_j
     # on the linking bundle's unit products
     defect = _unit_defect(ls.bundle, ls.projection_left + ls.projection_right)
+    unital = defect <= max(tol, 1e-8)  # False for NaN
     if finite and not np.isfinite(defect):
         notes.append("linking algebra has no unit")
-    elif finite and defect > max(tol, 1e-8):
+    elif finite and not unital:
         notes.append(f"corner projections do not sum to the unit (defect {defect:.3e})")
 
     if rep_l.status == "indeterminate" or rep_r.status == "indeterminate":
@@ -343,7 +344,7 @@ def verify_morita(ls: LinkingSystem, tol: float = DEFAULT_TOL,
         ok = (finite and full_l == ls.corner_left.dimension
               and full_r == ls.corner_right.dimension
               and pos_l >= -tol and pos_r >= -tol
-              and ex_res <= tol
+              and ex_res <= tol and unital
               and rep_l.center_dimension == rep_r.center_dimension)
         verdict = "equivalent" if ok else "not-certified"
         if verdict == "not-certified":

@@ -12,6 +12,7 @@ import pytest
 
 from groupoidal import (
     BundleAction,
+    FiniteGroupoid,
     exchange_residual,
     group_set_action,
     identity_fiber_maps,
@@ -285,9 +286,23 @@ def test_groupoid_associativity_witness_matches_reference(seed):
 
 
 def test_enumerations_keep_the_scan_order():
+    # the label generators and the id columns of bundles._Products list the
+    # same tuples in the same order, also where an arrow's source is no
+    # arrow's range (src(c) == 2 below, so c starts no pair)
     rng = np.random.default_rng(5000)
-    for _ in range(4):
-        g = symmetric_equivalence(rng, max_units=6).right_bundle.base
-        for h in (g, opposite(g)):
-            assert list(h.composable_pairs()) == all_pairs(h)
-            assert list(h.composable_triples()) == all_triples(h)
+    bases = [symmetric_equivalence(rng, max_units=6).right_bundle.base for _ in range(4)]
+    loose = FiniteGroupoid(
+        units=(0, 1, 2), arrows=("c", "a", "b"),
+        src={"a": 0, "b": 1, "c": 2}, rng={"a": 1, "b": 1, "c": 0},
+        comp={("a", "c"): "a", ("b", "a"): "a", ("b", "b"): "b"},
+        inv={"a": "a", "b": "b", "c": "c"}, unit_arrow={})
+    for h in [loose] + bases + [opposite(g) for g in bases]:
+        assert list(h.composable_pairs()) == all_pairs(h)
+        assert list(h.composable_triples()) == all_triples(h)
+        table = bundles._Products(trivial_line_bundle(h))
+        ix = table.ix
+        pairs = [(ix[x], ix[y]) for x, y in h.composable_pairs()]
+        triples = [(ix[x], ix[y], ix[z]) for x, y, z in h.composable_triples()]
+        assert list(zip(table.px.tolist(), table.py.tolist())) == pairs
+        assert list(zip(*(c.tolist() for c in table.triples()))) == triples
+    assert list(loose.composable_triples()) == [("b", "a", "c"), ("b", "b", "a"), ("b", "b", "b")]

@@ -100,6 +100,16 @@ def test_nan_product_tensor_fails_with_witness():
     assert failures["(ab)* == b*a*"] == f"pair ({fmt(x)},{fmt(y)})"
 
 
+def test_non_associative_base_raises_naming_the_triple():
+    # Z/3 with 1 + 1 = 0: every fiber product is the identity, so no residual
+    # can see it, but the products of (1,1,2) lie over 2 and over 1
+    g = cyclic_group(3)
+    g.comp[(1, 1)] = 0
+    with pytest.raises(InvalidStructureError,
+                       match=r"^products of \(1,1,2\) lie over different arrows$"):
+        validate_fell_bundle(trivial_line_bundle(g))
+
+
 def test_nan_inner_product_fails_with_witness(z2z2_bundle):
     e = symmetric_action_equivalence(*z2z2_bundle)
     key = next(k for k in e.left_inner if k[0] != k[1])

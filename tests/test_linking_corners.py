@@ -170,6 +170,19 @@ def test_failed_unit_check_is_noted_without_the_linking_algebra(corruption, note
     assert "algebra" not in vars(ls)
 
 
+@pytest.mark.parametrize("name,verdict", [
+    ("random_seed7", "not-certified"),
+    ("two_dim_fibers", "indeterminate"),
+    ("z2z2", "indeterminate"),
+])
+def test_failed_unit_check_enters_the_verdict(name, verdict):
+    e = EQUIVALENCES[name]()
+    _scaled_unit_product(e)
+    cert = verify_morita(linking_system(e, strict=False))
+    assert cert.verdict == verdict
+    assert any(n.startswith("corner projections do not sum to the unit") for n in cert.notes)
+
+
 def test_corner_that_is_not_closed_names_the_product():
     link = linking_bundle(EQUIVALENCES["z2z2"]())
     g = link.base

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,9 @@ from groupoidal.instances import (
     diagonal_algebra,
     matrix_algebra,
     swap_tau_on_diagonal,
+    symmetric_z2z2_bundle,
 )
+from groupoidal._util import fmt
 
 from conftest import assert_close
 
@@ -168,10 +171,29 @@ def test_unverified_paths_reject_a_pair_without_bracket(z2z2_bundle):
     z1, z2 = next((a, b) for a in e.base.space for b in e.base.space
                   if e.base.sigma[a] != e.base.sigma[b])
     e.left_inner[(z1, z2)] = e.left_inner[(z1, z1)]
-    with pytest.raises(InvalidStructureError, match="points disagree"):
+    with pytest.raises(InvalidStructureError, match=re.escape(f"no bracket at {fmt((z1, z2))}")):
         exchange_residual(e)
     with pytest.raises(InvalidStructureError, match="no bracket"):
         linking_system(e, strict=False)
+
+
+def test_unverified_paths_reject_a_moved_action_entry():
+    # moving one action entry to another point of its fiber leaves a pair of
+    # the inner products without a bracket; a seeded sample of those moves
+    base = symmetric_action_equivalence(*symmetric_z2z2_bundle()).base
+    moves = [(side, key, v)
+             for side, fiber in (("left_action", base.rho), ("right_action", base.sigma))
+             for key, v0 in getattr(base, side).act.items()
+             for v in base.space if v != v0 and fiber[v] == fiber[v0]]
+    named = {f"no bracket at {fmt((z1, z2))}" for z1 in base.space for z2 in base.space}
+    for k in np.random.default_rng(14).choice(len(moves), size=24, replace=False):
+        side, key, v = moves[k]
+        for run in (exchange_residual, lambda f: linking_system(f, strict=False)):
+            e = symmetric_action_equivalence(*symmetric_z2z2_bundle())
+            getattr(e.base, side).act[key] = v
+            with pytest.raises(InvalidStructureError) as exc:
+                run(e)
+            assert str(exc.value) in named
 
 
 # ---------------------------------------------------------------------------
