@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,22 +65,35 @@ from .report import (
 # batched residual kernels
 #
 # A check compares two einsum expressions on every tuple of an enumeration.
-# The tensors of each tuple are read from numbered tables; the tuples are
-# grouped by the shapes of their tensors, and each shape class is evaluated
-# by one einsum per side and chunk.  The residual of a tuple, max |lhs - rhs|
-# with NaN propagating, lands at the tuple's place in the enumeration, so
-# worst_residual() names the first tuple that attains the maximum.
+# The tensors of each tuple are read from numbered tables, each classified
+# once by tensor shape; the tuples are grouped by the shapes of their
+# tensors, and each shape class is evaluated by one einsum per side and
+# chunk.  The residual of a tuple, max |lhs - rhs| with NaN propagating,
+# lands at the tuple's place in the enumeration, so worst_residual() names
+# the first tuple that attains the maximum.
 
-_CHUNK = 1 << 16  # residual entries per batched einsum; bounds scratch memory
-
-
-def _numbered(table) -> tuple[dict, list]:
-    """The keys of a tensor table numbered in table order, and its tensors."""
-    keys = list(table)
-    return {k: i for i, k in enumerate(keys)}, [table[k] for k in keys]
+_CHUNK = 1 << 16  # residual entries per batched einsum: bounds its operands
+# tuples per block of a law: bounds the index bookkeeping of a block (ids,
+# class and position columns, sort key) and the triples a pass holds at once
+_BLOCK = 1 << 13
 
 
-def _shape_classes(tensors: list):
+def _blocks(n: int):
+    """range(n) as consecutive slices of at most _BLOCK."""
+    for lo in range(0, n, _BLOCK):
+        yield slice(lo, min(lo + _BLOCK, n))
+
+
+class _Classes(NamedTuple):
+    """A tensor table by shape: each tensor's class and place in it, and one
+    stack per class."""
+
+    cls: np.ndarray
+    pos: np.ndarray
+    stacks: list
+
+
+def _shape_classes(tensors: list) -> _Classes:
     """Each tensor's shape class and place in it, and one stack per class."""
     classes: dict = {}
     stacks: list = []
@@ -92,50 +106,56 @@ def _shape_classes(tensors: list):
             stacks.append([])
         cls[i], pos[i] = c, len(stacks[c])
         stacks[c].append(t)
-    return cls, pos, [np.array(members) for members in stacks]
+    return _Classes(cls, pos, [np.array(members) for members in stacks])
+
+
+def _numbered(table) -> tuple[dict, _Classes]:
+    """The keys of a tensor table numbered in table order, and its tensors
+    classified by shape."""
+    keys = list(table)
+    return {k: i for i, k in enumerate(keys)}, _shape_classes([table[k] for k in keys])
 
 
 def _residuals(lhs: str, rhs: str, tables: list, rows) -> np.ndarray:
     """max |lhs - rhs| for each row of tensor ids, in row order.
 
     ``lhs`` and ``rhs`` are einsum specs over the same output indices; their
-    inputs, lhs first, are read from ``tables`` (lists of tensors) at the ids
-    in the matching column of ``rows``.
+    inputs, lhs first, are read from ``tables`` at the ids in the matching
+    column of ``rows``.  A table is the _shape_classes() of its tensors, so
+    that a caller evaluating it more than once classifies it once; a plain
+    list of tensors is classified here.  Rows are evaluated in blocks of at
+    most _BLOCK, so the index bookkeeping is bounded by the block.
     """
     inputs = [spec.split("->")[0].split(",") for spec in (lhs, rhs)]
     out = lhs.split("->")[1]
     n_lhs = len(inputs[0])
     batched = ["Z" + spec.replace(",", ",Z").replace("->", "->Z") for spec in (lhs, rhs)]
+    tables = [t if isinstance(t, _Classes) else _shape_classes(t) for t in tables]
     rows = np.asarray(rows, dtype=np.intp).reshape(-1, len(tables))
     residuals = np.zeros(len(rows))
-    if not len(rows):
-        return residuals
-
-    by_table: dict = {}
-    cols = []  # per input: shape class and stack position of each row's tensor
-    key = np.zeros(len(rows), dtype=np.int64)
-    for j, tensors in enumerate(tables):
-        if id(tensors) not in by_table:
-            by_table[id(tensors)] = _shape_classes(tensors)
-        cls, pos, stacks = by_table[id(tensors)]
-        cols.append((cls[rows[:, j]], pos[rows[:, j]], stacks))
-        key = key * len(stacks) + cols[-1][0]
-
-    order = np.argsort(key, kind="stable")
-    for members in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
-        stacks = [col[2][col[0][members[0]]] for col in cols]
-        dims = {}
-        for subs, stack in zip(inputs[0] + inputs[1], stacks):
-            dims.update(zip(subs, stack.shape[1:]))
-        width = int(np.prod([dims[c] for c in out]))
-        if width == 0:
-            continue
-        step = max(1, _CHUNK // width)
-        for start in range(0, len(members), step):
-            chunk = members[start:start + step]
-            ops = [stack[col[1][chunk]] for stack, col in zip(stacks, cols)]
-            diff = np.einsum(batched[0], *ops[:n_lhs]) - np.einsum(batched[1], *ops[n_lhs:])
-            residuals[chunk] = np.abs(diff).reshape(len(chunk), -1).max(axis=1)
+    for block in _blocks(len(rows)):
+        ids, res = rows[block], residuals[block]
+        cols = []  # per input: shape class and stack position of each row's tensor
+        key = np.zeros(len(ids), dtype=np.int64)
+        for j, table in enumerate(tables):
+            cols.append((table.cls[ids[:, j]], table.pos[ids[:, j]], table.stacks))
+            key = key * len(table.stacks) + cols[-1][0]
+        order = np.argsort(key, kind="stable")
+        for members in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+            stacks = [col[2][col[0][members[0]]] for col in cols]
+            dims = {}
+            for subs, stack in zip(inputs[0] + inputs[1], stacks):
+                dims.update(zip(subs, stack.shape[1:]))
+            width = int(np.prod([dims[c] for c in out]))
+            if width == 0:
+                continue
+            step = max(1, _CHUNK // width)
+            for start in range(0, len(members), step):
+                chunk = members[start:start + step]
+                ops = [stack[col[1][chunk]] for stack, col in zip(stacks, cols)]
+                diff = (np.einsum(batched[0], *ops[:n_lhs])
+                        - np.einsum(batched[1], *ops[n_lhs:]))
+                res[chunk] = np.abs(diff).reshape(len(chunk), -1).max(axis=1)
     return residuals
 
 
@@ -208,10 +228,12 @@ def validate_fell_bundle(b: FellBundle, tol: float = DEFAULT_TOL) -> ValidationR
     Associativity runs over the composable triples and the antihomomorphism
     law over the composable pairs, as numbered by _Products in the order of
     composable_triples() and composable_pairs(), each batched by fiber-shape
-    class.  A check's metric is its largest residual, its witness the first
-    tuple in that order attaining it, and a NaN residual fails.  A triple
-    whose two products lie over different arrows (the base is not
-    associative) raises InvalidStructureError naming it.
+    class.  The triples are evaluated in blocks of at most _BLOCK, and the
+    pass keeps only one residual per triple; the witness's arrows are read
+    back from its position.  A check's metric is its largest residual, its
+    witness the first tuple in that order attaining it, and a NaN residual
+    fails.  A triple whose two products lie over different arrows (the base
+    is not associative) raises InvalidStructureError naming it.
     """
     rep = ValidationReport(subject="fell bundle")
     g = b.base
@@ -250,12 +272,14 @@ def validate_fell_bundle(b: FellBundle, tol: float = DEFAULT_TOL) -> ValidationR
         return rep
 
     kernels = _Products(b)
-    x, y, z = kernels.triples()
-    worst, i = worst_residual(kernels.associativity(x, y, z))
+    assoc = np.zeros(kernels.n_triples)
+    for block, cols in kernels.triple_blocks():
+        assoc[block] = kernels.associativity(*cols)
+    worst, i = worst_residual(assoc)
     rep.record_metric("associativity", worst)
     rep.add("mult associative", worst <= tol,
             None if worst <= tol else
-            f"triple ({fmt(g.arrows[x[i]])},{fmt(g.arrows[y[i]])},{fmt(g.arrows[z[i]])})")
+            f"triple {fmt(tuple(g.arrows[c[0]] for c in kernels.triples_at(np.array([i]))))}")
 
     worst, i = worst_residual([
         deviation(b.star[g.inv[a]] @ np.conjugate(b.star[a]), np.eye(b.dim[a]))
@@ -280,11 +304,15 @@ class _Products:
 
     (px, py) numbers the composable pairs in composable_pairs() order, read
     from integer source and range ids: x in arrow order, then y in arrow
-    order; triples() extends each pair (x, y) by the pairs (y, z).
-    pair_id[x, y] is the number of a pair and comp[x, y] its product, -1
-    where (x, y) is not composable; prod[k] is the product of pair k.  A
-    law returns one residual per tuple, in the order given; associativity
-    raises on a triple whose two products lie over different arrows.
+    order; the triples extend each pair (x, y) by the pairs (y, z), and the
+    triples of pair k sit at positions offset[k] to offset[k + 1] of that
+    enumeration.  pair_id[x, y] is the number of a pair and comp[x, y] its
+    product, -1 where (x, y) is not composable; prod[k] is the product of
+    pair k.  The product tensors, their conjugates and the star matrices
+    are classified by shape once, here.  A law returns one residual per
+    tuple, in the order given, evaluating the tuples in blocks of at most
+    _BLOCK; associativity raises on a triple whose two products lie over
+    different arrows (the first such triple of the first block holding one).
     """
 
     def __init__(self, b: FellBundle):
@@ -300,39 +328,63 @@ class _Products:
         self.py = by_rng[at]
         # the pairs (x, .) are rows row[x] to row[x + 1] of (px, py)
         self.row = np.searchsorted(self.px, np.arange(n + 1))
+        self.offset = np.concatenate(
+            [[0], np.cumsum(self.row[self.py + 1] - self.row[self.py])]).astype(np.intp)
+        self.n_triples = int(self.offset[-1])
         pairs = [(g.arrows[x], g.arrows[y]) for x, y in zip(self.px.tolist(), self.py.tolist())]
         self.prod = np.array([self.ix[g.comp[k]] for k in pairs], dtype=np.intp)
         self.pair_id, self.comp = np.full((2, n, n), -1, dtype=np.intp)
         self.pair_id[self.px, self.py] = np.arange(len(pairs))
         self.comp[self.px, self.py] = self.prod
         self.inv = np.array([self.ix[g.inv[a]] for a in g.arrows], dtype=np.intp)
-        self.mults, self.stars = [b.mult[k] for k in pairs], [b.star[a] for a in g.arrows]
+        self.mults = _shape_classes([b.mult[k] for k in pairs])
+        self.conj = self.mults._replace(stacks=[np.conjugate(s) for s in self.mults.stacks])
+        self.stars = _shape_classes([b.star[a] for a in g.arrows])
 
-    def triples(self) -> tuple:
-        """The composable triples as id columns, in composable_triples()
-        order: each pair (x, y) followed by the pairs (y, z)."""
-        k, j = _ranges(self.row[self.py], self.row[self.py + 1])
-        return self.px[k], self.py[k], self.py[j]
+    def triples(self, first=slice(None), second=slice(None)) -> tuple:
+        """The triples (x, y, z) with (x, y) among the pairs ``first`` and
+        (y, z) among the pairs ``second`` (all pairs by default; an index or
+        a mask of pair numbers), as id columns in composable_triples() order."""
+        k, j = (np.arange(len(self.px))[sel] for sel in (first, second))
+        row = np.searchsorted(self.px[j], np.arange(len(self.row)))
+        owner, at = _ranges(row[self.py[k]], row[self.py[k] + 1])
+        return self.px[k[owner]], self.py[k[owner]], self.py[j[at]]
+
+    def triples_at(self, at) -> tuple:
+        """The triples at positions ``at`` of the enumeration, as id columns."""
+        k = np.searchsorted(self.offset, at, side="right") - 1
+        return self.px[k], self.py[k], self.py[self.row[self.py[k]] + at - self.offset[k]]
+
+    def triple_blocks(self):
+        """The triples block by block, in composable_triples() order: for
+        each block its slice of positions and its id columns."""
+        for block in _blocks(self.n_triples):
+            yield block, self.triples_at(np.arange(block.start, block.stop))
 
     def associativity(self, x, y, z) -> np.ndarray:
-        pair_id, comp = self.pair_id, self.comp
-        ids = np.stack([pair_id[x, y], pair_id[comp[x, y], z],
-                        pair_id[y, z], pair_id[x, comp[y, z]]], axis=1)
-        _require_products(ids, self.base, x, y, z)
-        bad = np.flatnonzero(self.prod[ids[:, 1]] != self.prod[ids[:, 3]])
-        if bad.size:
-            wit = tuple(self.base.arrows[c[bad[0]]] for c in (x, y, z))
-            raise InvalidStructureError(f"products of {fmt(wit)} lie over different arrows")
-        return _residuals("kij,lkm->lijm", "kjm,lik->lijm", [self.mults] * 4, ids)
+        pair_id, comp, residuals = self.pair_id, self.comp, np.zeros(len(x))
+        for block in _blocks(len(x)):
+            a, b, c = x[block], y[block], z[block]
+            ids = np.stack([pair_id[a, b], pair_id[comp[a, b], c],
+                            pair_id[b, c], pair_id[a, comp[b, c]]], axis=1)
+            _require_products(ids, self.base, a, b, c)
+            bad = np.flatnonzero(self.prod[ids[:, 1]] != self.prod[ids[:, 3]])
+            if bad.size:
+                wit = tuple(self.base.arrows[col[bad[0]]] for col in (a, b, c))
+                raise InvalidStructureError(f"products of {fmt(wit)} lie over different arrows")
+            residuals[block] = _residuals("kij,lkm->lijm", "kjm,lik->lijm", [self.mults] * 4, ids)
+        return residuals
 
     def antihomomorphism(self, x, y) -> np.ndarray:
-        inv, stars = self.inv, self.stars
-        ids = np.stack([self.comp[x, y], self.pair_id[x, y],
-                        self.pair_id[inv[y], inv[x]], y, x], axis=1)
-        _require_products(ids, self.base, inv[y], inv[x])
-        conj = [np.conjugate(m) for m in self.mults]
-        return _residuals("kl,lij->kij", "kab,aj,bi->kij",
-                          [stars, conj, self.mults, stars, stars], ids)
+        inv, stars, residuals = self.inv, self.stars, np.zeros(len(x))
+        for block in _blocks(len(x)):
+            a, b = x[block], y[block]
+            ids = np.stack([self.comp[a, b], self.pair_id[a, b],
+                            self.pair_id[inv[b], inv[a]], b, a], axis=1)
+            _require_products(ids, self.base, inv[b], inv[a])
+            residuals[block] = _residuals("kl,lij->kij", "kab,aj,bi->kij",
+                                          [stars, self.conj, self.mults, stars, stars], ids)
+        return residuals
 
 
 def _require_products(ids: np.ndarray, g: FiniteGroupoid, *cols) -> None:
@@ -1158,10 +1210,15 @@ def _codes(*patterns: str) -> list:
     return [int(p.translate(_DIGITS), 4) for p in patterns]
 
 
-def _patterns(g: FiniteGroupoid, *cols) -> np.ndarray:
-    """The code of each tuple of linking arrows, given as id columns."""
-    tag = np.array([int(a[0][-1].translate(_DIGITS)) for a in g.arrows], dtype=np.intp)
-    return sum(tag[c] * 4 ** k for k, c in enumerate(reversed(cols)))
+def _tags(g: FiniteGroupoid) -> np.ndarray:
+    """The tag of each linking arrow, as a base-4 digit."""
+    return np.array([int(a[0][-1].translate(_DIGITS)) for a in g.arrows], dtype=np.uint8)
+
+
+def _patterns(tag: np.ndarray, *cols) -> np.ndarray:
+    """The code of each tuple of linking arrows, given as id columns; a
+    triple's code fits one byte."""
+    return sum(tag[c] * np.uint8(4 ** k) for k, c in enumerate(reversed(cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -1189,7 +1246,10 @@ def verify_bundle_equivalence(e: BundleEquivalence,
     kept as the report's ``linking``, and checked in one pass: its corners
     are the left and right bundles, validated first, and every other
     composable triple (associativity) and pair ((ab)* == b*a*) is evaluated
-    once.  Step 1 reads the tag class (p,z,q), step 3 (z,zb) then (zb,z),
+    once.  The triples go by in blocks of at most _BLOCK, and the pass keeps
+    only a residual and a one-byte tag class per triple; the arrows of a
+    witness, and of the (zb,z,q) triples, are read back from positions.
+    Step 1 reads the tag class (p,z,q), step 3 (z,zb) then (zb,z),
     step 4 (p,z,zb) then (zb,z,q), step 5 (z,zb,z); the other classes are
     the two "linking bundle:" checks, reported once steps 1-5 pass.  A
     check's metric is its largest residual, a NaN fails, and its witness is
@@ -1247,18 +1307,22 @@ def verify_bundle_equivalence(e: BundleEquivalence,
     if not rep.ok:
         return rep
 
-    # Steps 1 and 3-5 and the other classes: one pass outside the corners
+    # Steps 1 and 3-5 and the other classes: one pass outside the corners,
+    # block by block, keeping each triple's tag class and residual (0 on
+    # the corners); the steps read their triples' ids back from positions
     link = linking_bundle(e)
     g = link.base
-    kernels = _Products(link)
-    x, y, w = kernels.triples()
-    triple_class = _patterns(g, x, y, w)
-    keep = ~np.isin(triple_class, _codes("ppp", "qqq"))
-    x, y, w, triple_class = x[keep], y[keep], w[keep], triple_class[keep]
-    pair_class = _patterns(g, kernels.px, kernels.py)
+    kernels, tag = _Products(link), _tags(g)
+    triple_class = np.empty(kernels.n_triples, dtype=np.uint8)
+    assoc = np.zeros(kernels.n_triples)
+    for block, (x, y, w) in kernels.triple_blocks():
+        code = triple_class[block] = _patterns(tag, x, y, w)
+        keep = ~np.isin(code, _codes("ppp", "qqq"))
+        assoc[block][keep] = kernels.associativity(x[keep], y[keep], w[keep])
+    pair_class = _patterns(tag, kernels.px, kernels.py)
     keep = ~np.isin(pair_class, _codes("pp", "qq"))
     px, py, pair_class = kernels.px[keep], kernels.py[keep], pair_class[keep]
-    assoc, anti = kernels.associativity(x, y, w), kernels.antihomomorphism(px, py)
+    anti = kernels.antihomomorphism(px, py)
 
     def rows(codes, *patterns):
         return np.flatnonzero(np.isin(codes, _codes(*patterns)))
@@ -1268,28 +1332,33 @@ def verify_bundle_equivalence(e: BundleEquivalence,
         rep.record_metric(metric, worst)
         rep.add(name, worst <= tol, None if worst <= tol else witness(at[i]))
 
-    def points(*cols):  # a step names its tuple without the tags
-        return lambda r: fmt(tuple(g.arrows[c[r]][1] for c in cols))
+    def triple(r):
+        return tuple(g.arrows[c[0]] for c in kernels.triples_at(np.array([r])))
+
+    def untagged(arrows):  # a step names its tuple without the tags
+        return fmt(tuple(a[1] for a in arrows))
 
     record("step 1: module actions commute", "step1 commuting",
-           assoc, rows(triple_class, "pzq"), points(x, y, w))
+           assoc, rows(triple_class, "pzq"), lambda r: untagged(triple(r)))
     record("step 3: inner products adjoint-symmetric", "step3 adjoint symmetry",
            anti, np.concatenate([rows(pair_class, "zb"), rows(pair_class, "bz")]),
-           points(px, py))
+           lambda r: untagged((g.arrows[px[r]], g.arrows[py[r]])))
     # the right class of step 4 in the order of the right action table at (q, z2)
     right = rows(triple_class, "bzq")
     rank = {k: n for n, k in enumerate(base.right_action.act)}
-    walk = [rank[(g.arrows[c][1], g.arrows[b][1])] for b, c in zip(y[right], w[right])]
+    rx, ry, rw = kernels.triples_at(right)
+    walk = [rank[(g.arrows[c][1], g.arrows[b][1])] for b, c in zip(ry, rw)]
     record("step 4: inner products compatible with the module actions",
            "step4 module compatibility", assoc,
-           np.concatenate([rows(triple_class, "pzb"), right[np.lexsort((x[right], walk))]]),
-           points(x, y, w))
+           np.concatenate([rows(triple_class, "pzb"), right[np.lexsort((rx, walk))]]),
+           lambda r: untagged(triple(r)))
     record("step 5: exchange identity", "step5 exchange",
-           assoc, rows(triple_class, "zbz"), points(x, y, w))
+           assoc, rows(triple_class, "zbz"), lambda r: untagged(triple(r)))
     if rep.ok:  # the other classes, once the named steps hold
+        named = _codes("ppp", "qqq", "pzq", "pzb", "bzq", "zbz")
         record("linking bundle: mult associative", "linking bundle: associativity", assoc,
-               np.flatnonzero(~np.isin(triple_class, _codes("pzq", "pzb", "bzq", "zbz"))),
-               lambda r: f"triple {fmt((g.arrows[x[r]], g.arrows[y[r]], g.arrows[w[r]]))}")
+               np.flatnonzero(~np.isin(triple_class, named)),
+               lambda r: f"triple {fmt(triple(r))}")
         record("linking bundle: (ab)* == b*a*", "linking bundle: antihomomorphism", anti,
                np.flatnonzero(~np.isin(pair_class, _codes("zb", "bz"))),
                lambda r: f"pair {fmt((g.arrows[px[r]], g.arrows[py[r]]))}")
@@ -1340,8 +1409,10 @@ def exchange_residual(e: BundleEquivalence) -> float:
 
 def _exchange_residual(link: FellBundle) -> float:
     """The worst associativity residual of a linking bundle over its
-    (z, zb, z) triples: the exchange residual of its equivalence."""
+    (z, zb, z) triples, the exchange residual of its equivalence.  Only
+    those triples are enumerated: the (z, zb) pairs extended by the (zb, z)
+    pairs, in linking-groupoid order."""
     kernels = _Products(link)
-    x, y, z = kernels.triples()
-    zbz = _patterns(link.base, x, y, z) == _codes("zbz")[0]
-    return worst_residual(kernels.associativity(x[zbz], y[zbz], z[zbz]))[0]
+    pair_class = _patterns(_tags(link.base), kernels.px, kernels.py)
+    zb, bz = (pair_class == code for code in _codes("zb", "bz"))
+    return worst_residual(kernels.associativity(*kernels.triples(zb, bz)))[0]

@@ -19,6 +19,7 @@ discrete spaces and are reported as notes.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import singledispatch
@@ -363,15 +364,22 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
             f"pair ({fmt(bad[0][0])},{fmt(bad[0][1])})" if bad else None)
 
     # associativity on an integer product table; index n stands for a
-    # product that is missing or not an arrow, and counts as a mismatch
+    # product that is missing or not an arrow, and counts as a mismatch.
+    # Ids are 32-bit: the (n + 1)^2 table caps n far below 2^31.
     ix = {x: i for i, x in enumerate(g.arrows)}
     n = len(ix)
-    table = np.full((n + 1, n + 1), n, dtype=np.intp)
+    table = np.full((n + 1, n + 1), n, dtype=np.int32)
     for (x, y), v in g.comp.items():
         if x in ix and y in ix:
             table[ix[x], ix[y]] = ix.get(v, n)
+    # the triples through each unit: extensions of the arrows ranging there
+    fiber = Counter(g.rng[a] for a in g.arrows)
+    through: Counter = Counter()
+    for a in g.arrows:
+        through[g.rng[a]] += fiber[g.src[a]]
+    count = 3 * sum(through[g.src[a]] for a in g.arrows)
     x, y, z = np.fromiter(map(ix.__getitem__, itertools.chain.from_iterable(
-        g.composable_triples())), dtype=np.intp).reshape(-1, 3).T
+        g.composable_triples())), dtype=np.int32, count=count).reshape(-1, 3).T
     lhs, rhs = table[table[x, y], z], table[x, table[y, z]]
     bad = np.flatnonzero((lhs == n) | (lhs != rhs))
     wit = tuple(g.arrows[k[bad[0]]] for k in (x, y, z)) if bad.size else None
