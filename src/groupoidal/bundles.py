@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -84,16 +83,7 @@ def _blocks(n: int):
         yield slice(lo, min(lo + _BLOCK, n))
 
 
-class _Classes(NamedTuple):
-    """A tensor table by shape: each tensor's class and place in it, and one
-    stack per class."""
-
-    cls: np.ndarray
-    pos: np.ndarray
-    stacks: list
-
-
-def _shape_classes(tensors: list) -> _Classes:
+def _shape_classes(tensors: list) -> tuple:
     """Each tensor's shape class and place in it, and one stack per class."""
     classes: dict = {}
     stacks: list = []
@@ -106,10 +96,10 @@ def _shape_classes(tensors: list) -> _Classes:
             stacks.append([])
         cls[i], pos[i] = c, len(stacks[c])
         stacks[c].append(t)
-    return _Classes(cls, pos, [np.array(members) for members in stacks])
+    return cls, pos, [np.array(members) for members in stacks]
 
 
-def _numbered(table) -> tuple[dict, _Classes]:
+def _numbered(table) -> tuple[dict, tuple]:
     """The keys of a tensor table numbered in table order, and its tensors
     classified by shape."""
     keys = list(table)
@@ -122,24 +112,24 @@ def _residuals(lhs: str, rhs: str, tables: list, rows) -> np.ndarray:
     ``lhs`` and ``rhs`` are einsum specs over the same output indices; their
     inputs, lhs first, are read from ``tables`` at the ids in the matching
     column of ``rows``.  A table is the _shape_classes() of its tensors, so
-    that a caller evaluating it more than once classifies it once; a plain
-    list of tensors is classified here.  Rows are evaluated in blocks of at
-    most _BLOCK, so the index bookkeeping is bounded by the block.
+    that a caller evaluating it more than once classifies it once; a list
+    of tensors is classified here.  Rows are evaluated in blocks of at most
+    _BLOCK, so the index bookkeeping is bounded by the block.
     """
     inputs = [spec.split("->")[0].split(",") for spec in (lhs, rhs)]
     out = lhs.split("->")[1]
     n_lhs = len(inputs[0])
     batched = ["Z" + spec.replace(",", ",Z").replace("->", "->Z") for spec in (lhs, rhs)]
-    tables = [t if isinstance(t, _Classes) else _shape_classes(t) for t in tables]
+    tables = [_shape_classes(t) if isinstance(t, list) else t for t in tables]
     rows = np.asarray(rows, dtype=np.intp).reshape(-1, len(tables))
     residuals = np.zeros(len(rows))
     for block in _blocks(len(rows)):
         ids, res = rows[block], residuals[block]
         cols = []  # per input: shape class and stack position of each row's tensor
         key = np.zeros(len(ids), dtype=np.int64)
-        for j, table in enumerate(tables):
-            cols.append((table.cls[ids[:, j]], table.pos[ids[:, j]], table.stacks))
-            key = key * len(table.stacks) + cols[-1][0]
+        for j, (cls, pos, stacks) in enumerate(tables):
+            cols.append((cls[ids[:, j]], pos[ids[:, j]], stacks))
+            key = key * len(stacks) + cols[-1][0]
         order = np.argsort(key, kind="stable")
         for members in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
             stacks = [col[2][col[0][members[0]]] for col in cols]
@@ -338,7 +328,8 @@ class _Products:
         self.comp[self.px, self.py] = self.prod
         self.inv = np.array([self.ix[g.inv[a]] for a in g.arrows], dtype=np.intp)
         self.mults = _shape_classes([b.mult[k] for k in pairs])
-        self.conj = self.mults._replace(stacks=[np.conjugate(s) for s in self.mults.stacks])
+        cls, pos, stacks = self.mults
+        self.conj = cls, pos, [np.conjugate(s) for s in stacks]
         self.stars = _shape_classes([b.star[a] for a in g.arrows])
 
     def triples(self, first=slice(None), second=slice(None)) -> tuple:
