@@ -25,9 +25,16 @@ from groupoidal import (
     verify_bundle_equivalence,
 )
 from groupoidal import bundles
+from groupoidal._util import fmt
 from groupoidal.instances import cyclic_group, symmetric_z2z2_bundle
 
-from test_batched_residuals import corrupt, symmetric_equivalence
+from test_batched_residuals import (
+    STEPS,
+    corrupt,
+    reference_equivalence,
+    symmetric_equivalence,
+    witness,
+)
 from test_golden import linking_mult_corruption_failures, right_tensor_corruption_failures
 
 
@@ -69,6 +76,12 @@ def test_block_size_does_not_change_any_result(make, monkeypatch):
     default = results(make)
     monkeypatch.setattr(bundles, "_BLOCK", 7)
     assert results(make) == default
+    # a shift that does not depend on the block size shows against the loops
+    e = make(True)
+    rep = verify_bundle_equivalence(e)
+    for metric, (worst, wit) in reference_equivalence(e).items():
+        assert rep.metrics[metric] == worst
+        assert witness(rep, STEPS[metric]) == (fmt(wit) if worst > 1e-9 else None)
 
 
 def test_block_size_does_not_change_the_corruption_goldens(monkeypatch):
