@@ -374,7 +374,7 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
             table[ix[x], ix[y]] = ix.get(v, n)
     # the triples through each unit: extensions of the arrows ranging there
     fiber = Counter(g.rng[a] for a in g.arrows)
-    through: Counter = Counter()
+    through = Counter()
     for a in g.arrows:
         through[g.rng[a]] += fiber[g.src[a]]
     count = 3 * sum(through[g.src[a]] for a in g.arrows)
