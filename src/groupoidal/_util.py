@@ -7,6 +7,8 @@ import numpy as np
 # absolute tolerance of every entrywise check unless a caller passes its own
 DEFAULT_TOL = 1e-9
 
+_BLOCK = 1 << 13  # tuples per block of a law: bounds what a pass holds at once
+
 
 def sort_key(obj):
     """Stable total order on identifiers (ints, strings, nested tuples).

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import DEFAULT_TOL, _ranges, deviation, fmt, worst_residual
+from ._util import _BLOCK, DEFAULT_TOL, _ranges, deviation, fmt, worst_residual
 from .groupoids import (
     FiniteGroup,
     FiniteGroupoid,
@@ -72,9 +72,6 @@ from .report import (
 # the first tuple that attains the maximum.
 
 _CHUNK = 1 << 16  # residual entries per batched einsum: bounds its operands
-# tuples per block of a law: bounds the index bookkeeping of a block (ids,
-# class and position columns, sort key) and the triples a pass holds at once
-_BLOCK = 1 << 13
 
 
 def _blocks(n: int):
@@ -636,11 +633,7 @@ def quotient_fell_bundle(a: FellBundle, ba: BundleAction) -> tuple[FellBundle, B
     act = ba.base_action
     quot, qmap = quotient_groupoid(a.base, act)
 
-    transport = {}
-    for x in a.base.arrows:
-        rep, t = qmap.arrow_map[x], qmap.shift[x]
-        transport[x] = ba.fiber_maps[(h.inv_elem(t), x)]
-        assert act.act[(t, rep)] == x
+    transport = {x: ba.fiber_maps[(h.inv_elem(qmap.shift[x]), x)] for x in a.base.arrows}
 
     dim = {p: a.dim[p] for p in quot.arrows}
     mult = {}
@@ -826,6 +819,8 @@ class BundleIso:
 
 
 def verify_bundle_iso(iso: BundleIso, tol: float = DEFAULT_TOL) -> ValidationReport:
+    """A bijective functor with square invertible fiber maps that respect
+    products and stars: an isomorphism of the section algebras."""
     rep = ValidationReport(subject="bundle isomorphism")
     src, tgt, amap = iso.source, iso.target, iso.arrow_map
     image = {amap.get(x) for x in src.base.arrows}  # None marks a missing image
@@ -835,7 +830,8 @@ def verify_bundle_iso(iso: BundleIso, tol: float = DEFAULT_TOL) -> ValidationRep
         return rep
     bad = next((x for x in src.base.arrows
                 if x not in iso.fiber_maps
-                or iso.fiber_maps[x].shape != (tgt.dim[amap[x]], src.dim[x])
+                or iso.fiber_maps[x].shape != (src.dim[x], src.dim[x])
+                or tgt.dim[amap[x]] != src.dim[x]
                 or np.linalg.matrix_rank(iso.fiber_maps[x]) != src.dim[x]),
                None)
     rep.add("fiber maps are linear isomorphisms", bad is None,

@@ -19,14 +19,13 @@ discrete spaces and are reported as notes.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import singledispatch
 
 import numpy as np
 
-from ._util import canonical_min, fmt, sort_key
+from ._util import _BLOCK, canonical_min, fmt, sort_key
 from .report import (
     InternalConsistencyError,
     InvalidStructureError,
@@ -372,17 +371,17 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     for (x, y), v in g.comp.items():
         if x in ix and y in ix:
             table[ix[x], ix[y]] = ix.get(v, n)
-    # the triples through each unit: extensions of the arrows ranging there
-    fiber = Counter(g.rng[a] for a in g.arrows)
-    through = Counter()
-    for a in g.arrows:
-        through[g.rng[a]] += fiber[g.src[a]]
-    count = 3 * sum(through[g.src[a]] for a in g.arrows)
-    x, y, z = np.fromiter(map(ix.__getitem__, itertools.chain.from_iterable(
-        g.composable_triples())), dtype=np.int32, count=count).reshape(-1, 3).T
-    lhs, rhs = table[table[x, y], z], table[x, table[y, z]]
-    bad = np.flatnonzero((lhs == n) | (lhs != rhs))
-    wit = tuple(g.arrows[k[bad[0]]] for k in (x, y, z)) if bad.size else None
+    # the triples in enumeration order, _BLOCK at a time, up to the first bad one
+    triples, wit = g.composable_triples(), None
+    while wit is None:
+        x, y, z = np.fromiter(map(ix.__getitem__, itertools.chain.from_iterable(
+            itertools.islice(triples, _BLOCK))), dtype=np.int32).reshape(-1, 3).T
+        if not x.size:
+            break
+        lhs, rhs = table[table[x, y], z], table[x, table[y, z]]
+        bad = np.flatnonzero((lhs == n) | (lhs != rhs))
+        if bad.size:
+            wit = tuple(g.arrows[k[bad[0]]] for k in (x, y, z))
     rep.add("associativity", wit is None,
             f"triple ({fmt(wit[0])},{fmt(wit[1])},{fmt(wit[2])})" if wit else None)
 

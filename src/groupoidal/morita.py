@@ -11,7 +11,8 @@ unit arrow; it never builds the dense linking algebra.  The certificate
 checks corner fullness, positivity of the inner products under the regular
 representations of the corners, the exchange residual, that the corner
 projections sum to the unit, and matching Wedderburn invariants of the two
-corners; each of them enters the verdict.
+corners; each of them enters the verdict.  Scenarios identify corners
+with crossed products as bundles, never as dense algebras.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import DEFAULT_TOL, deviation, fmt
+from ._util import DEFAULT_TOL, deviation, fmt, worst_residual
 from .bundles import (
     BundleAction,
     BundleEquivalence,
@@ -35,6 +36,7 @@ from .bundles import (
     one_sided_equivalence,
     one_sided_transformation_equivalence,
     quotient_fell_bundle,
+    semidirect_fell_bundle,
     semidirect_right_fell_bundle,
     symmetric_action_equivalence,
     transformation_bundle_action,
@@ -43,13 +45,11 @@ from .bundles import (
 )
 from .algebras import (
     AlgebraAction,
-    AlgebraIso,
     Representation,
     StarAlgebra,
     StarStructureReport,
     _section_fibers,
     check_algebra_action,
-    crossed_product,
     fiber_algebra,
     induced_algebra,
     regular_representation,
@@ -127,14 +127,16 @@ def linking_system(e: BundleEquivalence, tol: float = DEFAULT_TOL,
 
 
 def _corner(bundle: FellBundle, tag: str, provenance: str) -> StarAlgebra:
-    """The section algebra of the linking bundle over the arrows tagged ``tag``.
+    """The section algebra of ``_corner_bundle``: the linking algebra's basis,
+    constants and involution on the corner's coordinates."""
+    algebra = section_algebra(_corner_bundle(bundle, tag, provenance))
+    algebra.provenance = provenance
+    return algebra
 
-    The arrows keep their linking-groupoid order, so the basis, constants
-    and involution are the linking algebra's on those coordinates, provided
-    the corner is closed: every product of two corner arrows, in product
-    order, and the inverse of every corner arrow must be a corner arrow.
-    The first that is not raises, naming it.
-    """
+
+def _corner_bundle(bundle: FellBundle, tag: str, provenance: str) -> FellBundle:
+    """The linking bundle over the arrows tagged ``tag``, in linking order;
+    the first product or inverse of corner arrows outside the corner raises."""
     g = bundle.base
     arrows = tuple(x for x in g.arrows if x[0] == tag)
     inside = set(arrows)
@@ -151,11 +153,8 @@ def _corner(bundle: FellBundle, tag: str, provenance: str) -> StarAlgebra:
     base = FiniteGroupoid(units, arrows, {x: g.src[x] for x in arrows},
                           {x: g.rng[x] for x in arrows}, {p: g.comp[p] for p in pairs},
                           {x: g.inv[x] for x in arrows}, {u: g.unit_arrow[u] for u in units})
-    algebra = section_algebra(FellBundle(base, {x: bundle.dim[x] for x in arrows},
-                                         {p: bundle.mult[p] for p in pairs},
-                                         {x: bundle.star[x] for x in arrows}))
-    algebra.provenance = provenance
-    return algebra
+    return FellBundle(base, {x: bundle.dim[x] for x in arrows},
+                      {p: bundle.mult[p] for p in pairs}, {x: bundle.star[x] for x in arrows})
 
 
 def _corner_projection(bundle: FellBundle, unit_tag: str) -> np.ndarray:
@@ -484,46 +483,54 @@ def symmetric_morita(a: FellBundle, g: BundleAction, h: BundleAction,
                      tol: float = DEFAULT_TOL, seed: int = 0) -> MoritaCertificate:
     """Certificate for sections(a/H) x| G  ~  sections(G\\a) |x H.
 
-    Beyond the linking certificate, the two corners are identified on a
-    basis with the crossed products.  The left one is the section algebra of
-    the crossed-product bundle the equivalence already holds; the right one
-    is built independently, from the quotient by the converted G action.
+    Each corner is also identified with a crossed-product bundle: on the
+    left the one the equivalence holds, on the right one built independently
+    from the quotient by the converted G action.
     """
     e = symmetric_action_equivalence(a, g, h)
     ls = linking_system(e, tol=tol)
     cert = verify_morita(ls, tol=tol, seed=seed)
 
     # e.left_bundle is the crossed-product bundle (a/H) x| G itself
-    res_l = _identify_corner(ls.corner_left, section_algebra(e.left_bundle))
-
+    res_l = _identify_corner(ls, "p", e.left_bundle, tol)
     g_quot = quotient_fell_bundle(a, g.converted())
     h_on_gquot = induced_quotient_bundle_action(a, h, g_quot)
-    right_alg = section_algebra(semidirect_right_fell_bundle(h_on_gquot, g_quot[0]))
-    res_r = _identify_corner(ls.corner_right, right_alg)
+    res_r = _identify_corner(ls, "q", semidirect_right_fell_bundle(h_on_gquot, g_quot[0]), tol)
 
     cert.notes.append(f"left corner identified with the crossed product "
                       f"(residual {res_l:.3e})")
     cert.notes.append(f"right corner identified with the opposite crossed product "
                       f"(residual {res_r:.3e})")
-    if max(res_l, res_r) > tol:
-        cert.verdict = "not-certified"
-        cert.notes.append("corner identification failed")
+    _identified(cert, tol, res_l, res_r)
     return cert
 
 
-def _identify_corner(corner: StarAlgebra, alg: StarAlgebra) -> float:
-    """Match corner basis ((tag, arrow), i) with algebra basis (arrow, i)."""
-    if corner.dimension != alg.dimension:
-        raise InvalidStructureError("corner dimension mismatch")
-    n = corner.dimension
-    u = np.zeros((n, n), dtype=complex)
-    for k, ((_tag, arrow), i) in enumerate(corner.basis):
-        u[alg.basis.index((arrow, i)), k] = 1.0
-    iso = AlgebraIso(corner, alg, u)
-    rep = verify_algebra_iso(iso)
-    rep.require("corner identification")
-    return max(rep.metrics.get("multiplicativity", 0.0),
-               rep.metrics.get("star preservation", 0.0))
+def _identify_corner(ls: LinkingSystem, tag: str, target: FellBundle, tol: float) -> float:
+    """Residual of (tag, x) -> x, identity on fibers, from the corner bundle
+    onto ``target``: <= tol identifies the corner algebra with the section
+    algebra of ``target`` on these bases, which is never built."""
+    corner = _corner_bundle(ls.bundle, tag, "left corner" if tag == "p" else "right corner")
+    return _iso_residual(corner, target, {x: x[1] for x in corner.base.arrows}, tol)
+
+
+def _iso_residual(source: FellBundle, target: FellBundle, arrow_map: dict, tol: float) -> float:
+    """verify_bundle_iso's worst residual for arrow_map with identity fiber
+    maps, NaN if one of its structural checks fails."""
+    rep = verify_bundle_iso(BundleIso(source, target, arrow_map, {
+        x: np.eye(source.dim[x], dtype=complex) for x in source.base.arrows}), tol)
+    return worst_residual([rep.metrics.get(m, np.nan)
+                           for m in ("multiplicativity", "star preservation")])[0]
+
+
+def _identified(cert: MoritaCertificate, tol: float, *residuals: float,
+                failure: str = "corner identification failed") -> bool:
+    """Whether every residual is <= tol; if not (NaN included), the
+    certificate is not-certified, with the note ``failure``."""
+    if all(r <= tol for r in residuals):
+        return True
+    cert.verdict = "not-certified"
+    cert.notes.append(failure)
+    return False
 
 
 def one_sided_morita(a: FellBundle, g: BundleAction,
@@ -536,24 +543,21 @@ def one_sided_morita(a: FellBundle, g: BundleAction,
     return cert
 
 
-def one_sided_transformation_morita(b: FellBundle, act: SpaceAction,
-                                    gact: SpaceAction,
-                                    tol: float = DEFAULT_TOL,
-                                    seed: int = 0) -> MoritaCertificate:
-    """Certificate for sections(b*Omega) x| G ~ sections(b)."""
+def one_sided_transformation_morita(b: FellBundle, act: SpaceAction, gact: SpaceAction,
+                                    tol: float = DEFAULT_TOL, seed: int = 0) -> MoritaCertificate:
+    """Certificate for sections(b*Omega) x| G ~ sections(b); the corners
+    are identified as bundles with the crossed-product bundle and with b."""
     e = one_sided_transformation_equivalence(b, act, gact)
     ls = linking_system(e, tol=tol)
     cert = verify_morita(ls, tol=tol, seed=seed)
-    res = _identify_corner(ls.corner_right, section_algebra(b))
+    res = _identify_corner(ls, "q", b, tol)
     cert.notes.append(f"right corner identified with the base sections "
                       f"(residual {res:.3e})")
     g_on_tb = transformation_bundle_action(b, act, gact)
-    cp = crossed_product(g_on_tb.bundle, g_on_tb)
-    res_l = _identify_corner(ls.corner_left, cp)
+    res_l = _identify_corner(ls, "p", semidirect_fell_bundle(g_on_tb.bundle, g_on_tb), tol)
     cert.notes.append(f"left corner identified with the transformation crossed "
                       f"product (residual {res_l:.3e})")
-    if max(res, res_l) > tol:
-        cert.verdict = "not-certified"
+    _identified(cert, tol, res, res_l)
     return cert
 
 
@@ -694,13 +698,10 @@ def coaction_demo(b: FellBundle, tol: float = DEFAULT_TOL,
     cert = one_sided_morita(big, gba, tol=tol, seed=seed)
 
     # identify the orbit bundle with the original bundle over the group
-    quot, qm = quotient_fell_bundle(big, gba.converted())
-    arrow_map = {p: p[0] for p in quot.base.arrows}
-    iso = BundleIso(quot, b, arrow_map,
-                    {p: np.eye(quot.dim[p], dtype=complex) for p in quot.base.arrows})
-    rep = verify_bundle_iso(iso, tol)
-    rep.require("coaction orbit-bundle identification")
-    cert.notes.append("orbit bundle identified with the original bundle over the group")
+    quot, _qm = quotient_fell_bundle(big, gba.converted())
+    res = _iso_residual(quot, b, {p: p[0] for p in quot.base.arrows}, tol)
+    if _identified(cert, tol, res, failure="orbit bundle identification failed"):
+        cert.notes.append("orbit bundle identified with the original bundle over the group")
     cert.notes.append(f"left dimension {cert.left_dimension}, "
                       f"right dimension {cert.right_dimension}")
     return cert

@@ -1,4 +1,6 @@
-"""The product-law kernels evaluate their tuples in blocks of bundles._BLOCK.
+"""The product-law kernels evaluate their tuples in blocks of bundles._BLOCK,
+and validate_groupoid walks the composable triples in blocks of
+groupoids._BLOCK.
 
 The block size bounds the memory of a pass and nothing else: every metric,
 witness and residual must be the same, bit for bit, whatever it is.  And the
@@ -22,9 +24,10 @@ from groupoidal import (
     symmetric_action_equivalence,
     trivial_line_bundle,
     validate_fell_bundle,
+    validate_groupoid,
     verify_bundle_equivalence,
 )
-from groupoidal import bundles
+from groupoidal import bundles, groupoids
 from groupoidal._util import fmt
 from groupoidal.instances import cyclic_group, symmetric_z2z2_bundle
 
@@ -117,3 +120,28 @@ def test_linking_pass_memory_is_bounded():
     assert rep.ok
     assert len(list(rep.linking.base.composable_triples())) == 135_000
     assert peak < 10e6
+
+
+def test_groupoid_validation_memory_is_bounded():
+    link = verify_bundle_equivalence(pair6_equivalence()).linking.base
+    tracemalloc.start()
+    try:
+        rep = validate_groupoid(link)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_groupoid_block_size_does_not_change_the_witness(seed, monkeypatch):
+    # the corrupted groupoids of test_groupoid_associativity_witness_matches_reference
+    rng = np.random.default_rng(4000 + seed)
+    g = symmetric_equivalence(rng, max_units=4).left_bundle.base
+    keys = list(g.comp)
+    key = keys[int(rng.integers(len(keys)))]
+    g.comp[key] = g.arrows[int(rng.integers(len(g.arrows)))]
+    default = outcome(validate_groupoid(g))
+    monkeypatch.setattr(groupoids, "_BLOCK", 7)
+    assert outcome(validate_groupoid(g)) == default

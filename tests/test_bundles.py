@@ -274,6 +274,21 @@ def test_verify_bundle_iso_reports_partial_maps():
         [("fiber maps are linear isomorphisms", "(2,1)")]
 
 
+def test_verify_bundle_iso_rejects_an_injective_map_into_a_larger_fiber():
+    # C -> C + C, a -> (a, 0), is injective, multiplicative and star-preserving,
+    # but not onto: the two section algebras are not isomorphic
+    small = make_trivial_cbundle(diagonal_algebra(1), (0,))
+    large = make_trivial_cbundle(diagonal_algebra(2), (0,))
+    rep = verify_bundle_iso(BundleIso(small, large, {0: 0},
+                                      {0: np.array([[1.0], [0.0]], dtype=complex)}))
+    assert [(c.name, c.witness) for c in rep.failures()] == \
+        [("fiber maps are linear isomorphisms", "0")]
+    # and the other way round, a map onto a smaller fiber
+    rep = verify_bundle_iso(BundleIso(large, small, {0: 0},
+                                      {0: np.array([[1.0, 0.0]], dtype=complex)}))
+    assert not rep.ok
+
+
 def test_transformation_bundle_matches_pullback(z2):
     # the coordinate projection identifies the transformation bundle with
     # the pullback, here via (a, u) -> (a, p(a).u) which for the line bundle

@@ -503,6 +503,8 @@ def test_every_operation_reachable_from_cli(tmp_path, capsys):
         ["demo", "coaction", "--group", "Z2"],
         ["build", "pullback_bundle", "B", "YOM",
          "-m", str(model_path), "-o", str(tmp_path / "pb.model")],
+        ["build", "crossed_product", "A", "GLB",
+         "-m", str(model_path), "-o", str(tmp_path / "cp.model")],
     ]
     sys.setprofile(tracer)
     try:
