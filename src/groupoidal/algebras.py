@@ -20,11 +20,13 @@ one arrow's fiber for a section algebra, so pi(e_k) is zero outside the blocks
 the nonzero constants reach and is filled block by block.  The structure
 report splits that representation into its Wedderburn blocks (the simple
 matrix-algebra summands) and keeps an orthonormal basis of each block's
-subspace, so that Gram matrices can be diagonalized block by block.
+subspace, and of one irreducible subspace inside it, so that Gram matrices
+can be diagonalized block by block, each on one irreducible copy.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -409,7 +411,7 @@ class Representation:
             blocks = [self.stack()]
         return float(np.min([_gram_margin(coeffs, stack) for stack in blocks]))
 
-    def block_stacks(self, bases, tol: float = DEFAULT_TOL) -> list:
+    def block_stacks(self, bases, tol: float = DEFAULT_TOL, copies=()) -> list:
         """pi compressed to the subspaces spanned by ``bases``: for each
         orthonormal column basis Q the stack of Q* pi(e_k) Q.
 
@@ -417,18 +419,57 @@ class Representation:
         this representation.  If they do not cover the space, or some pi(e_k)
         moves a subspace off itself (|pi(e_k) Q - Q Q* pi(e_k) Q| above
         max(tol, 1e-8)), the whole stack is the single block.
+
+        ``copies``, the report's ``irreducible_bases``, holds for each basis
+        an orthonormal basis W of one irreducible subspace inside it, or
+        None.  A block is compressed to its W instead, when W passes the same
+        invariance test; its subspace is then neither compressed nor tested
+        itself.  On a block's subspace pi is d copies of one irreducible of
+        dimension d, so W, of dimension d, carries the whole spectrum of the
+        block.
         """
         stack = self.stack()
         if not bases or sum(q.shape[1] for q in bases) != self.size:
             return [stack]
+        # pi(e_k) Q is computed from the nonzero entries of the stack only
+        entries = np.nonzero(stack)
+        entries += (stack[entries],)
         blocks = []
-        for q in bases:
-            moved = stack @ q
-            block = q.conj().T @ moved
-            if not deviation(moved, q @ block) <= max(tol, 1e-8):
+        for q, w in itertools.zip_longest(bases, copies[:len(bases)]):
+            block = None if w is None else _compressed(stack.shape, entries, w, tol)
+            if block is None:
+                block = _compressed(stack.shape, entries, q, tol)
+            if block is None:
                 return [stack]
             blocks.append(block)
         return blocks
+
+
+def _compressed(shape: tuple, entries: tuple, q: np.ndarray, tol: float) -> np.ndarray | None:
+    """The stack of Q* pi(e_k) Q, or None if some pi(e_k) moves the span of
+    Q off itself: |pi(e_k) Q - Q Q* pi(e_k) Q| above max(tol, 1e-8).
+
+    The stack has ``shape`` (n, r, r) and its nonzero entries are
+    ``entries``, (k, a, b, value) in index order; pi(e_k) Q is summed from
+    them, row by row and at most ``bundles._CHUNK`` products at a time,
+    into an r x (n d) matrix [pi(e_1) Q, ..., pi(e_n) Q], so that each
+    product with Q is a single matrix product.
+    """
+    k, a, b, value = entries
+    (n, r, _r), d = shape, q.shape[1]
+    moved = np.zeros((r, n, d), dtype=complex)
+    step = max(1, bundles._CHUNK // max(d, 1))
+    for lo in range(0, len(value), step):
+        kc, ac, at = k[lo:lo + step], a[lo:lo + step], slice(lo, lo + step)
+        # a row split between two chunks gets both partial sums
+        starts = np.flatnonzero(np.r_[True, (kc[1:] != kc[:-1]) | (ac[1:] != ac[:-1])])
+        moved[ac[starts], kc[starts]] += np.add.reduceat(
+            value[at, None] * q[b[at]], starts, axis=0)
+    moved = moved.reshape(r, n * d)
+    block = q.conj().T @ moved
+    if not deviation(moved, q @ block) <= max(tol, 1e-8):
+        return None
+    return np.ascontiguousarray(block.reshape(d, n, d).transpose(1, 0, 2))
 
 
 def _gram_margin(coeffs: np.ndarray, stack: np.ndarray) -> float:
@@ -626,6 +667,10 @@ class StarStructureReport:
     # measured on; empty unless the split was made there (status "ok", no
     # radical).  Not part of the report's text, JSON or equality.
     block_bases: tuple = field(default=(), repr=False, compare=False)
+    # for each of block_bases, an orthonormal basis of one irreducible
+    # subspace inside it, or None (blocks of size 1, and splits that failed
+    # their checks); likewise not part of the report's text, JSON or equality
+    irreducible_bases: tuple = field(default=(), repr=False, compare=False)
 
     def consistent(self) -> bool:
         return sum(b * b for b in self.blocks) + self.radical_dimension == self.dimension
@@ -664,10 +709,13 @@ def _center_basis(a: StarAlgebra, tol: float) -> np.ndarray:
     n = a.dimension
     if n == 0:
         return np.zeros((0, 0))
-    mats = np.concatenate([(a.struct[:, :, j] - a.struct[:, j, :])
-                           for j in range(n)], axis=0)
-    # the stack has n*n >= n rows, so vh is n x n
-    _u, s, vh = np.linalg.svd(mats, full_matrices=False)
+    # the stack of the commutators with each e_j, without its zero rows,
+    # which change neither its singular values nor its null space; zero
+    # rows pad it to n rows, so that vh is n x n
+    rows = [m[m.any(axis=1)] for m in (a.struct[:, :, j] - a.struct[:, j, :]
+                                         for j in range(n))]
+    rows.append(np.zeros((max(0, n - sum(len(m) for m in rows)), n)))
+    _u, s, vh = np.linalg.svd(np.concatenate(rows, axis=0), full_matrices=False)
     null = s <= tol * max(1.0, s[0])
     return vh[null].conj()
 
@@ -684,7 +732,8 @@ def star_structure_report(a: StarAlgebra, tol: float = DEFAULT_TOL,
     clustered to split reliably.  A block's size is read from the rank of
     the representation compressed to its eigenspace, Q* pi(e_k) Q for an
     orthonormal basis Q; with no radical the bases are kept as
-    ``block_bases``.  ``representation``, if given, is
+    ``block_bases``, each beside one irreducible subspace inside it
+    (``_irreducible_copies``).  ``representation``, if given, is
     ``regular_representation(a, tol)`` already computed; it is read, never
     changed.
     """
@@ -761,9 +810,53 @@ def star_structure_report(a: StarAlgebra, tol: float = DEFAULT_TOL,
     is_cstar = (radical == 0 and rep.faithful and law_rep.ok
                 and rep.mult_residual <= max(tol, 1e-8)
                 and rep.star_residual <= max(tol, 1e-8))
+    if radical:
+        return StarStructureReport(n, radical, center_dim, blocks, is_cstar,
+                                   "ok", seed, rng_attempts, norms, notes)
     return StarStructureReport(n, radical, center_dim, blocks, is_cstar,
                                "ok", seed, rng_attempts, norms, notes,
-                               block_bases=tuple(bases) if radical == 0 else ())
+                               block_bases=tuple(bases),
+                               irreducible_bases=_irreducible_copies(a, rep, bases, sizes, seed))
+
+
+def _irreducible_copies(a: StarAlgebra, rep: Representation, bases: list,
+                        sizes: list, seed: int) -> tuple:
+    """For each block subspace V (basis Q, block size d) an orthonormal
+    basis of one irreducible subspace inside it, or None.
+
+    Right multiplication commutes with the left regular representation, and
+    for a hermitian h it is self-adjoint in the trace inner product
+    tau(f* g), tau being a trace: rho(h) = proj R_h basis.  On V, the d x d
+    matrix summand, its eigenvalues are those of h's component there, each
+    d times, and the eigenvectors of the smallest eigenvalue span one
+    irreducible copy, of dimension d.  h is drawn from a seeded stream of
+    its own.  A block keeps None when its size is 1, or when the lowest
+    cluster of Q* rho(h) Q (clusters split at the structure report's gap)
+    does not hold exactly d eigenvalues.
+    """
+    if all(d == 1 for d in sizes):
+        return tuple(None for _ in bases)
+    h = _hermitian_probe(a, seed)
+    rho = rep._proj @ np.tensordot(a.struct, h, axes=(2, 0)) @ rep._basis
+    copies = []
+    for q, d in zip(bases, sizes):
+        if d == 1:
+            copies.append(None)
+            continue
+        local = q.conj().T @ rho @ q
+        eigvals, eigvecs = np.linalg.eigh(0.5 * (local + local.conj().T))
+        gap = 1e-6 * max(1.0, float(np.max(np.abs(eigvals))))
+        splits = np.flatnonzero(np.diff(eigvals) > gap)
+        copies.append(q @ eigvecs[:, :d] if splits.size and splits[0] == d - 1 else None)
+    return tuple(copies)
+
+
+def _hermitian_probe(a: StarAlgebra, seed: int) -> np.ndarray:
+    """A random hermitian element v + v*, from the stream [seed, 1], apart
+    from the streams seed + attempt that split the center."""
+    rng = np.random.default_rng([seed, 1])
+    v = rng.standard_normal(a.dimension) + 1j * rng.standard_normal(a.dimension)
+    return v + a.star_vec(v)
 
 
 def _generator_norms(stack: np.ndarray) -> tuple:
@@ -898,7 +991,8 @@ def induced_algebra(b: StarAlgebra, x_action: SpaceAction,
 
     Returns the induced algebra together with the isomorphism theta onto the
     sections of the quotient of the constant bundle, theta(f)(orbit of x) =
-    the value f(x) at the canonical representative.
+    the value f(x) at the canonical representative.  theta is not checked
+    here: its caller checks it with verify_algebra_iso at its own tolerance.
     """
     grp = x_action.groupoid
     if x_action.side != "right" or not isinstance(grp, FiniteGroup):
@@ -941,6 +1035,4 @@ def induced_algebra(b: StarAlgebra, x_action: SpaceAction,
     u = np.zeros((n, n), dtype=complex)
     for k, lbl in enumerate(basis):
         u[target.basis.index(lbl), k] = 1.0
-    iso = AlgebraIso(ind, target, u)
-    verify_algebra_iso(iso).require("induced_algebra")
-    return ind, iso
+    return ind, AlgebraIso(ind, target, u)

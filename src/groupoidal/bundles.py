@@ -12,7 +12,7 @@ structure constants are exact small rationals in every shipped instance.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,7 +50,9 @@ from .groupoids import (
     verify_groupoid_equivalence,
     _Transposed,
     _flip,
+    _groupoid_axioms,
     _other_side,
+    _pair_ids,
     _unique_unit_shift,
 )
 from .report import (
@@ -309,10 +311,7 @@ class _Products:
         point: dict = {}
         s, r = (np.array([point.setdefault(end[x], len(point)) for x in g.arrows], dtype=np.intp)
                 for end in (g.src, g.rng))
-        by_rng = np.argsort(r, kind="stable")
-        fiber = np.searchsorted(r[by_rng], np.arange(len(point) + 1))
-        self.px, at = _ranges(fiber[s], fiber[s + 1])
-        self.py = by_rng[at]
+        self.px, self.py = _pair_ids(s, r, len(point))
         # the pairs (x, .) are rows row[x] to row[x + 1] of (px, py)
         self.row = np.searchsorted(self.px, np.arange(n + 1))
         self.offset = np.concatenate(
@@ -348,6 +347,14 @@ class _Products:
         each block its slice of positions and its id columns."""
         for block in _blocks(self.n_triples):
             yield block, self.triples_at(np.arange(block.start, block.stop))
+
+    def validate_base(self) -> ValidationReport:
+        """validate_groupoid(self.base), read from this table: the same
+        checks, names, order and witnesses, with associativity checked on
+        the integer product table over triple_blocks(), so that the triples
+        are never walked by label."""
+        return _groupoid_axioms(self.base, (self.px, self.py, self.prod),
+                                lambda _ix: (cols for _block, cols in self.triple_blocks()))
 
     def associativity(self, x, y, z) -> np.ndarray:
         pair_id, comp, residuals = self.pair_id, self.comp, np.zeros(len(x))
@@ -446,25 +453,27 @@ def check_bundle_action(ba: BundleAction, tol: float = DEFAULT_TOL) -> Validatio
     if bad:
         return rep
 
-    bad = next((x for x in b.base.arrows
-                if not deviation(ba.fiber_maps[(g.identity, x)], np.eye(b.dim[x])) <= tol),
-               None)
-    rep.add("identity acts as the identity map", bad is None,
-            fmt(bad) if bad is not None else None)
+    # each law batched over its tuples by shape class (_residuals)
+    arrows, inv = b.base.arrows, b.base.inv
+    fid, fms = _numbered(ba.fiber_maps)
+    sid, stars = _numbered(b.star)
+    res = _residuals("ij->ij", "ij->ij", [fms, [np.eye(b.dim[x]) for x in arrows]],
+                     [(fid[(g.identity, x)], k) for k, x in enumerate(arrows)])
+    bad = np.flatnonzero(~(res <= tol))
+    rep.add("identity acts as the identity map", not bad.size,
+            fmt(arrows[bad[0]]) if bad.size else None)
 
-    tuples, res = [], []
+    tuples, ids = [], []
     for s, t in itertools.product(g.elements, repeat=2):
         prod = g.mul(s, t) if ba.side == "left" else g.mul(t, s)
-        for x in b.base.arrows:
-            lhs = ba.fiber_maps[(s, act.act[(t, x)])] @ ba.fiber_maps[(t, x)]
+        for x in arrows:
             tuples.append((s, t, x))
-            res.append(deviation(lhs, ba.fiber_maps[(prod, x)]))
-    worst, i = worst_residual(res)
+            ids.append((fid[(s, act.act[(t, x)])], fid[(t, x)], fid[(prod, x)]))
+    worst, i = worst_residual(_residuals("ij,jk->ik", "ik->ik", [fms] * 3, ids))
     rep.record_metric("group law", worst)
     rep.add("fiber maps satisfy the group law", worst <= tol,
             None if worst <= tol else fmt(tuples[i]))
 
-    fid, fms = _numbered(ba.fiber_maps)
     mid, mts = _numbered(b.mult)
     tuples, ids = [], []
     for t in g.elements:
@@ -478,15 +487,16 @@ def check_bundle_action(ba: BundleAction, tol: float = DEFAULT_TOL) -> Validatio
     rep.add("fiber maps preserve multiplication", worst <= tol,
             None if worst <= tol else fmt(tuples[i]))
 
-    tuples, res = [], []
+    # star[t.x] conj(F(t, x)) == F(t, inv x) star[x]
+    cls, pos, stacks = fms
+    conj = cls, pos, [np.conjugate(stack) for stack in stacks]
+    tuples, ids = [], []
     for t in g.elements:
-        for x in b.base.arrows:
-            tx = act.act[(t, x)]
-            lhs = b.star[tx] @ np.conjugate(ba.fiber_maps[(t, x)])
-            rhs = ba.fiber_maps[(t, b.base.inv[x])] @ b.star[x]
+        for x in arrows:
             tuples.append((t, x))
-            res.append(deviation(lhs, rhs))
-    worst, i = worst_residual(res)
+            ids.append((sid[act.act[(t, x)]], fid[(t, x)], fid[(t, inv[x])], sid[x]))
+    worst, i = worst_residual(_residuals(
+        "ij,jk->ik", "il,lk->ik", [stars, conj, fms, stars], ids))
     rep.record_metric("star equivariance", worst)
     rep.add("fiber maps preserve the involution", worst <= tol,
             None if worst <= tol else fmt(tuples[i]))
@@ -1214,9 +1224,12 @@ def _patterns(tag: np.ndarray, *cols) -> np.ndarray:
 
 @dataclass(eq=False)
 class EquivalenceReport(ValidationReport):
-    """A report with the linking bundle it checked (None if it stopped early)."""
+    """A report with the linking bundle it checked and that bundle's tuple
+    table (both None if it stopped early); neither is part of the report's
+    text."""
 
     linking: FellBundle | None = None
+    products: _Products | None = field(default=None, repr=False)
 
 
 def verify_bundle_equivalence(e: BundleEquivalence,
@@ -1395,7 +1408,7 @@ def verify_bundle_equivalence(e: BundleEquivalence,
     rep.record_metric("step6 positivity margin", worst_pos)
     rep.add("step 6: inner products positive", worst_pos >= -tol,
             None if worst_pos >= -tol else f"min eigenvalue {worst_pos:.3e}")
-    rep.linking = link
+    rep.linking, rep.products = link, kernels
     return rep
 
 

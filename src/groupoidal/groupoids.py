@@ -25,7 +25,7 @@ from functools import singledispatch
 
 import numpy as np
 
-from ._util import _BLOCK, canonical_min, fmt, sort_key
+from ._util import _BLOCK, _ranges, canonical_min, fmt, sort_key
 from .report import (
     InternalConsistencyError,
     InvalidStructureError,
@@ -330,7 +330,48 @@ def product_with_group(x: FiniteGroupoid, g: FiniteGroup) -> FiniteGroupoid:
 
 
 def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
-    """Exhaustively check every groupoid axiom; failures carry witnesses."""
+    """Exhaustively check every groupoid axiom; failures carry witnesses.
+
+    Associativity walks composable_triples() by label, _BLOCK triples at a
+    time, up to the first block with a bad one.
+    """
+    def triples(ix):
+        walk = g.composable_triples()
+        while True:
+            x, y, z = np.fromiter(map(ix.__getitem__, itertools.chain.from_iterable(
+                itertools.islice(walk, _BLOCK))), dtype=np.intp).reshape(-1, 3).T
+            if not x.size:
+                return
+            yield x, y, z
+
+    return _groupoid_axioms(g, None, triples)
+
+
+def _pair_ids(s: np.ndarray, r: np.ndarray, n_points: int) -> tuple:
+    """The composable pairs (x, y), src(x) == rng(y), as arrow-id columns in
+    composable_pairs() order (x in arrow order, then y in arrow order), from
+    the integer source and range ids of the arrows."""
+    by_rng = np.argsort(r, kind="stable")
+    fiber = np.searchsorted(r[by_rng], np.arange(n_points + 1))
+    px, at = _ranges(fiber[s], fiber[s + 1])
+    return px, by_rng[at]
+
+
+def _groupoid_axioms(g: FiniteGroupoid, pairs, triples) -> ValidationReport:
+    """The groupoid axioms of g, in validate_groupoid's order, names and
+    witnesses.
+
+    The checks over arrows and units read g's labels until they are known
+    to be total; the rest read integer columns.  ``pairs`` holds the
+    composable pairs as arrow-id columns (px, py, prod) in
+    composable_pairs() order, prod the id of each pair's product, or is
+    None to number them here from the labels.  ``triples(ix)``, given the
+    arrow ids by label, yields the composable triples as blocks of id
+    columns (x, y, z) in composable_triples() order; only the blocks up to
+    the first bad triple are read.  A witness that the id columns cannot
+    name in the order of g.comp is searched for by label, and only when the
+    check fails.
+    """
     rep = ValidationReport(subject="groupoid")
     arrows, units = set(g.arrows), set(g.units)
 
@@ -349,64 +390,76 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     if bad:
         return rep
 
-    missing = [(x, y) for x, y in g.composable_pairs() if (x, y) not in g.comp]
-    extra = [k for k in g.comp if g.src[k[0]] != g.rng[k[1]]]
-    rep.add("comp defined iff src(x)=rng(y)", not missing and not extra,
-            f"pair ({fmt((missing + extra)[0][0])},{fmt((missing + extra)[0][1])})"
-            if missing or extra else None)
-    if missing:
+    ix = {x: i for i, x in enumerate(g.arrows)}
+    point = {u: i for i, u in enumerate(g.units)}
+    n = len(ix)
+    every, at = (np.array([ids[a] for a in labels], dtype=np.intp)
+                 for ids, labels in ((ix, g.arrows), (point, g.units)))
+    s, r = (np.array([point[end[x]] for x in g.arrows], dtype=np.intp)
+            for end in (g.src, g.rng))
+    inv = np.array([ix[g.inv[x]] for x in g.arrows], dtype=np.intp)
+    unit = np.array([ix[g.unit_arrow[u]] for u in g.units], dtype=np.intp)
+    if pairs is None:
+        px, py = _pair_ids(s, r, len(point))
+        # -1 for a missing product, n for one that is not an arrow
+        prod = np.array([ix.get(g.comp[k], n) if k in g.comp else -1 for k in zip(
+            (g.arrows[a] for a in px.tolist()), (g.arrows[b] for b in py.tolist()))],
+            dtype=np.intp)
+    else:
+        px, py, prod = pairs
+
+    missing = np.flatnonzero(prod < 0)
+    extra = ([k for k in g.comp if g.src[k[0]] != g.rng[k[1]]]
+             if len(g.comp) != len(prod) - len(missing) else [])
+    wit = ((g.arrows[px[missing[0]]], g.arrows[py[missing[0]]]) if missing.size
+           else extra[0] if extra else None)
+    rep.add("comp defined iff src(x)=rng(y)", wit is None,
+            f"pair ({fmt(wit[0])},{fmt(wit[1])})" if wit else None)
+    if missing.size:
         return rep
 
-    bad = [(x, y) for (x, y), z in g.comp.items()
-           if z not in arrows or g.rng[z] != g.rng[x] or g.src[z] != g.src[y]]
+    # an id past the arrows has no source or range
+    s_, r_ = np.append(s, -1), np.append(r, -1)
+    bad = []
+    if extra or np.any((r_[prod] != r[px]) | (s_[prod] != s[py])):
+        bad = [(x, y) for (x, y), z in g.comp.items()
+               if z not in arrows or g.rng[z] != g.rng[x] or g.src[z] != g.src[y]]
     rep.add("rng(xy)=rng(x), src(xy)=src(y)", not bad,
             f"pair ({fmt(bad[0][0])},{fmt(bad[0][1])})" if bad else None)
 
     # associativity on an integer product table; index n stands for a
     # product that is missing or not an arrow, and counts as a mismatch.
     # Ids are 32-bit: the (n + 1)^2 table caps n far below 2^31.
-    ix = {x: i for i, x in enumerate(g.arrows)}
-    n = len(ix)
     table = np.full((n + 1, n + 1), n, dtype=np.int32)
-    for (x, y), v in g.comp.items():
+    table[px, py] = prod
+    for x, y in extra:
         if x in ix and y in ix:
-            table[ix[x], ix[y]] = ix.get(v, n)
-    # the triples in enumeration order, _BLOCK at a time, up to the first bad one
-    triples, wit = g.composable_triples(), None
-    while wit is None:
-        x, y, z = np.fromiter(map(ix.__getitem__, itertools.chain.from_iterable(
-            itertools.islice(triples, _BLOCK))), dtype=np.int32).reshape(-1, 3).T
-        if not x.size:
-            break
+            table[ix[x], ix[y]] = ix.get(g.comp[(x, y)], n)
+    wit = None
+    for x, y, z in triples(ix):
         lhs, rhs = table[table[x, y], z], table[x, table[y, z]]
         bad = np.flatnonzero((lhs == n) | (lhs != rhs))
         if bad.size:
             wit = tuple(g.arrows[k[bad[0]]] for k in (x, y, z))
+            break
     rep.add("associativity", wit is None,
             f"triple ({fmt(wit[0])},{fmt(wit[1])},{fmt(wit[2])})" if wit else None)
 
-    bad = [x for x in g.arrows if g.inv[g.inv[x]] != x]
-    rep.add("inv involutive", not bad, fmt(bad[0]) if bad else None)
+    def first(mask, labels):
+        bad = np.flatnonzero(mask)
+        return fmt(labels[bad[0]]) if bad.size else None
 
-    bad = [x for x in g.arrows
-           if g.comp.get((x, g.inv[x])) != g.unit_arrow[g.rng[x]]
-           or g.comp.get((g.inv[x], x)) != g.unit_arrow[g.src[x]]]
-    rep.add("x.inv(x) and inv(x).x are units", not bad, fmt(bad[0]) if bad else None)
+    wit = first(inv[inv] != every, g.arrows)
+    rep.add("inv involutive", wit is None, wit)
 
-    bad = [u for u in g.units
-           if g.src[g.unit_arrow[u]] != u or g.rng[g.unit_arrow[u]] != u]
-    rep.add("unit arrows sit at their unit", not bad, fmt(bad[0]) if bad else None)
+    wit = first((table[every, inv] != unit[r]) | (table[inv, every] != unit[s]), g.arrows)
+    rep.add("x.inv(x) and inv(x).x are units", wit is None, wit)
 
-    bad = None
-    for x in g.arrows:
-        if g.comp.get((x, g.unit_arrow[g.src[x]])) != x:
-            bad = x
-            break
-        if g.comp.get((g.unit_arrow[g.rng[x]], x)) != x:
-            bad = x
-            break
-    rep.add("unit arrows are two-sided identities", bad is None,
-            fmt(bad) if bad is not None else None)
+    wit = first((s[unit] != at) | (r[unit] != at), g.units)
+    rep.add("unit arrows sit at their unit", wit is None, wit)
+
+    wit = first((table[every, unit[s]] != every) | (table[unit[r], every] != every), g.arrows)
+    rep.add("unit arrows are two-sided identities", wit is None, wit)
     return rep
 
 

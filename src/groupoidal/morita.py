@@ -66,7 +66,6 @@ from .groupoids import (
     _components,
     group_set_action,
     left_translation_action,
-    validate_groupoid,
 )
 from .report import InvalidStructureError, ValidationReport
 
@@ -107,7 +106,9 @@ def linking_system(e: BundleEquivalence, tol: float = DEFAULT_TOL,
     """The linking groupoid, bundle and corners of an equivalence.
 
     With strict=True the bundle is the one verify_bundle_equivalence checked,
-    and the linking groupoid is validated; strict=False assembles
+    and the linking groupoid is validated on the tuple table that check
+    numbered (``_Products.validate_base``), so that its composable triples
+    are enumerated once; strict=False assembles
     linking_bundle(e) unchecked, for negative controls on broken data.
     Either way each corner is built from the linking bundle restricted to
     its tag, and the linking algebra is left to ``LinkingSystem.algebra``.
@@ -115,7 +116,7 @@ def linking_system(e: BundleEquivalence, tol: float = DEFAULT_TOL,
     if strict:
         verification = verify_bundle_equivalence(e, tol).require("linking_system")
         bundle = verification.linking
-        validate_groupoid(bundle.base).require("linking groupoid")
+        verification.products.validate_base().require("linking groupoid")
     else:
         verification, bundle = None, linking_bundle(e)
 
@@ -462,15 +463,19 @@ def _positivity_margin(ls: LinkingSystem, side: str, table: list, pi: Representa
     bases ``report`` (the structure report made from pi) keeps, and each
     component gets one Gram and eigensolve per block.  The margin is the
     minimum over components and blocks: the smallest eigenvalue of the
-    whole Gram, which is unitarily similar to their direct sum.  Without
-    usable bases (indeterminate report, radical, a subspace not invariant
-    to max(tol, 1e-8), bases not covering the space) the whole of pi is the
-    single block.  A Gram that is not finite, or a corner whose trace form
-    is not finite, gives NaN.
+    whole Gram, which is unitarily similar to their direct sum.  On a block
+    of size d, pi is d copies of one irreducible, so its Gram is unitarily
+    the Gram on one copy tensored with the d x d identity: the block is
+    compressed to the copy the report keeps in ``irreducible_bases``, if
+    it is invariant to max(tol, 1e-8), and its eigensolve shrinks by d^3.
+    Without usable bases (indeterminate report, radical, a subspace not
+    invariant to max(tol, 1e-8), bases not covering the space) the whole
+    of pi is the single block.  A Gram that is not finite, or a corner
+    whose trace form is not finite, gives NaN.
     """
     if not np.isfinite(pi.gram_min_eig):
         return float("nan")
-    blocks = pi.block_stacks(report.block_bases, tol)
+    blocks = pi.block_stacks(report.block_bases, tol, report.irreducible_bases)
     margins = [pi.gram_margin(coeffs, blocks) for coeffs, _finite in table]
     return float(np.min(margins)) if margins else 0.0
 
@@ -632,9 +637,7 @@ def raeburn(points, g_space: SpaceAction, h_space: SpaceAction,
                       f"(residual {res_h:.3e})")
     cert.notes.append(f"induced algebra over G identified equivariantly "
                       f"(residual {res_g:.3e})")
-    if max(res_h, res_g) > tol:
-        cert.verdict = "not-certified"
-        cert.notes.append("induced-algebra identification failed")
+    _identified(cert, tol, res_h, res_g, failure="induced-algebra identification failed")
     return cert
 
 
@@ -645,13 +648,16 @@ def _raeburn_side(bundle: FellBundle, outer: BundleAction, inner: BundleAction,
 
     ``inner`` is the free right action quotiented out, ``outer`` the left
     action that descends to the quotient; ``*_alg`` act on the fiber b.
+    The residual is the worst of the isomorphism's and the actions', NaN
+    if one is not finite or the isomorphism fails a structural check.
     """
     quot = quotient_fell_bundle(bundle, inner)
     act_on_quot = induced_quotient_bundle_action(bundle, outer, quot)
     inner_space = group_set_action(inner.group, bundle.base.arrows,
                                    inner.base_action.act, "right")
     ind, theta = induced_algebra(b, inner_space, inner_alg)
-    res = max(verify_algebra_iso(theta, tol).metrics.values())
+    iso = verify_algebra_iso(theta, tol)
+    res = [iso.metrics.get(m, np.nan) for m in ("multiplicativity", "star preservation")]
 
     # induced action on equivariant functions, evaluated at each orbit
     # representative r': (t.f)(r') = outer_t(f(inv(t).r'))
@@ -669,11 +675,8 @@ def _raeburn_side(bundle: FellBundle, outer: BundleAction, inner: BundleAction,
             rj = reps.index(rep2)
             block = outer_alg.matrices[t] @ inner_alg.matrices[inner_alg.group.inv_elem(shift)]
             ind_mat[ri * nb:(ri + 1) * nb, rj * nb:(rj + 1) * nb] = block
-        lhs = theta.matrix @ ind_mat
-        rhs = sections.matrices[t] @ theta.matrix
-        if lhs.size:
-            res = max(res, float(np.max(np.abs(lhs - rhs))))
-    return res
+        res.append(deviation(theta.matrix @ ind_mat, sections.matrices[t] @ theta.matrix))
+    return worst_residual(res)[0]
 
 
 def coaction_demo(b: FellBundle, tol: float = DEFAULT_TOL,

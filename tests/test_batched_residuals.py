@@ -13,6 +13,7 @@ import pytest
 from groupoidal import (
     BundleAction,
     FiniteGroupoid,
+    check_bundle_action,
     exchange_residual,
     group_set_action,
     identity_fiber_maps,
@@ -306,3 +307,69 @@ def test_enumerations_keep_the_scan_order():
         assert list(zip(table.px.tolist(), table.py.tolist())) == pairs
         assert list(zip(*(c.tolist() for c in table.triples()))) == triples
     assert list(loose.composable_triples()) == [("b", "a", "c"), ("b", "b", "a"), ("b", "b", "b")]
+
+
+def reference_bundle_action(ba, tol=1e-9):
+    """The identity, group-law and star-equivariance checks of
+    check_bundle_action as per-arrow loops: (metric, witness) each, the
+    identity check naming the first arrow that is not within tol."""
+    g, b, act, f = ba.group, ba.bundle, ba.base_action, ba.fiber_maps
+    arrows = b.base.arrows
+    bad = next((x for x in arrows
+                if not np.max(np.abs(f[(g.identity, x)] - np.eye(b.dim[x])), initial=0.0) <= tol),
+               None)
+    law = worst_of(
+        ((s, t, x), f[(s, act.act[(t, x)])] @ f[(t, x)],
+         f[(g.mul(s, t) if ba.side == "left" else g.mul(t, s), x)])
+        for s in g.elements for t in g.elements for x in arrows)
+    star = worst_of(
+        ((t, x), b.star[act.act[(t, x)]] @ np.conjugate(f[(t, x)]),
+         f[(t, b.base.inv[x])] @ b.star[x])
+        for t in g.elements for x in arrows)
+    return None if bad is None else fmt(bad), law, star
+
+
+def bundle_actions(rng):
+    """Both actions of the Z2xZ2, the two-dimensional-fiber and a seeded
+    line-bundle instance."""
+    _lb, gba, hba = symmetric_z2z2_bundle()
+    _b, g2, h2 = two_dimensional_fiber_instance()
+    base, gact, hact = random_free_commuting_instance(rng)
+    lb = trivial_line_bundle(base)
+    return [gba, hba, g2, h2] + [BundleAction(a.group, lb, a, identity_fiber_maps(lb, a), a.side)
+                                 for a in (gact, hact)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bundle_action_kernels_match_reference(seed):
+    rng = np.random.default_rng(7000 + seed)
+    for ba in bundle_actions(rng):
+        maps = ba.fiber_maps = dict(ba.fiber_maps)
+        # two identity maps perturbed, the later arrow more, so that the
+        # first arrow outside tol is not the worst; one other map scaled;
+        # with seed 5 one entry is NaN, which fails all three checks
+        ident = [(ba.group.identity, x) for x in ba.bundle.base.arrows]
+        first, later = sorted(rng.choice(len(ident), size=2, replace=False))
+        for at, size in ((first, 1e-3), (later, 1.0)):
+            key = ident[at]
+            maps[key] = maps[key] + size * rng.standard_normal(maps[key].shape)
+        others = [k for k in maps if k[0] != ba.group.identity]
+        if others:
+            key = others[int(rng.integers(len(others)))]
+            maps[key] = (1.0 + seed % 3) * maps[key]
+        if seed == 5:
+            other = list(maps)[int(rng.integers(len(maps)))]
+            maps[other] = maps[other].copy()
+            maps[other][0, 0] = np.nan
+        rep = check_bundle_action(ba)
+        ident_wit, (law, law_wit), (star, star_wit) = reference_bundle_action(ba)
+        assert witness(rep, "identity acts") == ident_wit
+        if seed == 5:
+            assert np.isnan(rep.metrics["group law"]) and np.isnan(rep.metrics["star equivariance"])
+            continue
+        assert ident_wit == fmt(ident[first][1])
+        assert rep.metrics["group law"] == pytest.approx(law, rel=1e-12, abs=1e-15)
+        assert rep.metrics["star equivariance"] == pytest.approx(star, rel=1e-12, abs=1e-15)
+        assert witness(rep, "fiber maps satisfy") == (fmt(law_wit) if law > 1e-9 else None)
+        assert witness(rep, "fiber maps preserve the involution") == \
+            (fmt(star_wit) if star > 1e-9 else None)

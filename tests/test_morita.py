@@ -339,6 +339,60 @@ def test_raeburn_two_sided_four_points(z2):
     assert any("identified equivariantly" in n for n in cert.notes)
 
 
+def _raeburn_two_sided(z2):
+    points = tuple((i, j) for i in range(2) for j in range(2))
+    gsp = group_set_action(z2, points,
+                           {(t, (i, j)): ((t + i) % 2, j)
+                            for t in z2.elements for (i, j) in points}, "left")
+    hsp = group_set_action(z2, points,
+                           {(t, (i, j)): (i, (j + t) % 2)
+                            for t in z2.elements for (i, j) in points}, "right")
+    b = diagonal_algebra(2)
+    tau = AlgebraAction(z2, b, {t: np.eye(2, dtype=complex)
+                                for t in z2.elements}, "left")
+    return points, gsp, hsp, b, swap_tau_on_diagonal(z2), tau
+
+
+def _defective_induced_quotients(monkeypatch, defect):
+    # the quotient bundles that induced_algebra builds its target from get
+    # ``defect`` added to one nonzero product entry, so that each induced
+    # algebra identification has that residual; the certificate's own
+    # quotients (in morita) are left alone
+    import groupoidal.algebras as algebras
+
+    original = algebras.quotient_fell_bundle
+
+    def defective(a, ba):
+        quot, qm = original(a, ba)
+        key = next(iter(quot.mult))
+        tensor = quot.mult[key].copy()
+        tensor[np.nonzero(tensor)[0][0], 0, 0] += defect
+        quot.mult[key] = tensor
+        return quot, qm
+
+    monkeypatch.setattr(algebras, "quotient_fell_bundle", defective)
+
+
+def test_raeburn_nan_identification_is_not_certified(z2, monkeypatch):
+    # Python's max(0.0, nan) is 0.0: the residuals are reduced NaN-first
+    _defective_induced_quotients(monkeypatch, np.nan)
+    cert = raeburn(*_raeburn_two_sided(z2))
+    assert cert.verdict == "not-certified"
+    assert "induced-algebra identification failed" in cert.notes
+    assert "induced algebra over H identified equivariantly (residual nan)" in cert.notes
+
+
+def test_raeburn_identification_is_checked_at_the_certificate_tolerance(z2, monkeypatch):
+    # a residual between 1e-9 and tol reaches the verdict instead of raising
+    _defective_induced_quotients(monkeypatch, 1e-8)
+    cert = raeburn(*_raeburn_two_sided(z2), tol=1e-6)
+    assert cert.verdict == "equivalent"
+    assert "induced algebra over H identified equivariantly (residual 1.000e-08)" in cert.notes
+    strict = raeburn(*_raeburn_two_sided(z2))
+    assert strict.verdict == "not-certified"
+    assert strict.notes[-1] == "induced-algebra identification failed"
+
+
 def test_raeburn_rejects_non_commuting_algebra_actions(z2, triv):
     points, gsp, hsp, b, sigma, tau = _raeburn_small(z2, triv)
     # two transpositions of the three-dimensional diagonal algebra do not

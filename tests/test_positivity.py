@@ -305,3 +305,109 @@ def test_bases_that_are_not_invariant_give_the_single_block():
     report = star_structure_report(alg, representation=pi)
     (block,) = pi.block_stacks(report.block_bases[:-1])
     assert block is pi.stack()
+
+
+# ---------------------------------------------------------------------------
+# one irreducible copy per Wedderburn block
+
+
+def positivity_args_seen(monkeypatch, run):
+    """Run a certificate and return the arguments of each positivity call."""
+    calls = []
+    original = morita._positivity_margin
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(morita, "_positivity_margin", spy)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def _margin(table, pi, blocks) -> float:
+    margins = [pi.gram_margin(coeffs, blocks) for coeffs, _finite in table]
+    return float(np.min(margins)) if margins else 0.0
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_irreducible_and_isotypic_block_margins_agree(name, monkeypatch):
+    for _ls, _side, table, pi, report, tol in positivity_args_seen(monkeypatch, CASES[name]):
+        copies = report.irreducible_bases
+        assert len(copies) == len(report.block_bases)
+        for q, w in zip(report.block_bases, copies):
+            # every block of size d > 1 of these corners gets its copy
+            assert (w is None) == (q.shape[1] == 1)
+            assert w is None or w.shape[1] ** 2 == q.shape[1]
+        isotypic = _margin(table, pi, pi.block_stacks(report.block_bases, tol))
+        irreducible = _margin(table, pi, pi.block_stacks(report.block_bases, tol, copies))
+        assert abs(irreducible - isotypic) <= AGREE, (isotypic, irreducible)
+
+
+def test_degenerate_probe_keeps_the_isotypic_blocks(monkeypatch):
+    import groupoidal.algebras as algebras
+
+    alg = _pair6_right_corner()
+    pi = regular_representation(alg)
+    report = star_structure_report(alg, representation=pi)
+    assert all(w is not None for w in report.irreducible_bases)
+    # h = 0 leaves one eigenvalue cluster per block: no copy passes
+    monkeypatch.setattr(algebras, "_hermitian_probe", lambda a, seed: np.zeros(a.dimension))
+    flat = star_structure_report(alg, representation=pi)
+    assert flat == report
+    assert flat.irreducible_bases == (None,) * len(report.block_bases)
+    blocks = pi.block_stacks(flat.block_bases, 1e-9, flat.irreducible_bases)
+    assert [b.shape for b in blocks] == \
+        [b.shape for b in pi.block_stacks(report.block_bases, 1e-9)]
+    assert [b.shape[1] for b in blocks] == [9] * 6
+
+
+def test_copy_that_is_not_invariant_falls_back_to_its_block():
+    alg = _pair6_right_corner()
+    pi = regular_representation(alg)
+    report = star_structure_report(alg, representation=pi)
+    copies = list(report.irreducible_bases)
+    q = report.block_bases[0]
+    # three orthonormal columns of the first block's subspace in general
+    # position: not an invariant subspace
+    w, _r = np.linalg.qr(q @ np.random.default_rng(0).standard_normal((q.shape[1], 3)))
+    copies[0] = w
+    blocks = pi.block_stacks(report.block_bases, 1e-9, tuple(copies))
+    assert blocks[0].shape[1:] == (9, 9)
+    assert all(b.shape[1:] == (3, 3) for b in blocks[1:])
+    assert deviation(blocks[0], pi.block_stacks(report.block_bases, 1e-9)[0]) == 0.0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_probe_leaves_the_report_unchanged(seed, monkeypatch):
+    import groupoidal.algebras as algebras
+
+    for alg in (_pair6_right_corner(), BLOCK_CASES["blocks_1_2_random_basis"]()):
+        report = star_structure_report(alg, seed=seed)
+        monkeypatch.setattr(algebras, "_hermitian_probe",
+                            lambda a, seed: np.zeros(a.dimension))
+        flat = star_structure_report(alg, seed=seed)
+        monkeypatch.undo()
+        assert report.to_dict() == flat.to_dict()
+        assert (report.attempts, report.blocks, report.center_dimension) == \
+            (flat.attempts, flat.blocks, flat.center_dimension)
+        assert all(np.array_equal(a, b) for a, b in zip(report.block_bases, flat.block_bases))
+
+
+@pytest.mark.parametrize("name", ["z2z2", "coaction_m2_fibers"])
+def test_chunked_compression_gives_the_same_blocks(name, monkeypatch):
+    # the M2 fibers put several nonzeros in a row of pi(e_k), so tiny
+    # chunks split rows between chunks
+    from groupoidal import bundles
+
+    for _ls, _side, _table, pi, report, tol in positivity_args_seen(monkeypatch, CASES[name]):
+        whole = [pi.block_stacks(report.block_bases, tol, copies)
+                 for copies in ((), report.irreducible_bases)]
+        monkeypatch.setattr(bundles, "_CHUNK", 7)
+        chunked = [pi.block_stacks(report.block_bases, tol, copies)
+                   for copies in ((), report.irreducible_bases)]
+        monkeypatch.undo()
+        for blocks, again in zip(whole, chunked):
+            assert [b.shape for b in blocks] == [b.shape for b in again]
+            assert all(deviation(b, c) <= AGREE for b, c in zip(blocks, again))
