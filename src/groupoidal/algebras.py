@@ -985,19 +985,20 @@ def section_action(ba: BundleAction) -> AlgebraAction:
     return AlgebraAction(g, alg, mats, side=ba.side)
 
 
-def induced_algebra(b: StarAlgebra, x_action: SpaceAction,
-                    tau: AlgebraAction) -> tuple[StarAlgebra, AlgebraIso]:
+def induced_algebra(b: StarAlgebra, x_action: SpaceAction, tau: AlgebraAction,
+                    tol: float = DEFAULT_TOL) -> tuple[StarAlgebra, AlgebraIso]:
     """Equivariant b-valued functions on a free right group-set action.
 
     Returns the induced algebra together with the isomorphism theta onto the
     sections of the quotient of the constant bundle, theta(f)(orbit of x) =
     the value f(x) at the canonical representative.  theta is not checked
     here: its caller checks it with verify_algebra_iso at its own tolerance.
+    tau and the bundle action it induces are checked at ``tol``.
     """
     grp = x_action.groupoid
     if x_action.side != "right" or not isinstance(grp, FiniteGroup):
         raise InvalidStructureError("induced_algebra needs a right group action on the set")
-    check_algebra_action(tau).require("induced_algebra")
+    check_algebra_action(tau, tol).require("induced_algebra")
     for t in grp.elements:
         if t == grp.identity:
             continue
@@ -1016,7 +1017,7 @@ def induced_algebra(b: StarAlgebra, x_action: SpaceAction,
     fiber = {(t, u): tau.matrices[grp.inv_elem(t)]
              for t in grp.elements for u in x_action.space}
     diag = BundleAction(grp, bundle, base_act, fiber, "right")
-    quot, _qm = quotient_fell_bundle(bundle, diag)
+    quot, _qm = quotient_fell_bundle(bundle, diag, tol)
     target = section_algebra(quot)
 
     reps = tuple(quot.base.arrows)

@@ -40,17 +40,17 @@ from .groupoids import (
     orbit_space_action,
     principal_decomposition,
     quotient_groupoid,
+    read_back,
     require_free,
     semidirect_left,
-    semidirect_right,
     semidirect_space_action,
-    symmetric_groupoid_equivalence,
     transformation_groupoid,
     trivial_action,
     verify_groupoid_equivalence,
     _Transposed,
     _flip,
     _groupoid_axioms,
+    _orbit_action_data,
     _other_side,
     _pair_ids,
     _unique_unit_shift,
@@ -176,6 +176,17 @@ def _swap_inputs(tensor: np.ndarray) -> np.ndarray:
 def _opposite_bundle(b: FellBundle) -> FellBundle:
     """The bundle over the opposite groupoid, multiplying a.b as b a."""
     return FellBundle(opposite(b.base), b.dim, _Transposed(b.mult, _swap_inputs), b.star)
+
+
+@read_back.register
+def _read_back_bundle(b: FellBundle) -> FellBundle:
+    # dims and stars in the base's arrow order, products in composable_pairs() order
+    base = read_back(b.base)
+    return FellBundle(
+        base,
+        {x: b.dim[_flip(x)] for x in base.arrows},
+        {(x, y): _swap_inputs(b.mult[(_flip(y), _flip(x))]) for x, y in base.composable_pairs()},
+        {x: b.star[_flip(x)] for x in base.arrows})
 
 
 @dataclass
@@ -511,10 +522,6 @@ def is_free_bundle_action(ba: BundleAction) -> bool:
     return is_free(ba.base_action)
 
 
-def require_free_bundle_action(ba: BundleAction, context: str) -> None:
-    require_free(ba.base_action, context)
-
-
 # ---------------------------------------------------------------------------
 # pullbacks, trivial C*-bundles, transformation bundles
 
@@ -580,11 +587,12 @@ def transformation_bundle_action(a: FellBundle, act: SpaceAction,
 # semidirect-product bundles
 
 
-def semidirect_fell_bundle(a: FellBundle, ba: BundleAction) -> FellBundle:
+def semidirect_fell_bundle(a: FellBundle, ba: BundleAction,
+                           tol: float = DEFAULT_TOL) -> FellBundle:
     """Bundle over base x| G with (a, s)(b, t) = (a(s.b), st)."""
     if ba.side != "left" or ba.bundle.base != a.base:
         raise InvalidStructureError("semidirect_fell_bundle needs a left action on a")
-    check_bundle_action(ba).require("semidirect_fell_bundle")
+    check_bundle_action(ba, tol).require("semidirect_fell_bundle")
     g = ba.group
     act = ba.base_action
     base = semidirect_left(a.base, act)
@@ -601,16 +609,15 @@ def semidirect_fell_bundle(a: FellBundle, ba: BundleAction) -> FellBundle:
     return FellBundle(base, dim, mult, star)
 
 
-def semidirect_right_fell_bundle(ba: BundleAction, a: FellBundle) -> FellBundle:
+def semidirect_right_fell_bundle(ba: BundleAction, a: FellBundle,
+                                 tol: float = DEFAULT_TOL) -> FellBundle:
     """Bundle over H |x base with (h, a)(k, b) = (hk, (a.k)b).
 
-    It is the opposite of a^op x| H^op with each label (a, h) read as (h, a).
+    It is a^op x| H^op, read back.
     """
     if ba.side != "right" or ba.bundle.base != a.base:
         raise InvalidStructureError("semidirect_right_fell_bundle needs a right action on a")
-    left = opposite(semidirect_fell_bundle(opposite(a), opposite(ba)))
-    base = semidirect_right(ba.base_action, a.base)
-    return pullback_bundle(GroupoidHom(base, left.base, {x: _flip(x) for x in base.arrows}), left)
+    return read_back(semidirect_fell_bundle(opposite(a), opposite(ba), tol))
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +636,8 @@ class BundleQuotientMap:
     fiber_transport: dict
 
 
-def quotient_fell_bundle(a: FellBundle, ba: BundleAction) -> tuple[FellBundle, BundleQuotientMap]:
+def quotient_fell_bundle(a: FellBundle, ba: BundleAction,
+                         tol: float = DEFAULT_TOL) -> tuple[FellBundle, BundleQuotientMap]:
     """Orbit bundle of a free right action, (a.H)(b.H) = (ab).H.
 
     Fibers are identified with the fiber at the canonical orbit
@@ -637,8 +645,7 @@ def quotient_fell_bundle(a: FellBundle, ba: BundleAction) -> tuple[FellBundle, B
     """
     if ba.side != "right" or ba.bundle.base != a.base:
         raise InvalidStructureError("quotient_fell_bundle needs a right action on a")
-    check_bundle_action(ba).require("quotient_fell_bundle")
-    require_free_bundle_action(ba, "quotient_fell_bundle")
+    check_bundle_action(ba, tol).require("quotient_fell_bundle")
     h = ba.group
     act = ba.base_action
     quot, qmap = quotient_groupoid(a.base, act)
@@ -705,7 +712,6 @@ class BundleModuleAction:
 
 def orbit_bundle_action(a: FellBundle, ba: BundleAction) -> BundleModuleAction:
     """a/H acting on the fibers of a over its own arrow space, (a.H).b = ab."""
-    require_free_bundle_action(ba, "orbit_bundle_action")
     qb, qm = quotient_fell_bundle(a, ba)
     act = ba.base_action
     base = orbit_space_action(a.base, act, _quotient=(qb.base, qm.base))
@@ -719,33 +725,28 @@ def orbit_bundle_action(a: FellBundle, ba: BundleAction) -> BundleModuleAction:
     return BundleModuleAction(qb, base, dims, tensors, qm)
 
 
-def semidirect_orbit_bundle_action(a: FellBundle, g: BundleAction,
-                                   h: BundleAction) -> BundleModuleAction:
+def semidirect_orbit_bundle_action(a: FellBundle, g: BundleAction, h: BundleAction,
+                                   tol: float = DEFAULT_TOL) -> BundleModuleAction:
     """(a/H) x| G acting on the fibers of a, (a.H, t).b = (a.h)(t.b).
 
     The representative shift h with src(a).h == t.rng(b) realizes the module
     product when sources do not literally match.
     """
-    _check_symmetric_bundle_hypotheses(a, g, h)
-    return _semidirect_orbit_bundle_action(a, g, h)
+    _check_symmetric_bundle_hypotheses(a, g, h, tol)
+    return _semidirect_orbit_bundle_action(a, g, h, tol)
 
 
-def _semidirect_orbit_bundle_action(a: FellBundle, g: BundleAction,
-                                    h: BundleAction) -> BundleModuleAction:
+def _semidirect_orbit_bundle_action(a: FellBundle, g: BundleAction, h: BundleAction,
+                                    tol: float = DEFAULT_TOL) -> BundleModuleAction:
     """semidirect_orbit_bundle_action without checking the symmetric
-    hypotheses, which the caller has checked."""
-    quot = quotient_fell_bundle(a, h)
+    hypotheses, which the caller has checked at ``tol``."""
+    quot = quotient_fell_bundle(a, h, tol)
     qb, qm = quot
     g_on_quot = induced_quotient_bundle_action(a, g, quot)
-    acting = semidirect_fell_bundle(qb, g_on_quot)
+    acting = semidirect_fell_bundle(qb, g_on_quot, tol)
 
     hact, gact = h.base_action, g.base_action
-    g_on_space = group_set_action(
-        gact.group, a.base.arrows,
-        {(t, z): gact.act[(t, z)] for t in gact.group.elements for z in a.base.arrows},
-        "left")
-    left_base = orbit_space_action(a.base, hact, _quotient=(qb.base, qm.base))
-    base = semidirect_space_action(g_on_quot.base_action, g_on_space, left_base,
+    base = semidirect_space_action(*_orbit_action_data(a.base, gact, hact, (qb.base, qm.base)),
                                    semidirect=acting.base)
 
     tensors = {}
@@ -789,16 +790,16 @@ def check_module_action(m: BundleModuleAction, tol: float = DEFAULT_TOL) -> Vali
     return rep
 
 
-def _check_symmetric_bundle_hypotheses(a: FellBundle, g: BundleAction,
-                                       h: BundleAction) -> None:
+def _check_symmetric_bundle_hypotheses(a: FellBundle, g: BundleAction, h: BundleAction,
+                                       tol: float = DEFAULT_TOL) -> None:
     if g.side != "left" or h.side != "right":
         raise InvalidStructureError("expected a left action g and a right action h")
     if g.bundle.base != a.base or h.bundle.base != a.base:
         raise InvalidStructureError("both actions must act on the given bundle")
-    check_bundle_action(g).require("bundle action g")
-    check_bundle_action(h).require("bundle action h")
-    require_free_bundle_action(g, "symmetric hypotheses")
-    require_free_bundle_action(h, "symmetric hypotheses")
+    check_bundle_action(g, tol).require("bundle action g")
+    check_bundle_action(h, tol).require("bundle action h")
+    require_free(g.base_action, "symmetric hypotheses")
+    require_free(h.base_action, "symmetric hypotheses")
     wit = actions_commute(g.base_action, h.base_action)
     if wit is not None:
         raise InvalidStructureError(
@@ -808,7 +809,7 @@ def _check_symmetric_bundle_hypotheses(a: FellBundle, g: BundleAction,
         deviation(h.fiber_maps[(k, g.base_action.act[(t, x)])] @ g.fiber_maps[(t, x)],
                   g.fiber_maps[(t, h.base_action.act[(k, x)])] @ h.fiber_maps[(k, x)])
         for t in g.group.elements for k in h.group.elements for x in a.base.arrows])
-    if not worst <= DEFAULT_TOL:
+    if not worst <= tol:
         raise InvalidStructureError(
             f"fiber actions do not commute (residual {worst:.3e})"
         )
@@ -891,7 +892,6 @@ def principal_fell_decomposition(a: FellBundle, ba: BundleAction) -> PrincipalFe
     tau sends a fiber element over x to its orbit representative paired with
     src(x); it is verified multiplicative, star-preserving, and equivariant.
     """
-    require_free_bundle_action(ba, "principal_fell_decomposition")
     quot = quotient_fell_bundle(a, ba)
     qb, qm = quot
     pd = principal_decomposition(a.base, ba.base_action)
@@ -901,19 +901,11 @@ def principal_fell_decomposition(a: FellBundle, ba: BundleAction) -> PrincipalFe
     iso = BundleIso(a, trans, arrow_map, fiber_maps)
     verify_bundle_iso(iso).require("principal_fell_decomposition")
 
-    # equivariance: tau(a.h) == tau(a).h where H moves the space coordinate
-    h = ba.group
-    res = []
-    for t in h.elements:
-        for x in a.base.arrows:
-            tx = ba.base_action.act[(t, x)]
-            res.append(deviation(fiber_maps[tx] @ ba.fiber_maps[(t, x)], fiber_maps[x]))
-            if arrow_map[tx] != (arrow_map[x][0],
-                                 ba.base_action.unit_image(t, arrow_map[x][1])):
-                raise InternalConsistencyError(
-                    f"tau not equivariant over ({fmt(t)},{fmt(x)})"
-                )
-    worst, _i = worst_residual(res)
+    # equivariance: tau(a.h) == tau(a).h where H moves the space coordinate;
+    # principal_decomposition has checked it on the arrows
+    worst, _i = worst_residual([
+        deviation(fiber_maps[ba.base_action.act[(t, x)]] @ ba.fiber_maps[(t, x)], fiber_maps[x])
+        for t in ba.group.elements for x in a.base.arrows])
     if not worst <= DEFAULT_TOL:
         raise InternalConsistencyError(
             f"tau fiber maps not equivariant (residual {worst:.3e})"
@@ -985,8 +977,8 @@ def _left_inner(a: FellBundle, g: BundleAction, transport: dict, sigma: dict) ->
     return inner
 
 
-def symmetric_action_equivalence(a: FellBundle, g: BundleAction,
-                                 h: BundleAction) -> BundleEquivalence:
+def symmetric_action_equivalence(a: FellBundle, g: BundleAction, h: BundleAction,
+                                 tol: float = DEFAULT_TOL) -> BundleEquivalence:
     """The fibers of a as an (a/H x| G) - (H |x G\\a) equivalence.
 
     Structure maps, with t in G and k in H the unique matching translates:
@@ -994,24 +986,24 @@ def symmetric_action_equivalence(a: FellBundle, g: BundleAction,
       left inner    <a, b>_L  = (a(t.b*).H, t)
       right action  a.(k, G.b) = (a.k)(t.b)
       right inner   <a, b>_R  = (k, G.((a*.k)b))
-    The right half is the left half for a^op under H^op and G^op, read back
-    through opposite() with each label (G.b, k) renamed (k, G.b).  The
-    symmetric hypotheses are checked once, by semidirect_orbit_bundle_action
-    on the left half; they hold for the opposite data exactly when they hold
-    for the data, so the right half is built unchecked.
+    The right half is the left half for a^op under H^op and G^op, read back.
+    The symmetric hypotheses are checked once, at ``tol``, on the left half;
+    they hold for the opposite data exactly when they hold for the data.
+    The base is the pair of the module actions' base actions, so nothing is
+    built twice; verify_bundle_equivalence verifies it in full.
     """
-    left = semidirect_orbit_bundle_action(a, g, h)
+    left = semidirect_orbit_bundle_action(a, g, h, tol)
     a_op, h_op, g_op = opposite(a), opposite(h), opposite(g)
-    right = _semidirect_orbit_bundle_action(a_op, h_op, g_op)
-    base = symmetric_groupoid_equivalence(a.base, g.base_action, h.base_action)
+    right = _semidirect_orbit_bundle_action(a_op, h_op, g_op, tol)
+    right_bundle = read_back(right.acting)
+    base = GroupoidEquivalence(left.base, read_back(right.base, right_bundle.base))
     left_inner = _left_inner(a, g, left.quotient.fiber_transport, base.sigma)
     right_inner = _left_inner(a_op, h_op, right.quotient.fiber_transport, base.rho)
-    q_op, q_gpd, x = opposite(right.acting), base.right_groupoid, a.base
+    x = a.base
     return BundleEquivalence(
         base=base,
         left_bundle=left.acting,
-        right_bundle=pullback_bundle(
-            GroupoidHom(q_gpd, q_op.base, {q: _flip(q) for q in q_gpd.arrows}), q_op),
+        right_bundle=right_bundle,
         dims={z: a.dim[z] for z in x.arrows},
         left_tensors=dict(left.tensors),
         right_tensors={(z, q): _swap_inputs(right.tensors[(_flip(q), z)])
@@ -1023,14 +1015,14 @@ def symmetric_action_equivalence(a: FellBundle, g: BundleAction,
     )
 
 
-def one_sided_equivalence(a: FellBundle, g: BundleAction) -> BundleEquivalence:
+def one_sided_equivalence(a: FellBundle, g: BundleAction,
+                          tol: float = DEFAULT_TOL) -> BundleEquivalence:
     """The H-trivial case: fibers of a as an (a x| G) - (G\\a) equivalence."""
     if g.side != "left":
         raise InvalidStructureError("one_sided_equivalence needs a left action")
-    require_free_bundle_action(g, "one_sided_equivalence")
     triv = make_group({("e", "e"): "e"})
     h = trivial_bundle_action(triv, a, side="right")
-    e = symmetric_action_equivalence(a, g, h)
+    e = symmetric_action_equivalence(a, g, h, tol)
     e.provenance = "one_sided"
     return e
 

@@ -451,7 +451,7 @@ def _run_equivalence_scenario(args, rt, scen, refs, report) -> None:
         else:
             e = symmetric_action_equivalence(
                 rt.bundle(refs["bundle"]), rt.action(refs["left"]),
-                rt.action(refs["right"]))
+                rt.action(refs["right"]), args.tol)
             rep = verify_bundle_equivalence(e, args.tol)
         report.add(f"scenario {scen.name}", "pass" if rep.ok else "fail",
                    _report_lines(rep))

@@ -8,7 +8,8 @@ stored as act(h, x) and satisfies act(k, act(h, x)) == act(h*k, x).
 The opposite of a groupoid swaps src and rng and reads comp[(y, x)] as
 comp[(x, y)]; a right action of H is a left action of H^op with the same
 table.  Every right-handed construction here is its left-handed twin applied
-to opposite() data and read back through opposite().
+to opposite() data, built once and turned right-handed by read_back(): the
+opposite of the result, each label (a, h) read as (h, a), listed h-major.
 
 Haar systems are fixed to counting measures on range fibers; they exist for
 every finite groupoid and are invariant under any action by automorphisms,
@@ -207,18 +208,27 @@ def _flip(label):
     return (label[1], label[0])
 
 
-def _flip_labels(g: FiniteGroupoid, arrows: tuple) -> FiniteGroupoid:
-    """g with every unit and arrow label (a, b) renamed (b, a).
+@singledispatch
+def read_back(obj):
+    """The right-handed object that ``obj``, built left-handed on opposite()
+    data with labels (a, h), stands for: opposite(obj) with each label read
+    as (h, a), listed h-major (each h in the place it first takes in ``obj``)
+    as semidirect_right lists its arrows."""
+    raise TypeError(f"no read-back for {type(obj).__name__}")
 
-    ``arrows`` lists the renamed arrows in the order the result keeps.
-    """
+
+@read_back.register
+def _read_back_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
+    # products in the order of g.comp, each pair (x, y) read as (y, x)
+    rank = {h: i for i, h in enumerate(dict.fromkeys(h for _a, h in g.arrows))}
+    arrows = tuple(sorted(map(_flip, g.arrows), key=lambda q: rank[q[0]]))
     units = tuple(map(_flip, g.units))
     return FiniteGroupoid(
         units=units,
         arrows=arrows,
-        src={x: _flip(g.src[_flip(x)]) for x in arrows},
-        rng={x: _flip(g.rng[_flip(x)]) for x in arrows},
-        comp={(_flip(x), _flip(y)): _flip(xy) for (x, y), xy in g.comp.items()},
+        src={x: _flip(g.rng[_flip(x)]) for x in arrows},
+        rng={x: _flip(g.src[_flip(x)]) for x in arrows},
+        comp={(_flip(y), _flip(x)): _flip(xy) for (x, y), xy in g.comp.items()},
         inv={x: _flip(g.inv[_flip(x)]) for x in arrows},
         unit_arrow={u: _flip(g.unit_arrow[_flip(u)]) for u in units},
     )
@@ -625,6 +635,18 @@ def _opposite_space_action(a: SpaceAction) -> SpaceAction:
     return replace(a, groupoid=opposite(a.groupoid), side=_other_side(a.side))
 
 
+@read_back.register
+def _read_back_space_action(a: SpaceAction,
+                            groupoid: FiniteGroupoid | None = None) -> SpaceAction:
+    """Arrows in the order of the read-back groupoid, ``groupoid`` when
+    given, then points in space order."""
+    g = groupoid if groupoid is not None else read_back(a.groupoid)
+    act = {(q, u): a.act[(_flip(q), u)]
+           for q in g.arrows for u in a.space if (_flip(q), u) in a.act}
+    return SpaceAction(g, a.space, {u: _flip(v) for u, v in a.fibring.items()},
+                       act, _other_side(a.side))
+
+
 def check_space_action(a: SpaceAction) -> ValidationReport:
     rep = ValidationReport(subject=f"{a.side} groupoid action on a set")
     if a.side not in ("left", "right"):
@@ -757,12 +779,11 @@ def semidirect_left(x: FiniteGroupoid, a: GroupAction) -> FiniteGroupoid:
 def semidirect_right(a: GroupAction, x: FiniteGroupoid) -> FiniteGroupoid:
     """Arrows (s, x) with (s, x)(t, y) = (st, (x.t)y); units (e, u).
 
-    It is the opposite of x^op x| H^op with each label (x, s) read as (s, x).
+    It is x^op x| H^op, read back.
     """
     if a.side != "right" or a.target != x:
         raise InvalidStructureError("semidirect_right needs a right action on x")
-    left = opposite(semidirect_left(opposite(x), opposite(a)))
-    return _flip_labels(left, tuple((s, ar) for s in a.group.elements for ar in x.arrows))
+    return read_back(semidirect_left(opposite(x), opposite(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -904,19 +925,14 @@ def semidirect_space_action(g: GroupAction, s1: SpaceAction, s2: SpaceAction,
     return SpaceAction(sd, tuple(s2.space), fibring, act, "left")
 
 
-def semidirect_right_space_action(h: GroupAction, s1: SpaceAction, s2: SpaceAction,
-                                  semidirect: FiniteGroupoid | None = None) -> SpaceAction:
+def semidirect_right_space_action(h: GroupAction, s1: SpaceAction, s2: SpaceAction) -> SpaceAction:
     """Right action of H|xx on the set, u.(h, x) = (u.h).x when defined.
 
-    It is the opposite of the left action of x^op x| H^op, relabelled.
+    It is the left action of x^op x| H^op, read back.
     """
     if h.side != "right" or s1.side != "right" or s2.side != "right":
         raise InvalidStructureError("semidirect_right_space_action needs right-sided data")
-    sd = semidirect if semidirect is not None else semidirect_right(h, h.target)
-    sd_op = opposite(_flip_labels(sd, tuple(map(_flip, sd.arrows))))
-    left = semidirect_space_action(opposite(h), opposite(s1), opposite(s2), semidirect=sd_op)
-    return SpaceAction(sd, left.space, {u: _flip(v) for u, v in left.fibring.items()},
-                       {(_flip(p), u): v for (p, u), v in left.act.items()}, "right")
+    return read_back(semidirect_space_action(opposite(h), opposite(s1), opposite(s2)))
 
 
 # ---------------------------------------------------------------------------
@@ -972,12 +988,14 @@ def _opposite_equivalence(e: GroupoidEquivalence) -> GroupoidEquivalence:
     return GroupoidEquivalence(opposite(e.right_action), opposite(e.left_action))
 
 
-def _orbit_action_data(x: FiniteGroupoid, g: GroupAction, h: GroupAction):
+def _orbit_action_data(x: FiniteGroupoid, g: GroupAction, h: GroupAction,
+                       quotient: tuple | None = None):
     """The inputs of semidirect_space_action for x/H x| G acting on x.
 
-    Returns g on x/H, g on the arrow set, and x/H acting on the arrow set.
+    Returns g on x/H, g on the arrow set, and x/H acting on the arrow set;
+    ``quotient``, when given, is quotient_groupoid(x, h), already built.
     """
-    quot, qmap = quotient_groupoid(x, h)
+    quot, qmap = quotient if quotient is not None else quotient_groupoid(x, h)
     g_on_quot = GroupAction(
         g.group, quot,
         {(t, p): qmap.arrow_map[g.act[(t, p)]] for t in g.group.elements for p in quot.arrows},
@@ -1141,7 +1159,6 @@ class PrincipalDecomposition:
 def principal_decomposition(x: FiniteGroupoid, h: GroupAction) -> PrincipalDecomposition:
     if h.side != "right" or h.target != x:
         raise InvalidStructureError("principal_decomposition needs a right action on x")
-    require_free(h, "principal_decomposition")
     y, qmap = quotient_groupoid(x, h)
 
     # y acts on the units of x: (orbit of w).u = rng(w') for the unique

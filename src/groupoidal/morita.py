@@ -492,15 +492,16 @@ def symmetric_morita(a: FellBundle, g: BundleAction, h: BundleAction,
     left the one the equivalence holds, on the right one built independently
     from the quotient by the converted G action.
     """
-    e = symmetric_action_equivalence(a, g, h)
+    e = symmetric_action_equivalence(a, g, h, tol)
     ls = linking_system(e, tol=tol)
     cert = verify_morita(ls, tol=tol, seed=seed)
 
     # e.left_bundle is the crossed-product bundle (a/H) x| G itself
     res_l = _identify_corner(ls, "p", e.left_bundle, tol)
-    g_quot = quotient_fell_bundle(a, g.converted())
+    g_quot = quotient_fell_bundle(a, g.converted(), tol)
     h_on_gquot = induced_quotient_bundle_action(a, h, g_quot)
-    res_r = _identify_corner(ls, "q", semidirect_right_fell_bundle(h_on_gquot, g_quot[0]), tol)
+    res_r = _identify_corner(
+        ls, "q", semidirect_right_fell_bundle(h_on_gquot, g_quot[0], tol), tol)
 
     cert.notes.append(f"left corner identified with the crossed product "
                       f"(residual {res_l:.3e})")
@@ -541,7 +542,7 @@ def _identified(cert: MoritaCertificate, tol: float, *residuals: float,
 def one_sided_morita(a: FellBundle, g: BundleAction,
                      tol: float = DEFAULT_TOL, seed: int = 0) -> MoritaCertificate:
     """Certificate for sections(a) x| G ~ sections(G\\a) (trivial H)."""
-    e = one_sided_equivalence(a, g)
+    e = one_sided_equivalence(a, g, tol)
     ls = linking_system(e, tol=tol)
     cert = verify_morita(ls, tol=tol, seed=seed)
     cert.notes.append("one-sided scenario (right group trivial)")
@@ -584,9 +585,9 @@ def raeburn(points, g_space: SpaceAction, h_space: SpaceAction,
     """Symmetric certificate for commuting free group actions on a space.
 
     The two groups act diagonally on the constant bundle b x points, the
-    right action through tau inverses; the induced-algebra realizations of
-    both corners and the matching of the induced actions are verified on a
-    basis.
+    right action through tau inverses; symmetric_morita checks that they
+    commute.  The induced-algebra realizations of both corners and the
+    matching of the induced actions are verified on a basis.
     """
     pts = tuple(points)
     if g_space.side != "left" or h_space.side != "right":
@@ -597,19 +598,6 @@ def raeburn(points, g_space: SpaceAction, h_space: SpaceAction,
     check_algebra_action(tau, tol).require("raeburn tau")
     grp_g: FiniteGroup = g_space.groupoid
     grp_h: FiniteGroup = h_space.groupoid
-    for s in grp_g.elements:
-        for t in grp_h.elements:
-            d = float(np.max(np.abs(sigma.matrices[s] @ tau.matrices[t]
-                                    - tau.matrices[t] @ sigma.matrices[s]))) \
-                if b.dimension else 0.0
-            if d > tol:
-                raise InvalidStructureError(
-                    f"sigma and tau do not commute at ({fmt(s)},{fmt(t)})")
-            for u in pts:
-                if h_space.act[(t, g_space.act[(s, u)])] != \
-                   g_space.act[(s, h_space.act[(t, u)])]:
-                    raise InvalidStructureError(
-                        f"space actions do not commute at ({fmt(s)},{fmt(t)},{fmt(u)})")
 
     bundle = make_trivial_cbundle(b, pts)
     gba = BundleAction(
@@ -651,11 +639,11 @@ def _raeburn_side(bundle: FellBundle, outer: BundleAction, inner: BundleAction,
     The residual is the worst of the isomorphism's and the actions', NaN
     if one is not finite or the isomorphism fails a structural check.
     """
-    quot = quotient_fell_bundle(bundle, inner)
+    quot = quotient_fell_bundle(bundle, inner, tol)
     act_on_quot = induced_quotient_bundle_action(bundle, outer, quot)
     inner_space = group_set_action(inner.group, bundle.base.arrows,
                                    inner.base_action.act, "right")
-    ind, theta = induced_algebra(b, inner_space, inner_alg)
+    ind, theta = induced_algebra(b, inner_space, inner_alg, tol)
     iso = verify_algebra_iso(theta, tol)
     res = [iso.metrics.get(m, np.nan) for m in ("multiplicativity", "star preservation")]
 

@@ -505,6 +505,8 @@ def test_every_operation_reachable_from_cli(tmp_path, capsys):
          "-m", str(model_path), "-o", str(tmp_path / "pb.model")],
         ["build", "crossed_product", "A", "GLB",
          "-m", str(model_path), "-o", str(tmp_path / "cp.model")],
+        ["build", "semidirect_right", "HR", "X4",
+         "-m", str(model_path), "-o", str(tmp_path / "sdr.model")],
     ]
     sys.setprofile(tracer)
     try:

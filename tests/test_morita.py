@@ -362,8 +362,8 @@ def _defective_induced_quotients(monkeypatch, defect):
 
     original = algebras.quotient_fell_bundle
 
-    def defective(a, ba):
-        quot, qm = original(a, ba)
+    def defective(a, ba, tol):
+        quot, qm = original(a, ba, tol)
         key = next(iter(quot.mult))
         tensor = quot.mult[key].copy()
         tensor[np.nonzero(tensor)[0][0], 0, 0] += defect
