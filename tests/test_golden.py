@@ -46,6 +46,7 @@ CLI_RUNS = {
 # certificates of scenarios declared in model texts, run from a written copy
 MODEL_RUNS = {
     "morita_trans": (COVERAGE_MODEL, ["morita", "trans"]),
+    "check_trans_equivalence": (COVERAGE_MODEL, ["check-equivalence", "trans"]),
     "morita_cstar": (_cstar_model_text(None), ["morita", "cstar"]),
 }
 
