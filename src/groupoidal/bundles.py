@@ -31,9 +31,7 @@ from .groupoids import (
     check_action,
     check_homomorphism,
     check_space_action,
-    group_set_action,
     is_free,
-    left_translation_action,
     make_group,
     make_unit_groupoid,
     opposite,
@@ -892,9 +890,8 @@ def principal_fell_decomposition(a: FellBundle, ba: BundleAction) -> PrincipalFe
     tau sends a fiber element over x to its orbit representative paired with
     src(x); it is verified multiplicative, star-preserving, and equivariant.
     """
-    quot = quotient_fell_bundle(a, ba)
-    qb, qm = quot
-    pd = principal_decomposition(a.base, ba.base_action)
+    qb, qm = quotient_fell_bundle(a, ba)
+    pd = principal_decomposition(a.base, ba.base_action, _quotient=(qb.base, qm.base))
     trans = transformation_fell_bundle(qb, pd.action)
     arrow_map = dict(pd.source_chart)
     fiber_maps = {x: qm.fiber_transport[x] for x in a.base.arrows}
@@ -936,7 +933,6 @@ class BundleEquivalence:
     right_tensors: dict
     left_inner: dict
     right_inner: dict
-    provenance: str = ""
 
 
 @opposite.register
@@ -955,7 +951,6 @@ def _opposite_bundle_equivalence(e: BundleEquivalence) -> BundleEquivalence:
         right_tensors=_Transposed(e.left_tensors, _swap_inputs),
         left_inner=_Transposed(e.right_inner, _swap_inputs),
         right_inner=_Transposed(e.left_inner, _swap_inputs),
-        provenance=e.provenance,
     )
 
 
@@ -1011,7 +1006,6 @@ def symmetric_action_equivalence(a: FellBundle, g: BundleAction, h: BundleAction
         left_inner=left_inner,
         right_inner={(z1, z2): _swap_inputs(right_inner[(z2, z1)])
                      for z1 in x.arrows for z2 in x.arrows if (z2, z1) in right_inner},
-        provenance="symmetric",
     )
 
 
@@ -1022,109 +1016,39 @@ def one_sided_equivalence(a: FellBundle, g: BundleAction,
         raise InvalidStructureError("one_sided_equivalence needs a left action")
     triv = make_group({("e", "e"): "e"})
     h = trivial_bundle_action(triv, a, side="right")
-    e = symmetric_action_equivalence(a, g, h, tol)
-    e.provenance = "one_sided"
-    return e
+    return symmetric_action_equivalence(a, g, h, tol)
 
 
-def one_sided_transformation_equivalence(b: FellBundle, act: SpaceAction,
-                                         gact: SpaceAction) -> BundleEquivalence:
+def one_sided_transformation_equivalence(b: FellBundle, act: SpaceAction, gact: SpaceAction,
+                                         tol: float = DEFAULT_TOL) -> BundleEquivalence:
     """Transformation-bundle equivalence between (b*Omega) x| G and b.
 
     ``act`` is the left action of the base groupoid on Omega, ``gact`` a free
     left action of a group G on Omega whose orbits are exactly the fibers of
-    the fibring map, and the two actions commute.
+    the fibring map, and the two actions commute.  The equivalence is the
+    one-sided equivalence of b*Omega under G lifted to it, (x, u) -> (x, t.u);
+    its right bundle G\\(b*Omega) lives on the arrows ('e', (y, u)) with u an
+    orbit representative, which is b under ('e', (y, u)) -> y.
     """
-    y = b.base
-    if act.side != "left" or act.groupoid != y:
+    if act.side != "left" or act.groupoid != b.base:
         raise InvalidStructureError("needs a left action of the base groupoid")
     if gact.side != "left" or not isinstance(gact.groupoid, FiniteGroup):
         raise InvalidStructureError("needs a left group action on the space")
     if tuple(gact.space) != tuple(act.space):
         raise InvalidStructureError("the two actions must share the space")
-    check_space_action(act).require("one_sided_transformation_equivalence")
     check_space_action(gact).require("one_sided_transformation_equivalence")
-    grp: FiniteGroup = gact.groupoid
-    e_g = grp.identity
+    g_on_tb = transformation_bundle_action(b, act, gact)
+    e = one_sided_equivalence(g_on_tb.bundle, g_on_tb, tol)
 
-    # principal-bundle hypothesis: G acts freely with orbits = fibring fibers
-    for t in grp.elements:
-        if t == e_g:
-            continue
-        for u in act.space:
-            if gact.act[(t, u)] == u:
-                raise InvalidStructureError(
-                    f"group action on the space not free: {fmt(t)} fixes {fmt(u)}"
-                )
+    # principal-bundle hypothesis, past the freeness check: orbits = fibers
     for u in act.space:
-        orbit = {gact.act[(t, u)] for t in grp.elements}
+        orbit = {gact.act[(t, u)] for t in gact.groupoid.elements}
         fiber = {v for v in act.space if act.fibring[v] == act.fibring[u]}
         if orbit != fiber:
             raise InvalidStructureError(
                 f"orbits differ from fibring fibers at point {fmt(u)}"
             )
-    for t in grp.elements:
-        for (x, u) in act.act:
-            if act.act[(x, gact.act[(t, u)])] != gact.act[(t, act.act[(x, u)])]:
-                raise InvalidStructureError(
-                    f"actions do not commute at ({fmt(x)},{fmt(t)},{fmt(u)})"
-                )
-
-    g_on_tb = transformation_bundle_action(b, act, gact)
-    tb, g_on_tg = g_on_tb.bundle, g_on_tb.base_action
-    tg = tb.base
-    p_bundle = semidirect_fell_bundle(tb, g_on_tb)
-
-    g_on_z = group_set_action(
-        grp, tg.arrows,
-        {(t, z): g_on_tg.act[(t, z)] for t in grp.elements for z in tg.arrows},
-        "left")
-    left_base = semidirect_space_action(g_on_tg, g_on_z, left_translation_action(tg),
-                                        semidirect=p_bundle.base)
-
-    right_act = {}
-    for (yv, u) in tg.arrows:
-        for x in y.arrows:
-            if y.src[yv] == y.rng[x]:
-                right_act[(x, (yv, u))] = (y.comp[(yv, x)],
-                                           act.act[(y.inv[x], u)])
-    right_base = SpaceAction(y, tuple(tg.arrows),
-                             {(yv, u): y.src[yv] for (yv, u) in tg.arrows},
-                             right_act, "right")
-    base = GroupoidEquivalence(left_base, right_base)
-
-    dims = {z: b.dim[z[0]] for z in tg.arrows}
-    left_tensors = {}
-    for (p, z) in base.left_action.act:
-        ((w, _uw), _t) = p
-        left_tensors[(p, z)] = b.mult[(w, z[0])]
-    right_tensors = {}
-    for (x, z) in right_act:
-        right_tensors[(z, x)] = b.mult[(z[0], x)]
-
-    left_inner, right_inner = {}, {}
-    for z1 in tg.arrows:
-        for z2 in tg.arrows:
-            y1, u1 = z1
-            y2, u2 = z2
-            if base.sigma[z1] == base.sigma[z2]:
-                left_inner[(z1, z2)] = np.einsum(
-                    "mic,cj->mij", b.mult[(y1, y.inv[y2])], b.star[y2])
-            if base.rho[z1] == base.rho[z2]:
-                right_inner[(z1, z2)] = np.einsum(
-                    "mcj,ci->mij", b.mult[(y.inv[y1], y2)], b.star[y1])
-
-    return BundleEquivalence(
-        base=base,
-        left_bundle=p_bundle,
-        right_bundle=b,
-        dims=dims,
-        left_tensors=left_tensors,
-        right_tensors=right_tensors,
-        left_inner=left_inner,
-        right_inner=right_inner,
-        provenance="one_sided_transformation",
-    )
+    return e
 
 
 # ---------------------------------------------------------------------------

@@ -458,7 +458,7 @@ def _run_equivalence_scenario(args, rt, scen, refs, report) -> None:
     elif scen.op in ("transformation_equivalence", "transformation_morita"):
         e = one_sided_transformation_equivalence(
             rt.bundle(refs["bundle"]), rt.action(refs["groupoid_action"]),
-            rt.action(refs["group_action"]))
+            rt.action(refs["group_action"]), args.tol)
         rep = verify_bundle_equivalence(e, args.tol)
         report.add(f"scenario {scen.name}", "pass" if rep.ok else "fail",
                    _report_lines(rep))

@@ -1156,10 +1156,11 @@ class PrincipalDecomposition:
     source_chart: dict
 
 
-def principal_decomposition(x: FiniteGroupoid, h: GroupAction) -> PrincipalDecomposition:
+def principal_decomposition(x: FiniteGroupoid, h: GroupAction,
+                            _quotient: tuple | None = None) -> PrincipalDecomposition:
     if h.side != "right" or h.target != x:
         raise InvalidStructureError("principal_decomposition needs a right action on x")
-    y, qmap = quotient_groupoid(x, h)
+    y, qmap = _quotient if _quotient is not None else quotient_groupoid(x, h)
 
     # y acts on the units of x: (orbit of w).u = rng(w') for the unique
     # orbit member w' with src(w') == u

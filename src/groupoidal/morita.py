@@ -551,12 +551,20 @@ def one_sided_morita(a: FellBundle, g: BundleAction,
 
 def one_sided_transformation_morita(b: FellBundle, act: SpaceAction, gact: SpaceAction,
                                     tol: float = DEFAULT_TOL, seed: int = 0) -> MoritaCertificate:
-    """Certificate for sections(b*Omega) x| G ~ sections(b); the corners
-    are identified as bundles with the crossed-product bundle and with b."""
-    e = one_sided_transformation_equivalence(b, act, gact)
+    """Certificate for sections(b*Omega) x| G ~ sections(b).
+
+    The equivalence is the one-sided equivalence of b*Omega under G.  The
+    left corner is identified as a bundle with the crossed-product bundle;
+    the right corner with the orbit bundle G\\(b*Omega), and that with b on
+    the orbit representatives, ('e', (y, u)) -> y.
+    """
+    e = one_sided_transformation_equivalence(b, act, gact, tol)
     ls = linking_system(e, tol=tol)
     cert = verify_morita(ls, tol=tol, seed=seed)
-    res = _identify_corner(ls, "q", b, tol)
+    orbits = e.right_bundle
+    res = worst_residual([
+        _identify_corner(ls, "q", orbits, tol),
+        _iso_residual(orbits, b, {x: x[1][0] for x in orbits.base.arrows}, tol)])[0]
     cert.notes.append(f"right corner identified with the base sections "
                       f"(residual {res:.3e})")
     g_on_tb = transformation_bundle_action(b, act, gact)

@@ -163,7 +163,6 @@ def symmetric_action_equivalence_by_pullback(a, g, h):
         left_inner=left_inner,
         right_inner={(z1, z2): right_inner[(z2, z1)].transpose(0, 2, 1)
                      for z1 in x.arrows for z2 in x.arrows if (z2, z1) in right_inner},
-        provenance="symmetric",
     )
 
 

@@ -600,10 +600,20 @@ def test_one_sided_transformation_equivalence(z2):
     e = one_sided_transformation_equivalence(lb, yact, gact)
     rep = verify_bundle_equivalence(e)
     assert rep.ok, rep.failures()
-    # fibrings: rho(y,u) = ((r(y), y.u), e) and sigma(y,u) = s(y)
+    # fibrings: rho(y,u) = ((r(y), y.u), e), and sigma(y,u) = ('e', (s(y), r))
+    # is the unit of G\(b*Omega) at the orbit representative r of u
+    right = e.base.right_groupoid
+    reps = {r for (_k, (_y, r)) in right.arrows}
     for (y, u) in e.base.space:
         assert e.base.rho[(y, u)] == ((grp.rng[y], yact.apply(y, u)), 0)
-        assert e.base.sigma[(y, u)] == grp.src[y]
+        (r,) = {gact.apply(t, u) for t in z2.elements} & reps
+        assert e.base.sigma[(y, u)] == ("e", (grp.src[y], r))
+    # the right bundle is b on the orbit representatives, ('e', (y, u)) -> y
+    iso = verify_bundle_iso(BundleIso(
+        e.right_bundle, lb, {x: x[1][0] for x in right.arrows},
+        {x: np.eye(1, dtype=complex) for x in right.arrows}))
+    assert iso.ok, iso.failures()
+    assert iso.metrics["multiplicativity"] == iso.metrics["star preservation"] == 0.0
     # left inner product instance: <(b, t.u), (c, u)>_L sits over
     # (bc*, t.p(c).u, t)
     for (z1, z2_) in e.left_inner:
@@ -626,6 +636,32 @@ def test_one_sided_transformation_rejects_bad_principal_data(z2, triv):
     lb = trivial_line_bundle(grp)
     with pytest.raises(InvalidStructureError, match="free"):
         one_sided_transformation_equivalence(lb, yact, lazy)
+
+
+# G actions on Omega = Z4, over the base Z2 moving Omega by 2 inside its one
+# fiber: Z2 swapping 0<->1 and 2<->3 is free and commutes, but its orbits
+# split the fiber in two; Z4 through the cycle 0 -> 2 -> 1 -> 3 is free and
+# transitive, but does not commute, so its lift is not by automorphisms
+_CYCLE = (0, 2, 1, 3)  # its own inverse: the position of u in the cycle
+BAD_PRINCIPAL_ACTIONS = {
+    "orbits_not_fibers": (2, lambda t, u: u ^ t, "orbits differ from fibring fibers"),
+    "not_commuting": (4, lambda t, u: _CYCLE[(_CYCLE[u] + t) % 4],
+                      "bundle action g: base: acts by automorphisms"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_PRINCIPAL_ACTIONS)
+def test_one_sided_transformation_rejects_bad_group_actions(name):
+    order, move, message = BAD_PRINCIPAL_ACTIONS[name]
+    grp, g = cyclic_group(2), cyclic_group(order)
+    om = (0, 1, 2, 3)
+    yact = SpaceAction(grp, om, {u: grp.units[0] for u in om},
+                       {(y, u): (u + 2 * y) % 4 for y in grp.elements for u in om},
+                       "left")
+    gact = group_set_action(g, om, {(t, u): move(t, u) for t in g.elements for u in om},
+                            "left")
+    with pytest.raises(InvalidStructureError, match=message):
+        one_sided_transformation_equivalence(trivial_line_bundle(grp), yact, gact)
 
 
 def test_corrupted_inner_product_fails_step3(z2z2_bundle):

@@ -171,6 +171,23 @@ def test_failed_transformation_identification_is_not_certified(monkeypatch):
     assert right == 0.0 and left == pytest.approx(0.5)
 
 
+def test_failed_right_transformation_identification_is_not_certified(monkeypatch):
+    # the orbit bundle G\(b*Omega) is checked against b itself: a b with one
+    # product scaled, seen only by that last check, fails it
+    b, yact, gact = transformation_args()
+    wrong_b, iso_residual = scaled(b, 1.5), morita._iso_residual
+
+    def against_wrong_b(source, target, arrow_map, tol):
+        return iso_residual(source, wrong_b if target is b else target, arrow_map, tol)
+
+    monkeypatch.setattr(morita, "_iso_residual", against_wrong_b)
+    cert = one_sided_transformation_morita(b, yact, gact)
+    assert cert.verdict == "not-certified"
+    assert cert.notes[-1] == "corner identification failed"
+    right, left = residual_notes(cert)
+    assert right == pytest.approx(0.5) and left == 0.0
+
+
 def test_identification_is_checked_at_the_certificate_tol(monkeypatch):
     monkeypatch.setattr(morita, "semidirect_right_fell_bundle",
                         scaling(morita.semidirect_right_fell_bundle, 1 + 1e-8))
