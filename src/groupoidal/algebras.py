@@ -65,12 +65,6 @@ class StarAlgebra:
     def star_vec(self, v) -> np.ndarray:
         return self.invol @ np.conjugate(v)
 
-    def left_matrix(self, v) -> np.ndarray:
-        return np.einsum("kij,i->kj", self.struct, v)
-
-    def right_matrix(self, v) -> np.ndarray:
-        return np.einsum("kij,j->ki", self.struct, v)
-
     def unit(self, tol: float = DEFAULT_TOL) -> np.ndarray | None:
         """Coordinates of the multiplicative unit, or None if there is none
         (also when a structure constant is not finite)."""
@@ -345,25 +339,6 @@ def fiber_algebra(b: FellBundle, unit_arrow) -> StarAlgebra:
         struct=np.asarray(b.mult[(unit_arrow, unit_arrow)], dtype=complex),
         invol=np.asarray(b.star[unit_arrow], dtype=complex),
         provenance="unit fiber",
-    )
-
-
-def subalgebra(a: StarAlgebra, keep, provenance: str | None = None) -> StarAlgebra:
-    """Restrict to a basis subset; requires closure under product and star."""
-    sel = [k for k, lbl in enumerate(a.basis) if keep(lbl)]
-    chosen = set(sel)
-    other = [k for k in range(a.dimension) if k not in chosen]
-    # the coordinates outside the subset of products and stars inside it;
-    # a NaN leak is no evidence of closure
-    leak, _i = worst_residual([np.max(np.abs(a.struct[np.ix_(other, sel, sel)]), initial=0.0),
-                               np.max(np.abs(a.invol[np.ix_(other, sel)]), initial=0.0)])
-    if not leak <= DEFAULT_TOL:
-        raise InvalidStructureError("basis subset is not a *-subalgebra")
-    return StarAlgebra(
-        basis=tuple(a.basis[k] for k in sel),
-        struct=a.struct[np.ix_(sel, sel, sel)].copy(),
-        invol=a.invol[np.ix_(sel, sel)].copy(),
-        provenance=provenance or a.provenance,
     )
 
 

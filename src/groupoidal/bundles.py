@@ -187,28 +187,6 @@ def _read_back_bundle(b: FellBundle) -> FellBundle:
         {x: b.star[_flip(x)] for x in base.arrows})
 
 
-@dataclass
-class BundleElement:
-    """A vector in a single fiber, tagged by its arrow (or equivalence point)."""
-
-    arrow: object
-    vec: np.ndarray
-
-    def __post_init__(self):
-        self.vec = np.asarray(self.vec, dtype=complex)
-
-
-def multiply_elements(b: FellBundle, e1: BundleElement, e2: BundleElement) -> BundleElement:
-    x, y = e1.arrow, e2.arrow
-    if not b.base.composable(x, y):
-        raise InvalidStructureError(f"fibers at {fmt(x)}, {fmt(y)} are not composable")
-    return BundleElement(b.base.comp[(x, y)], b.multiply(x, y, e1.vec, e2.vec))
-
-
-def star_element(b: FellBundle, e: BundleElement) -> BundleElement:
-    return BundleElement(b.base.inv[e.arrow], b.star_vec(e.arrow, e.vec))
-
-
 def trivial_line_bundle(base: FiniteGroupoid) -> FellBundle:
     one = np.ones((1, 1, 1), dtype=complex)
     eye = np.eye(1, dtype=complex)

@@ -218,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="run a built-in scenario")
     p.add_argument("which", choices=["raeburn", "coaction"])
     p.add_argument("--group", default="Z2", help="Zn for the coaction demo")
-    p.add_argument("--bundle", default="line", choices=["line"])
     p.add_argument("--two-sided", action="store_true",
                    help="raeburn: run the two-sided four-point case")
     common(p)
@@ -539,7 +538,7 @@ def _cmd_demo(args) -> RunReport:
     if args.which == "coaction":
         cert = coaction_demo(trivial_line_bundle(cyclic_group(order)),
                              tol=args.tol, seed=args.seed)
-        name = f"coaction Z{order} ({args.bundle} bundle)"
+        name = f"coaction Z{order} (line bundle)"
     else:
         if args.two_sided:
             z2 = cyclic_group(2)

@@ -315,26 +315,6 @@ def make_group(table: dict) -> FiniteGroup:
     )
 
 
-def product_with_group(x: FiniteGroupoid, g: FiniteGroup) -> FiniteGroupoid:
-    """Direct product groupoid x times g (used as an oracle for semidirects)."""
-    arrows = tuple((a, s) for a in x.arrows for s in g.elements)
-    units = tuple((u, g.identity) for u in x.units)
-    comp = {}
-    for a, b in x.composable_pairs():
-        for s in g.elements:
-            for t in g.elements:
-                comp[((a, s), (b, t))] = (x.comp[(a, b)], g.mul(s, t))
-    return FiniteGroupoid(
-        units=units,
-        arrows=arrows,
-        src={(a, s): (x.src[a], g.identity) for (a, s) in arrows},
-        rng={(a, s): (x.rng[a], g.identity) for (a, s) in arrows},
-        comp=comp,
-        inv={(a, s): (x.inv[a], g.inv_elem(s)) for (a, s) in arrows},
-        unit_arrow={(u, e): (x.unit_arrow[u], g.identity) for (u, e) in units},
-    )
-
-
 # ---------------------------------------------------------------------------
 # validation
 

@@ -13,6 +13,7 @@ from groupoidal import (
     InternalConsistencyError,
     InvalidStructureError,
     SpaceAction,
+    StarAlgebra,
     identity_fiber_maps,
     opposite,
     pullback_bundle,
@@ -22,7 +23,7 @@ from groupoidal import (
     semidirect_space_action,
     trivial_line_bundle,
 )
-from groupoidal._util import fmt
+from groupoidal._util import DEFAULT_TOL, fmt, worst_residual
 from groupoidal.bundles import _left_inner, _semidirect_orbit_bundle_action
 from groupoidal.groupoids import _orbit_action_data
 from groupoidal.instances import (
@@ -84,6 +85,48 @@ def bracket_by_search(e, z1, z2):
     if not hits:
         raise InvalidStructureError(f"no left translate carries {fmt(z2)} to {fmt(z1)}")
     return hits[0]
+
+
+def subalgebra(a, keep, provenance=None):
+    """The restriction of a to the basis labels that ``keep`` accepts;
+    requires closure under product and star.  A reference for the corners
+    of a linking system."""
+    sel = [k for k, lbl in enumerate(a.basis) if keep(lbl)]
+    chosen = set(sel)
+    other = [k for k in range(a.dimension) if k not in chosen]
+    # the coordinates outside the subset of products and stars inside it;
+    # a NaN leak is no evidence of closure
+    leak, _i = worst_residual([np.max(np.abs(a.struct[np.ix_(other, sel, sel)]), initial=0.0),
+                               np.max(np.abs(a.invol[np.ix_(other, sel)]), initial=0.0)])
+    if not leak <= DEFAULT_TOL:
+        raise InvalidStructureError("basis subset is not a *-subalgebra")
+    return StarAlgebra(
+        basis=tuple(a.basis[k] for k in sel),
+        struct=a.struct[np.ix_(sel, sel, sel)].copy(),
+        invol=a.invol[np.ix_(sel, sel)].copy(),
+        provenance=provenance or a.provenance,
+    )
+
+
+def product_with_group(x, g):
+    """The direct product groupoid x times the group g.  A reference for
+    semidirect products by a trivial action."""
+    arrows = tuple((a, s) for a in x.arrows for s in g.elements)
+    units = tuple((u, g.identity) for u in x.units)
+    comp = {}
+    for a, b in x.composable_pairs():
+        for s in g.elements:
+            for t in g.elements:
+                comp[((a, s), (b, t))] = (x.comp[(a, b)], g.mul(s, t))
+    return FiniteGroupoid(
+        units=units,
+        arrows=arrows,
+        src={(a, s): (x.src[a], g.identity) for (a, s) in arrows},
+        rng={(a, s): (x.rng[a], g.identity) for (a, s) in arrows},
+        comp=comp,
+        inv={(a, s): (x.inv[a], g.inv_elem(s)) for (a, s) in arrows},
+        unit_arrow={(u, e): (x.unit_arrow[u], g.identity) for (u, e) in units},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from groupoidal import (
     section_algebra,
     semidirect_fell_bundle,
     star_structure_report,
-    subalgebra,
     transformation_fell_bundle,
     trivial_bundle_action,
     trivial_line_bundle,
@@ -35,7 +34,7 @@ from groupoidal.instances import (
     swap_tau_on_diagonal,
 )
 
-from conftest import assert_close, line_bundle_action
+from conftest import assert_close, line_bundle_action, subalgebra
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 
 from groupoidal import (
     BundleAction,
-    BundleElement,
     BundleIso,
     GroupoidHom,
     InvalidStructureError,
@@ -22,7 +21,6 @@ from groupoidal import (
     is_free_bundle_action,
     make_pair_groupoid,
     make_trivial_cbundle,
-    multiply_elements,
     opposite,
     one_sided_equivalence,
     one_sided_transformation_equivalence,
@@ -33,7 +31,6 @@ from groupoidal import (
     semidirect_fell_bundle,
     semidirect_orbit_bundle_action,
     semidirect_right_fell_bundle,
-    star_element,
     symmetric_action_equivalence,
     transformation_fell_bundle,
     transformation_groupoid,
@@ -192,20 +189,6 @@ def test_witnesses_do_not_depend_on_the_hash_seed():
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
     assert "(ab)* == b*a*" in outputs[0]
-
-
-def test_bundle_elements_multiply_and_star():
-    b = trivial_line_bundle(make_pair_groupoid(2))
-    e1 = BundleElement((1, 2), [2.0])
-    e2 = BundleElement((2, 1), [3.0 + 1.0j])
-    prod = multiply_elements(b, e1, e2)
-    assert prod.arrow == (1, 1)
-    assert_close(prod.vec, [6.0 + 2.0j])
-    st = star_element(b, e2)
-    assert st.arrow == (1, 2)
-    assert_close(st.vec, [3.0 - 1.0j])
-    with pytest.raises(InvalidStructureError):
-        multiply_elements(b, e1, e1)
 
 
 # ---------------------------------------------------------------------------

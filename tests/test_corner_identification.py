@@ -37,6 +37,7 @@ from groupoidal.instances import (
 )
 
 from test_morita import mixed_group_orders_certificate
+from test_positivity import matrix_fiber_bundle
 
 
 def transformation_args():
@@ -114,6 +115,7 @@ INSTANCES = {
     "z2z2": lambda: symmetric_morita(*symmetric_z2z2_bundle()),
     "mixed_orders": mixed_group_orders_certificate,
     "transformation": lambda: one_sided_transformation_morita(*transformation_args()),
+    "coaction": lambda: coaction_demo(matrix_fiber_bundle(2, 2)),
     **{f"seeded{seed}": (lambda seed=seed: symmetric_morita(*seeded_symmetric_args(seed)))
        for seed in range(3)},
 }
@@ -171,16 +173,22 @@ def test_failed_transformation_identification_is_not_certified(monkeypatch):
     assert right == 0.0 and left == pytest.approx(0.5)
 
 
-def test_failed_right_transformation_identification_is_not_certified(monkeypatch):
-    # the orbit bundle G\(b*Omega) is checked against b itself: a b with one
-    # product scaled, seen only by that last check, fails it
-    b, yact, gact = transformation_args()
+def identify_against_scaled(monkeypatch, b):
+    """Make every bundle identification whose target is b itself see a copy
+    of b with one product scaled by 1.5."""
     wrong_b, iso_residual = scaled(b, 1.5), morita._iso_residual
 
     def against_wrong_b(source, target, arrow_map, tol):
         return iso_residual(source, wrong_b if target is b else target, arrow_map, tol)
 
     monkeypatch.setattr(morita, "_iso_residual", against_wrong_b)
+
+
+def test_failed_right_transformation_identification_is_not_certified(monkeypatch):
+    # the orbit bundle G\(b*Omega) is checked against b itself: a b with one
+    # product scaled, seen only by that last check, fails it
+    b, yact, gact = transformation_args()
+    identify_against_scaled(monkeypatch, b)
     cert = one_sided_transformation_morita(b, yact, gact)
     assert cert.verdict == "not-certified"
     assert cert.notes[-1] == "corner identification failed"
@@ -214,15 +222,14 @@ def test_a_structural_mismatch_is_not_certified(monkeypatch):
     assert np.isnan(residual_notes(cert)[1])
 
 
-def test_failed_orbit_bundle_identification_is_not_certified(monkeypatch):
-    quotient = morita.quotient_fell_bundle
-
-    def scaled_quotient(*args):
-        bundle, qmap = quotient(*args)
-        return scaled(bundle, 1.5), qmap
-
-    monkeypatch.setattr(morita, "quotient_fell_bundle", scaled_quotient)
-    cert = coaction_demo(trivial_line_bundle(cyclic_group(2)))
+def test_failed_coaction_identification_is_not_certified(monkeypatch):
+    # the demo identifies its right corner through the transformation route:
+    # the same scaled b fails it, before the dimension note is added
+    b = trivial_line_bundle(cyclic_group(2))
+    identify_against_scaled(monkeypatch, b)
+    cert = coaction_demo(b)
     assert cert.verdict == "not-certified"
-    assert "orbit bundle identification failed" in cert.notes
-    assert "orbit bundle identified with the original bundle over the group" not in cert.notes
+    assert cert.notes[-2:] == ["corner identification failed",
+                               "left dimension 8, right dimension 2"]
+    right, left = residual_notes(cert)
+    assert right == pytest.approx(0.5) and left == 0.0

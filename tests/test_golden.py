@@ -7,7 +7,9 @@ and the failing checks, with their witnesses, of three corrupted instances: a
 bundle equivalence with one right inner product negated, one with a right
 module tensor perturbed, and a linking bundle with one product tensor
 scaled.  Regenerate them all with ``PYTHONPATH=src python
-tests/test_golden.py`` and review the diff.
+tests/test_golden.py`` and review the diff.  A test keeps the golden files,
+the tables that generate them and the CI workflow's console-script
+comparisons in step.
 """
 
 import json
@@ -30,6 +32,7 @@ from test_modelio import COVERAGE_MODEL, _cstar_model_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MODEL = str(Path(__file__).resolve().parent.parent / "models" / "symmetric_z2z2.model")
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
 
 CLI_RUNS = {
     "validate": ["validate", MODEL],
@@ -103,6 +106,7 @@ def linking_mult_corruption_failures() -> bytes:
 
 
 WITNESS_RUNS = {
+    "right_inner_corruption": right_corruption_failures,
     "right_tensor_corruption": right_tensor_corruption_failures,
     "linking_mult_corruption": linking_mult_corruption_failures,
 }
@@ -118,14 +122,28 @@ def test_model_text_report_matches_golden(name, tmp_path):
     assert model_report(name, tmp_path) == (GOLDEN / f"{name}.json").read_bytes()
 
 
-def test_right_inner_corruption_matches_golden():
-    golden = (GOLDEN / "right_inner_corruption.json").read_bytes()
-    assert right_corruption_failures() == golden
-
-
 @pytest.mark.parametrize("name", sorted(WITNESS_RUNS))
 def test_corruption_witnesses_match_golden(name):
     assert WITNESS_RUNS[name]() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def _console_script_step() -> str:
+    """The text of the CI workflow's "Console script" step."""
+    text = WORKFLOW.read_text()
+    start = text.index("- name: Console script")
+    end = text.find("- name:", start + 1)
+    return text[start:] if end < 0 else text[start:end]
+
+
+def test_goldens_generator_and_ci_agree():
+    # every golden has one generator here, and each CLI and model golden is
+    # also compared byte for byte against the installed console script
+    stems = {p.stem for p in GOLDEN.glob("*.json")}
+    assert stems == {*CLI_RUNS, *MODEL_RUNS, *WITNESS_RUNS, "mixed_group_orders_certificate"}
+    step = _console_script_step()
+    unchecked = [name for name in (*CLI_RUNS, *MODEL_RUNS)
+                 if f"cmp out.json tests/golden/{name}.json" not in step]
+    assert not unchecked, f"goldens the console-script step does not compare: {unchecked}"
 
 
 def _regenerate() -> None:
@@ -137,7 +155,6 @@ def _regenerate() -> None:
             (GOLDEN / f"{name}.json").write_bytes(cli_report(args, workdir))
         for name in MODEL_RUNS:
             (GOLDEN / f"{name}.json").write_bytes(model_report(name, workdir))
-    (GOLDEN / "right_inner_corruption.json").write_bytes(right_corruption_failures())
     for name, failures in WITNESS_RUNS.items():
         (GOLDEN / f"{name}.json").write_bytes(failures())
     (GOLDEN / "mixed_group_orders_certificate.json").write_text(

@@ -41,10 +41,10 @@ from groupoidal import (
     verify_groupoid_equivalence,
 )
 from groupoidal._util import fmt
-from groupoidal.groupoids import _group_by, product_with_group
+from groupoidal.groupoids import _group_by
 from groupoidal.instances import cyclic_group, random_free_commuting_instance
 
-from conftest import bracket_by_search
+from conftest import bracket_by_search, product_with_group
 
 
 # ---------------------------------------------------------------------------

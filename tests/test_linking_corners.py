@@ -24,7 +24,6 @@ from groupoidal import (
     make_pair_groupoid,
     one_sided_equivalence,
     semidirect_orbit_bundle_action,
-    subalgebra,
     symmetric_action_equivalence,
     symmetric_morita,
     trivial_line_bundle,
@@ -33,6 +32,7 @@ from groupoidal import (
 from groupoidal._util import deviation
 from groupoidal.instances import random_free_commuting_instance, symmetric_z2z2_bundle
 
+from conftest import subalgebra
 from test_morita import two_dimensional_fiber_instance
 
 
@@ -56,8 +56,10 @@ def _dense_acts_as_unit(ls, p, limit):
     """The unit check on the dense linking algebra, as it was made before."""
     alg = ls.algebra
     eye = np.eye(alg.dimension)
-    return bool(alg.dimension and deviation(alg.left_matrix(p), eye) <= limit
-                and deviation(alg.right_matrix(p), eye) <= limit)
+    left = np.einsum("kij,i->kj", alg.struct, p)
+    right = np.einsum("kij,j->ki", alg.struct, p)
+    return bool(alg.dimension and deviation(left, eye) <= limit
+                and deviation(right, eye) <= limit)
 
 
 @pytest.mark.parametrize("strict", [True, False])

@@ -215,8 +215,7 @@ def test_cli_demo_coaction(capsys):
     code, out = run_cli(capsys, "demo", "coaction", "--group", "Z2")
     assert code == 0
     assert "verdict: equivalent" in out
-    code, out = run_cli(capsys, "demo", "coaction", "--group", "Z3",
-                        "--bundle", "line")
+    code, out = run_cli(capsys, "demo", "coaction", "--group", "Z3")
     assert code == 0
     assert "blocks [3, 3, 3]" in out and "blocks [1, 1, 1]" in out
 
