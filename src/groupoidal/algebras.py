@@ -9,8 +9,8 @@ scatter per fiber-shape class.  A section algebra has few nonzero structure
 constants (one fiber product per composable pair), and every law is checked
 from the nonzeros only: associativity and the multiplicativity of the
 regular representation by one join of nonzero entries, in chunks of at most
-``bundles._CHUNK`` terms; the involution law, isomorphisms and actions by
-contracting the nonzeros of the tensor with those of the matrices.
+``bundles._CHUNK`` terms; the involution law and actions by contracting the
+nonzeros of the tensor with those of the matrices.
 
 C*-certification is numerical: the trace form of the left regular
 representation must be positive definite (no radical) and the induced
@@ -34,14 +34,7 @@ import numpy as np
 
 from . import bundles
 from ._util import DEFAULT_TOL, _ranges, deviation, fmt, worst_residual
-from .bundles import (
-    BundleAction,
-    FellBundle,
-    make_trivial_cbundle,
-    quotient_fell_bundle,
-    semidirect_fell_bundle,
-)
-from .groupoids import FiniteGroup, GroupAction, SpaceAction
+from .bundles import BundleAction, FellBundle, semidirect_fell_bundle
 from .report import InvalidStructureError, ValidationReport
 
 
@@ -860,7 +853,7 @@ def _quotient_algebra(a: StarAlgebra, rep: Representation) -> StarAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# crossed products and induced algebras
+# crossed products and algebra actions
 
 
 def crossed_product(a: FellBundle, g: BundleAction) -> StarAlgebra:
@@ -911,104 +904,3 @@ def check_algebra_action(act: AlgebraAction, tol: float = DEFAULT_TOL) -> Valida
     rep.record_metric("automorphism", worst)
     rep.add("acts by *-automorphisms", worst <= tol)
     return rep
-
-
-@dataclass(eq=False)
-class AlgebraIso:
-    source: StarAlgebra
-    target: StarAlgebra
-    matrix: np.ndarray
-
-
-def verify_algebra_iso(iso: AlgebraIso, tol: float = DEFAULT_TOL) -> ValidationReport:
-    rep = ValidationReport(subject="algebra isomorphism")
-    n, m = iso.source.dimension, iso.target.dimension
-    u = iso.matrix
-    # a matrix that is not finite has no rank to compute
-    rep.add("square and invertible", n == m and u.shape == (m, n)
-            and (n == 0 or (np.isfinite(u).all() and np.linalg.matrix_rank(u) == n)))
-    if not rep.ok:
-        return rep
-    # u (e_i e_j) == (u e_i)(u e_j)
-    d = _coo_residual((_coo(iso.source.struct), (u.T, None, None)),
-                      (_coo(iso.target.struct), (None, u, u)))
-    rep.record_metric("multiplicativity", d)
-    rep.add("multiplicative", d <= tol)
-    lhs = u @ iso.source.invol
-    rhs = iso.target.invol @ np.conjugate(u)
-    d = float(np.max(np.abs(lhs - rhs))) if n else 0.0
-    rep.record_metric("star preservation", d)
-    rep.add("star-preserving", d <= tol)
-    return rep
-
-
-def section_action(ba: BundleAction) -> AlgebraAction:
-    """The action on sections induced by a bundle action, (t.f)(x) = t.f(inv t . x)."""
-    alg = section_algebra(ba.bundle)
-    idx = {lbl: k for k, lbl in enumerate(alg.basis)}
-    g = ba.group
-    n = alg.dimension
-    mats = {}
-    for t in g.elements:
-        u = np.zeros((n, n), dtype=complex)
-        for x in ba.bundle.base.arrows:
-            tx = ba.base_action.act[(t, x)]
-            fm = ba.fiber_maps[(t, x)]
-            for i in range(ba.bundle.dim[x]):
-                u[[idx[(tx, k)] for k in range(fm.shape[0])], idx[(x, i)]] = fm[:, i]
-        mats[t] = u
-    return AlgebraAction(g, alg, mats, side=ba.side)
-
-
-def induced_algebra(b: StarAlgebra, x_action: SpaceAction, tau: AlgebraAction,
-                    tol: float = DEFAULT_TOL) -> tuple[StarAlgebra, AlgebraIso]:
-    """Equivariant b-valued functions on a free right group-set action.
-
-    Returns the induced algebra together with the isomorphism theta onto the
-    sections of the quotient of the constant bundle, theta(f)(orbit of x) =
-    the value f(x) at the canonical representative.  theta is not checked
-    here: its caller checks it with verify_algebra_iso at its own tolerance.
-    tau and the bundle action it induces are checked at ``tol``.
-    """
-    grp = x_action.groupoid
-    if x_action.side != "right" or not isinstance(grp, FiniteGroup):
-        raise InvalidStructureError("induced_algebra needs a right group action on the set")
-    check_algebra_action(tau, tol).require("induced_algebra")
-    for t in grp.elements:
-        if t == grp.identity:
-            continue
-        for u in x_action.space:
-            if x_action.act[(t, u)] == u:
-                raise InvalidStructureError(
-                    f"induced_algebra: action not free, {fmt(t)} fixes {fmt(u)}"
-                )
-
-    bundle = make_trivial_cbundle(b, x_action.space)
-    base_act = GroupAction(
-        grp, bundle.base,
-        {(t, u): x_action.act[(t, u)] for t in grp.elements for u in x_action.space},
-        "right",
-    )
-    fiber = {(t, u): tau.matrices[grp.inv_elem(t)]
-             for t in grp.elements for u in x_action.space}
-    diag = BundleAction(grp, bundle, base_act, fiber, "right")
-    quot, _qm = quotient_fell_bundle(bundle, diag, tol)
-    target = section_algebra(quot)
-
-    reps = tuple(quot.base.arrows)
-    basis = tuple((r, i) for r in reps for i in range(b.dimension))
-    n = len(basis)
-    nb = b.dimension
-    struct = np.zeros((n, n, n), dtype=complex)
-    invol = np.zeros((n, n), dtype=complex)
-    for ri, r in enumerate(reps):
-        o = ri * nb
-        struct[o:o + nb, o:o + nb, o:o + nb] = b.struct
-        invol[o:o + nb, o:o + nb] = b.invol
-    ind = StarAlgebra(basis, struct, invol, provenance="induced algebra")
-
-    # theta matches basis labels one for one
-    u = np.zeros((n, n), dtype=complex)
-    for k, lbl in enumerate(basis):
-        u[target.basis.index(lbl), k] = 1.0
-    return ind, AlgebraIso(ind, target, u)

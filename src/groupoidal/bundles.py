@@ -220,8 +220,10 @@ def validate_fell_bundle(b: FellBundle, tol: float = DEFAULT_TOL) -> ValidationR
     if bad:
         return rep
 
-    bad = [x for x in g.arrows if b.dim[x] != b.dim[g.inv[x]]]
+    bad = [x for x in g.arrows if b.dim[x] != b.dim.get(g.inv.get(x))]
     rep.add("dim(x) == dim(inv x)", not bad, fmt(bad[0]) if bad else None)
+    if bad:  # an inverse that is not an arrow has no star shape to compare
+        return rep
 
     pairs = list(g.composable_pairs())
     pair_set = set(pairs)
@@ -233,8 +235,10 @@ def validate_fell_bundle(b: FellBundle, tol: float = DEFAULT_TOL) -> ValidationR
     if missing:
         return rep
 
-    bad = next(((x, y) for (x, y) in pairs
-                if b.mult[(x, y)].shape != (b.dim[g.comp[(x, y)]], b.dim[x], b.dim[y])),
+    # a pair whose product is not an arrow has no shape to compare
+    arrows = set(g.arrows)
+    bad = next(((x, y) for (x, y) in pairs if g.comp.get((x, y)) not in arrows
+                or b.mult[(x, y)].shape != (b.dim[g.comp[(x, y)]], b.dim[x], b.dim[y])),
                None)
     rep.add("mult tensor shapes", bad is None,
             f"({fmt(bad[0])},{fmt(bad[1])})" if bad else None)

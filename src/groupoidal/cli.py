@@ -422,15 +422,41 @@ def _cmd_build(args) -> RunReport:
 # scenarios
 
 
-def _scenario_refs(scen) -> dict:
-    return dict(scen.refs)
+# the action kind a scenario reference must name, by its runtime class
+_ACTION_KINDS = {GroupAction: "group_on_groupoid",
+                 SpaceAction: "group_on_space or groupoid_on_space",
+                 BundleAction: "group_on_bundle", AlgebraAction: "group_on_algebra"}
+
+
+class _Refs:
+    """The names a scenario references, each checked before use: a missing
+    reference, or an action of another kind than the op reads, is a usage
+    error naming the scenario and the reference."""
+
+    def __init__(self, rt: RuntimeModel, scen):
+        self.rt, self.scen, self.names = rt, scen, dict(scen.refs)
+
+    def __contains__(self, key: str) -> bool:
+        return key in self.names
+
+    def __getitem__(self, key: str) -> str:
+        if key not in self.names:
+            raise ModelError(f"scenario {self.scen.name!r} has no {key!r} reference")
+        return self.names[key]
+
+    def action(self, key: str, kind: type):
+        action = self.rt.action(self[key])
+        if not isinstance(action, kind):
+            raise ModelError(f"scenario {self.scen.name!r}: {key} {self[key]!r} is not "
+                             f"a {_ACTION_KINDS[kind]} action")
+        return action
 
 
 def _cmd_check_equivalence(args) -> RunReport:
     model = parse_model(args.model)
     rt = RuntimeModel(model)
     scen = model.scenario(args.scenario)
-    refs = _scenario_refs(scen)
+    refs = _Refs(rt, scen)
     report = RunReport("check-equivalence", args.seed, args.tol,
                        show_timings=args.timings)
     try:
@@ -444,32 +470,32 @@ def _run_equivalence_scenario(args, rt, scen, refs, report) -> None:
     if scen.op in ("groupoid_equivalence", "symmetric_morita", "bundle_equivalence"):
         if scen.op == "groupoid_equivalence":
             e = symmetric_groupoid_equivalence(
-                rt.groupoid(refs["target"]), rt.action(refs["left"]),
-                rt.action(refs["right"]))
+                rt.groupoid(refs["target"]), refs.action("left", GroupAction),
+                refs.action("right", GroupAction))
             rep = verify_groupoid_equivalence(e)
         else:
             e = symmetric_action_equivalence(
-                rt.bundle(refs["bundle"]), rt.action(refs["left"]),
-                rt.action(refs["right"]), args.tol)
+                rt.bundle(refs["bundle"]), refs.action("left", BundleAction),
+                refs.action("right", BundleAction), args.tol)
             rep = verify_bundle_equivalence(e, args.tol)
         report.add(f"scenario {scen.name}", "pass" if rep.ok else "fail",
                    _report_lines(rep))
     elif scen.op in ("transformation_equivalence", "transformation_morita"):
         e = one_sided_transformation_equivalence(
-            rt.bundle(refs["bundle"]), rt.action(refs["groupoid_action"]),
-            rt.action(refs["group_action"]), args.tol)
+            rt.bundle(refs["bundle"]), refs.action("groupoid_action", SpaceAction),
+            refs.action("group_action", SpaceAction), args.tol)
         rep = verify_bundle_equivalence(e, args.tol)
         report.add(f"scenario {scen.name}", "pass" if rep.ok else "fail",
                    _report_lines(rep))
     elif scen.op == "principal":
         target = rt.groupoid(refs["target"])
-        action = rt.action(refs["action"])
+        action = refs.action("action", GroupAction)
         pd = principal_decomposition(target, action)
         lines = [f"quotient: {len(pd.quotient.arrows)} arrows",
                  "source chart verified (bijective, multiplicative, equivariant)"]
         status = "pass"
         if "bundle" in refs:
-            ba = rt.action(refs["right"])
+            ba = refs.action("right", BundleAction)
             pfd = principal_fell_decomposition(rt.bundle(refs["bundle"]), ba)
             rep = verify_bundle_iso(pfd.iso, args.tol)
             mod_rep = check_module_action(
@@ -486,7 +512,7 @@ def _cmd_morita(args) -> RunReport:
     model = parse_model(args.model)
     rt = RuntimeModel(model)
     scen = model.scenario(args.scenario)
-    refs = _scenario_refs(scen)
+    refs = _Refs(rt, scen)
     report = RunReport("morita", args.seed, args.tol,
                        show_timings=args.timings)
     started = time.perf_counter()
@@ -506,22 +532,23 @@ def _cmd_morita(args) -> RunReport:
 def _run_morita_scenario(args, rt, scen, refs):
 
     if scen.op == "symmetric_morita":
-        cert = symmetric_morita(rt.bundle(refs["bundle"]), rt.action(refs["left"]),
-                                rt.action(refs["right"]), tol=args.tol, seed=args.seed)
+        cert = symmetric_morita(rt.bundle(refs["bundle"]), refs.action("left", BundleAction),
+                                refs.action("right", BundleAction),
+                                tol=args.tol, seed=args.seed)
     elif scen.op == "one_sided_morita":
-        cert = one_sided_morita(rt.bundle(refs["bundle"]), rt.action(refs["left"]),
+        cert = one_sided_morita(rt.bundle(refs["bundle"]), refs.action("left", BundleAction),
                                 tol=args.tol, seed=args.seed)
     elif scen.op == "cstar_bundle_morita":
-        cert = cstar_bundle_morita(rt.bundle(refs["bundle"]), rt.action(refs["left"]),
+        cert = cstar_bundle_morita(rt.bundle(refs["bundle"]), refs.action("left", BundleAction),
                                    tol=args.tol, seed=args.seed)
     elif scen.op == "transformation_morita":
         cert = one_sided_transformation_morita(
-            rt.bundle(refs["bundle"]), rt.action(refs["groupoid_action"]),
-            rt.action(refs["group_action"]), tol=args.tol, seed=args.seed)
+            rt.bundle(refs["bundle"]), refs.action("groupoid_action", SpaceAction),
+            refs.action("group_action", SpaceAction), tol=args.tol, seed=args.seed)
     elif scen.op == "raeburn":
-        cert = raeburn(rt.space(refs["space"]), rt.action(refs["left"]),
-                       rt.action(refs["right"]), rt.algebra(refs["algebra"]),
-                       rt.action(refs["sigma"]), rt.action(refs["tau"]),
+        cert = raeburn(rt.space(refs["space"]), refs.action("left", SpaceAction),
+                       refs.action("right", SpaceAction), rt.algebra(refs["algebra"]),
+                       refs.action("sigma", AlgebraAction), refs.action("tau", AlgebraAction),
                        tol=args.tol, seed=args.seed)
     elif scen.op == "coaction":
         cert = coaction_demo(rt.bundle(refs["bundle"]), tol=args.tol, seed=args.seed)

@@ -520,6 +520,8 @@ def check_action(a: GroupAction) -> ValidationReport:
                 if {a.act[(t, ar)] for ar in x.arrows} != arrows), None)
     rep.add("each element acts bijectively", bad is None,
             fmt(bad) if bad is not None else None)
+    if bad is not None:  # an image outside the arrows has no composites to check
+        return rep
 
     bad, pairs = None, list(x.composable_pairs())
     for t in g.elements:

@@ -12,8 +12,9 @@ checks corner fullness, positivity of the inner products under the regular
 representations of the corners, the exchange residual, that the corner
 projections sum to the unit, and matching Wedderburn invariants of the two
 corners; each of them enters the verdict.  Scenarios identify corners
-with crossed products as bundles, never as dense algebras; crossed-product
-duality (coaction_demo) is the transformation scenario with H = G.
+with crossed products, and induced algebras with quotient bundles, as
+bundles, never as dense algebras; crossed-product duality (coaction_demo)
+is the transformation scenario with H = G.
 """
 
 from __future__ import annotations
@@ -52,12 +53,9 @@ from .algebras import (
     _section_fibers,
     check_algebra_action,
     fiber_algebra,
-    induced_algebra,
     regular_representation,
-    section_action,
     section_algebra,
     star_structure_report,
-    verify_algebra_iso,
 )
 from .groupoids import (
     FiniteGroup,
@@ -137,10 +135,15 @@ def _corner(bundle: FellBundle, tag: str, provenance: str) -> StarAlgebra:
 
 
 def _corner_bundle(bundle: FellBundle, tag: str, provenance: str) -> FellBundle:
-    """The linking bundle over the arrows tagged ``tag``, in linking order;
-    the first product or inverse of corner arrows outside the corner raises."""
+    """The linking bundle over the arrows tagged ``tag``, in linking order."""
+    return _restricted_bundle(bundle, tuple(x for x in bundle.base.arrows if x[0] == tag),
+                              provenance)
+
+
+def _restricted_bundle(bundle: FellBundle, arrows: tuple, provenance: str) -> FellBundle:
+    """``bundle`` over ``arrows``, in that order, and the units whose unit
+    arrows they hold; the first product or inverse of them outside them raises."""
     g = bundle.base
-    arrows = tuple(x for x in g.arrows if x[0] == tag)
     inside = set(arrows)
     pairs = [p for p in bundle.mult if p[0] in inside and p[1] in inside]
     bad = next((p for p in pairs if g.comp[p] not in inside), None)
@@ -151,7 +154,7 @@ def _corner_bundle(bundle: FellBundle, tag: str, provenance: str) -> FellBundle:
     if bad is not None:
         raise InvalidStructureError(
             f"{provenance} not closed: inverse of {fmt(bad)} is {fmt(g.inv[bad])}")
-    units = tuple(u for u in g.units if u[0] == tag + "u")
+    units = tuple(u for u in g.units if g.unit_arrow[u] in inside)
     base = FiniteGroupoid(units, arrows, {x: g.src[x] for x in arrows},
                           {x: g.rng[x] for x in arrows}, {p: g.comp[p] for p in pairs},
                           {x: g.inv[x] for x in arrows}, {u: g.unit_arrow[u] for u in units})
@@ -596,10 +599,11 @@ def raeburn(points, g_space: SpaceAction, h_space: SpaceAction,
     The two groups act diagonally on the constant bundle b x points, the
     right action through tau inverses; symmetric_morita checks that they
     commute.  The induced-algebra realizations of both corners and the
-    matching of the induced actions are verified on a basis.
+    matching of the induced actions are verified as bundles (_raeburn_side).
     """
     pts = tuple(points)
-    if g_space.side != "left" or h_space.side != "right":
+    groups = all(isinstance(sp.groupoid, FiniteGroup) for sp in (g_space, h_space))
+    if not groups or g_space.side != "left" or h_space.side != "right":
         raise InvalidStructureError("raeburn needs a left G-space and a right H-space")
     if tuple(g_space.space) != pts or tuple(h_space.space) != pts:
         raise InvalidStructureError("both actions must act on the given point set")
@@ -628,8 +632,8 @@ def raeburn(points, g_space: SpaceAction, h_space: SpaceAction,
 
     # induced-algebra identifications with matching induced actions; over G
     # the two groups trade places, each seen from the other side
-    res_h = _raeburn_side(bundle, gba, hba, b, sigma, tau, tol)
-    res_g = _raeburn_side(bundle, hba.converted(), gba.converted(), b, tau, sigma, tol)
+    res_h = _raeburn_side(bundle, gba, hba, sigma, tau, tol)
+    res_g = _raeburn_side(bundle, hba.converted(), gba.converted(), tau, sigma, tol)
     cert.notes.append(f"induced algebra over H identified equivariantly "
                       f"(residual {res_h:.3e})")
     cert.notes.append(f"induced algebra over G identified equivariantly "
@@ -639,40 +643,36 @@ def raeburn(points, g_space: SpaceAction, h_space: SpaceAction,
 
 
 def _raeburn_side(bundle: FellBundle, outer: BundleAction, inner: BundleAction,
-                  b: StarAlgebra, outer_alg: AlgebraAction, inner_alg: AlgebraAction,
-                  tol: float) -> float:
+                  outer_alg: AlgebraAction, inner_alg: AlgebraAction, tol: float) -> float:
     """Verify Ind ~ quotient sections and the matching of induced actions.
 
     ``inner`` is the free right action quotiented out, ``outer`` the left
-    action that descends to the quotient; ``*_alg`` act on the fiber b.
-    The residual is the worst of the isomorphism's and the actions', NaN
-    if one is not finite or the isomorphism fails a structural check.
+    action that descends to the quotient; ``*_alg`` act on the fiber b.  The
+    induced algebra is the constant bundle b over the orbit representatives,
+    ``bundle`` restricted to them, identified as a bundle with the quotient
+    (r -> r, identity on fibers).  On equivariant functions
+    (t.f)(r) = outer_t(f(inv(t).r)), and inv(t).r is the representative r'
+    of its orbit moved by shift, so t carries the fiber at r' to the fiber
+    at r by outer_t inner(inv(shift)): the action induced on the quotient
+    should do the same.  The residual is the worst of the identification's
+    and the actions', NaN if one is not finite, the quotient action carries
+    r' elsewhere, or the identification fails a structural check.
     """
     quot = quotient_fell_bundle(bundle, inner, tol)
-    act_on_quot = induced_quotient_bundle_action(bundle, outer, quot)
-    inner_space = group_set_action(inner.group, bundle.base.arrows,
-                                   inner.base_action.act, "right")
-    ind, theta = induced_algebra(b, inner_space, inner_alg, tol)
-    iso = verify_algebra_iso(theta, tol)
-    res = [iso.metrics.get(m, np.nan) for m in ("multiplicativity", "star preservation")]
-
-    # induced action on equivariant functions, evaluated at each orbit
-    # representative r': (t.f)(r') = outer_t(f(inv(t).r'))
     qb, qm = quot
-    reps = tuple(qb.base.arrows)
-    nb = b.dimension
-    sections = section_action(act_on_quot)
-    grp = outer.group
+    act_on_quot = induced_quotient_bundle_action(bundle, outer, quot)
+    reps = qb.base.arrows
+    res = [_iso_residual(_restricted_bundle(bundle, reps, "induced algebra"), qb,
+                         {r: r for r in reps}, tol)]
+    grp, inner_inv = outer.group, inner_alg.group.inv_elem
     for t in grp.elements:
-        ind_mat = np.zeros((ind.dimension, ind.dimension), dtype=complex)
-        for ri, r in enumerate(reps):
+        for r in reps:
             moved = outer.base_action.act[(grp.inv_elem(t), r)]
-            rep2 = qm.base.arrow_map[moved]
-            shift = qm.base.shift[moved]
-            rj = reps.index(rep2)
-            block = outer_alg.matrices[t] @ inner_alg.matrices[inner_alg.group.inv_elem(shift)]
-            ind_mat[ri * nb:(ri + 1) * nb, rj * nb:(rj + 1) * nb] = block
-        res.append(deviation(theta.matrix @ ind_mat, sections.matrices[t] @ theta.matrix))
+            rep, shift = qm.base.arrow_map[moved], qm.base.shift[moved]
+            if act_on_quot.base_action.act[(t, rep)] != r:
+                return float("nan")
+            res.append(deviation(outer_alg.matrices[t] @ inner_alg.matrices[inner_inv(shift)],
+                                 act_on_quot.fiber_maps[(t, rep)]))
     return worst_residual(res)[0]
 
 

@@ -253,6 +253,9 @@ def _groupoid_on_space(decl: ActionDecl, rt: RuntimeModel) -> SpaceAction:
     points = rt.space(decl.space)
     act, fibring = {}, {}
     for arrow, pairs in decl.maps:
+        if arrow not in gpd.src:
+            raise ModelError(f"action {decl.name!r}: map {fmt(arrow)} is not an arrow "
+                             f"of {decl.groupoid!r}")
         for (u, v) in pairs:
             act[(arrow, u)] = v
             if decl.side == "left":
@@ -277,8 +280,13 @@ def _group_on_bundle(decl: ActionDecl, rt: RuntimeModel) -> BundleAction:
     else:
         fiber = {}
         for (elem, arrow, entries) in decl.fibers:
-            target = base_action.act[(elem, arrow)]
+            where = f"action {decl.name!r}: fiber {fmt(elem)} {fmt(arrow)}"
+            target = base_action.act.get((elem, arrow))
+            if arrow not in bundle.dim or target not in bundle.dim:
+                raise ModelError(f"{where} is not over an arrow of the base and its image")
             shape = (bundle.dim[target], bundle.dim[arrow])
+            if len(entries) != shape[0] * shape[1]:
+                raise ModelError(f"{where} needs {shape[0] * shape[1]} entries")
             fiber[(elem, arrow)] = numbers_to_array(entries, shape)
         for t in base_action.group.elements:
             for x in bundle.base.arrows:

@@ -14,16 +14,20 @@ from groupoidal import (
     InvalidStructureError,
     SpaceAction,
     StarAlgebra,
+    ValidationReport,
     identity_fiber_maps,
     opposite,
     pullback_bundle,
+    section_algebra,
     semidirect_fell_bundle,
     semidirect_left,
     semidirect_orbit_bundle_action,
     semidirect_space_action,
     trivial_line_bundle,
 )
-from groupoidal._util import DEFAULT_TOL, fmt, worst_residual
+from groupoidal import morita
+from groupoidal._util import DEFAULT_TOL, deviation, fmt, worst_residual
+from groupoidal.algebras import _coo, _coo_residual
 from groupoidal.bundles import _left_inner, _semidirect_orbit_bundle_action
 from groupoidal.groupoids import _orbit_action_data
 from groupoidal.instances import (
@@ -106,6 +110,73 @@ def subalgebra(a, keep, provenance=None):
         invol=a.invol[np.ix_(sel, sel)].copy(),
         provenance=provenance or a.provenance,
     )
+
+
+@dataclasses.dataclass(eq=False)
+class AlgebraIso:
+    source: StarAlgebra
+    target: StarAlgebra
+    matrix: np.ndarray
+
+
+def verify_algebra_iso(iso: AlgebraIso, tol: float = DEFAULT_TOL) -> ValidationReport:
+    """An invertible matrix that respects products and stars, checked on a
+    basis.  A reference for the identifications made as bundles."""
+    rep = ValidationReport(subject="algebra isomorphism")
+    n, m = iso.source.dimension, iso.target.dimension
+    u = iso.matrix
+    # a matrix that is not finite has no rank to compute
+    rep.add("square and invertible", n == m and u.shape == (m, n)
+            and (n == 0 or (np.isfinite(u).all() and np.linalg.matrix_rank(u) == n)))
+    if not rep.ok:
+        return rep
+    # u (e_i e_j) == (u e_i)(u e_j)
+    d = _coo_residual((_coo(iso.source.struct), (u.T, None, None)),
+                      (_coo(iso.target.struct), (None, u, u)))
+    rep.record_metric("multiplicativity", d)
+    rep.add("multiplicative", d <= tol)
+    d = deviation(u @ iso.source.invol, iso.target.invol @ np.conjugate(u))
+    rep.record_metric("star preservation", d)
+    rep.add("star-preserving", d <= tol)
+    return rep
+
+
+def dense_raeburn_side(bundle, outer, inner, b, outer_alg, inner_alg, tol=DEFAULT_TOL):
+    """morita._raeburn_side on dense algebras: the induced algebra, b on each
+    orbit representative, against the section algebra of the quotient by
+    the label-matching matrix theta, and each induced action t against the
+    action on sections, theta ind_t == sections_t theta.  The quotient is
+    read through morita, as _raeburn_side reads it.  A reference for the
+    residual of _raeburn_side."""
+    quot = morita.quotient_fell_bundle(bundle, inner, tol)
+    qb, qm = quot
+    act = morita.induced_quotient_bundle_action(bundle, outer, quot)
+    target = section_algebra(qb)
+    idx = {lbl: k for k, lbl in enumerate(target.basis)}
+    reps, nb = tuple(qb.base.arrows), b.dimension
+    n = len(reps) * nb
+    block = [slice(k * nb, (k + 1) * nb) for k in range(len(reps))]
+    struct, invol = np.zeros((n, n, n), dtype=complex), np.zeros((n, n), dtype=complex)
+    for o in block:
+        struct[o, o, o], invol[o, o] = b.struct, b.invol
+    ind = StarAlgebra(tuple((r, i) for r in reps for i in range(nb)), struct, invol)
+    theta = np.zeros((n, n), dtype=complex)
+    theta[[idx[lbl] for lbl in ind.basis], range(n)] = 1.0
+    iso = verify_algebra_iso(AlgebraIso(ind, target, theta), tol)
+    res = [iso.metrics.get(m, np.nan) for m in ("multiplicativity", "star preservation")]
+    grp = outer.group
+    for t in grp.elements:
+        ind_t, sections_t = np.zeros((2, n, n), dtype=complex)
+        for ri, r in enumerate(reps):
+            # (t.f)(r) = outer_t(f(inv(t).r))
+            moved = outer.base_action.act[(grp.inv_elem(t), r)]
+            rj = reps.index(qm.base.arrow_map[moved])
+            shift = inner_alg.group.inv_elem(qm.base.shift[moved])
+            ind_t[block[ri], block[rj]] = outer_alg.matrices[t] @ inner_alg.matrices[shift]
+            rows = [idx[(act.base_action.act[(t, r)], k)] for k in range(nb)]
+            sections_t[np.ix_(rows, [idx[(r, i)] for i in range(nb)])] = act.fiber_maps[(t, r)]
+        res.append(deviation(theta @ ind_t, sections_t @ theta))
+    return worst_residual(res)[0]
 
 
 def product_with_group(x, g):

@@ -9,9 +9,7 @@ import numpy as np
 import pytest
 
 from groupoidal import (
-    InvalidStructureError,
     NonFreeActionError,
-    induced_algebra,
     linking_system,
     orbit_bundle_action,
     orbit_space_action,
@@ -320,13 +318,18 @@ def test_criterion_7_negative_controls():
             thunk()
         witnesses.append(str(err.value))
     assert all("fixes arrow" in w for w in witnesses)
+    # and by raeburn, before it induces an algebra over the orbits
+    triv = trivial_group()
+    gsp = group_set_action(triv, ("x",), {("e", "x"): "x"}, "left")
     xact = group_set_action(z2, ("x",), {(t, "x"): "x" for t in z2.elements},
                             "right")
-    tau = AlgebraAction(z2, diagonal_algebra(1),
+    scalars = diagonal_algebra(1)
+    sigma = AlgebraAction(triv, scalars, {"e": np.eye(1, dtype=complex)}, "left")
+    tau = AlgebraAction(z2, scalars,
                         {t: np.eye(1, dtype=complex) for t in z2.elements},
                         "left")
-    with pytest.raises(InvalidStructureError, match="free"):
-        induced_algebra(diagonal_algebra(1), xact, tau)
+    with pytest.raises(NonFreeActionError, match="fixes arrow"):
+        raeburn(("x",), gsp, xact, scalars, sigma, tau, tol=TOL)
 
     # a corrupted involution fails step 3 with a witness
     e3 = symmetric_action_equivalence(bundle, gba, hba)

@@ -19,7 +19,6 @@ import pytest
 import groupoidal.algebras as algebras
 from groupoidal import (
     AlgebraAction,
-    AlgebraIso,
     FellBundle,
     check_algebra_action,
     check_star_algebra,
@@ -29,12 +28,12 @@ from groupoidal import (
     section_algebra,
     StarAlgebra,
     validate_fell_bundle,
-    verify_algebra_iso,
 )
 from groupoidal import bundles
 from groupoidal._util import deviation
 from groupoidal.instances import cyclic_group, matrix_algebra, random_free_action_instance
 
+from conftest import AlgebraIso, verify_algebra_iso
 from test_algebras import _conjugate_basis, _unit_plus_nilpotent
 
 AGREE = 1e-12  # relative to max(1, reference)

@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from groupoidal import (
-    AlgebraAction,
-    AlgebraIso,
     BundleAction,
     InvalidStructureError,
     StarAlgebra,
     action_from_unit_map,
-    check_algebra_action,
     check_star_algebra,
     crossed_product,
     fiber_algebra,
@@ -17,24 +14,26 @@ from groupoidal import (
     make_pair_groupoid,
     make_unit_groupoid,
     regular_representation,
-    section_action,
     section_algebra,
     semidirect_fell_bundle,
     star_structure_report,
     transformation_fell_bundle,
     trivial_bundle_action,
     trivial_line_bundle,
-    induced_algebra,
-    verify_algebra_iso,
 )
 from groupoidal.instances import (
     cyclic_group,
     diagonal_algebra,
     matrix_algebra,
-    swap_tau_on_diagonal,
 )
 
-from conftest import assert_close, line_bundle_action, subalgebra
+from conftest import (
+    AlgebraIso,
+    assert_close,
+    line_bundle_action,
+    subalgebra,
+    verify_algebra_iso,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +290,6 @@ def test_crossed_product_trivial_group_is_section_algebra(triv):
     perm = np.zeros((4, 4), dtype=complex)
     for k, ((x, _e), i) in enumerate(cp.basis):
         perm[plain.basis.index((x, i)), k] = 1.0
-    from groupoidal import AlgebraIso
     assert verify_algebra_iso(AlgebraIso(cp, plain, perm)).ok
 
 
@@ -422,54 +420,6 @@ def test_semidirect_convolution_matches_generic(z2):
             expected = ba.fiber_maps[(s, g.inv[act.act[(si, g.inv[x])]])] @ \
                 lb.star[act.act[(si, g.inv[x])]] @ np.conjugate(v)
             assert abs(st[k] - expected[0]) <= 1e-12
-
-
-# ---------------------------------------------------------------------------
-# induced algebras
-
-
-def test_induced_algebra_trivial_group(triv):
-    b = diagonal_algebra(2)
-    xact = group_set_action(triv, ("x", "y"), {("e", "x"): "x", ("e", "y"): "y"},
-                            "right")
-    tau = AlgebraAction(triv, b, {"e": np.eye(2, dtype=complex)}, "left")
-    ind, theta = induced_algebra(b, xact, tau)
-    assert ind.dimension == 4  # all maps X -> B
-    assert verify_algebra_iso(theta).ok
-
-
-def test_induced_algebra_z2_swap(z2):
-    b = diagonal_algebra(2)
-    xact = group_set_action(z2, (0, 1), {(t, u): (t + u) % 2
-                                         for t in z2.elements for u in (0, 1)},
-                            "right")
-    tau = swap_tau_on_diagonal(z2)
-    ind, theta = induced_algebra(b, xact, tau)
-    assert ind.dimension == 2
-    assert verify_algebra_iso(theta).ok
-    sr = star_structure_report(ind)
-    assert sr.blocks == (1, 1)
-    # diagonal-action instance: (b, x).h = (inv(tau_h) b, x.h) realized by the
-    # quotient identification theta; check theta is a relabeling permutation
-    assert_close(np.abs(theta.matrix) @ np.ones(2), np.ones(2))
-
-
-def test_induced_algebra_rejects_non_free(z2):
-    b = diagonal_algebra(1)
-    xact = group_set_action(z2, ("x",), {(t, "x"): "x" for t in z2.elements},
-                            "right")
-    tau = AlgebraAction(z2, b, {t: np.eye(1, dtype=complex) for t in z2.elements},
-                        "left")
-    with pytest.raises(InvalidStructureError, match="free"):
-        induced_algebra(b, xact, tau)
-
-
-def test_section_action_is_algebra_action(z2):
-    g = make_pair_groupoid(2)
-    act = action_from_unit_map(z2, g, {0: {1: 1, 2: 2}, 1: {1: 2, 2: 1}}, "left")
-    lb, ba = line_bundle_action(act)
-    sa = section_action(ba)
-    assert check_algebra_action(sa).ok
 
 
 def test_group_algebra_is_commutative():

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from groupoidal import (
-    AlgebraIso,
     BundleAction,
     FellBundle,
     SpaceAction,
@@ -27,7 +26,6 @@ from groupoidal import (
     section_algebra,
     symmetric_morita,
     trivial_line_bundle,
-    verify_algebra_iso,
 )
 from groupoidal import morita
 from groupoidal.instances import (
@@ -36,6 +34,7 @@ from groupoidal.instances import (
     symmetric_z2z2_bundle,
 )
 
+from conftest import AlgebraIso, verify_algebra_iso
 from test_morita import mixed_group_orders_certificate
 from test_positivity import matrix_fiber_bundle
 

@@ -333,6 +333,158 @@ end
     assert "precondition" in out and "not free" in out
 
 
+_PAIR2 = """
+version 1
+group Z2 cyclic 2
+groupoid X2 pair 2
+bundle A line X2
+action GL
+  kind: group_on_groupoid
+  group: Z2
+  target: X2
+  side: left
+  unit_perm 1: 2 1
+end
+action HR
+  kind: group_on_groupoid
+  group: Z2
+  target: X2
+  side: right
+  unit_perm 1: 2 1
+end
+action HRB
+  kind: group_on_bundle
+  bundle: A
+  base: HR
+  side: right
+  fibers: identity
+end
+"""
+
+# a groupoid with one product missing: its line bundle has no shape there
+_TWO_ARROWS = """
+version 1
+groupoid G
+  units: u
+  arrows: e f
+  arrow e: u -> u inv e
+  arrow f: u -> u inv f
+  unit u: e
+  comp e e = e
+  comp e f = f
+  comp f e = f
+end
+bundle L line G
+"""
+
+_MALFORMED = {
+    "scenario_without_left": _PAIR2 + "scenario s\n  op: symmetric_morita\n  bundle: A\n"
+                                      "  right: HRB\nend\n",
+    "scenario_with_groupoid_actions": _PAIR2 + "scenario s\n  op: symmetric_morita\n"
+                                               "  bundle: A\n  left: GL\n  right: HR\nend\n",
+    "comp_missing": _TWO_ARROWS,
+    "comp_outside_arrows": _TWO_ARROWS.replace("end\nbundle", "  comp f f = zzz\nend\nbundle"),
+    "inverse_outside_arrows": _TWO_ARROWS.replace("inv f", "inv zzz"),
+    "image_outside_arrows": _PAIR2 + """action GN
+  kind: group_on_groupoid
+  group: Z2
+  target: X2
+  side: left
+  map 1: (1,1)=(2,2) (2,2)=(1,1) (1,2)=nowhere (2,1)=(1,2)
+end
+""",
+    "space_map_over_no_arrow": _PAIR2 + """space OM
+  points: a b
+end
+action Y
+  kind: groupoid_on_space
+  groupoid: X2
+  space: OM
+  side: left
+  map (1,1): a=a
+  map (2,2): b=b
+  map (9,9): b=b
+end
+""",
+    "fiber_over_no_arrow": _PAIR2 + """action GLB
+  kind: group_on_bundle
+  bundle: A
+  base: GL
+  side: left
+  fiber 1 (7,7): 1
+end
+""",
+    "fiber_entry_count": _PAIR2 + """action GLB
+  kind: group_on_bundle
+  bundle: A
+  base: GL
+  side: left
+  fiber 1 (1,1): 1 0
+end
+""",
+    # raeburn over a groupoid that is not a group fails its precondition
+    "raeburn_over_groupoid_spaces": _PAIR2 + """space OM
+  points: a b
+end
+algebra C1 diag 1
+action Y
+  kind: groupoid_on_space
+  groupoid: X2
+  space: OM
+  side: left
+  map (1,1): a=a
+  map (2,2): b=b
+end
+action YR
+  kind: groupoid_on_space
+  groupoid: X2
+  space: OM
+  side: right
+  map (1,1): a=a
+  map (2,2): b=b
+end
+action S
+  kind: group_on_algebra
+  group: Z2
+  algebra: C1
+  side: left
+  matrix 1: 1
+end
+scenario s
+  op: raeburn
+  space: OM
+  left: Y
+  right: YR
+  algebra: C1
+  sigma: S
+  tau: S
+end
+""",
+}
+
+
+@pytest.mark.parametrize("name,command", [
+    (name, command) for name in _MALFORMED
+    for command in {"scenario": ("morita", "check-equivalence"),
+                    "raeburn": ("morita",)}.get(name.split("_")[0], ("validate",))])
+def test_cli_malformed_model_fails_or_names_the_error(tmp_path, capsys, name, command):
+    # a malformed model fails with a failing report entry (exit 1) or is a
+    # usage error on one line (exit 3), never a traceback
+    p = tmp_path / "malformed.model"
+    p.write_text(_MALFORMED[name])
+    argv = [command, str(p)] if command == "validate" else [command, "s", str(p)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert "Traceback" not in captured.err
+    if code == 1:
+        assert any(line.startswith("[fail]") for line in captured.out.splitlines())
+    else:
+        assert code == 3 and len(err) == 1 and err[0].startswith("error: "), (code, err)
+    if name.startswith("scenario"):  # the error names the scenario and the reference
+        assert code == 3 and "'s'" in err[0] and ("'left'" in err[0] or "'GL'" in err[0])
+
+
 # ---------------------------------------------------------------------------
 # every public operation is reachable from the CLI
 
@@ -469,7 +621,6 @@ def test_every_operation_reachable_from_cli(tmp_path, capsys):
         "regular_representation": alg_mod.regular_representation,
         "star_structure_report": alg_mod.star_structure_report,
         "crossed_product": alg_mod.crossed_product,
-        "induced_algebra": alg_mod.induced_algebra,
         "linking_system": mor_mod.linking_system,
         "verify_morita": mor_mod.verify_morita,
         "symmetric_morita": mor_mod.symmetric_morita,

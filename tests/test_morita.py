@@ -32,7 +32,7 @@ from groupoidal import (
     validate_groupoid,
     verify_morita,
 )
-from groupoidal import GroupAction
+from groupoidal import GroupAction, morita
 from groupoidal.instances import (
     cyclic_group,
     diagonal_algebra,
@@ -42,7 +42,7 @@ from groupoidal.instances import (
 )
 from groupoidal._util import fmt
 
-from conftest import assert_close
+from conftest import assert_close, dense_raeburn_side
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -353,14 +353,10 @@ def _raeburn_two_sided(z2):
     return points, gsp, hsp, b, swap_tau_on_diagonal(z2), tau
 
 
-def _defective_induced_quotients(monkeypatch, defect):
-    # the quotient bundles that induced_algebra builds its target from get
-    # ``defect`` added to one nonzero product entry, so that each induced
-    # algebra identification has that residual; the certificate's own
-    # quotients (in morita) are left alone
-    import groupoidal.algebras as algebras
-
-    original = algebras.quotient_fell_bundle
+def _defective_quotient(defect):
+    """morita.quotient_fell_bundle with ``defect`` added to one nonzero
+    product entry of the quotient bundle."""
+    original = morita.quotient_fell_bundle
 
     def defective(a, ba, tol):
         quot, qm = original(a, ba, tol)
@@ -370,7 +366,21 @@ def _defective_induced_quotients(monkeypatch, defect):
         quot.mult[key] = tensor
         return quot, qm
 
-    monkeypatch.setattr(algebras, "quotient_fell_bundle", defective)
+    return defective
+
+
+def _defective_induced_quotients(monkeypatch, defect):
+    # the quotient bundles that _raeburn_side identifies each induced algebra
+    # with get ``defect``, so that each identification has that residual;
+    # the quotients of symmetric_morita are left alone
+    side = morita._raeburn_side
+
+    def defective_side(*args):
+        with monkeypatch.context() as m:
+            m.setattr(morita, "quotient_fell_bundle", _defective_quotient(defect))
+            return side(*args)
+
+    monkeypatch.setattr(morita, "_raeburn_side", defective_side)
 
 
 def test_raeburn_nan_identification_is_not_certified(z2, monkeypatch):
@@ -391,6 +401,75 @@ def test_raeburn_identification_is_checked_at_the_certificate_tolerance(z2, monk
     strict = raeburn(*_raeburn_two_sided(z2))
     assert strict.verdict == "not-certified"
     assert strict.notes[-1] == "induced-algebra identification failed"
+
+
+def _raeburn_matrix_fiber(z2, triv):
+    # noncommutative fiber: full two-by-two matrices with conjugation by the
+    # coordinate swap as the outer action
+    points = (0, 1)
+    gsp = group_set_action(z2, points, {(t, u): (t + u) % 2
+                                        for t in z2.elements for u in points},
+                           "left")
+    hsp = group_set_action(triv, points, {("e", u): u for u in points}, "right")
+    m2 = matrix_algebra(2)
+    conj_mat = np.zeros((4, 4), dtype=complex)
+    # matrix of Ad(swap) on the matrix-unit basis: e_ij -> e_{s(i) s(j)}
+    perm = {0: 1, 1: 0}
+    for k, (i, j) in enumerate(m2.basis):
+        conj_mat[m2.basis.index((perm[i], perm[j])), k] = 1.0
+    sigma = AlgebraAction(z2, m2, {0: np.eye(4, dtype=complex), 1: conj_mat},
+                          "left")
+    tau = AlgebraAction(triv, m2, {"e": np.eye(4, dtype=complex)}, "left")
+    return points, gsp, hsp, m2, sigma, tau
+
+
+def _raeburn_z3(_z2, _triv):
+    # Z3 x Z3 with G = Z3 translating the first coordinate and H = Z3 both,
+    # each also rotating the three entries of the diagonal fiber: over G an
+    # orbit representative moved by H is another orbit's representative
+    # shifted by an element of Z3, which differs from its inverse
+    z3 = cyclic_group(3)
+    points = tuple((i, j) for i in range(3) for j in range(3))
+    gsp = group_set_action(z3, points, {(t, (i, j)): ((t + i) % 3, j)
+                                        for t in z3.elements for (i, j) in points}, "left")
+    hsp = group_set_action(z3, points, {(t, (i, j)): ((i + t) % 3, (j + t) % 3)
+                                        for t in z3.elements for (i, j) in points}, "right")
+    b = diagonal_algebra(3)
+    rotation = AlgebraAction(z3, b, {t: np.roll(np.eye(3, dtype=complex), t, axis=0)
+                                     for t in z3.elements}, "left")
+    return points, gsp, hsp, b, rotation, rotation
+
+
+@pytest.mark.parametrize("defect", [0.0, 1e-8, np.nan])
+@pytest.mark.parametrize("instance", [
+    lambda z2, triv: _raeburn_small(z2, triv),
+    lambda z2, _triv: _raeburn_two_sided(z2),
+    _raeburn_matrix_fiber,
+    _raeburn_z3,
+], ids=["smallest", "two_sided", "matrix_fiber", "z3"])
+def test_raeburn_side_matches_dense_reference(instance, defect, z2, triv, monkeypatch):
+    # each side's residual as bundles equals the one the dense induced
+    # algebra gives, with the quotient both identifications read clean or
+    # carrying the defect; the two-sided instance is also the four-point
+    # instance of the acceptance suite
+    args = instance(z2, triv)
+    calls = []
+    side = morita._raeburn_side
+
+    def recorded(*side_args):
+        calls.append(side_args)
+        return side(*side_args)
+
+    monkeypatch.setattr(morita, "_raeburn_side", recorded)
+    assert raeburn(*args).verdict == "equivalent"
+    assert len(calls) == 2
+    if defect != 0.0:
+        monkeypatch.setattr(morita, "quotient_fell_bundle", _defective_quotient(defect))
+    for bundle, outer, inner, outer_alg, inner_alg, tol in calls:
+        res = side(bundle, outer, inner, outer_alg, inner_alg, tol)
+        ref = dense_raeburn_side(bundle, outer, inner, args[3], outer_alg, inner_alg, tol)
+        assert res == ref or (np.isnan(res) and np.isnan(ref)), (res, ref)
+        assert res == pytest.approx(defect, abs=1e-15, nan_ok=True)
 
 
 def test_raeburn_rejects_non_commuting_algebra_actions(z2, triv):
@@ -582,22 +661,7 @@ def test_symmetric_morita_mixed_group_orders():
 
 
 def test_raeburn_with_matrix_fiber(z2, triv):
-    # noncommutative fiber: full two-by-two matrices with conjugation by the
-    # coordinate swap as the outer action
-    points = (0, 1)
-    gsp = group_set_action(z2, points, {(t, u): (t + u) % 2
-                                        for t in z2.elements for u in points},
-                           "left")
-    hsp = group_set_action(triv, points, {("e", u): u for u in points}, "right")
-    m2 = matrix_algebra(2)
-    conj_mat = np.zeros((4, 4), dtype=complex)
-    # matrix of Ad(swap) on the matrix-unit basis: e_ij -> e_{s(i) s(j)}
-    perm = {0: 1, 1: 0}
-    for k, (i, j) in enumerate(m2.basis):
-        conj_mat[m2.basis.index((perm[i], perm[j])), k] = 1.0
-    sigma = AlgebraAction(z2, m2, {0: np.eye(4, dtype=complex), 1: conj_mat},
-                          "left")
-    tau = AlgebraAction(triv, m2, {"e": np.eye(4, dtype=complex)}, "left")
+    points, gsp, hsp, m2, sigma, tau = _raeburn_matrix_fiber(z2, triv)
     cert = raeburn(points, gsp, hsp, m2, sigma, tau)
     assert cert.verdict == "equivalent"
     assert sorted(cert.left_report.blocks) == [4]
