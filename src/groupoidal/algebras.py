@@ -27,7 +27,6 @@ can be diagonalized block by block, each on one irreducible copy.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -656,20 +655,6 @@ class StarStructureReport:
             "generator_norms": [round(x, 9) for x in self.generator_norms],
             "notes": list(self.notes),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-    def to_text(self) -> str:
-        lines = [
-            f"dimension {self.dimension}, radical {self.radical_dimension}, "
-            f"center {self.center_dimension}",
-            f"blocks {sorted(self.blocks)}",
-            f"C* certified: {self.is_cstar}  status: {self.status}  "
-            f"seed: {self.seed}",
-        ]
-        lines += [f"note: {n}" for n in self.notes]
-        return "\n".join(lines)
 
 
 def _center_basis(a: StarAlgebra, tol: float) -> np.ndarray:

@@ -14,12 +14,11 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import __version__
 from ._util import DEFAULT_TOL
 from .algebras import (
     AlgebraAction,
+    StarAlgebra,
     check_algebra_action,
     check_star_algebra,
     crossed_product,
@@ -28,6 +27,7 @@ from .algebras import (
 )
 from .bundles import (
     BundleAction,
+    FellBundle,
     check_bundle_action,
     check_module_action,
     is_free_bundle_action,
@@ -45,12 +45,13 @@ from .bundles import (
     verify_bundle_iso,
 )
 from .groupoids import (
+    FiniteGroup,
+    FiniteGroupoid,
     GroupAction,
     GroupoidHom,
     SpaceAction,
     check_action,
     check_space_action,
-    group_set_action,
     is_free,
     make_pair_groupoid,
     orbit_space_action,
@@ -63,14 +64,8 @@ from .groupoids import (
     validate_groupoid,
     verify_groupoid_equivalence,
 )
-from .instances import (
-    cyclic_group,
-    diagonal_algebra,
-    group_translation_space,
-    swap_tau_on_diagonal,
-    trivial_group,
-)
-from .modelio import ModelError, ModelFile, parse_model, serialize_model
+from .instances import cyclic_group, raeburn_four_points, raeburn_two_points
+from .modelio import ModelError, ModelFile, SpaceDecl, parse_model, serialize_model
 from .morita import (
     coaction_demo,
     cstar_bundle_morita,
@@ -91,14 +86,51 @@ from .runtime import (
 
 EXIT_PASS, EXIT_FAIL, EXIT_INDETERMINATE, EXIT_USAGE = 0, 1, 2, 3
 
-# each construction of `build` and the number of arguments it takes; the
-# arguments of pair_groupoid and cyclic_group are positive integers
-_BUILD_ARITY = {
-    "pair_groupoid": 1, "cyclic_group": 1, "transformation_groupoid": 1,
-    "semidirect_left": 2, "semidirect_right": 2, "quotient_groupoid": 2,
-    "orbit_space_action": 2, "section_algebra": 1, "crossed_product": 2,
-    "semidirect_fell_bundle": 2, "quotient_fell_bundle": 2,
-    "transformation_fell_bundle": 2, "pullback_bundle": 2,
+
+def _pullback(bundle: FellBundle, act: SpaceAction) -> FellBundle:
+    """``bundle`` pulled back along the coordinate projection (x, u) -> x."""
+    tg = transformation_groupoid(act.groupoid, act)
+    return pullback_bundle(GroupoidHom(tg, bundle.base, {(x, u): x for (x, u) in tg.arrows}),
+                           bundle)
+
+
+# each construction of `build`: the kinds of its arguments ("count" for a
+# positive integer, "groupoid" or "bundle" for a model name, an action class
+# for the name of an action of that kind), the construction, and its report
+# line, formatted with the arguments and the sizes of the built object.  The
+# lambdas look their function up when called, so that a function patched on
+# this module (as bench/spans.py does) is the one that runs.
+BUILDS = {
+    "pair_groupoid": (("count",), lambda n: make_pair_groupoid(n),
+                      "pair groupoid on {0} points: {arrows} arrows"),
+    "cyclic_group": (("count",), lambda n: cyclic_group(n), "cyclic group of order {0}"),
+    "transformation_groupoid": (
+        (SpaceAction,), lambda a: transformation_groupoid(a.groupoid, a),
+        "transformation groupoid: {arrows} arrows, {units} units"),
+    "semidirect_left": (("groupoid", GroupAction), lambda x, a: semidirect_left(x, a),
+                        "semidirect product: {arrows} arrows"),
+    "semidirect_right": ((GroupAction, "groupoid"), lambda a, x: semidirect_right(a, x),
+                         "semidirect product: {arrows} arrows"),
+    "quotient_groupoid": (("groupoid", GroupAction), lambda x, a: quotient_groupoid(x, a)[0],
+                          "orbit groupoid: {arrows} arrows, {units} units"),
+    "orbit_space_action": (("groupoid", GroupAction),
+                           lambda x, a: orbit_space_action(x, a),
+                           "orbit action on {points} points"),
+    "section_algebra": (("bundle",), lambda b: section_algebra(b),
+                        "section algebra of dimension {dimension}"),
+    "crossed_product": (("bundle", BundleAction), lambda b, a: crossed_product(b, a),
+                        "crossed product of dimension {dimension}"),
+    "semidirect_fell_bundle": (("bundle", BundleAction),
+                               lambda b, a: semidirect_fell_bundle(b, a),
+                               "semidirect bundle with {fibers} fibers"),
+    "quotient_fell_bundle": (("bundle", BundleAction),
+                             lambda b, a: quotient_fell_bundle(b, a)[0],
+                             "orbit bundle with {fibers} fibers"),
+    "transformation_fell_bundle": (("bundle", SpaceAction),
+                                   lambda b, a: transformation_fell_bundle(b, a),
+                                   "transformation bundle with {fibers} fibers"),
+    "pullback_bundle": (("bundle", SpaceAction), lambda b, a: _pullback(b, a),
+                        "pullback along the coordinate projection: {fibers} fibers"),
 }
 
 
@@ -198,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("build", help="run a construction and emit a model file")
-    p.add_argument("construction", choices=list(_BUILD_ARITY))
+    p.add_argument("construction", choices=list(BUILDS))
     p.add_argument("args", nargs="*")
     p.add_argument("-m", "--model", default=None)
     p.add_argument("-o", "--out", required=True)
@@ -286,20 +318,24 @@ def _cmd_validate(args) -> RunReport:
                    lambda name=name: validate_fell_bundle(rt.bundle(name), args.tol))
     for name in sorted(model.actions):
         _validated(report, f"action {name}",
-                   lambda name=name: _validate_action(rt, rt.action(name), args.tol))
+                   lambda name=name: _validate_action(rt.action(name), args.tol))
     return report
 
 
-def _validate_action(rt: RuntimeModel, action, tol: float) -> ValidationReport:
+def _validate_action(action, tol: float) -> ValidationReport:
+    # freeness is noted only of an action, as it means nothing of a map that
+    # fails the action axioms
     if isinstance(action, GroupAction):
         rep = check_action(action)
-        rep.note(f"free: {is_free(action)}")
+        if rep.ok:
+            rep.note(f"free: {is_free(action)}")
         return rep
     if isinstance(action, SpaceAction):
         return check_space_action(action)
     if isinstance(action, BundleAction):
         rep = check_bundle_action(action, tol)
-        rep.note(f"free: {is_free_bundle_action(action)}")
+        if rep.ok:
+            rep.note(f"free: {is_free_bundle_action(action)}")
         return rep
     if isinstance(action, AlgebraAction):
         return check_algebra_action(action, tol)
@@ -320,112 +356,60 @@ def _validated(report: RunReport, name: str, thunk) -> None:
 
 
 def _cmd_build(args) -> RunReport:
-    c, a = args.construction, args.args
-    if len(a) != _BUILD_ARITY[c]:
-        raise ModelError(f"build {c} takes {_BUILD_ARITY[c]} argument(s), got {len(a)}")
-    if c in ("pair_groupoid", "cyclic_group"):
-        a = [_positive_int(a[0], f"the argument of build {c}")]
-    model = parse_model(args.model) if args.model else ModelFile()
-    rt = RuntimeModel(model)
+    c = args.construction
+    kinds, construct, line = BUILDS[c]
+    if len(args.args) != len(kinds):
+        raise ModelError(f"build {c} takes {len(kinds)} argument(s), got {len(args.args)}")
+    rt = RuntimeModel(parse_model(args.model) if args.model else ModelFile())
+    values = []
+    for k, (kind, text) in enumerate(zip(kinds, args.args), start=1):
+        if kind == "count":
+            values.append(_positive_int(text, f"the argument of build {c}"))
+        elif kind == "groupoid":
+            values.append(rt.groupoid(text))
+        elif kind == "bundle":
+            values.append(rt.bundle(text))
+        else:
+            values.append(rt.action(text, kind, f"build {c}: argument {k}"))
+    built = construct(*values)
     out = ModelFile()
-    report = RunReport("build", args.seed, args.tol,
-                       show_timings=args.timings)
-    name = args.name
-
-    def groupoid_out(g, label):
-        out.groupoids[label] = groupoid_to_decl(label, g)
-
-    if c == "pair_groupoid":
-        g = make_pair_groupoid(a[0])
-        out.groupoids[name] = groupoid_to_decl(name, g)
-        lines = [f"pair groupoid on {a[0]} points: {len(g.arrows)} arrows"]
-    elif c == "cyclic_group":
-        g = cyclic_group(a[0])
-        out.groups[name] = group_to_decl(name, g)
-        lines = [f"cyclic group of order {a[0]}"]
-    elif c == "transformation_groupoid":
-        act = rt.action(a[0])
-        g = transformation_groupoid(act.groupoid, act)
-        groupoid_out(g, name)
-        lines = [f"transformation groupoid: {len(g.arrows)} arrows, {len(g.units)} units"]
-    elif c == "semidirect_left":
-        g = semidirect_left(rt.groupoid(a[0]), rt.action(a[1]))
-        groupoid_out(g, name)
-        lines = [f"semidirect product: {len(g.arrows)} arrows"]
-    elif c == "semidirect_right":
-        g = semidirect_right(rt.action(a[0]), rt.groupoid(a[1]))
-        groupoid_out(g, name)
-        lines = [f"semidirect product: {len(g.arrows)} arrows"]
-    elif c == "quotient_groupoid":
-        g, _qm = quotient_groupoid(rt.groupoid(a[0]), rt.action(a[1]))
-        groupoid_out(g, name)
-        lines = [f"orbit groupoid: {len(g.arrows)} arrows, {len(g.units)} units"]
-    elif c == "orbit_space_action":
-        act = orbit_space_action(rt.groupoid(a[0]), rt.action(a[1]))
-        gq_name = name + "_base"
-        groupoid_out(act.groupoid, gq_name)
-        sp_name = name + "_space"
-        from .modelio import SpaceDecl
-        out.spaces[sp_name] = SpaceDecl(sp_name, tuple(act.space))
-        out.actions[name] = space_action_to_decl(name, act, gq_name, sp_name)
-        lines = [f"orbit action on {len(act.space)} points"]
-    elif c == "section_algebra":
-        alg = section_algebra(rt.bundle(a[0]))
-        out.algebras[name] = algebra_to_decl(name, alg)
-        lines = [f"section algebra of dimension {alg.dimension}"]
-    elif c == "crossed_product":
-        alg = crossed_product(rt.bundle(a[0]), rt.action(a[1]))
-        out.algebras[name] = algebra_to_decl(name, alg)
-        lines = [f"crossed product of dimension {alg.dimension}"]
-    elif c == "semidirect_fell_bundle":
-        b = semidirect_fell_bundle(rt.bundle(a[0]), rt.action(a[1]))
-        base_name = name + "_base"
-        groupoid_out(b.base, base_name)
-        out.bundles[name] = bundle_to_decl(name, b, base_name)
-        lines = [f"semidirect bundle with {len(b.base.arrows)} fibers"]
-    elif c == "quotient_fell_bundle":
-        b, _qm = quotient_fell_bundle(rt.bundle(a[0]), rt.action(a[1]))
-        base_name = name + "_base"
-        groupoid_out(b.base, base_name)
-        out.bundles[name] = bundle_to_decl(name, b, base_name)
-        lines = [f"orbit bundle with {len(b.base.arrows)} fibers"]
-    elif c == "transformation_fell_bundle":
-        b = transformation_fell_bundle(rt.bundle(a[0]), rt.action(a[1]))
-        base_name = name + "_base"
-        groupoid_out(b.base, base_name)
-        out.bundles[name] = bundle_to_decl(name, b, base_name)
-        lines = [f"transformation bundle with {len(b.base.arrows)} fibers"]
-    elif c == "pullback_bundle":
-        bundle = rt.bundle(a[0])
-        act = rt.action(a[1])
-        tg = transformation_groupoid(act.groupoid, act)
-        hom = GroupoidHom(tg, bundle.base, {(x, u): x for (x, u) in tg.arrows})
-        b = pullback_bundle(hom, bundle)
-        base_name = name + "_base"
-        groupoid_out(b.base, base_name)
-        out.bundles[name] = bundle_to_decl(name, b, base_name)
-        lines = [f"pullback along the coordinate projection: "
-                 f"{len(b.base.arrows)} fibers"]
-    else:
-        raise ModelError(f"unknown construction {c!r}")
-
+    sizes = _emit_built(out, args.name, built)
     text = serialize_model(out)
     parse_model(text)  # round-trip sanity before writing
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
-    lines.append(f"written to {args.out}")
-    report.add(f"build {c}", "pass", lines)
+    report = RunReport("build", args.seed, args.tol, show_timings=args.timings)
+    report.add(f"build {c}", "pass", [line.format(*values, **sizes),
+                                      f"written to {args.out}"])
     return report
+
+
+def _emit_built(out: ModelFile, name: str, built) -> dict:
+    """Declare ``built`` in ``out`` as ``name`` by its type, a bundle's base
+    as ``name_base`` and a space action's groupoid and points as
+    ``name_base`` and ``name_space``; return the sizes its report line reads."""
+    base = name + "_base"
+    if isinstance(built, FiniteGroup):
+        out.groups[name] = group_to_decl(name, built)
+        return {}
+    if isinstance(built, FiniteGroupoid):
+        out.groupoids[name] = groupoid_to_decl(name, built)
+        return {"arrows": len(built.arrows), "units": len(built.units)}
+    if isinstance(built, StarAlgebra):
+        out.algebras[name] = algebra_to_decl(name, built)
+        return {"dimension": built.dimension}
+    if isinstance(built, SpaceAction):
+        out.groupoids[base] = groupoid_to_decl(base, built.groupoid)
+        out.spaces[name + "_space"] = SpaceDecl(name + "_space", tuple(built.space))
+        out.actions[name] = space_action_to_decl(name, built, base, name + "_space")
+        return {"points": len(built.space)}
+    out.groupoids[base] = groupoid_to_decl(base, built.base)
+    out.bundles[name] = bundle_to_decl(name, built, base)
+    return {"fibers": len(built.base.arrows)}
 
 
 # ---------------------------------------------------------------------------
 # scenarios
-
-
-# the action kind a scenario reference must name, by its runtime class
-_ACTION_KINDS = {GroupAction: "group_on_groupoid",
-                 SpaceAction: "group_on_space or groupoid_on_space",
-                 BundleAction: "group_on_bundle", AlgebraAction: "group_on_algebra"}
 
 
 class _Refs:
@@ -445,11 +429,7 @@ class _Refs:
         return self.names[key]
 
     def action(self, key: str, kind: type):
-        action = self.rt.action(self[key])
-        if not isinstance(action, kind):
-            raise ModelError(f"scenario {self.scen.name!r}: {key} {self[key]!r} is not "
-                             f"a {_ACTION_KINDS[kind]} action")
-        return action
+        return self.rt.action(self[key], kind, f"scenario {self.scen.name!r}: {key}")
 
 
 def _cmd_check_equivalence(args) -> RunReport:
@@ -566,39 +546,12 @@ def _cmd_demo(args) -> RunReport:
         cert = coaction_demo(trivial_line_bundle(cyclic_group(order)),
                              tol=args.tol, seed=args.seed)
         name = f"coaction Z{order} (line bundle)"
+    elif args.two_sided:
+        cert = raeburn(*raeburn_four_points(), tol=args.tol, seed=args.seed)
+        name = "raeburn two-sided (four points, diagonal fiber)"
     else:
-        if args.two_sided:
-            z2 = cyclic_group(2)
-            points = tuple((i, j) for i in range(2) for j in range(2))
-            gsp = group_set_action(z2, points,
-                                   {(t, (i, j)): ((t + i) % 2, j)
-                                    for t in z2.elements for (i, j) in points},
-                                   "left")
-            hsp = group_set_action(z2, points,
-                                   {(t, (i, j)): (i, (j + t) % 2)
-                                    for t in z2.elements for (i, j) in points},
-                                   "right")
-            b = diagonal_algebra(2)
-            sigma = swap_tau_on_diagonal(z2)
-            tau = AlgebraAction(z2, b, {t: np.eye(2, dtype=complex)
-                                        for t in z2.elements}, "left")
-            cert = raeburn(points, gsp, hsp, b, sigma, tau,
-                           tol=args.tol, seed=args.seed)
-            name = "raeburn two-sided (four points, diagonal fiber)"
-        else:
-            z2 = cyclic_group(2)
-            triv = trivial_group()
-            points = (0, 1)
-            gsp = group_translation_space(z2, "left")
-            hsp = group_set_action(triv, points, {("e", u): u for u in points},
-                                   "right")
-            b = diagonal_algebra(1)
-            sigma = AlgebraAction(z2, b, {t: np.eye(1, dtype=complex)
-                                          for t in z2.elements}, "left")
-            tau = AlgebraAction(triv, b, {"e": np.eye(1, dtype=complex)}, "left")
-            cert = raeburn(points, gsp, hsp, b, sigma, tau,
-                           tol=args.tol, seed=args.seed)
-            name = "raeburn smallest case (two points, trivial H)"
+        cert = raeburn(*raeburn_two_points(), tol=args.tol, seed=args.seed)
+        name = "raeburn smallest case (two points, trivial H)"
     status = {"equivalent": "pass", "not-certified": "fail",
               "indeterminate": "indeterminate"}[cert.verdict]
     report.add(name, status, cert.to_text().splitlines(),

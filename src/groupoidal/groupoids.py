@@ -890,8 +890,8 @@ def semidirect_space_action(g: GroupAction, s1: SpaceAction, s2: SpaceAction,
     """Left action of x|xG on the set, (x, t).u = x.(t.u) when defined."""
     if g.side != "left" or s1.side != "left" or s2.side != "left":
         raise InvalidStructureError("semidirect_space_action needs left-sided data")
-    if not check_covariant(g, s1, s2):
-        wit = _covariance_witness(g, s1, s2)
+    wit = _covariance_witness(g, s1, s2)
+    if wit is not None:
         raise InvalidStructureError(
             f"actions not covariant at (x,t,u)=({fmt(wit[0])},{fmt(wit[1])},{fmt(wit[2])})"
         )

@@ -172,3 +172,35 @@ def group_translation_space(group: FiniteGroup, side: str):
     else:
         mapping = {(t, u): group.mul(u, t) for t in group.elements for u in group.elements}
     return group_set_action(group, group.elements, mapping, side)
+
+
+def raeburn_two_points() -> tuple:
+    """The smallest raeburn case: Z/2 translating two points, trivial H, C fiber.
+
+    Returns the arguments of ``morita.raeburn``: the points, the G and H
+    actions on them, the fiber algebra, and sigma and tau.
+    """
+    z2, triv = cyclic_group(2), trivial_group()
+    b = diagonal_algebra(1)
+    sigma = AlgebraAction(z2, b, {t: np.eye(1, dtype=complex) for t in z2.elements}, "left")
+    tau = AlgebraAction(triv, b, {"e": np.eye(1, dtype=complex)}, "left")
+    hsp = group_set_action(triv, (0, 1), {("e", u): u for u in (0, 1)}, "right")
+    return (0, 1), group_translation_space(z2, "left"), hsp, b, sigma, tau
+
+
+def raeburn_four_points() -> tuple:
+    """The two-sided raeburn case on Z/2 x Z/2, the arguments of ``morita.raeburn``.
+
+    G = Z/2 translates the first coordinate and swaps the two entries of the
+    diagonal fiber C^2; H = Z/2 translates the second coordinate and acts
+    trivially on the fiber.
+    """
+    z2 = cyclic_group(2)
+    points = tuple((i, j) for i in range(2) for j in range(2))
+    gsp = group_set_action(z2, points, {(t, (i, j)): ((t + i) % 2, j)
+                                        for t in z2.elements for (i, j) in points}, "left")
+    hsp = group_set_action(z2, points, {(t, (i, j)): (i, (j + t) % 2)
+                                        for t in z2.elements for (i, j) in points}, "right")
+    b = diagonal_algebra(2)
+    tau = AlgebraAction(z2, b, {t: np.eye(2, dtype=complex) for t in z2.elements}, "left")
+    return points, gsp, hsp, b, swap_tau_on_diagonal(z2), tau

@@ -196,10 +196,14 @@ def parse_model(source: str) -> ModelFile:
         lineno, toks = lines[k]
         head = toks[0]
         if head == "version":
+            if len(toks) != 2 or not toks[1].isdecimal():
+                raise ModelError("version takes one non-negative integer", lineno)
             model.version = int(toks[1])
             k += 1
         elif head in ("group", "groupoid", "space", "algebra", "bundle",
                       "action", "scenario"):
+            if len(toks) == 1:
+                raise ModelError(f"{head} declaration without a name", lineno)
             if len(toks) >= 3:  # builder one-liner
                 k = _parse_builder(model, lineno, toks, k)
             else:
@@ -210,23 +214,37 @@ def parse_model(source: str) -> ModelFile:
     return model
 
 
+# each builder one-liner "HEAD NAME BUILDER ARGS...", keyed by (HEAD, BUILDER):
+# the kind of each argument, "count" for a non-negative integer or the model
+# kind whose declaration it names
+BUILDERS = {
+    ("group", "cyclic"): ("count",),
+    ("groupoid", "pair"): ("count",),
+    ("groupoid", "units"): ("count",),
+    ("algebra", "diag"): ("count",),
+    ("algebra", "matrix"): ("count",),
+    ("bundle", "line"): ("groupoid",),
+    ("bundle", "trivial"): ("algebra", "space"),
+}
+
+
 def _parse_builder(model: ModelFile, lineno: int, toks: list, k: int) -> int:
-    head, name = toks[0], toks[1]
-    spec = toks[2:]
-    if head == "group" and spec[0] == "cyclic":
-        model.groups[name] = GroupDecl(name, builder=("cyclic", int(spec[1])))
-    elif head == "groupoid" and spec[0] == "pair":
-        model.groupoids[name] = GroupoidDecl(name, builder=("pair", int(spec[1])))
-    elif head == "groupoid" and spec[0] == "units":
-        model.groupoids[name] = GroupoidDecl(name, builder=("units", int(spec[1])))
-    elif head == "algebra" and spec[0] in ("diag", "matrix"):
-        model.algebras[name] = AlgebraDecl(name, builder=(spec[0], int(spec[1])))
-    elif head == "bundle" and spec[0] == "line":
-        model.bundles[name] = BundleDecl(name, builder=("line", spec[1]))
-    elif head == "bundle" and spec[0] == "trivial":
-        model.bundles[name] = BundleDecl(name, builder=("trivial", spec[1], spec[2]))
-    else:
+    head, name, builder, args = toks[0], toks[1], toks[2], toks[3:]
+    kinds = BUILDERS.get((head, builder))
+    if kinds is None:
         raise ModelError(f"unknown builder {' '.join(toks)!r}", lineno)
+    if len(args) != len(kinds):
+        raise ModelError(f"{head} {builder} takes {len(kinds)} argument(s), "
+                         f"got {len(args)}", lineno)
+    for i, kind in enumerate(kinds):
+        if kind == "count":
+            if not args[i].isdecimal():
+                raise ModelError(f"{head} {builder} needs a non-negative integer, "
+                                 f"got {args[i]!r}", lineno)
+            args[i] = int(args[i])
+    decl = {"group": GroupDecl, "groupoid": GroupoidDecl, "algebra": AlgebraDecl,
+            "bundle": BundleDecl}[head]
+    getattr(model, head + "s")[name] = decl(name, builder=(builder, *args))
     return k + 1
 
 
@@ -402,6 +420,9 @@ def _action_block(name: str, body: list) -> ActionDecl:
 
 _SCENARIO_KEYS = ("bundle", "left", "right", "target", "action", "space",
                   "algebra", "sigma", "tau", "groupoid_action", "group_action")
+# the kind a scenario reference names, by its key; the other keys name actions
+_SCENARIO_REFS = {"bundle": "bundle", "target": "groupoid", "space": "space",
+                  "algebra": "algebra"}
 
 
 def _scenario_block(name: str, body: list) -> ScenarioDecl:
@@ -420,56 +441,43 @@ def _scenario_block(name: str, body: list) -> ScenarioDecl:
     return ScenarioDecl(name, op, tuple(sorted(refs)))
 
 
+# the declarations each action kind references, by the key that names them
+_ACTION_REFS = {
+    "group_on_groupoid": {"group": "group", "target": "groupoid"},
+    "group_on_space": {"group": "group", "space": "space"},
+    "groupoid_on_space": {"groupoid": "groupoid", "space": "space"},
+    "group_on_bundle": {"bundle": "bundle", "base": "action"},
+    "group_on_algebra": {"group": "group", "algebra": "algebra"},
+}
+
+
 def _resolve(model: ModelFile) -> None:
     """Check that every name referenced anywhere is declared."""
-    groupoid_like = dict(model.groupoids)
-    groupoid_like.update(model.groups)  # a group is a one-unit groupoid
+    tables = {"group": model.groups, "groupoid": dict(model.groupoids),
+              "space": model.spaces, "algebra": model.algebras,
+              "bundle": model.bundles, "action": model.actions}
+    tables["groupoid"].update(model.groups)  # a group is a one-unit groupoid
 
-    def need(table: dict, name: str, what: str, owner: str):
-        if table is model.groupoids:
-            table = groupoid_like
-        if name and name not in table:
-            raise ModelError(f"{owner} references unknown {what} {name!r}")
+    def need(kind: str, name: str, owner: str):
+        if name and name not in tables[kind]:
+            raise ModelError(f"{owner} references unknown {kind} {name!r}")
 
+    for head in ("group", "groupoid", "algebra", "bundle"):
+        for d in getattr(model, head + "s").values():
+            if d.builder:
+                for kind, value in zip(BUILDERS[head, d.builder[0]], d.builder[1:]):
+                    if kind != "count":
+                        need(kind, value, f"{head} {d.name}")
     for b in model.bundles.values():
-        if b.builder and b.builder[0] == "line":
-            need(model.groupoids, b.builder[1], "groupoid", f"bundle {b.name}")
-        elif b.builder and b.builder[0] == "trivial":
-            need(model.algebras, b.builder[1], "algebra", f"bundle {b.name}")
-            need(model.spaces, b.builder[2], "space", f"bundle {b.name}")
-        elif b.base:
-            need(model.groupoids, b.base, "groupoid", f"bundle {b.name}")
+        need("groupoid", b.base, f"bundle {b.name}")
     for a in model.actions.values():
-        owner = f"action {a.name}"
-        if a.kind == "group_on_groupoid":
-            need(model.groups, a.group, "group", owner)
-            need(model.groupoids, a.target, "groupoid", owner)
-        elif a.kind == "group_on_space":
-            need(model.groups, a.group, "group", owner)
-            need(model.spaces, a.space, "space", owner)
-        elif a.kind == "groupoid_on_space":
-            need(model.groupoids, a.groupoid, "groupoid", owner)
-            need(model.spaces, a.space, "space", owner)
-        elif a.kind == "group_on_bundle":
-            need(model.bundles, a.bundle, "bundle", owner)
-            need(model.actions, a.base, "action", owner)
-        elif a.kind == "group_on_algebra":
-            need(model.groups, a.group, "group", owner)
-            need(model.algebras, a.algebra, "algebra", owner)
-        else:
+        if a.kind not in _ACTION_REFS:
             raise ModelError(f"action {a.name!r} has unknown kind {a.kind!r}")
+        for key, kind in _ACTION_REFS[a.kind].items():
+            need(kind, getattr(a, key), f"action {a.name}")
     for s in model.scenarios.values():
         for key, value in s.refs:
-            if key in ("bundle",):
-                need(model.bundles, value, "bundle", f"scenario {s.name}")
-            elif key in ("target",):
-                need(model.groupoids, value, "groupoid", f"scenario {s.name}")
-            elif key in ("space",):
-                need(model.spaces, value, "space", f"scenario {s.name}")
-            elif key in ("algebra",):
-                need(model.algebras, value, "algebra", f"scenario {s.name}")
-            else:
-                need(model.actions, value, "action", f"scenario {s.name}")
+            need(_SCENARIO_REFS.get(key, "action"), value, f"scenario {s.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -479,16 +487,16 @@ def _resolve(model: ModelFile) -> None:
 def serialize_model(model: ModelFile) -> str:
     out = [f"version {model.version}"]
     for name in sorted(model.groups):
-        out += _emit_group(model.groups[name])
+        out += _emit("group", model.groups[name], _emit_group)
     for name in sorted(model.spaces):
         s = model.spaces[name]
         out += [f"space {name}", "  points: " + " ".join(fmt(p) for p in s.points), "end"]
     for name in sorted(model.groupoids):
-        out += _emit_groupoid(model.groupoids[name])
+        out += _emit("groupoid", model.groupoids[name], _emit_groupoid)
     for name in sorted(model.algebras):
-        out += _emit_algebra(model.algebras[name])
+        out += _emit("algebra", model.algebras[name], _emit_algebra)
     for name in sorted(model.bundles):
-        out += _emit_bundle(model.bundles[name])
+        out += _emit("bundle", model.bundles[name], _emit_bundle)
     for name in sorted(model.actions):
         out += _emit_action(model.actions[name])
     for name in sorted(model.scenarios):
@@ -499,9 +507,14 @@ def serialize_model(model: ModelFile) -> str:
     return "\n".join(out) + "\n"
 
 
+def _emit(head: str, decl, emit_block) -> list:
+    """A declaration's one-liner if it has one, else its explicit block."""
+    if decl.builder:
+        return [" ".join(map(str, (head, decl.name, *decl.builder)))]
+    return emit_block(decl)
+
+
 def _emit_group(g: GroupDecl) -> list:
-    if g.builder:
-        return [f"group {g.name} {g.builder[0]} {g.builder[1]}"]
     lines = [f"group {g.name}",
              "  elements: " + " ".join(fmt(e) for e in g.elements)]
     prod = {(a, b): ab for (a, b, ab) in g.table}
@@ -513,8 +526,6 @@ def _emit_group(g: GroupDecl) -> list:
 
 
 def _emit_groupoid(g: GroupoidDecl) -> list:
-    if g.builder:
-        return [f"groupoid {g.name} {g.builder[0]} {g.builder[1]}"]
     lines = [f"groupoid {g.name}",
              "  units: " + " ".join(fmt(u) for u in g.units),
              "  arrows: " + " ".join(fmt(a) for a in g.arrows)]
@@ -529,8 +540,6 @@ def _emit_groupoid(g: GroupoidDecl) -> list:
 
 
 def _emit_algebra(a: AlgebraDecl) -> list:
-    if a.builder:
-        return [f"algebra {a.name} {a.builder[0]} {a.builder[1]}"]
     lines = [f"algebra {a.name}",
              "  basis: " + " ".join(fmt(b) for b in a.basis)]
     for (x, y, entries) in a.products:
@@ -544,10 +553,6 @@ def _emit_algebra(a: AlgebraDecl) -> list:
 
 
 def _emit_bundle(b: BundleDecl) -> list:
-    if b.builder and b.builder[0] == "line":
-        return [f"bundle {b.name} line {b.builder[1]}"]
-    if b.builder and b.builder[0] == "trivial":
-        return [f"bundle {b.name} trivial {b.builder[1]} {b.builder[2]}"]
     lines = [f"bundle {b.name}", f"  base: {b.base}"]
     for (x, n) in b.dims:
         lines.append(f"  dim {fmt(x)}: {n}")

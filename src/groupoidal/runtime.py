@@ -10,7 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 from .algebras import AlgebraAction, StarAlgebra
-from .bundles import BundleAction, FellBundle, identity_fiber_maps, trivial_line_bundle
+from .bundles import (
+    BundleAction,
+    FellBundle,
+    identity_fiber_maps,
+    make_trivial_cbundle,
+    trivial_line_bundle,
+)
 from .groupoids import (
     FiniteGroup,
     FiniteGroupoid,
@@ -37,6 +43,24 @@ from .modelio import (
 from ._util import fmt
 
 
+# the model kind of each runtime action class, as error messages name it
+_ACTION_KINDS = {GroupAction: "group_on_groupoid",
+                 SpaceAction: "group_on_space or groupoid_on_space",
+                 BundleAction: "group_on_bundle", AlgebraAction: "group_on_algebra"}
+
+# the constructor of each builder one-liner of modelio.BUILDERS, by the same
+# key, called with the runtime model and the one-liner's arguments
+_ONE_LINERS = {
+    ("group", "cyclic"): lambda rt, n: cyclic_group(n),
+    ("groupoid", "pair"): lambda rt, n: make_pair_groupoid(n),
+    ("groupoid", "units"): lambda rt, n: make_unit_groupoid(range(1, n + 1)),
+    ("algebra", "diag"): lambda rt, n: diagonal_algebra(n),
+    ("algebra", "matrix"): lambda rt, n: matrix_algebra(n),
+    ("bundle", "line"): lambda rt, g: trivial_line_bundle(rt.groupoid(g)),
+    ("bundle", "trivial"): lambda rt, a, s: make_trivial_cbundle(rt.algebra(a), rt.space(s)),
+}
+
+
 class RuntimeModel:
     """Lazily builds and caches the objects declared in a ModelFile."""
 
@@ -44,54 +68,44 @@ class RuntimeModel:
         self.model = model
         self._cache: dict = {}
 
-    def _get(self, kind: str, name: str, builder):
+    def _get(self, kind: str, name: str, build):
         key = (kind, name)
         if key not in self._cache:
-            self._cache[key] = builder()
+            decl = getattr(self.model, kind + "s").get(name)
+            if decl is None:
+                raise ModelError(f"unknown {kind} {name!r}")
+            builder = getattr(decl, "builder", None)
+            self._cache[key] = (_ONE_LINERS[kind, builder[0]](self, *builder[1:])
+                                if builder else build(decl, self))
         return self._cache[key]
 
     def group(self, name: str) -> FiniteGroup:
-        decl = self.model.groups.get(name)
-        if decl is None:
-            raise ModelError(f"unknown group {name!r}")
-        return self._get("group", name, lambda: _build_group(decl))
+        return self._get("group", name, _build_group)
 
     def groupoid(self, name: str) -> FiniteGroupoid:
         if name in self.model.groups:
             return self.group(name)
-        decl = self.model.groupoids.get(name)
-        if decl is None:
-            raise ModelError(f"unknown groupoid {name!r}")
-        return self._get("groupoid", name, lambda: _build_groupoid(decl))
+        return self._get("groupoid", name, _build_groupoid)
 
     def space(self, name: str) -> tuple:
-        decl = self.model.spaces.get(name)
-        if decl is None:
-            raise ModelError(f"unknown space {name!r}")
-        return decl.points
+        return self._get("space", name, lambda decl, rt: decl.points)
 
     def algebra(self, name: str) -> StarAlgebra:
-        decl = self.model.algebras.get(name)
-        if decl is None:
-            raise ModelError(f"unknown algebra {name!r}")
-        return self._get("algebra", name, lambda: _build_algebra(decl))
+        return self._get("algebra", name, _build_algebra)
 
     def bundle(self, name: str) -> FellBundle:
-        decl = self.model.bundles.get(name)
-        if decl is None:
-            raise ModelError(f"unknown bundle {name!r}")
-        return self._get("bundle", name, lambda: _build_bundle(decl, self))
+        return self._get("bundle", name, _build_bundle)
 
-    def action(self, name: str):
-        decl = self.model.actions.get(name)
-        if decl is None:
-            raise ModelError(f"unknown action {name!r}")
-        return self._get("action", name, lambda: _build_action(decl, self))
+    def action(self, name: str, kind: type | None = None, where: str = ""):
+        """The action ``name``; with ``kind``, a usage error naming ``where``
+        and the action unless it is of that class."""
+        action = self._get("action", name, _build_action)
+        if kind is not None and not isinstance(action, kind):
+            raise ModelError(f"{where} {name!r} is not a {_ACTION_KINDS[kind]} action")
+        return action
 
 
-def _build_group(decl: GroupDecl) -> FiniteGroup:
-    if decl.builder:
-        return cyclic_group(decl.builder[1])
+def _build_group(decl: GroupDecl, rt: RuntimeModel) -> FiniteGroup:
     table = {}
     for (a, b, ab) in decl.table:
         table[(a, b)] = ab
@@ -103,11 +117,7 @@ def _build_group(decl: GroupDecl) -> FiniteGroup:
     return make_group(table)
 
 
-def _build_groupoid(decl: GroupoidDecl) -> FiniteGroupoid:
-    if decl.builder and decl.builder[0] == "pair":
-        return make_pair_groupoid(decl.builder[1])
-    if decl.builder and decl.builder[0] == "units":
-        return make_unit_groupoid(range(1, decl.builder[1] + 1))
+def _build_groupoid(decl: GroupoidDecl, rt: RuntimeModel) -> FiniteGroupoid:
     src, rng, inv = {}, {}, {}
     for (a, s, r, i) in decl.arrow_data:
         src[a], rng[a], inv[a] = s, r, i
@@ -124,11 +134,7 @@ def _build_groupoid(decl: GroupoidDecl) -> FiniteGroupoid:
     return FiniteGroupoid(decl.units, decl.arrows, src, rng, comp, inv, unit_arrow)
 
 
-def _build_algebra(decl: AlgebraDecl) -> StarAlgebra:
-    if decl.builder and decl.builder[0] == "diag":
-        return diagonal_algebra(decl.builder[1])
-    if decl.builder and decl.builder[0] == "matrix":
-        return matrix_algebra(decl.builder[1])
+def _build_algebra(decl: AlgebraDecl, rt: RuntimeModel) -> StarAlgebra:
     n = len(decl.basis)
     idx = {b: k for k, b in enumerate(decl.basis)}
     struct = np.zeros((n, n, n), dtype=complex)
@@ -147,13 +153,6 @@ def _build_algebra(decl: AlgebraDecl) -> StarAlgebra:
 
 
 def _build_bundle(decl: BundleDecl, rt: RuntimeModel) -> FellBundle:
-    from .bundles import make_trivial_cbundle
-
-    if decl.builder and decl.builder[0] == "line":
-        return trivial_line_bundle(rt.groupoid(decl.builder[1]))
-    if decl.builder and decl.builder[0] == "trivial":
-        return make_trivial_cbundle(rt.algebra(decl.builder[1]),
-                                    rt.space(decl.builder[2]))
     base = rt.groupoid(decl.base)
     dim = dict(decl.dims)
     for x in base.arrows:
@@ -181,17 +180,12 @@ def _build_bundle(decl: BundleDecl, rt: RuntimeModel) -> FellBundle:
 
 
 def _build_action(decl: ActionDecl, rt: RuntimeModel):
-    if decl.kind == "group_on_groupoid":
-        return _group_on_groupoid(decl, rt)
-    if decl.kind == "group_on_space":
-        return _group_on_space(decl, rt)
-    if decl.kind == "groupoid_on_space":
-        return _groupoid_on_space(decl, rt)
-    if decl.kind == "group_on_bundle":
-        return _group_on_bundle(decl, rt)
-    if decl.kind == "group_on_algebra":
-        return _group_on_algebra(decl, rt)
-    raise ModelError(f"action {decl.name!r} has unknown kind {decl.kind!r}")
+    build = {"group_on_groupoid": _group_on_groupoid, "group_on_space": _group_on_space,
+             "groupoid_on_space": _groupoid_on_space, "group_on_bundle": _group_on_bundle,
+             "group_on_algebra": _group_on_algebra}.get(decl.kind)
+    if build is None:
+        raise ModelError(f"action {decl.name!r} has unknown kind {decl.kind!r}")
+    return build(decl, rt)
 
 
 def _perm_maps(decl: ActionDecl, grp: FiniteGroup, units: tuple) -> dict:
@@ -271,9 +265,7 @@ def _groupoid_on_space(decl: ActionDecl, rt: RuntimeModel) -> SpaceAction:
 
 
 def _group_on_bundle(decl: ActionDecl, rt: RuntimeModel) -> BundleAction:
-    base_action = rt.action(decl.base)
-    if not isinstance(base_action, GroupAction):
-        raise ModelError(f"action {decl.name!r}: base must be a group_on_groupoid action")
+    base_action = rt.action(decl.base, GroupAction, f"action {decl.name!r}: base")
     bundle = rt.bundle(decl.bundle)
     if decl.fibers_identity or not decl.fibers:
         fiber = identity_fiber_maps(bundle, base_action)

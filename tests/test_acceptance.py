@@ -39,7 +39,8 @@ from groupoidal.instances import (
     diagonal_algebra,
     random_free_action_instance,
     random_free_commuting_instance,
-    swap_tau_on_diagonal,
+    raeburn_four_points,
+    raeburn_two_points,
     symmetric_z2z2_bundle,
     trivial_group,
 )
@@ -157,35 +158,12 @@ def test_criterion_3_principal_decompositions():
 
 def test_criterion_4_raeburn_cases():
     start = time.perf_counter()
-    z2 = cyclic_group(2)
-    triv = trivial_group()
-
-    points = (0, 1)
-    gsp = group_set_action(z2, points, {(t, u): (t + u) % 2
-                                        for t in z2.elements for u in points},
-                           "left")
-    hsp = group_set_action(triv, points, {("e", u): u for u in points}, "right")
-    scalars = diagonal_algebra(1)
-    sigma = AlgebraAction(z2, scalars, {t: np.eye(1, dtype=complex)
-                                        for t in z2.elements}, "left")
-    tau = AlgebraAction(triv, scalars, {"e": np.eye(1, dtype=complex)}, "left")
-    small = raeburn(points, gsp, hsp, scalars, sigma, tau, tol=TOL)
+    small = raeburn(*raeburn_two_points(), tol=TOL)
     assert small.verdict == "equivalent"
     assert sorted(small.left_report.blocks) == [2]
     assert sorted(small.right_report.blocks) == [1]
 
-    points4 = tuple((i, j) for i in range(2) for j in range(2))
-    gsp4 = group_set_action(z2, points4,
-                            {(t, (i, j)): ((t + i) % 2, j)
-                             for t in z2.elements for (i, j) in points4}, "left")
-    hsp4 = group_set_action(z2, points4,
-                            {(t, (i, j)): (i, (j + t) % 2)
-                             for t in z2.elements for (i, j) in points4}, "right")
-    diag = diagonal_algebra(2)
-    sigma4 = swap_tau_on_diagonal(z2)
-    tau4 = AlgebraAction(z2, diag, {t: np.eye(2, dtype=complex)
-                                    for t in z2.elements}, "left")
-    big = raeburn(points4, gsp4, hsp4, diag, sigma4, tau4, tol=TOL)
+    big = raeburn(*raeburn_four_points(), tol=TOL)
     assert big.verdict == "equivalent"
     # centers computed independently on each corner by the structure report
     assert big.left_report.center_dimension == big.right_report.center_dimension

@@ -137,6 +137,15 @@ def test_nan_diagonal_inner_product_fails_step_6(z2z2_bundle):
     assert "step 5: exchange identity" in failures
 
 
+def test_zero_diagonal_inner_product_fails_step_6_fullness(z2z2_bundle):
+    # a zero <z, z>_L spans nothing of its unit fiber: finite, but not full
+    e = symmetric_action_equivalence(*z2z2_bundle)
+    key = ((1, 1), (1, 1))
+    e.left_inner[key] = np.zeros_like(e.left_inner[key])
+    lines = str(verify_bundle_equivalence(e)).splitlines()
+    assert "FAIL  step 6: inner products full on unit fibers  [left fullness at (1,1)]" in lines
+
+
 def test_inner_product_coverage_names_the_pair(z2z2_bundle):
     # the witness is the first missing pair, else the first extra pair, in
     # space order, as e's (z1, z2)

@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -353,6 +354,22 @@ def test_covariance_failure_reported(z2):
     s2 = left_translation_action(g)
     assert not check_covariant(act, s1, s2)
     with pytest.raises(InvalidStructureError, match="covariant"):
+        semidirect_space_action(act, s1, s2)
+
+
+def test_covariance_failure_at_an_arrow_names_the_arrow(z2):
+    # the trivial action on the units, and t = 1 swapping (1,1) and (1,2)
+    # only: ranges are kept, so every unit condition holds, but
+    # t.((1,2)(2,1)) = (1,2) differs from (t.(1,2))(t.(2,1)) = (1,1)
+    g = make_pair_groupoid(2)
+    swap = {(1, 1): (1, 2), (1, 2): (1, 1)}
+    s1 = group_set_action(z2, g.arrows, {(t, x): swap.get(x, x) if t else x
+                                         for t in z2.elements for x in g.arrows}, "left")
+    act = trivial_action(z2, g, "left")
+    s2 = left_translation_action(g)
+    assert not check_covariant(act, s1, s2)
+    with pytest.raises(InvalidStructureError,
+                       match=re.escape("not covariant at (x,t,u)=((1,2),1,(2,1))")):
         semidirect_space_action(act, s1, s2)
 
 

@@ -124,6 +124,36 @@ end
     assert parse_model(serialize_model(m)) == m
 
 
+# every builder one-liner, in the order serialize_model writes them
+_ONE_LINERS = """version 1
+group Z cyclic 3
+space S
+  points: a b
+end
+groupoid P pair 2
+groupoid U units 2
+algebra D diag 2
+algebra M matrix 2
+bundle L line P
+bundle T trivial D S
+"""
+
+
+def test_every_one_liner_builds_and_round_trips():
+    from groupoidal.modelio import BUILDERS
+    m = parse_model(_ONE_LINERS)
+    assert serialize_model(m) == _ONE_LINERS
+    decls = [(head, d) for head in ("group", "groupoid", "algebra", "bundle")
+             for d in getattr(m, head + "s").values()]
+    assert {(head, d.builder[0]) for head, d in decls} == set(BUILDERS)
+    rt = RuntimeModel(m)
+    assert len(rt.group("Z").elements) == 3
+    assert len(rt.groupoid("P").arrows) == 4 and rt.groupoid("U").units == (1, 2)
+    assert rt.algebra("D").dimension == 2 and rt.algebra("M").dimension == 4
+    assert rt.bundle("L").base is rt.groupoid("P")
+    assert rt.bundle("T").base.units == ("a", "b")
+
+
 def test_dangling_reference_named():
     text = """
 version 1
@@ -594,7 +624,7 @@ def test_every_operation_reachable_from_cli(tmp_path, capsys):
         "semidirect_right": gpd_mod.semidirect_right,
         "quotient_groupoid": gpd_mod.quotient_groupoid,
         "orbit_space_action": gpd_mod.orbit_space_action,
-        "check_covariant": gpd_mod.check_covariant,
+        # its covariance check; check_covariant is only the predicate form of it
         "semidirect_space_action": gpd_mod.semidirect_space_action,
         "semidirect_right_space_action": gpd_mod.semidirect_right_space_action,
         "symmetric_groupoid_equivalence": gpd_mod.symmetric_groupoid_equivalence,
@@ -667,6 +697,100 @@ def test_every_operation_reachable_from_cli(tmp_path, capsys):
     capsys.readouterr()
     missing = sorted(set(ops) - seen)
     assert not missing, f"operations unreachable from the CLI: {missing}"
+
+
+# every construction of `build`, with arguments naming objects of the
+# coverage model
+_BUILD_RUNS = {
+    "pair_groupoid": ["3"], "cyclic_group": ["3"], "transformation_groupoid": ["YOM"],
+    "semidirect_left": ["X4", "GL"], "semidirect_right": ["HR", "X4"],
+    "quotient_groupoid": ["X4", "HR"], "orbit_space_action": ["X4", "HR"],
+    "section_algebra": ["A"], "crossed_product": ["A", "GLB"],
+    "semidirect_fell_bundle": ["A", "GLB"], "quotient_fell_bundle": ["A", "HRB"],
+    "transformation_fell_bundle": ["B", "YOM"], "pullback_bundle": ["B", "YOM"],
+}
+
+
+def test_build_runs_cover_every_construction():
+    from groupoidal.cli import BUILDS
+    assert set(BUILDS) == set(_BUILD_RUNS)
+
+
+@pytest.mark.parametrize("construction", sorted(_BUILD_RUNS))
+def test_cli_build_output_round_trips_and_validates(tmp_path, capsys, construction):
+    # each emitted model parses back, serializes to the same text and validates
+    model_path = tmp_path / "coverage.model"
+    model_path.write_text(COVERAGE_MODEL)
+    out_path = tmp_path / "built.model"
+    argv = ["build", construction, *_BUILD_RUNS[construction],
+            "-m", str(model_path), "-o", str(out_path)]
+    assert main(argv) == 0
+    text = out_path.read_text()
+    assert serialize_model(parse_model(text)) == text
+    assert main(["validate", str(out_path)]) == 0
+    capsys.readouterr()
+
+
+def _usage_error(capsys, argv) -> str:
+    """The one `error:` line of a command that must exit 3, without the prefix."""
+    capsys.readouterr()
+    assert main(argv) == 3, argv
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert "Traceback" not in captured.err and len(err) == 1, err
+    assert err[0].startswith("error: "), err
+    return err[0][len("error: "):]
+
+
+@pytest.mark.parametrize("args,kind", [
+    (["transformation_groupoid", "GL"], "group_on_space or groupoid_on_space"),
+    (["semidirect_left", "X4", "GLB"], "group_on_groupoid"),
+    (["crossed_product", "A", "GL"], "group_on_bundle"),
+])
+def test_cli_build_rejects_an_action_of_another_kind(tmp_path, capsys, args, kind):
+    model_path = tmp_path / "coverage.model"
+    model_path.write_text(COVERAGE_MODEL)
+    argv = ["build", *args, "-m", str(model_path), "-o", str(tmp_path / "x.model")]
+    assert _usage_error(capsys, argv) == (
+        f"build {args[0]}: argument {len(args) - 1} {args[-1]!r} is not a {kind} action")
+    assert not (tmp_path / "x.model").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("version 1\ngroup G cyclic\n", "line 2: group cyclic takes 1 argument(s), got 0"),
+    ("version 1\ngroup G cyclic abc\n",
+     "line 2: group cyclic needs a non-negative integer, got 'abc'"),
+    ("version 1\ngroup G cyclic 2 3\n", "line 2: group cyclic takes 1 argument(s), got 2"),
+    ("version 1\nbundle B trivial A\n", "line 2: bundle trivial takes 2 argument(s), got 1"),
+    ("version 1\nalgebra C diag -1\n",
+     "line 2: algebra diag needs a non-negative integer, got '-1'"),
+    ("version\n", "line 1: version takes one non-negative integer"),
+    ("version abc\n", "line 1: version takes one non-negative integer"),
+    ("version 1\ngroup\n", "line 2: group declaration without a name"),
+])
+def test_malformed_declaration_is_a_usage_error_naming_its_line(tmp_path, capsys, text, message):
+    p = tmp_path / "malformed.model"
+    p.write_text(text)
+    assert _usage_error(capsys, ["validate", str(p)]) == message
+
+
+def test_one_liner_references_are_resolved():
+    with pytest.raises(ModelError, match="bundle B references unknown space 'NOWHERE'"):
+        parse_model("version 1\nalgebra C diag 1\nbundle B trivial C NOWHERE\n")
+
+
+def test_cli_validate_notes_freeness_of_actions_only(tmp_path, capsys):
+    # GN fails "each element acts bijectively", so it is not an action whose
+    # freeness means anything; the actions that pass keep their note
+    p = tmp_path / "image.model"
+    p.write_text(_MALFORMED["image_outside_arrows"])
+    code, out = run_cli(capsys, "validate", str(p))
+    assert code == 1
+    entries = out.split("\n[")
+    gn = next(e for e in entries if e.startswith("fail] action GN"))
+    assert "free:" not in gn
+    assert all("note  free: True" in e for e in entries
+               if e.startswith(("pass] action GL", "pass] action HR", "pass] action HRB")))
 
 
 def _cstar_model_text(tmp_path) -> str:

@@ -37,7 +37,8 @@ from groupoidal.instances import (
     cyclic_group,
     diagonal_algebra,
     matrix_algebra,
-    swap_tau_on_diagonal,
+    raeburn_four_points,
+    raeburn_two_points,
     symmetric_z2z2_bundle,
 )
 from groupoidal._util import fmt
@@ -289,19 +290,6 @@ def test_transformation_morita(z2):
 # raeburn
 
 
-def _raeburn_small(z2, triv):
-    points = (0, 1)
-    gsp = group_set_action(z2, points, {(t, u): (t + u) % 2
-                                        for t in z2.elements for u in points},
-                           "left")
-    hsp = group_set_action(triv, points, {("e", u): u for u in points}, "right")
-    b = diagonal_algebra(1)
-    sigma = AlgebraAction(z2, b, {t: np.eye(1, dtype=complex)
-                                  for t in z2.elements}, "left")
-    tau = AlgebraAction(triv, b, {"e": np.eye(1, dtype=complex)}, "left")
-    return points, gsp, hsp, b, sigma, tau
-
-
 def test_raeburn_trivial_everything(triv):
     points = ("x",)
     gsp = group_set_action(triv, points, {("e", "x"): "x"}, "left")
@@ -313,44 +301,18 @@ def test_raeburn_trivial_everything(triv):
     assert cert.left_dimension == cert.right_dimension == 1
 
 
-def test_raeburn_smallest_nontrivial(z2, triv):
-    points, gsp, hsp, b, sigma, tau = _raeburn_small(z2, triv)
-    cert = raeburn(points, gsp, hsp, b, sigma, tau)
+def test_raeburn_smallest_nontrivial():
+    cert = raeburn(*raeburn_two_points())
     assert cert.verdict == "equivalent"
     assert sorted(cert.left_report.blocks) == [2]
     assert sorted(cert.right_report.blocks) == [1]
 
 
-def test_raeburn_two_sided_four_points(z2):
-    points = tuple((i, j) for i in range(2) for j in range(2))
-    gsp = group_set_action(z2, points,
-                           {(t, (i, j)): ((t + i) % 2, j)
-                            for t in z2.elements for (i, j) in points}, "left")
-    hsp = group_set_action(z2, points,
-                           {(t, (i, j)): (i, (j + t) % 2)
-                            for t in z2.elements for (i, j) in points}, "right")
-    b = diagonal_algebra(2)
-    sigma = swap_tau_on_diagonal(z2)
-    tau = AlgebraAction(z2, b, {t: np.eye(2, dtype=complex)
-                                for t in z2.elements}, "left")
-    cert = raeburn(points, gsp, hsp, b, sigma, tau)
+def test_raeburn_two_sided_four_points():
+    cert = raeburn(*raeburn_four_points())
     assert cert.verdict == "equivalent"
     assert cert.left_report.center_dimension == cert.right_report.center_dimension
     assert any("identified equivariantly" in n for n in cert.notes)
-
-
-def _raeburn_two_sided(z2):
-    points = tuple((i, j) for i in range(2) for j in range(2))
-    gsp = group_set_action(z2, points,
-                           {(t, (i, j)): ((t + i) % 2, j)
-                            for t in z2.elements for (i, j) in points}, "left")
-    hsp = group_set_action(z2, points,
-                           {(t, (i, j)): (i, (j + t) % 2)
-                            for t in z2.elements for (i, j) in points}, "right")
-    b = diagonal_algebra(2)
-    tau = AlgebraAction(z2, b, {t: np.eye(2, dtype=complex)
-                                for t in z2.elements}, "left")
-    return points, gsp, hsp, b, swap_tau_on_diagonal(z2), tau
 
 
 def _defective_quotient(defect):
@@ -383,22 +345,22 @@ def _defective_induced_quotients(monkeypatch, defect):
     monkeypatch.setattr(morita, "_raeburn_side", defective_side)
 
 
-def test_raeburn_nan_identification_is_not_certified(z2, monkeypatch):
+def test_raeburn_nan_identification_is_not_certified(monkeypatch):
     # Python's max(0.0, nan) is 0.0: the residuals are reduced NaN-first
     _defective_induced_quotients(monkeypatch, np.nan)
-    cert = raeburn(*_raeburn_two_sided(z2))
+    cert = raeburn(*raeburn_four_points())
     assert cert.verdict == "not-certified"
     assert "induced-algebra identification failed" in cert.notes
     assert "induced algebra over H identified equivariantly (residual nan)" in cert.notes
 
 
-def test_raeburn_identification_is_checked_at_the_certificate_tolerance(z2, monkeypatch):
+def test_raeburn_identification_is_checked_at_the_certificate_tolerance(monkeypatch):
     # a residual between 1e-9 and tol reaches the verdict instead of raising
     _defective_induced_quotients(monkeypatch, 1e-8)
-    cert = raeburn(*_raeburn_two_sided(z2), tol=1e-6)
+    cert = raeburn(*raeburn_four_points(), tol=1e-6)
     assert cert.verdict == "equivalent"
     assert "induced algebra over H identified equivariantly (residual 1.000e-08)" in cert.notes
-    strict = raeburn(*_raeburn_two_sided(z2))
+    strict = raeburn(*raeburn_four_points())
     assert strict.verdict == "not-certified"
     assert strict.notes[-1] == "induced-algebra identification failed"
 
@@ -442,8 +404,8 @@ def _raeburn_z3(_z2, _triv):
 
 @pytest.mark.parametrize("defect", [0.0, 1e-8, np.nan])
 @pytest.mark.parametrize("instance", [
-    lambda z2, triv: _raeburn_small(z2, triv),
-    lambda z2, _triv: _raeburn_two_sided(z2),
+    lambda _z2, _triv: raeburn_two_points(),
+    lambda _z2, _triv: raeburn_four_points(),
     _raeburn_matrix_fiber,
     _raeburn_z3,
 ], ids=["smallest", "two_sided", "matrix_fiber", "z3"])
@@ -472,8 +434,8 @@ def test_raeburn_side_matches_dense_reference(instance, defect, z2, triv, monkey
         assert res == pytest.approx(defect, abs=1e-15, nan_ok=True)
 
 
-def test_raeburn_rejects_non_commuting_algebra_actions(z2, triv):
-    points, gsp, hsp, b, sigma, tau = _raeburn_small(z2, triv)
+def test_raeburn_rejects_non_commuting_algebra_actions(z2):
+    points, gsp = raeburn_two_points()[:2]
     # two transpositions of the three-dimensional diagonal algebra do not
     # commute even though each is an order-two *-automorphism
     b3 = diagonal_algebra(3)

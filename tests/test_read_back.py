@@ -32,6 +32,7 @@ from groupoidal import (
 from groupoidal.instances import (
     cyclic_group,
     diagonal_algebra,
+    raeburn_four_points,
     swap_tau_on_diagonal,
     symmetric_z2z2_bundle,
 )
@@ -44,7 +45,6 @@ from conftest import (
     semidirect_right_space_action_by_flip,
     symmetric_action_equivalence_by_pullback,
 )
-from test_morita import _raeburn_two_sided
 
 
 def translation_bundle(shape, seed=None):
@@ -163,7 +163,7 @@ def test_symmetric_morita_builds_each_groupoid_once():
 
 
 def test_raeburn_checks_its_hypotheses_at_the_certificate_tolerance(z2):
-    points, gsp, hsp, b, sigma, tau = _raeburn_two_sided(z2)
+    points, gsp, hsp, b, sigma, tau = raeburn_four_points()
     near = {t: m + (1e-8 if t != z2.identity else 0.0) for t, m in tau.matrices.items()}
     tau = AlgebraAction(z2, b, near, "left")
     cert = raeburn(points, gsp, hsp, b, sigma, tau, tol=1e-6)
@@ -187,7 +187,7 @@ def test_symmetric_hypotheses_follow_the_tolerance():
 def test_raeburn_rejects_non_commuting_fiber_actions(z2):
     # the coordinate swaps (01) and (12) of C^3 are *-automorphisms that do
     # not commute; symmetric_morita's hypothesis check rejects them
-    points, gsp, hsp, *_ = _raeburn_two_sided(z2)
+    points, gsp, hsp, *_ = raeburn_four_points()
     b = diagonal_algebra(3)
 
     def swap(p):
