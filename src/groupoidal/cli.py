@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -202,9 +203,20 @@ def _positive_int(text: str, name: str) -> int:
     return value
 
 
+def _tolerance(value, name: str) -> float:
+    """``value`` as a finite number >= 0, or a usage error naming its source."""
+    try:
+        tol = float(value)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ModelError(f"{name} must be a finite number >= 0, got {value!r}")
+    return tol
+
+
 def _default_tol() -> float:
     env = os.environ.get("GROUPOIDAL_TOL")
-    return float(env) if env else DEFAULT_TOL
+    return _tolerance(env, "GROUPOIDAL_TOL") if env else DEFAULT_TOL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     def common(p):
-        p.add_argument("--tol", type=float, default=_default_tol())
+        p.add_argument("--tol", default=_default_tol())  # checked by main
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", type=str, default=None,
                        help="write the machine-readable report to this path")
@@ -257,12 +269,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not args.command:
-        parser.print_help()
-        return EXIT_USAGE
     try:
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if not args.command:
+            parser.print_help()
+            return EXIT_USAGE
+        args.tol = _tolerance(args.tol, "--tol")
+        if args.seed < 0:
+            raise ModelError(f"--seed must be a non-negative integer, got {args.seed}")
         report = _dispatch(args)
     except (ModelError, InvalidStructureError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

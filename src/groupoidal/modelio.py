@@ -1,10 +1,11 @@
 """Line-oriented model files: named groupoids, bundles, actions, scenarios.
 
 The format is hand-writable and diff-friendly.  Objects are declared either
-by a builder one-liner ("groupoid X4 pair 4") or by an explicit block ending
-with "end"; numeric entries are exact rationals ("3/2", "-1", "0.5") with an
-optional imaginary part ("1/2-1/3i").  Identifiers are whitespace-free
-tokens; tuple-valued identifiers from constructions print as "(1,2)".
+by a builder one-liner ("groupoid X4 pair 4", see BUILDERS) or by an explicit
+block of the line forms in LINES, ending with "end"; numeric entries are
+exact rationals ("3/2", "-1", "0.5") with an optional imaginary part
+("1/2-1/3i").  Identifiers are whitespace-free tokens; tuple-valued
+identifiers from constructions print as "(1,2)".
 
 serialize_model(parse_model(text)) parses back to an equal ModelFile.
 """
@@ -89,7 +90,7 @@ class GroupDecl:
     name: str
     builder: tuple | None = None  # ("cyclic", n)
     elements: tuple = ()
-    table: tuple = ()  # ((a, b, ab), ...)
+    rows: tuple = ()  # ((a, (ab, ...)), ...), each row's products in element order
 
 
 @dataclass
@@ -140,9 +141,9 @@ class ActionDecl:
     base: str = ""
     algebra: str = ""
     side: str = "left"
-    unit_perms: tuple = ()  # ((element, images...), ...)
+    unit_perms: tuple = ()  # ((element, (images...)), ...)
     maps: tuple = ()  # ((element-or-arrow, ((from, to), ...)), ...)
-    fibers: tuple = ()  # "identity" marker or ((element, arrow, entries), ...)
+    fibers: tuple = ()  # ((element, arrow, entries), ...)
     fibers_identity: bool = False
     matrices: tuple = ()  # ((element, entries), ...)
 
@@ -151,7 +152,7 @@ class ActionDecl:
 class ScenarioDecl:
     name: str
     op: str = ""
-    refs: tuple = ()  # ((key, value), ...) sorted by key
+    refs: tuple = ()  # ((key, value), ...) sorted
 
 
 @dataclass
@@ -169,6 +170,152 @@ class ModelFile:
         if name not in self.scenarios:
             raise ModelError(f"unknown scenario {name!r}")
         return self.scenarios[name]
+
+
+_DECLS = {"group": GroupDecl, "space": SpaceDecl, "groupoid": GroupoidDecl,
+          "algebra": AlgebraDecl, "bundle": BundleDecl, "action": ActionDecl,
+          "scenario": ScenarioDecl}
+
+# each builder one-liner "HEAD NAME BUILDER ARGS...", keyed by (HEAD, BUILDER):
+# the kind of each argument, "count" for a non-negative integer or the model
+# kind whose declaration it names
+BUILDERS = {
+    ("group", "cyclic"): ("count",),
+    ("groupoid", "pair"): ("count",),
+    ("groupoid", "units"): ("count",),
+    ("algebra", "diag"): ("count",),
+    ("algebra", "matrix"): ("count",),
+    ("bundle", "line"): ("groupoid",),
+    ("bundle", "trivial"): ("algebra", "space"),
+}
+
+# the line forms of each block, in the order serialize_model writes the blocks
+# and their lines, each with the field of its declaration that it fills.  A
+# form is its leading token and its token pattern: IDENT an identifier, IDENT:
+# one ending in a colon, INT an integer, WORD any token, an upper-case model
+# kind the name of a declaration of that kind, any other token itself, and a
+# trailing "..." part zero or more such tokens.  A "key:" line sets its field
+# (a form without values to True), a scenario reference adds (key, name) to
+# the refs, and any other line adds the row of its values.
+LINES = {
+    "group": (("elements: IDENT...", "elements"),
+              ("row IDENT: IDENT...", "rows")),
+    "space": (("points: IDENT...", "points"),),
+    "groupoid": (("units: IDENT...", "units"),
+                 ("arrows: IDENT...", "arrows"),
+                 ("arrow IDENT: IDENT -> IDENT inv IDENT", "arrow_data"),
+                 ("unit IDENT: IDENT", "unit_arrows"),
+                 ("comp IDENT IDENT = IDENT", "comp")),
+    "algebra": (("basis: IDENT...", "basis"),
+                ("prod IDENT IDENT: NUMBER...", "products"),
+                ("star IDENT: NUMBER...", "stars")),
+    "bundle": (("base: GROUPOID", "base"),
+               ("dim IDENT: INT", "dims"),
+               ("mult IDENT IDENT: NUMBER...", "mults"),
+               ("star IDENT: NUMBER...", "stars")),
+    "action": (("kind: WORD", "kind"),
+               ("group: GROUP", "group"),
+               ("groupoid: GROUPOID", "groupoid"),
+               ("target: GROUPOID", "target"),
+               ("space: SPACE", "space"),
+               ("bundle: BUNDLE", "bundle"),
+               ("base: ACTION", "base"),
+               ("algebra: ALGEBRA", "algebra"),
+               ("side: WORD", "side"),
+               ("fibers: identity", "fibers_identity"),
+               ("unit_perm IDENT: IDENT...", "unit_perms"),
+               ("map IDENT: IDENT=IDENT...", "maps"),
+               ("fiber IDENT IDENT: NUMBER...", "fibers"),
+               ("matrix IDENT: NUMBER...", "matrices")),
+    "scenario": (("op: WORD", "op"),
+                 ("action: ACTION", "refs"),
+                 ("algebra: ALGEBRA", "refs"),
+                 ("bundle: BUNDLE", "refs"),
+                 ("group_action: ACTION", "refs"),
+                 ("groupoid_action: ACTION", "refs"),
+                 ("left: ACTION", "refs"),
+                 ("right: ACTION", "refs"),
+                 ("sigma: ACTION", "refs"),
+                 ("space: SPACE", "refs"),
+                 ("target: GROUPOID", "refs"),
+                 ("tau: ACTION", "refs")),
+}
+
+_ACTION_KINDS = {"group_on_groupoid", "group_on_space", "groupoid_on_space",
+                 "group_on_bundle", "group_on_algebra"}
+_REFERENCES = {"GROUP": "group", "GROUPOID": "groupoid", "SPACE": "space",
+               "ALGEBRA": "algebra", "BUNDLE": "bundle", "ACTION": "action"}
+
+
+def _label(tok: str):
+    if not tok.endswith(":"):
+        raise ValueError(f"{tok!r} does not end in ':'")
+    return parse_ident(tok[:-1])
+
+
+def _pair(tok: str) -> tuple:
+    a, eq, b = tok.partition("=")
+    if not eq:
+        raise ValueError(f"{tok!r} has no '='")
+    return parse_ident(a), parse_ident(b)
+
+
+# how each value token of a pattern reads its text; each writes its value
+# back by fmt, but the variadic ones listed in _WRITE
+_READ = {"IDENT": parse_ident, "IDENT:": _label, "INT": int, "WORD": str,
+         "IDENT...": parse_ident, "NUMBER...": parse_number, "IDENT=IDENT...": _pair,
+         **dict.fromkeys(_REFERENCES, str)}
+_WRITE = {"NUMBER...": format_number, "IDENT=IDENT...": lambda p: f"{fmt(p[0])}={fmt(p[1])}"}
+
+
+class _Form:
+    """One line form of LINES, compiled once for reading and writing lines."""
+
+    def __init__(self, text: str, field: str):
+        self.text, self.field = text, field
+        lead, *toks = text.split()
+        self.key = lead[:-1] if lead.endswith(":") else None
+        self.variadic = toks.pop() if toks and toks[-1].endswith("...") else None
+        self.size = len(toks) + 1  # the tokens before the variadic part
+        self.literals = [(i, t) for i, t in enumerate(toks, 1) if t not in _READ]
+        self.readers = [(i, _READ[t]) for i, t in enumerate(toks, 1) if t in _READ]
+        # (position among the values, model kind) of each reference token
+        self.references = [(k, _REFERENCES[t]) for k, t in
+                           enumerate(t for t in toks if t in _READ) if t in _REFERENCES]
+        words = [lead] + ["{}:" if t == "IDENT:" else "{}" if t in _READ else t for t in toks]
+        if self.variadic:
+            words.append("{}")
+        self.template = "  " + " ".join(words)
+        self.write_each = _WRITE.get(self.variadic, fmt)
+
+    def read(self, toks: list) -> list:
+        """The values of a line of this form, or ValueError naming a bad token."""
+        for i, literal in self.literals:
+            if toks[i] != literal:
+                raise ValueError(f"{toks[i]!r} is not {literal!r}")
+        values = [read(toks[i]) for i, read in self.readers]
+        if self.variadic:
+            values.append(tuple(map(_READ[self.variadic], toks[self.size:])))
+        return values
+
+    def held(self, decl) -> list:
+        """The values of each line of this form that ``decl`` holds, in order."""
+        value = getattr(decl, self.field)
+        if self.key is None:
+            return value
+        if self.field == "refs":
+            return [ref[1:] for ref in value if ref[0] == self.key]
+        return [(value,)] if value or self.variadic else []
+
+    def write(self, values) -> str:
+        if not self.variadic:
+            return self.template.format(*map(fmt, values))
+        return self.template.format(*map(fmt, values[:-1]),
+                                    " ".join(map(self.write_each, values[-1])))
+
+
+_FORMS = {head: {form.split()[0]: _Form(form, fld) for form, fld in forms}
+          for head, forms in LINES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +337,7 @@ def parse_model(source: str) -> ModelFile:
     else:
         text = source
     model = ModelFile()
+    refs: list = []  # (line, owner, kind, name) of each reference
     lines = list(_lines(text))
     k = 0
     while k < len(lines):
@@ -200,35 +348,21 @@ def parse_model(source: str) -> ModelFile:
                 raise ModelError("version takes one non-negative integer", lineno)
             model.version = int(toks[1])
             k += 1
-        elif head in ("group", "groupoid", "space", "algebra", "bundle",
-                      "action", "scenario"):
+        elif head in LINES:
             if len(toks) == 1:
                 raise ModelError(f"{head} declaration without a name", lineno)
             if len(toks) >= 3:  # builder one-liner
-                k = _parse_builder(model, lineno, toks, k)
+                _parse_builder(model, lineno, toks, refs)
+                k += 1
             else:
-                k = _parse_block(model, lines, k)
+                k = _parse_block(model, lines, k, refs)
         else:
             raise ModelError(f"unknown declaration {head!r}", lineno)
-    _resolve(model)
+    _resolve(model, refs)
     return model
 
 
-# each builder one-liner "HEAD NAME BUILDER ARGS...", keyed by (HEAD, BUILDER):
-# the kind of each argument, "count" for a non-negative integer or the model
-# kind whose declaration it names
-BUILDERS = {
-    ("group", "cyclic"): ("count",),
-    ("groupoid", "pair"): ("count",),
-    ("groupoid", "units"): ("count",),
-    ("algebra", "diag"): ("count",),
-    ("algebra", "matrix"): ("count",),
-    ("bundle", "line"): ("groupoid",),
-    ("bundle", "trivial"): ("algebra", "space"),
-}
-
-
-def _parse_builder(model: ModelFile, lineno: int, toks: list, k: int) -> int:
+def _parse_builder(model: ModelFile, lineno: int, toks: list, refs: list) -> None:
     head, name, builder, args = toks[0], toks[1], toks[2], toks[3:]
     kinds = BUILDERS.get((head, builder))
     if kinds is None:
@@ -242,242 +376,68 @@ def _parse_builder(model: ModelFile, lineno: int, toks: list, k: int) -> int:
                 raise ModelError(f"{head} {builder} needs a non-negative integer, "
                                  f"got {args[i]!r}", lineno)
             args[i] = int(args[i])
-    decl = {"group": GroupDecl, "groupoid": GroupoidDecl, "algebra": AlgebraDecl,
-            "bundle": BundleDecl}[head]
-    getattr(model, head + "s")[name] = decl(name, builder=(builder, *args))
+        else:
+            refs.append((lineno, f"{head} {name}", kind, args[i]))
+    getattr(model, head + "s")[name] = _DECLS[head](name, builder=(builder, *args))
+
+
+def _parse_block(model: ModelFile, lines: list, k: int, refs: list) -> int:
+    lineno, (head, name) = lines[k]
+    decl = _DECLS[head](name)
+    rows: dict = {}
+    for k in range(k + 1, len(lines)):
+        ln, toks = lines[k]
+        if toks == ["end"]:
+            break
+        form, values = _parse_line(head, ln, toks)
+        if form.references:
+            refs += [(ln, f"{head} {name}", kind, values[i]) for i, kind in form.references]
+        if form.key is None:
+            rows.setdefault(form.field, []).append(tuple(values))
+        elif form.field == "refs":
+            rows.setdefault(form.field, []).append((form.key, *values))
+        else:
+            setattr(decl, form.field, values[0] if values else True)
+    else:
+        raise ModelError(f"block {name!r} not terminated by 'end'", lineno)
+    for fld, values in rows.items():
+        setattr(decl, fld, tuple(sorted(values) if fld == "refs" else values))
+    getattr(model, head + "s")[name] = decl
     return k + 1
 
 
-def _parse_block(model: ModelFile, lines: list, k: int) -> int:
-    lineno, toks = lines[k]
-    head, name = toks[0], toks[1]
-    body = []
-    k += 1
-    while k < len(lines):
-        ln, tk = lines[k]
-        if tk == ["end"]:
-            k += 1
-            break
-        body.append((ln, tk))
-        k += 1
-    else:
-        raise ModelError(f"block {name!r} not terminated by 'end'", lineno)
-
-    if head == "group":
-        model.groups[name] = _group_block(name, body)
-    elif head == "groupoid":
-        model.groupoids[name] = _groupoid_block(name, body)
-    elif head == "space":
-        model.spaces[name] = _space_block(name, body)
-    elif head == "algebra":
-        model.algebras[name] = _algebra_block(name, body)
-    elif head == "bundle":
-        model.bundles[name] = _bundle_block(name, body)
-    elif head == "action":
-        model.actions[name] = _action_block(name, body)
-    elif head == "scenario":
-        model.scenarios[name] = _scenario_block(name, body)
-    return k
+def _parse_line(head: str, ln: int, toks: list) -> tuple:
+    """The form of a body line of a ``head`` block and the values it reads."""
+    form = _FORMS[head].get(toks[0])
+    detail = ""
+    if form and (len(toks) == form.size or (len(toks) > form.size and form.variadic)):
+        try:
+            return form, form.read(toks)
+        except ValueError as exc:
+            detail = f" ({exc})"
+    expected = f"'{form.text}'" if form else "one of: " + ", ".join(_FORMS[head])
+    raise ModelError(f"bad {head} line {' '.join(toks)!r}, expected {expected}{detail}", ln)
 
 
-def _kv(toks: list):
-    # "key: values..." -> (key, rest)
-    if not toks[0].endswith(":"):
-        return None
-    return toks[0][:-1], toks[1:]
-
-
-def _group_block(name: str, body: list) -> GroupDecl:
-    elements, table = (), []
-    for ln, toks in body:
-        kv = _kv(toks)
-        if kv and kv[0] == "elements":
-            elements = tuple(parse_ident(t) for t in kv[1])
-        elif toks[0] == "row" and toks[1].endswith(":"):
-            a = parse_ident(toks[1][:-1])
-            for b, ab in zip(elements, toks[2:]):
-                table.append((a, b, parse_ident(ab)))
-        else:
-            raise ModelError(f"bad group line {' '.join(toks)!r}", ln)
-    if not elements:
-        raise ModelError(f"group {name!r} has no elements")
-    return GroupDecl(name, elements=elements, table=tuple(table))
-
-
-def _groupoid_block(name: str, body: list) -> GroupoidDecl:
-    units, arrows, arrow_data, unit_arrows, comp = (), (), [], [], []
-    for ln, toks in body:
-        kv = _kv(toks)
-        if kv and kv[0] == "units":
-            units = tuple(parse_ident(t) for t in kv[1])
-        elif kv and kv[0] == "arrows":
-            arrows = tuple(parse_ident(t) for t in kv[1])
-        elif toks[0] == "arrow" and toks[1].endswith(":"):
-            # arrow f: u -> v inv g
-            if len(toks) != 7 or toks[3] != "->" or toks[5] != "inv":
-                raise ModelError(f"bad arrow line {' '.join(toks)!r}", ln)
-            arrow_data.append((parse_ident(toks[1][:-1]), parse_ident(toks[2]),
-                               parse_ident(toks[4]), parse_ident(toks[6])))
-        elif toks[0] == "unit" and toks[1].endswith(":"):
-            unit_arrows.append((parse_ident(toks[1][:-1]), parse_ident(toks[2])))
-        elif toks[0] == "comp" and len(toks) == 5 and toks[3] == "=":
-            comp.append((parse_ident(toks[1]), parse_ident(toks[2]),
-                         parse_ident(toks[4])))
-        else:
-            raise ModelError(f"bad groupoid line {' '.join(toks)!r}", ln)
-    return GroupoidDecl(name, units=units, arrows=arrows,
-                        arrow_data=tuple(arrow_data),
-                        unit_arrows=tuple(unit_arrows), comp=tuple(comp))
-
-
-def _space_block(name: str, body: list) -> SpaceDecl:
-    points = ()
-    for ln, toks in body:
-        kv = _kv(toks)
-        if kv and kv[0] == "points":
-            points = tuple(parse_ident(t) for t in kv[1])
-        else:
-            raise ModelError(f"bad space line {' '.join(toks)!r}", ln)
-    return SpaceDecl(name, points)
-
-
-def _algebra_block(name: str, body: list) -> AlgebraDecl:
-    basis, products, stars = (), [], []
-    for ln, toks in body:
-        kv = _kv(toks)
-        if kv and kv[0] == "basis":
-            basis = tuple(parse_ident(t) for t in kv[1])
-        elif toks[0] == "prod" and toks[2].endswith(":"):
-            products.append((parse_ident(toks[1]), parse_ident(toks[2][:-1]),
-                             tuple(parse_number(t, ln) for t in toks[3:])))
-        elif toks[0] == "star" and toks[1].endswith(":"):
-            stars.append((parse_ident(toks[1][:-1]),
-                          tuple(parse_number(t, ln) for t in toks[2:])))
-        else:
-            raise ModelError(f"bad algebra line {' '.join(toks)!r}", ln)
-    return AlgebraDecl(name, basis=basis, products=tuple(products),
-                       stars=tuple(stars))
-
-
-def _bundle_block(name: str, body: list) -> BundleDecl:
-    base, dims, mults, stars = "", [], [], []
-    for ln, toks in body:
-        kv = _kv(toks)
-        if kv and kv[0] == "base":
-            base = kv[1][0]
-        elif toks[0] == "dim" and toks[1].endswith(":"):
-            dims.append((parse_ident(toks[1][:-1]), int(toks[2])))
-        elif toks[0] == "mult" and toks[2].endswith(":"):
-            mults.append((parse_ident(toks[1]), parse_ident(toks[2][:-1]),
-                          tuple(parse_number(t, ln) for t in toks[3:])))
-        elif toks[0] == "star" and toks[1].endswith(":"):
-            stars.append((parse_ident(toks[1][:-1]),
-                          tuple(parse_number(t, ln) for t in toks[2:])))
-        else:
-            raise ModelError(f"bad bundle line {' '.join(toks)!r}", ln)
-    return BundleDecl(name, base=base, dims=tuple(dims), mults=tuple(mults),
-                      stars=tuple(stars))
-
-
-_ACTION_KEYS = ("kind", "group", "groupoid", "target", "space", "bundle",
-                "base", "algebra", "side")
-
-
-def _action_block(name: str, body: list) -> ActionDecl:
-    decl = ActionDecl(name)
-    maps, unit_perms, fibers, matrices = [], [], [], []
-    for ln, toks in body:
-        kv = _kv(toks)
-        if kv and kv[0] in _ACTION_KEYS:
-            setattr(decl, kv[0], kv[1][0])
-        elif kv and kv[0] == "fibers" and kv[1] == ["identity"]:
-            decl.fibers_identity = True
-        elif toks[0] == "unit_perm" and toks[1].endswith(":"):
-            unit_perms.append((parse_ident(toks[1][:-1]),)
-                              + tuple(parse_ident(t) for t in toks[2:]))
-        elif toks[0] == "map" and toks[1].endswith(":"):
-            pairs = []
-            for item in toks[2:]:
-                if "=" not in item:
-                    raise ModelError(f"bad map entry {item!r}", ln)
-                a, b = item.split("=", 1)
-                pairs.append((parse_ident(a), parse_ident(b)))
-            maps.append((parse_ident(toks[1][:-1]), tuple(pairs)))
-        elif toks[0] == "fiber" and toks[2].endswith(":"):
-            fibers.append((parse_ident(toks[1]), parse_ident(toks[2][:-1]),
-                           tuple(parse_number(t, ln) for t in toks[3:])))
-        elif toks[0] == "matrix" and toks[1].endswith(":"):
-            matrices.append((parse_ident(toks[1][:-1]),
-                             tuple(parse_number(t, ln) for t in toks[2:])))
-        else:
-            raise ModelError(f"bad action line {' '.join(toks)!r}", ln)
-    decl.unit_perms = tuple(unit_perms)
-    decl.maps = tuple(maps)
-    decl.fibers = tuple(fibers)
-    decl.matrices = tuple(matrices)
-    return decl
-
-
-_SCENARIO_KEYS = ("bundle", "left", "right", "target", "action", "space",
-                  "algebra", "sigma", "tau", "groupoid_action", "group_action")
-# the kind a scenario reference names, by its key; the other keys name actions
-_SCENARIO_REFS = {"bundle": "bundle", "target": "groupoid", "space": "space",
-                  "algebra": "algebra"}
-
-
-def _scenario_block(name: str, body: list) -> ScenarioDecl:
-    op = ""
-    refs = []
-    for ln, toks in body:
-        kv = _kv(toks)
-        if kv and kv[0] == "op":
-            op = kv[1][0]
-        elif kv and kv[0] in _SCENARIO_KEYS:
-            refs.append((kv[0], kv[1][0]))
-        else:
-            raise ModelError(f"bad scenario line {' '.join(toks)!r}", ln)
-    if not op:
-        raise ModelError(f"scenario {name!r} has no op")
-    return ScenarioDecl(name, op, tuple(sorted(refs)))
-
-
-# the declarations each action kind references, by the key that names them
-_ACTION_REFS = {
-    "group_on_groupoid": {"group": "group", "target": "groupoid"},
-    "group_on_space": {"group": "group", "space": "space"},
-    "groupoid_on_space": {"groupoid": "groupoid", "space": "space"},
-    "group_on_bundle": {"bundle": "bundle", "base": "action"},
-    "group_on_algebra": {"group": "group", "algebra": "algebra"},
-}
-
-
-def _resolve(model: ModelFile) -> None:
-    """Check that every name referenced anywhere is declared."""
+def _resolve(model: ModelFile, refs: list) -> None:
+    """Check each declaration's required line, and that each reference names a
+    declaration of the kind its one-liner or line form names."""
     tables = {"group": model.groups, "groupoid": dict(model.groupoids),
               "space": model.spaces, "algebra": model.algebras,
               "bundle": model.bundles, "action": model.actions}
     tables["groupoid"].update(model.groups)  # a group is a one-unit groupoid
-
-    def need(kind: str, name: str, owner: str):
-        if name and name not in tables[kind]:
-            raise ModelError(f"{owner} references unknown {kind} {name!r}")
-
-    for head in ("group", "groupoid", "algebra", "bundle"):
-        for d in getattr(model, head + "s").values():
-            if d.builder:
-                for kind, value in zip(BUILDERS[head, d.builder[0]], d.builder[1:]):
-                    if kind != "count":
-                        need(kind, value, f"{head} {d.name}")
-    for b in model.bundles.values():
-        need("groupoid", b.base, f"bundle {b.name}")
     for a in model.actions.values():
-        if a.kind not in _ACTION_REFS:
+        if a.kind not in _ACTION_KINDS:
             raise ModelError(f"action {a.name!r} has unknown kind {a.kind!r}")
-        for key, kind in _ACTION_REFS[a.kind].items():
-            need(kind, getattr(a, key), f"action {a.name}")
+    for g in model.groups.values():
+        if not (g.builder or g.elements):
+            raise ModelError(f"group {g.name!r} has no elements")
     for s in model.scenarios.values():
-        for key, value in s.refs:
-            need(_SCENARIO_REFS.get(key, "action"), value, f"scenario {s.name}")
+        if not s.op:
+            raise ModelError(f"scenario {s.name!r} has no op")
+    for line, owner, kind, name in refs:
+        if name not in tables[kind]:
+            raise ModelError(f"{owner} references unknown {kind} {name!r}", line)
 
 
 # ---------------------------------------------------------------------------
@@ -486,106 +446,15 @@ def _resolve(model: ModelFile) -> None:
 
 def serialize_model(model: ModelFile) -> str:
     out = [f"version {model.version}"]
-    for name in sorted(model.groups):
-        out += _emit("group", model.groups[name], _emit_group)
-    for name in sorted(model.spaces):
-        s = model.spaces[name]
-        out += [f"space {name}", "  points: " + " ".join(fmt(p) for p in s.points), "end"]
-    for name in sorted(model.groupoids):
-        out += _emit("groupoid", model.groupoids[name], _emit_groupoid)
-    for name in sorted(model.algebras):
-        out += _emit("algebra", model.algebras[name], _emit_algebra)
-    for name in sorted(model.bundles):
-        out += _emit("bundle", model.bundles[name], _emit_bundle)
-    for name in sorted(model.actions):
-        out += _emit_action(model.actions[name])
-    for name in sorted(model.scenarios):
-        s = model.scenarios[name]
-        out += [f"scenario {name}", f"  op: {s.op}"]
-        out += [f"  {k}: {v}" for k, v in s.refs]
-        out.append("end")
+    for head, forms in _FORMS.items():
+        decls = getattr(model, head + "s")
+        for name in sorted(decls):
+            d = decls[name]
+            if getattr(d, "builder", None):
+                out.append(" ".join(map(str, (head, d.name, *d.builder))))
+                continue
+            out.append(f"{head} {d.name}")
+            out += [form.write(values) for form in forms.values()
+                    for values in form.held(d)]
+            out.append("end")
     return "\n".join(out) + "\n"
-
-
-def _emit(head: str, decl, emit_block) -> list:
-    """A declaration's one-liner if it has one, else its explicit block."""
-    if decl.builder:
-        return [" ".join(map(str, (head, decl.name, *decl.builder)))]
-    return emit_block(decl)
-
-
-def _emit_group(g: GroupDecl) -> list:
-    lines = [f"group {g.name}",
-             "  elements: " + " ".join(fmt(e) for e in g.elements)]
-    prod = {(a, b): ab for (a, b, ab) in g.table}
-    for a in g.elements:
-        row = " ".join(fmt(prod[(a, b)]) for b in g.elements)
-        lines.append(f"  row {fmt(a)}: {row}")
-    lines.append("end")
-    return lines
-
-
-def _emit_groupoid(g: GroupoidDecl) -> list:
-    lines = [f"groupoid {g.name}",
-             "  units: " + " ".join(fmt(u) for u in g.units),
-             "  arrows: " + " ".join(fmt(a) for a in g.arrows)]
-    for (a, s, r, i) in g.arrow_data:
-        lines.append(f"  arrow {fmt(a)}: {fmt(s)} -> {fmt(r)} inv {fmt(i)}")
-    for (u, a) in g.unit_arrows:
-        lines.append(f"  unit {fmt(u)}: {fmt(a)}")
-    for (x, y, xy) in g.comp:
-        lines.append(f"  comp {fmt(x)} {fmt(y)} = {fmt(xy)}")
-    lines.append("end")
-    return lines
-
-
-def _emit_algebra(a: AlgebraDecl) -> list:
-    lines = [f"algebra {a.name}",
-             "  basis: " + " ".join(fmt(b) for b in a.basis)]
-    for (x, y, entries) in a.products:
-        lines.append(f"  prod {fmt(x)} {fmt(y)}: "
-                     + " ".join(format_number(z) for z in entries))
-    for (x, entries) in a.stars:
-        lines.append(f"  star {fmt(x)}: "
-                     + " ".join(format_number(z) for z in entries))
-    lines.append("end")
-    return lines
-
-
-def _emit_bundle(b: BundleDecl) -> list:
-    lines = [f"bundle {b.name}", f"  base: {b.base}"]
-    for (x, n) in b.dims:
-        lines.append(f"  dim {fmt(x)}: {n}")
-    for (x, y, entries) in b.mults:
-        lines.append(f"  mult {fmt(x)} {fmt(y)}: "
-                     + " ".join(format_number(z) for z in entries))
-    for (x, entries) in b.stars:
-        lines.append(f"  star {fmt(x)}: "
-                     + " ".join(format_number(z) for z in entries))
-    lines.append("end")
-    return lines
-
-
-def _emit_action(a: ActionDecl) -> list:
-    lines = [f"action {a.name}", f"  kind: {a.kind}"]
-    for key in ("group", "groupoid", "target", "space", "bundle", "base", "algebra"):
-        value = getattr(a, key)
-        if value:
-            lines.append(f"  {key}: {value}")
-    lines.append(f"  side: {a.side}")
-    if a.fibers_identity:
-        lines.append("  fibers: identity")
-    for up in a.unit_perms:
-        lines.append(f"  unit_perm {fmt(up[0])}: "
-                     + " ".join(fmt(u) for u in up[1:]))
-    for (elem, pairs) in a.maps:
-        body = " ".join(f"{fmt(x)}={fmt(y)}" for x, y in pairs)
-        lines.append(f"  map {fmt(elem)}: {body}")
-    for (elem, arrow, entries) in a.fibers:
-        lines.append(f"  fiber {fmt(elem)} {fmt(arrow)}: "
-                     + " ".join(format_number(z) for z in entries))
-    for (elem, entries) in a.matrices:
-        lines.append(f"  matrix {fmt(elem)}: "
-                     + " ".join(format_number(z) for z in entries))
-    lines.append("end")
-    return lines

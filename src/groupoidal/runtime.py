@@ -107,8 +107,11 @@ class RuntimeModel:
 
 def _build_group(decl: GroupDecl, rt: RuntimeModel) -> FiniteGroup:
     table = {}
-    for (a, b, ab) in decl.table:
-        table[(a, b)] = ab
+    for a, products in decl.rows:
+        if len(products) != len(decl.elements):
+            raise ModelError(f"group {decl.name!r}: row {fmt(a)} needs "
+                             f"{len(decl.elements)} products")
+        table.update(((a, b), ab) for b, ab in zip(decl.elements, products))
     for a in decl.elements:
         for b in decl.elements:
             if (a, b) not in table:
@@ -190,8 +193,7 @@ def _build_action(decl: ActionDecl, rt: RuntimeModel):
 
 def _perm_maps(decl: ActionDecl, grp: FiniteGroup, units: tuple) -> dict:
     maps = {grp.identity: {u: u for u in units}}
-    for up in decl.unit_perms:
-        elem, images = up[0], up[1:]
+    for elem, images in decl.unit_perms:
         if len(images) != len(units):
             raise ModelError(
                 f"action {decl.name!r}: unit_perm {fmt(elem)} needs {len(units)} images")
@@ -323,7 +325,7 @@ def group_to_decl(name: str, g: FiniteGroup) -> GroupDecl:
     return GroupDecl(
         name=name,
         elements=tuple(g.elements),
-        table=tuple((a, b, g.mul(a, b)) for a in g.elements for b in g.elements),
+        rows=tuple((a, tuple(g.mul(a, b) for b in g.elements)) for a in g.elements),
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -68,8 +69,7 @@ def test_round_trip_is_identity():
     assert parse_model(serialize_model(m)) == m
 
 
-def test_round_trip_explicit_blocks():
-    text = """
+_EXPLICIT_BLOCKS = """
 version 1
 group K
   elements: e a
@@ -120,8 +120,108 @@ scenario s
   bundle: V
 end
 """
+
+
+@pytest.mark.parametrize("text", [
+    _EXPLICIT_BLOCKS,
+    # group rows as declared: out of element order, and one row missing
+    "version 1\ngroup K\n  elements: e a\n  row a: a e\n  row e: e a\nend\n",
+    "version 1\ngroup K\n  elements: e a\n  row e: e a\nend\n",
+], ids=["explicit_blocks", "rows_out_of_order", "row_missing"])
+def test_round_trip_explicit_blocks(text):
     m = parse_model(text)
     assert parse_model(serialize_model(m)) == m
+
+
+# every block line form, in the order serialize_model writes them
+_EVERY_LINE = """version 1
+group K
+  elements: e a
+  row e: e a
+  row a: a e
+end
+space S
+  points: p (1,2)
+end
+groupoid Y
+  units: u
+  arrows: iu f
+  arrow iu: u -> u inv iu
+  arrow f: u -> u inv f
+  unit u: iu
+  comp iu iu = iu
+  comp f f = iu
+end
+algebra B
+  basis: x y
+  prod x y: 1/2 -i
+  star x: 1 3+2i
+end
+bundle V
+  base: Y
+  dim iu: 1
+  dim f: -1
+  mult iu f: 1
+  star f: 1
+end
+action T
+  kind: group_on_bundle
+  group: K
+  groupoid: Y
+  target: Y
+  space: S
+  bundle: V
+  base: T
+  algebra: B
+  side: right
+  fibers: identity
+  unit_perm a: u
+  map a: p=(1,2) (1,2)=p
+  fiber a f: 1
+  matrix a: 0 1 1 0
+end
+scenario s
+  op: raeburn
+  action: T
+  algebra: B
+  bundle: V
+  group_action: T
+  groupoid_action: T
+  left: T
+  right: T
+  sigma: T
+  space: S
+  target: Y
+  tau: T
+end
+"""
+
+
+def _leads(text: str) -> list:
+    """(block head, leading token) of each block body line of ``text``."""
+    leads, head = [], None
+    for line in text.splitlines()[1:]:
+        toks = line.split()
+        if line.startswith("  "):
+            leads.append((head, toks[0]))
+        elif toks != ["end"]:
+            head = toks[0]
+    return leads
+
+
+def test_every_block_line_round_trips():
+    from groupoidal.modelio import LINES
+    assert serialize_model(parse_model(_EVERY_LINE)) == _EVERY_LINE
+    assert set(_leads(_EVERY_LINE)) == {(head, form.split()[0])
+                                        for head, forms in LINES.items()
+                                        for form, _field in forms}
+
+
+def test_readme_lists_every_block_line():
+    from groupoidal.modelio import LINES
+    readme = (MODELS.parent / "README.md").read_text()
+    rows = re.findall(r"^\| (\w+) \| `([^`]*)` \|$", readme, re.M)
+    assert rows == [(head, form) for head, forms in LINES.items() for form, _field in forms]
 
 
 # every builder one-liner, in the order serialize_model writes them
@@ -315,6 +415,22 @@ def test_cli_tol_env_override(tmp_path, capsys, monkeypatch):
     assert args.tol == 1e-6
 
 
+@pytest.mark.parametrize("argv,env,named", [
+    (["demo", "coaction", "--tol", "inf"], None, "--tol"),
+    (["demo", "coaction", "--tol", "nan"], None, "--tol"),
+    (["demo", "coaction", "--tol", "-1"], None, "--tol"),
+    (["demo", "coaction", "--tol", "abc"], None, "--tol"),
+    (["demo", "coaction", "--seed", "-1"], None, "--seed"),
+    (["demo", "coaction"], "inf", "GROUPOIDAL_TOL"),
+    (["--version"], "abc", "GROUPOIDAL_TOL"),
+])
+def test_cli_rejects_a_bad_tolerance_or_seed(capsys, monkeypatch, argv, env, named):
+    # a tolerance is a finite number >= 0 and a seed an integer >= 0
+    if env is not None:
+        monkeypatch.setenv("GROUPOIDAL_TOL", env)
+    assert named in _usage_error(capsys, argv)
+
+
 def test_cli_failing_scenario_exit_code(tmp_path, capsys):
     # precondition failures are report entries with a failing exit status
     text = """
@@ -412,6 +528,8 @@ _MALFORMED = {
                                       "  right: HRB\nend\n",
     "scenario_with_groupoid_actions": _PAIR2 + "scenario s\n  op: symmetric_morita\n"
                                                "  bundle: A\n  left: GL\n  right: HR\nend\n",
+    "group_row_too_long": "version 1\ngroup K\n  elements: e a\n  row e: e a a\n"
+                          "  row a: a e\nend\n",
     "comp_missing": _TWO_ARROWS,
     "comp_outside_arrows": _TWO_ARROWS.replace("end\nbundle", "  comp f f = zzz\nend\nbundle"),
     "inverse_outside_arrows": _TWO_ARROWS.replace("inv f", "inv zzz"),
@@ -767,6 +885,40 @@ def test_cli_build_rejects_an_action_of_another_kind(tmp_path, capsys, args, kin
     ("version\n", "line 1: version takes one non-negative integer"),
     ("version abc\n", "line 1: version takes one non-negative integer"),
     ("version 1\ngroup\n", "line 2: group declaration without a name"),
+    # a block line must match its form whole: no token missing, none left over
+    ("version 1\nbundle B\n  base:\nend\n",
+     "line 3: bad bundle line 'base:', expected 'base: GROUPOID'"),
+    ("version 1\nscenario s\n  op:\nend\n",
+     "line 3: bad scenario line 'op:', expected 'op: WORD'"),
+    ("version 1\naction T\n  kind:\nend\n",
+     "line 3: bad action line 'kind:', expected 'kind: WORD'"),
+    ("version 1\ngroup K\n  elements: e\n  row\nend\n",
+     "line 4: bad group line 'row', expected 'row IDENT: IDENT...'"),
+    ("version 1\ngroupoid Y\n  units: u\n  unit\nend\n",
+     "line 4: bad groupoid line 'unit', expected 'unit IDENT: IDENT'"),
+    ("version 1\nalgebra B\n  basis: x\n  prod a\nend\n",
+     "line 4: bad algebra line 'prod a', expected 'prod IDENT IDENT: NUMBER...'"),
+    ("version 1\nbundle B\n  star\nend\n",
+     "line 3: bad bundle line 'star', expected 'star IDENT: NUMBER...'"),
+    ("version 1\naction T\n  map\nend\n",
+     "line 3: bad action line 'map', expected 'map IDENT: IDENT=IDENT...'"),
+    ("version 1\naction T\n  unit_perm\nend\n",
+     "line 3: bad action line 'unit_perm', expected 'unit_perm IDENT: IDENT...'"),
+    ("version 1\naction T\n  fiber e\nend\n",
+     "line 3: bad action line 'fiber e', expected 'fiber IDENT IDENT: NUMBER...'"),
+    ("version 1\nbundle B\n  dim (1,1): abc\nend\n",
+     "line 3: bad bundle line 'dim (1,1): abc', expected 'dim IDENT: INT' "
+     "(invalid literal for int() with base 10: 'abc')"),
+    ("version 1\nbundle B\n  base: X Y\nend\n",
+     "line 3: bad bundle line 'base: X Y', expected 'base: GROUPOID'"),
+    ("version 1\nbundle B\n  dim (1,1): 1 7\nend\n",
+     "line 3: bad bundle line 'dim (1,1): 1 7', expected 'dim IDENT: INT'"),
+    ("version 1\ngroupoid Y\n  unit u: a b\nend\n",
+     "line 3: bad groupoid line 'unit u: a b', expected 'unit IDENT: IDENT'"),
+    ("version 1\nscenario s\n  op: coaction extra\nend\n",
+     "line 3: bad scenario line 'op: coaction extra', expected 'op: WORD'"),
+    ("version 1\naction T\n  side: left right\nend\n",
+     "line 3: bad action line 'side: left right', expected 'side: WORD'"),
 ])
 def test_malformed_declaration_is_a_usage_error_naming_its_line(tmp_path, capsys, text, message):
     p = tmp_path / "malformed.model"
