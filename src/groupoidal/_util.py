@@ -73,37 +73,44 @@ def fmt(obj) -> str:
 
 
 def parse_ident(text: str):
-    """Inverse of :func:`fmt`: parse ``(a,(b,c))`` style identifiers."""
-    ident, rest = _parse_ident_prefix(text)
-    if rest:
-        raise ValueError(f"trailing characters {rest!r} in identifier {text!r}")
-    return ident
+    """Inverse of :func:`fmt`: parse ``(a,(b,c))`` style identifiers.
 
-
-def _parse_ident_prefix(text: str):
-    if not text:
-        raise ValueError("empty identifier")
-    if text[0] == "(":
-        items = []
-        rest = text[1:]
-        while True:
-            item, rest = _parse_ident_prefix(rest)
-            items.append(item)
-            if not rest:
-                raise ValueError(f"unterminated tuple in identifier {text!r}")
-            sep, rest = rest[0], rest[1:]
-            if sep == ")":
-                return tuple(items), rest
-            if sep != ",":
-                raise ValueError(f"bad separator {sep!r} in identifier {text!r}")
-    else:
-        i = 0
-        while i < len(text) and text[i] not in "(),":
+    One pass with a stack of the open tuples: each item is an atom or opens
+    a tuple, and the innermost open tuple takes it, then "," or ")".  An
+    error names the text from the tuple or atom where it occurs.
+    """
+    open_tuples = []  # (position of its "(", items so far), innermost last
+    i, n = 0, len(text)
+    while True:
+        if i == n:
+            raise ValueError("empty identifier")
+        if text[i] == "(":
+            open_tuples.append((i, []))
             i += 1
-        if i == 0:
-            raise ValueError(f"bad identifier {text!r}")
-        atom = text[:i]
+            continue
+        start = i
+        while i < n and text[i] not in "(),":
+            i += 1
+        if i == start:
+            raise ValueError(f"bad identifier {text[start:]!r}")
         try:
-            return int(atom), text[i:]
+            item = int(text[start:i])
         except ValueError:
-            return atom, text[i:]
+            item = text[start:i]
+        while open_tuples:
+            start, items = open_tuples[-1]
+            items.append(item)
+            if i == n:
+                raise ValueError(f"unterminated tuple in identifier {text[start:]!r}")
+            sep = text[i]
+            i += 1
+            if sep == ",":
+                break
+            if sep != ")":
+                raise ValueError(f"bad separator {sep!r} in identifier {text[start:]!r}")
+            open_tuples.pop()
+            item = tuple(items)
+        else:
+            if i < n:
+                raise ValueError(f"trailing characters {text[i:]!r} in identifier {text!r}")
+            return item

@@ -37,10 +37,8 @@ from .groupoids import (
     opposite,
     orbit_space_action,
     principal_decomposition,
-    quotient_groupoid,
     read_back,
     require_free,
-    semidirect_left,
     semidirect_space_action,
     transformation_groupoid,
     trivial_action,
@@ -51,6 +49,9 @@ from .groupoids import (
     _orbit_action_data,
     _other_side,
     _pair_ids,
+    _quotient_groupoid,
+    _require_acting_on,
+    _semidirect_left,
     _unique_unit_shift,
 )
 from .report import (
@@ -575,7 +576,9 @@ def semidirect_fell_bundle(a: FellBundle, ba: BundleAction,
     check_bundle_action(ba, tol).require("semidirect_fell_bundle")
     g = ba.group
     act = ba.base_action
-    base = semidirect_left(a.base, act)
+    # check_bundle_action has checked act; what semidirect_left adds is its guard
+    _require_acting_on(act, a.base, "left", "semidirect_left")
+    base = _semidirect_left(a.base, act)
     dim = {(x, s): a.dim[x] for (x, s) in base.arrows}
     mult = {}
     for ((x, s), (y, t)) in base.composable_pairs():
@@ -626,9 +629,19 @@ def quotient_fell_bundle(a: FellBundle, ba: BundleAction,
     if ba.side != "right" or ba.bundle.base != a.base:
         raise InvalidStructureError("quotient_fell_bundle needs a right action on a")
     check_bundle_action(ba, tol).require("quotient_fell_bundle")
+    # check_bundle_action has checked the base action; what quotient_groupoid
+    # adds is its guard and freeness
+    _require_acting_on(ba.base_action, a.base, "right", "quotient_groupoid")
+    require_free(ba.base_action, "quotient_groupoid")
+    return _quotient_fell_bundle(a, ba)
+
+
+def _quotient_fell_bundle(a: FellBundle, ba: BundleAction) -> tuple[FellBundle, BundleQuotientMap]:
+    """quotient_fell_bundle without checking ``ba``, which the caller has
+    checked and found free."""
     h = ba.group
     act = ba.base_action
-    quot, qmap = quotient_groupoid(a.base, act)
+    quot, qmap = _quotient_groupoid(a.base, act)
 
     transport = {x: ba.fiber_maps[(h.inv_elem(qmap.shift[x]), x)] for x in a.base.arrows}
 
@@ -719,8 +732,9 @@ def semidirect_orbit_bundle_action(a: FellBundle, g: BundleAction, h: BundleActi
 def _semidirect_orbit_bundle_action(a: FellBundle, g: BundleAction, h: BundleAction,
                                     tol: float = DEFAULT_TOL) -> BundleModuleAction:
     """semidirect_orbit_bundle_action without checking the symmetric
-    hypotheses, which the caller has checked at ``tol``."""
-    quot = quotient_fell_bundle(a, h, tol)
+    hypotheses, which the caller has checked at ``tol``: h is quotiented
+    out unchecked, and the action g induces on the quotient is checked."""
+    quot = _quotient_fell_bundle(a, h)
     qb, qm = quot
     g_on_quot = induced_quotient_bundle_action(a, g, quot)
     acting = semidirect_fell_bundle(qb, g_on_quot, tol)
@@ -774,7 +788,7 @@ def _check_symmetric_bundle_hypotheses(a: FellBundle, g: BundleAction, h: Bundle
                                        tol: float = DEFAULT_TOL) -> None:
     if g.side != "left" or h.side != "right":
         raise InvalidStructureError("expected a left action g and a right action h")
-    if g.bundle.base != a.base or h.bundle.base != a.base:
+    if any(ba.bundle.base != a.base or ba.base_action.target != a.base for ba in (g, h)):
         raise InvalidStructureError("both actions must act on the given bundle")
     check_bundle_action(g, tol).require("bundle action g")
     check_bundle_action(h, tol).require("bundle action h")
@@ -1278,10 +1292,20 @@ def verify_bundle_equivalence(e: BundleEquivalence,
                lambda r: f"pair {fmt((g.arrows[px[r]], g.arrows[py[r]]))}")
 
     # Step 6: per-fiber imprimitivity (fullness and positivity), on the unit
-    # fibers of the linking bundle
+    # fibers of the linking bundle, with one representation per distinct
+    # fiber algebra: equal constants give the same representation
     from .algebras import fiber_algebra, regular_representation
 
-    bad, worst_pos, reps = None, 0.0, {}
+    reps = {}
+
+    def representation(unit):
+        alg = fiber_algebra(link, unit)
+        key = (alg.struct.shape, alg.struct.tobytes(), alg.invol.tobytes())
+        if key not in reps:
+            reps[key] = regular_representation(alg)
+        return reps[key]
+
+    bad, worst_pos = None, 0.0
     for z in base.space:
         d = e.dims[z]
         sides = (("left", e.left_inner[(z, z)], g.unit_arrow[("pu", base.rho[z])]),
@@ -1298,9 +1322,7 @@ def verify_bundle_equivalence(e: BundleEquivalence,
         if bad:
             break
         for _side, inner, unit in sides:
-            if unit not in reps:
-                reps[unit] = regular_representation(fiber_algebra(link, unit))
-            worst_pos = min(worst_pos, reps[unit].gram_margin(inner.transpose(1, 2, 0)))
+            worst_pos = min(worst_pos, representation(unit).gram_margin(inner.transpose(1, 2, 0)))
     rep.add("step 6: inner products full on unit fibers", bad is None,
             f"{bad[0]} at {fmt(bad[1])}" if bad else None)
     rep.record_metric("step6 positivity margin", worst_pos)

@@ -268,9 +268,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSERS: dict = {}  # build_parser() for each GROUPOIDAL_TOL value seen
+
+
+def _parser() -> argparse.ArgumentParser:
+    env = os.environ.get("GROUPOIDAL_TOL")
+    if env not in _PARSERS:
+        _PARSERS[env] = build_parser()
+    return _PARSERS[env]
+
+
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
+        parser = _parser()
         args = parser.parse_args(argv)
         if not args.command:
             parser.print_help()

@@ -735,11 +735,20 @@ def transformation_groupoid(x: FiniteGroupoid, a: SpaceAction) -> FiniteGroupoid
 # semidirect products
 
 
+def _require_acting_on(a: GroupAction, x: FiniteGroupoid, side: str, construction: str) -> None:
+    if a.side != side or a.target != x:
+        raise InvalidStructureError(f"{construction} needs a {side} action on x")
+
+
 def semidirect_left(x: FiniteGroupoid, a: GroupAction) -> FiniteGroupoid:
     """Arrows (x, s) with (x, s)(y, t) = (x(s.y), st); units (u, e)."""
-    if a.side != "left" or a.target != x:
-        raise InvalidStructureError("semidirect_left needs a left action on x")
+    _require_acting_on(a, x, "left", "semidirect_left")
     check_action(a).require("semidirect_left")
+    return _semidirect_left(x, a)
+
+
+def _semidirect_left(x: FiniteGroupoid, a: GroupAction) -> FiniteGroupoid:
+    """semidirect_left without checking ``a``, which the caller has checked."""
     g = a.group
     e = g.identity
     arrows = tuple((ar, s) for ar in x.arrows for s in g.elements)
@@ -763,8 +772,7 @@ def semidirect_right(a: GroupAction, x: FiniteGroupoid) -> FiniteGroupoid:
 
     It is x^op x| H^op, read back.
     """
-    if a.side != "right" or a.target != x:
-        raise InvalidStructureError("semidirect_right needs a right action on x")
+    _require_acting_on(a, x, "right", "semidirect_right")
     return read_back(semidirect_left(opposite(x), opposite(a)))
 
 
@@ -794,10 +802,15 @@ def quotient_groupoid(x: FiniteGroupoid, a: GroupAction) -> tuple[FiniteGroupoid
     The composite is computed on representatives after the unique shift that
     matches sources, which exists exactly because the action is free.
     """
-    if a.side != "right" or a.target != x:
-        raise InvalidStructureError("quotient_groupoid needs a right action on x")
+    _require_acting_on(a, x, "right", "quotient_groupoid")
     check_action(a).require("quotient_groupoid")
     require_free(a, "quotient_groupoid")
+    return _quotient_groupoid(x, a)
+
+
+def _quotient_groupoid(x: FiniteGroupoid, a: GroupAction) -> tuple[FiniteGroupoid, QuotientMap]:
+    """quotient_groupoid without checking ``a``, which the caller has checked
+    and found free."""
     h = a.group
 
     arrow_map, shift = {}, {}
@@ -1140,8 +1153,7 @@ class PrincipalDecomposition:
 
 def principal_decomposition(x: FiniteGroupoid, h: GroupAction,
                             _quotient: tuple | None = None) -> PrincipalDecomposition:
-    if h.side != "right" or h.target != x:
-        raise InvalidStructureError("principal_decomposition needs a right action on x")
+    _require_acting_on(h, x, "right", "principal_decomposition")
     y, qmap = _quotient if _quotient is not None else quotient_groupoid(x, h)
 
     # y acts on the units of x: (orbit of w).u = rng(w') for the unique

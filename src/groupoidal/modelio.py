@@ -427,11 +427,16 @@ def _resolve(model: ModelFile, refs: list) -> None:
               "bundle": model.bundles, "action": model.actions}
     tables["groupoid"].update(model.groups)  # a group is a one-unit groupoid
     for a in model.actions.values():
+        if not a.kind:
+            raise ModelError(f"action {a.name!r} has no kind")
         if a.kind not in _ACTION_KINDS:
             raise ModelError(f"action {a.name!r} has unknown kind {a.kind!r}")
     for g in model.groups.values():
         if not (g.builder or g.elements):
             raise ModelError(f"group {g.name!r} has no elements")
+    for b in model.bundles.values():
+        if not (b.builder or b.base):
+            raise ModelError(f"bundle {b.name!r} has no base")
     for s in model.scenarios.values():
         if not s.op:
             raise ModelError(f"scenario {s.name!r} has no op")

@@ -32,12 +32,12 @@ from .bundles import (
     BundleIso,
     FellBundle,
     _exchange_residual,
+    _quotient_fell_bundle,
     induced_quotient_bundle_action,
     linking_bundle,
     make_trivial_cbundle,
     one_sided_equivalence,
     one_sided_transformation_equivalence,
-    quotient_fell_bundle,
     semidirect_fell_bundle,
     semidirect_right_fell_bundle,
     symmetric_action_equivalence,
@@ -502,7 +502,8 @@ def symmetric_morita(a: FellBundle, g: BundleAction, h: BundleAction,
 
     # e.left_bundle is the crossed-product bundle (a/H) x| G itself
     res_l = _identify_corner(ls, "p", e.left_bundle, tol)
-    g_quot = quotient_fell_bundle(a, g.converted(), tol)
+    # g, seen from the right, was checked with the hypotheses
+    g_quot = _quotient_fell_bundle(a, g.converted())
     h_on_gquot = induced_quotient_bundle_action(a, h, g_quot)
     res_r = _identify_corner(
         ls, "q", semidirect_right_fell_bundle(h_on_gquot, g_quot[0], tol), tol)
@@ -647,18 +648,19 @@ def _raeburn_side(bundle: FellBundle, outer: BundleAction, inner: BundleAction,
     """Verify Ind ~ quotient sections and the matching of induced actions.
 
     ``inner`` is the free right action quotiented out, ``outer`` the left
-    action that descends to the quotient; ``*_alg`` act on the fiber b.  The
-    induced algebra is the constant bundle b over the orbit representatives,
-    ``bundle`` restricted to them, identified as a bundle with the quotient
-    (r -> r, identity on fibers).  On equivariant functions
-    (t.f)(r) = outer_t(f(inv(t).r)), and inv(t).r is the representative r'
-    of its orbit moved by shift, so t carries the fiber at r' to the fiber
-    at r by outer_t inner(inv(shift)): the action induced on the quotient
-    should do the same.  The residual is the worst of the identification's
-    and the actions', NaN if one is not finite, the quotient action carries
-    r' elsewhere, or the identification fails a structural check.
+    action that descends to the quotient, both checked by symmetric_morita;
+    ``*_alg`` act on the fiber b.  The induced algebra is the constant
+    bundle b over the orbit representatives, ``bundle`` restricted to them,
+    identified as a bundle with the quotient (r -> r, identity on fibers).
+    On equivariant functions (t.f)(r) = outer_t(f(inv(t).r)), and inv(t).r
+    is the representative r' of its orbit moved by shift, so t carries the
+    fiber at r' to the fiber at r by outer_t inner(inv(shift)): the action
+    induced on the quotient should do the same.  The residual is the worst
+    of the identification's and the actions', NaN if one is not finite, the
+    quotient action carries r' elsewhere, or the identification fails a
+    structural check.
     """
-    quot = quotient_fell_bundle(bundle, inner, tol)
+    quot = _quotient_fell_bundle(bundle, inner)
     qb, qm = quot
     act_on_quot = induced_quotient_bundle_action(bundle, outer, quot)
     reps = qb.base.arrows

@@ -148,7 +148,7 @@ def dense_raeburn_side(bundle, outer, inner, b, outer_alg, inner_alg, tol=DEFAUL
     action on sections, theta ind_t == sections_t theta.  The quotient is
     read through morita, as _raeburn_side reads it.  A reference for the
     residual of _raeburn_side."""
-    quot = morita.quotient_fell_bundle(bundle, inner, tol)
+    quot = morita._quotient_fell_bundle(bundle, inner)
     qb, qm = quot
     act = morita.induced_quotient_bundle_action(bundle, outer, quot)
     target = section_algebra(qb)

@@ -415,6 +415,21 @@ def test_cli_tol_env_override(tmp_path, capsys, monkeypatch):
     assert args.tol == 1e-6
 
 
+def test_cli_parser_follows_the_tol_env_between_calls(tmp_path, capsys, monkeypatch):
+    # main() keeps one parser per GROUPOIDAL_TOL value: each call in a
+    # process reports the tolerance of the environment it runs in
+    p = tmp_path / "one.model"
+    p.write_text("version 1\ngroupoid Y units 1\n")
+    for env, shown in (("1e-6", "tol=1e-06"), ("1e-3", "tol=0.001"), ("1e-6", "tol=1e-06")):
+        monkeypatch.setenv("GROUPOIDAL_TOL", env)
+        code, out = run_cli(capsys, "validate", str(p))
+        assert code == 0 and shown in out.splitlines()[0], (env, out)
+    monkeypatch.setenv("GROUPOIDAL_TOL", "abc")
+    assert "GROUPOIDAL_TOL" in _usage_error(capsys, ["validate", str(p)])
+    monkeypatch.delenv("GROUPOIDAL_TOL")
+    assert "tol=1e-09" in run_cli(capsys, "validate", str(p))[1].splitlines()[0]
+
+
 @pytest.mark.parametrize("argv,env,named", [
     (["demo", "coaction", "--tol", "inf"], None, "--tol"),
     (["demo", "coaction", "--tol", "nan"], None, "--tol"),
@@ -922,6 +937,19 @@ def test_cli_build_rejects_an_action_of_another_kind(tmp_path, capsys, args, kin
 ])
 def test_malformed_declaration_is_a_usage_error_naming_its_line(tmp_path, capsys, text, message):
     p = tmp_path / "malformed.model"
+    p.write_text(text)
+    assert _usage_error(capsys, ["validate", str(p)]) == message
+
+
+@pytest.mark.parametrize("text,message", [
+    ("version 1\ngroupoid Y units 1\nbundle B\n  dim (1,1): 1\nend\n",
+     "bundle 'B' has no base"),
+    ("version 1\ngroup Z2 cyclic 2\naction A\n  group: Z2\n  side: left\nend\n",
+     "action 'A' has no kind"),
+])
+def test_block_without_its_required_line_is_a_usage_error(tmp_path, capsys, text, message):
+    # like a group without elements: or a scenario without op:
+    p = tmp_path / "missing.model"
     p.write_text(text)
     assert _usage_error(capsys, ["validate", str(p)]) == message
 

@@ -316,12 +316,12 @@ def test_raeburn_two_sided_four_points():
 
 
 def _defective_quotient(defect):
-    """morita.quotient_fell_bundle with ``defect`` added to one nonzero
+    """morita._quotient_fell_bundle with ``defect`` added to one nonzero
     product entry of the quotient bundle."""
-    original = morita.quotient_fell_bundle
+    original = morita._quotient_fell_bundle
 
-    def defective(a, ba, tol):
-        quot, qm = original(a, ba, tol)
+    def defective(a, ba):
+        quot, qm = original(a, ba)
         key = next(iter(quot.mult))
         tensor = quot.mult[key].copy()
         tensor[np.nonzero(tensor)[0][0], 0, 0] += defect
@@ -339,7 +339,7 @@ def _defective_induced_quotients(monkeypatch, defect):
 
     def defective_side(*args):
         with monkeypatch.context() as m:
-            m.setattr(morita, "quotient_fell_bundle", _defective_quotient(defect))
+            m.setattr(morita, "_quotient_fell_bundle", _defective_quotient(defect))
             return side(*args)
 
     monkeypatch.setattr(morita, "_raeburn_side", defective_side)
@@ -426,7 +426,7 @@ def test_raeburn_side_matches_dense_reference(instance, defect, z2, triv, monkey
     assert raeburn(*args).verdict == "equivalent"
     assert len(calls) == 2
     if defect != 0.0:
-        monkeypatch.setattr(morita, "quotient_fell_bundle", _defective_quotient(defect))
+        monkeypatch.setattr(morita, "_quotient_fell_bundle", _defective_quotient(defect))
     for bundle, outer, inner, outer_alg, inner_alg, tol in calls:
         res = side(bundle, outer, inner, outer_alg, inner_alg, tol)
         ref = dense_raeburn_side(bundle, outer, inner, args[3], outer_alg, inner_alg, tol)

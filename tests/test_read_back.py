@@ -2,16 +2,20 @@
 data, read back once.  The constructions are checked field by field against
 the earlier ones (conftest), which relabeled a second build instead."""
 
+import re
 import sys
 
 import numpy as np
 import pytest
 
+import groupoidal.algebras as algebras_mod
+import groupoidal.bundles as bundles_mod
 import groupoidal.groupoids as gpd_mod
 from groupoidal import (
     BundleAction,
     GroupAction,
     InvalidStructureError,
+    NonFreeActionError,
     SpaceAction,
     check_space_action,
     group_set_action,
@@ -19,14 +23,17 @@ from groupoidal import (
     make_pair_groupoid,
     make_trivial_cbundle,
     opposite,
+    quotient_fell_bundle,
     raeburn,
     read_back,
+    semidirect_fell_bundle,
     semidirect_left,
     semidirect_right,
     semidirect_right_fell_bundle,
     semidirect_right_space_action,
     symmetric_action_equivalence,
     symmetric_morita,
+    trivial_bundle_action,
     trivial_line_bundle,
 )
 from groupoidal.instances import (
@@ -37,6 +44,7 @@ from groupoidal.instances import (
     symmetric_z2z2_bundle,
 )
 from groupoidal.algebras import AlgebraAction
+from groupoidal.cli import main
 
 from conftest import (
     assert_identical,
@@ -155,11 +163,61 @@ def test_symmetric_morita_builds_each_groupoid_once():
     # crossed product and quotient the right corner is identified with;
     # nothing is relabeled through a homomorphism
     args = translation_bundle((3, 2, 1))
-    counts = _call_counts(lambda: symmetric_morita(*args), gpd_mod.semidirect_left,
-                          gpd_mod.quotient_groupoid, gpd_mod.check_homomorphism,
+    counts = _call_counts(lambda: symmetric_morita(*args), gpd_mod._semidirect_left,
+                          gpd_mod._quotient_groupoid, gpd_mod.check_homomorphism,
                           gpd_mod.symmetric_groupoid_equivalence)
-    assert counts == {"semidirect_left": 3, "quotient_groupoid": 3,
+    assert counts == {"_semidirect_left": 3, "_quotient_groupoid": 3,
                       "check_homomorphism": 0, "symmetric_groupoid_equivalence": 0}
+
+
+_CHECKS = (bundles_mod.check_bundle_action, gpd_mod.check_action, gpd_mod.require_free,
+           algebras_mod.regular_representation)
+
+
+def test_symmetric_morita_checks_each_action_once():
+    # g and h once, as hypotheses, and each induced action on a quotient
+    # (g on a/H, h^op on the opposite quotient, h on G\a) once; one
+    # representation for the unit fibers in step 6 and one per corner
+    args = translation_bundle((3, 2, 1))
+    counts = _call_counts(lambda: symmetric_morita(*args), *_CHECKS)
+    assert counts == {"check_bundle_action": 5, "check_action": 5, "require_free": 2,
+                      "regular_representation": 3}
+
+
+def test_two_sided_raeburn_demo_checks_each_action_once(capsys):
+    # symmetric_morita's checks; the induced-algebra sides quotient by
+    # actions it has checked
+    counts = _call_counts(lambda: main(["demo", "raeburn", "--two-sided"]), *_CHECKS)
+    assert counts == {"check_bundle_action": 5, "check_action": 5, "require_free": 2,
+                      "regular_representation": 4}
+
+
+def _group_law_failure():
+    """Z3 on the pair groupoid over {1, 2}, 1 and 2 both swapping: automorphisms
+    with the identity acting trivially, but 1.(1.x) != 2.x."""
+    z3, x = cyclic_group(3), make_pair_groupoid(2)
+    swap = {1: 2, 2: 1}
+    act = gpd_mod.action_from_unit_map(z3, x, {0: {1: 1, 2: 2}, 1: swap, 2: swap}, "left")
+    lb = trivial_line_bundle(x)
+    return x, act, lb, BundleAction(z3, lb, act, identity_fiber_maps(lb, act), "left")
+
+
+def test_public_constructions_check_their_actions():
+    # the unchecked builders leave every check at the public entry points
+    x, act, lb, ba = _group_law_failure()
+    with pytest.raises(InvalidStructureError,
+                       match=re.escape("semidirect_left: group law failed [(1,1,(1,1))]")):
+        semidirect_left(x, act)
+    with pytest.raises(InvalidStructureError,
+                       match=re.escape("semidirect_fell_bundle: base: group law failed")):
+        semidirect_fell_bundle(lb, ba)
+    z2 = cyclic_group(2)
+    lazy = trivial_bundle_action(z2, lb, "right")
+    for thunk in (lambda: gpd_mod.quotient_groupoid(x, lazy.base_action),
+                  lambda: quotient_fell_bundle(lb, lazy)):
+        with pytest.raises(NonFreeActionError,
+                           match="quotient_groupoid: action not free, element 1 fixes"):
+            thunk()
 
 
 def test_raeburn_checks_its_hypotheses_at_the_certificate_tolerance(z2):
