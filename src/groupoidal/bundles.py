@@ -1059,7 +1059,9 @@ def linking_bundle(e: BundleEquivalence) -> FellBundle:
     and both halves of the Z rows come from one left-handed pass over e (tag
     "p") and opposite(e) (tag "q"), read back with src and rng swapped and
     products reversed.  Products are listed corner by corner, then the Z rows
-    of e, then of opposite(e).  A pair with no bracket raises.
+    of e, then of opposite(e).  A pair with no bracket raises; only a direct
+    call can meet one, since verify_bundle_equivalence checks the brackets
+    before it assembles the bundle.
     """
     base = e.base
     sides = ((e, "p", False), (opposite(e), "q", True))
@@ -1100,7 +1102,7 @@ def linking_bundle(e: BundleEquivalence) -> FellBundle:
             put((("zb", z), (tag, pi)), ("zb", v), np.conjugate(np.einsum(
                 "lai,ag->lig", f.left_tensors[(p, z)], f.left_bundle.star[pi])), from_op)
         for (z1, z2), tensor in f.left_inner.items():
-            if (z1, z2) not in brackets:  # reachable only on unverified paths
+            if (z1, z2) not in brackets:  # a direct call only: the verifier checks the keys first
                 raise InvalidStructureError(f"no bracket at ({fmt(z1)},{fmt(z2)})")
             put((("z", z1), ("zb", z2)), (tag, brackets[(z1, z2)]), tensor, from_op)
 
@@ -1330,25 +1332,3 @@ def verify_bundle_equivalence(e: BundleEquivalence,
             None if worst_pos >= -tol else f"min eigenvalue {worst_pos:.3e}")
     rep.linking, rep.products = link, kernels
     return rep
-
-
-def exchange_residual(e: BundleEquivalence) -> float:
-    """Max entrywise deviation of <a,b>_L . c - a . <b,c>_R over all triples.
-
-    It is the metric of step 5 of verify_bundle_equivalence, computed alone
-    over the (z, zb, z) triples of linking_bundle(e).  A pair with no
-    bracket raises while the bundle is assembled, and a triple whose two
-    sides lie over different points raises from the associativity kernel.
-    """
-    return _exchange_residual(linking_bundle(e))
-
-
-def _exchange_residual(link: FellBundle) -> float:
-    """The worst associativity residual of a linking bundle over its
-    (z, zb, z) triples, the exchange residual of its equivalence.  Only
-    those triples are enumerated: the (z, zb) pairs extended by the (zb, z)
-    pairs, in linking-groupoid order."""
-    kernels = _Products(link)
-    pair_class = _patterns(_tags(link.base), kernels.px, kernels.py)
-    zb, bz = (pair_class == code for code in _codes("zb", "bz"))
-    return worst_residual(kernels.associativity(*kernels.triples(zb, bz)))[0]

@@ -983,14 +983,13 @@ def _opposite_equivalence(e: GroupoidEquivalence) -> GroupoidEquivalence:
     return GroupoidEquivalence(opposite(e.right_action), opposite(e.left_action))
 
 
-def _orbit_action_data(x: FiniteGroupoid, g: GroupAction, h: GroupAction,
-                       quotient: tuple | None = None):
+def _orbit_action_data(x: FiniteGroupoid, g: GroupAction, h: GroupAction, quotient: tuple):
     """The inputs of semidirect_space_action for x/H x| G acting on x.
 
     Returns g on x/H, g on the arrow set, and x/H acting on the arrow set;
-    ``quotient``, when given, is quotient_groupoid(x, h), already built.
+    ``quotient`` is quotient_groupoid(x, h), already built.
     """
-    quot, qmap = quotient if quotient is not None else quotient_groupoid(x, h)
+    quot, qmap = quotient
     g_on_quot = GroupAction(
         g.group, quot,
         {(t, p): qmap.arrow_map[g.act[(t, p)]] for t in g.group.elements for p in quot.arrows},
@@ -1007,12 +1006,15 @@ def symmetric_groupoid_equivalence(x: FiniteGroupoid, g: GroupAction,
                                    h: GroupAction) -> GroupoidEquivalence:
     """The arrow set of x as an (x/H x| G) - (H |x G\\x) equivalence.
 
-    Requires free commuting actions: g on the left, h on the right.  Only
-    the two actions are kept; the brackets are read from them as for any
-    other equivalence.
+    Requires free commuting actions on x: g on the left, h on the right.
+    Once they are checked, each side quotients x unchecked.  Only the two
+    actions are kept; the brackets are read from them as for any other
+    equivalence.
     """
     if g.side != "left" or h.side != "right":
         raise InvalidStructureError("expected a left action g and a right action h")
+    if g.target != x or h.target != x:
+        raise InvalidStructureError("both actions must act on x")
     check_action(g).require("symmetric_groupoid_equivalence")
     check_action(h).require("symmetric_groupoid_equivalence")
     require_free(g, "symmetric_groupoid_equivalence")
@@ -1023,9 +1025,10 @@ def symmetric_groupoid_equivalence(x: FiniteGroupoid, g: GroupAction,
             f"actions do not commute at (t,h,x)=({fmt(wit[0])},{fmt(wit[1])},{fmt(wit[2])})"
         )
 
-    left_action = semidirect_space_action(*_orbit_action_data(x, g, h))
+    left_action = semidirect_space_action(*_orbit_action_data(x, g, h, _quotient_groupoid(x, h)))
     # the right side is the left side of (x^op, H^op, G^op), read back
-    right_data = _orbit_action_data(opposite(x), opposite(h), opposite(g))
+    x_op, g_op = opposite(x), opposite(g)
+    right_data = _orbit_action_data(x_op, opposite(h), g_op, _quotient_groupoid(x_op, g_op))
     right_action = semidirect_right_space_action(*map(opposite, right_data))
     return GroupoidEquivalence(left_action, right_action)
 

@@ -4,7 +4,9 @@ A BundleEquivalence is assembled into a single linking Fell bundle over the
 linking groupoid (corner arrows, the equivalence space, its formal adjoint
 copy, and the opposite corner), which verify_bundle_equivalence checks once,
 each step reading its own tag classes.  Its section algebra is the linking
-algebra.  The certificate reads only its two corners, the section algebras
+algebra.  A linking system is built only from a bundle that check passed,
+and keeps the check's report, from which the certificate reads the exchange
+residual.  The certificate reads only its two corners, the section algebras
 of the linking bundle restricted to one tag each, the inner products in
 corner coordinates, and the products of the linking bundle that involve a
 unit arrow; it never builds the dense linking algebra.  The certificate
@@ -31,10 +33,8 @@ from .bundles import (
     BundleEquivalence,
     BundleIso,
     FellBundle,
-    _exchange_residual,
     _quotient_fell_bundle,
     induced_quotient_bundle_action,
-    linking_bundle,
     make_trivial_cbundle,
     one_sided_equivalence,
     one_sided_transformation_equivalence,
@@ -80,8 +80,7 @@ class LinkingSystem:
     projections, in linking-algebra coordinates, sum the units of the
     unit-fiber algebras.  ``algebra``, the dense linking algebra, is built
     on first read; no certificate check reads it.  ``verification`` is
-    the verify_bundle_equivalence report that checked ``bundle`` when the
-    system was assembled with strict=True, else None.
+    the verify_bundle_equivalence report that checked ``bundle``.
     """
 
     equivalence: BundleEquivalence
@@ -91,7 +90,7 @@ class LinkingSystem:
     corner_right: StarAlgebra
     projection_left: np.ndarray
     projection_right: np.ndarray
-    verification: ValidationReport | None = None
+    verification: ValidationReport
 
     @cached_property
     def algebra(self) -> StarAlgebra:
@@ -100,25 +99,19 @@ class LinkingSystem:
         return algebra
 
 
-def linking_system(e: BundleEquivalence, tol: float = DEFAULT_TOL,
-                   strict: bool = True) -> LinkingSystem:
-    """The linking groupoid, bundle and corners of an equivalence.
+def linking_system(e: BundleEquivalence, tol: float = DEFAULT_TOL) -> LinkingSystem:
+    """The linking groupoid, bundle and corners of a verified equivalence.
 
-    With strict=True the bundle is the one verify_bundle_equivalence checked,
-    and the linking groupoid is validated on the tuple table that check
-    numbered (``_Products.validate_base``), so that its composable triples
-    are enumerated once; strict=False assembles
-    linking_bundle(e) unchecked, for negative controls on broken data.
-    Either way each corner is built from the linking bundle restricted to
-    its tag, and the linking algebra is left to ``LinkingSystem.algebra``.
+    The bundle is the one verify_bundle_equivalence checked, which raises
+    unless every step passes, and the linking groupoid is validated on the
+    tuple table that check numbered (``_Products.validate_base``), so that
+    its composable triples are enumerated once.  Each corner is built from
+    the linking bundle restricted to its tag, and the linking algebra is
+    left to ``LinkingSystem.algebra``.
     """
-    if strict:
-        verification = verify_bundle_equivalence(e, tol).require("linking_system")
-        bundle = verification.linking
-        verification.products.validate_base().require("linking groupoid")
-    else:
-        verification, bundle = None, linking_bundle(e)
-
+    verification = verify_bundle_equivalence(e, tol).require("linking_system")
+    bundle = verification.linking
+    verification.products.validate_base().require("linking groupoid")
     return LinkingSystem(e, bundle.base, bundle,
                          _corner(bundle, "p", "left corner"),
                          _corner(bundle, "q", "right corner"),
@@ -298,13 +291,13 @@ def verify_morita(ls: LinkingSystem, tol: float = DEFAULT_TOL,
     finite makes the certificate not-certified, with a note naming it.
 
     Fullness and positivity read one table of each side's inner products
-    in corner coordinates (``_inner_table``).  The exchange residual of an
-    unverified system is read from ``ls.bundle``.  That the corner
-    projections sum to the unit is checked on the products of ``ls.bundle``
-    with a unit arrow (``_unit_defect``); a defect that is not finite means
-    the linking algebra has no unit.  A defect above max(tol, 1e-8), or
-    not finite, fails the verdict, with a note.  No check
-    builds the dense ``ls.algebra``.
+    in corner coordinates (``_inner_table``).  The exchange residual is the
+    step 5 metric of ``ls.verification``.  That the corner projections sum
+    to the unit is checked on the products of ``ls.bundle`` with a unit
+    arrow (``_unit_defect``); a defect that is not finite means the linking
+    algebra has no unit.  A defect above max(tol, 1e-8), or not finite,
+    fails the verdict, with a note.  No check builds the dense
+    ``ls.algebra``.
     """
     e = ls.equivalence
     notes = []
@@ -329,9 +322,7 @@ def verify_morita(ls: LinkingSystem, tol: float = DEFAULT_TOL,
         del pi, table
     (full_l, rep_l, pos_l), (full_r, rep_r, pos_r) = sides
 
-    # strict assembly already verified the exchange identity (step 5)
-    ex_res = (_exchange_residual(ls.bundle) if ls.verification is None
-              else ls.verification.metrics["step5 exchange"])
+    ex_res = ls.verification.metrics["step5 exchange"]
 
     # the corner projections should sum to the unit: p e_j == e_j p == e_j
     # on the linking bundle's unit products

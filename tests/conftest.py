@@ -12,12 +12,15 @@ from groupoidal import (
     GroupoidHom,
     InternalConsistencyError,
     InvalidStructureError,
+    LinkingSystem,
     SpaceAction,
     StarAlgebra,
     ValidationReport,
     identity_fiber_maps,
+    linking_bundle,
     opposite,
     pullback_bundle,
+    quotient_groupoid,
     section_algebra,
     semidirect_fell_bundle,
     semidirect_left,
@@ -28,7 +31,14 @@ from groupoidal import (
 from groupoidal import morita
 from groupoidal._util import DEFAULT_TOL, deviation, fmt, worst_residual
 from groupoidal.algebras import _coo, _coo_residual
-from groupoidal.bundles import _left_inner, _semidirect_orbit_bundle_action
+from groupoidal.bundles import (
+    _codes,
+    _left_inner,
+    _patterns,
+    _Products,
+    _semidirect_orbit_bundle_action,
+    _tags,
+)
 from groupoidal.groupoids import _orbit_action_data
 from groupoidal.instances import (
     cyclic_group,
@@ -110,6 +120,44 @@ def subalgebra(a, keep, provenance=None):
         invol=a.invol[np.ix_(sel, sel)].copy(),
         provenance=provenance or a.provenance,
     )
+
+
+def exchange_residual(e):
+    """Max entrywise deviation of <a,b>_L . c - a . <b,c>_R over all triples.
+
+    The metric of step 5 of verify_bundle_equivalence, computed alone over
+    the (z, zb, z) triples of linking_bundle(e).  A pair with no bracket
+    raises while the bundle is assembled, and a triple whose two sides lie
+    over different points raises from the associativity kernel.  A
+    reference for step 5.
+    """
+    return _exchange_residual(linking_bundle(e))
+
+
+def _exchange_residual(link):
+    """The worst associativity residual of a linking bundle over its
+    (z, zb, z) triples only: the (z, zb) pairs extended by the (zb, z)
+    pairs, in linking-groupoid order."""
+    kernels = _Products(link)
+    pair_class = _patterns(_tags(link.base), kernels.px, kernels.py)
+    zb, bz = (pair_class == code for code in _codes("zb", "bz"))
+    return worst_residual(kernels.associativity(*kernels.triples(zb, bz)))[0]
+
+
+def unverified_linking_system(e):
+    """linking_system(e) without verify_bundle_equivalence, for negative
+    controls on broken data: linking_bundle(e) assembled unchecked, its
+    corners and corner projections built as linking_system builds them, and
+    a report that carries only the exchange residual, which verify_morita
+    reads.  A pair with no bracket raises."""
+    link = linking_bundle(e)
+    report = ValidationReport(subject="unverified linking system")
+    report.record_metric("step5 exchange", _exchange_residual(link))
+    return LinkingSystem(e, link.base, link,
+                         morita._corner(link, "p", "left corner"),
+                         morita._corner(link, "q", "right corner"),
+                         morita._corner_projection(link, "pu"),
+                         morita._corner_projection(link, "qu"), report)
 
 
 @dataclasses.dataclass(eq=False)
@@ -239,8 +287,9 @@ def semidirect_right_space_action_by_flip(h, s1, s2):
 
 
 def symmetric_groupoid_equivalence_by_flip(x, g, h):
-    left_action = semidirect_space_action(*_orbit_action_data(x, g, h))
-    right_data = _orbit_action_data(opposite(x), opposite(h), opposite(g))
+    left_action = semidirect_space_action(*_orbit_action_data(x, g, h, quotient_groupoid(x, h)))
+    x_op, g_op = opposite(x), opposite(g)
+    right_data = _orbit_action_data(x_op, opposite(h), g_op, quotient_groupoid(x_op, g_op))
     return GroupoidEquivalence(
         left_action, semidirect_right_space_action_by_flip(*map(opposite, right_data)))
 

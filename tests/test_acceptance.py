@@ -10,7 +10,6 @@ import pytest
 
 from groupoidal import (
     NonFreeActionError,
-    linking_system,
     orbit_bundle_action,
     orbit_space_action,
     principal_decomposition,
@@ -50,7 +49,7 @@ from test_algebras import (
     transformation_convolution,
     transformation_involution,
 )
-from conftest import line_bundle_action
+from conftest import line_bundle_action, unverified_linking_system
 
 TOL = 1e-9
 
@@ -272,7 +271,7 @@ def test_criterion_7_negative_controls():
         e.left_inner[key] = np.zeros_like(e.left_inner[key])
     for key in e.right_inner:
         e.right_inner[key] = np.zeros_like(e.right_inner[key])
-    ls = linking_system(e, strict=False)
+    ls = unverified_linking_system(e)
     cert = verify_morita(ls, tol=TOL)
     assert cert.verdict == "not-certified"
     assert cert.fullness_rank_left < cert.left_dimension

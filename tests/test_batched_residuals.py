@@ -14,7 +14,6 @@ from groupoidal import (
     BundleAction,
     FiniteGroupoid,
     check_bundle_action,
-    exchange_residual,
     group_set_action,
     identity_fiber_maps,
     left_translation_action,
@@ -37,7 +36,7 @@ from groupoidal.instances import (
     symmetric_z2z2_bundle,
 )
 
-from conftest import bracket_by_search
+from conftest import bracket_by_search, exchange_residual, unverified_linking_system
 from test_morita import two_dimensional_fiber_instance
 from test_positivity import matrix_fiber_bundle
 
@@ -263,7 +262,7 @@ def test_strict_linking_system_evaluates_each_tuple_once(monkeypatch):
 @pytest.mark.parametrize("seed", range(3))
 def test_linking_bundle_kernels_match_reference(seed):
     rng = np.random.default_rng(3000 + seed)
-    ls = linking_system(symmetric_equivalence(rng, max_units=3), strict=False)
+    ls = unverified_linking_system(symmetric_equivalence(rng, max_units=3))
     corrupt(ls.bundle.mult, rng, 1.5 if seed % 2 else None)
     assert_bundle_matches(ls.bundle)
 

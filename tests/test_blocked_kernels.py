@@ -17,7 +17,6 @@ import pytest
 from groupoidal import (
     BundleAction,
     action_from_unit_map,
-    exchange_residual,
     identity_fiber_maps,
     linking_bundle,
     make_pair_groupoid,
@@ -31,6 +30,7 @@ from groupoidal import bundles, groupoids
 from groupoidal._util import fmt
 from groupoidal.instances import cyclic_group, symmetric_z2z2_bundle
 
+from conftest import exchange_residual
 from test_batched_residuals import (
     STEPS,
     corrupt,

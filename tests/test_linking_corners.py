@@ -32,7 +32,7 @@ from groupoidal import (
 from groupoidal._util import deviation
 from groupoidal.instances import random_free_commuting_instance, symmetric_z2z2_bundle
 
-from conftest import subalgebra
+from conftest import subalgebra, unverified_linking_system
 from test_morita import two_dimensional_fiber_instance
 
 
@@ -62,10 +62,10 @@ def _dense_acts_as_unit(ls, p, limit):
                 and deviation(right, eye) <= limit)
 
 
-@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("assemble", [linking_system, unverified_linking_system])
 @pytest.mark.parametrize("name", sorted(EQUIVALENCES))
-def test_corners_are_the_dense_subalgebras(name, strict):
-    ls = linking_system(EQUIVALENCES[name](), strict=strict)
+def test_corners_are_the_dense_subalgebras(name, assemble):
+    ls = assemble(EQUIVALENCES[name]())
     for corner, tag in ((ls.corner_left, "p"), (ls.corner_right, "q")):
         dense = subalgebra(ls.algebra, lambda lbl, tag=tag: lbl[0][0] == tag)
         assert corner.basis == dense.basis
@@ -146,7 +146,7 @@ def test_unit_check_agrees_with_the_dense_matrices(name):
 def test_unit_check_agrees_with_the_dense_matrices_on_corrupted_data(name, corruption):
     e = EQUIVALENCES[name]()
     CORRUPTIONS[corruption](e)
-    ls = linking_system(e, strict=False)
+    ls = unverified_linking_system(e)
     p = ls.projection_left + ls.projection_right
     assert not morita._unit_defect(ls.bundle, p) <= 1e-8
     assert _dense_acts_as_unit(ls, p, 1e-8) is False
@@ -166,7 +166,7 @@ def test_unit_check_fails_on_an_empty_bundle_and_a_zero_sum():
 def test_failed_unit_check_is_noted_without_the_linking_algebra(corruption, note):
     e = EQUIVALENCES["z2z2"]()
     CORRUPTIONS[corruption](e)
-    ls = linking_system(e, strict=False)
+    ls = unverified_linking_system(e)
     cert = verify_morita(ls)
     assert note in cert.notes
     assert "algebra" not in vars(ls)
@@ -180,7 +180,7 @@ def test_failed_unit_check_is_noted_without_the_linking_algebra(corruption, note
 def test_failed_unit_check_enters_the_verdict(name, verdict):
     e = EQUIVALENCES[name]()
     _scaled_unit_product(e)
-    cert = verify_morita(linking_system(e, strict=False))
+    cert = verify_morita(unverified_linking_system(e))
     assert cert.verdict == verdict
     assert any(n.startswith("corner projections do not sum to the unit") for n in cert.notes)
 

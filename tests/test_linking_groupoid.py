@@ -1,9 +1,9 @@
 """The linking groupoid is validated on the tuple table of its bundle.
 
-A strict linking_system checks the groupoid axioms of the linking groupoid
-on the integer tuple table (``bundles._Products``) that
-verify_bundle_equivalence numbered for the linking bundle, so its
-composable triples are enumerated once.  The table's report must be
+linking_system, which builds only verified linking systems, checks the
+groupoid axioms of the linking groupoid on the integer tuple table
+(``bundles._Products``) that verify_bundle_equivalence numbered for the
+linking bundle, so its composable triples are enumerated once.  The table's report must be
 validate_groupoid's, check for check: names, pass or fail, and witnesses,
 on the intact groupoid and on corrupted copies of its composition,
 inverse and unit arrows.

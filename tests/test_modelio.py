@@ -494,6 +494,47 @@ end
     assert "precondition" in out and "not free" in out
 
 
+@pytest.mark.parametrize("left_on,right_on", [("Y", "X"), ("X", "Y")])
+def test_cli_groupoid_equivalence_needs_both_actions_on_the_target(
+        tmp_path, capsys, left_on, right_on):
+    # an action on another groupoid than the scenario's target fails the
+    # precondition by name, not through a missing entry of an action table
+    perm = {"X": "2 1 4 3", "Y": "2 1 4 3 6 5"}
+    text = f"""
+version 1
+group Z2 cyclic 2
+groupoid X pair 4
+groupoid Y pair 6
+action GL
+  kind: group_on_groupoid
+  group: Z2
+  target: {left_on}
+  side: left
+  unit_perm 1: {perm[left_on]}
+end
+action HR
+  kind: group_on_groupoid
+  group: Z2
+  target: {right_on}
+  side: right
+  unit_perm 1: {perm[right_on]}
+end
+scenario s
+  op: groupoid_equivalence
+  target: X
+  left: GL
+  right: HR
+end
+"""
+    p = tmp_path / "other_target.model"
+    p.write_text(text)
+    code = main(["check-equivalence", "s", str(p)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "    precondition: both actions must act on x" in captured.out.splitlines()
+    assert "Traceback" not in captured.err
+
+
 _PAIR2 = """
 version 1
 group Z2 cyclic 2

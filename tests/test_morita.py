@@ -11,7 +11,6 @@ from groupoidal import (
     SpaceAction,
     coaction_demo,
     cstar_bundle_morita,
-    exchange_residual,
     group_set_action,
     identity_fiber_maps,
     linking_system,
@@ -43,7 +42,12 @@ from groupoidal.instances import (
 )
 from groupoidal._util import fmt
 
-from conftest import assert_close, dense_raeburn_side
+from conftest import (
+    assert_close,
+    dense_raeburn_side,
+    exchange_residual,
+    unverified_linking_system,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -114,7 +118,7 @@ def test_zeroed_off_diagonal_fails_fullness(z2z2_bundle):
         e.left_inner[key] = np.zeros_like(e.left_inner[key])
     for key in e.right_inner:
         e.right_inner[key] = np.zeros_like(e.right_inner[key])
-    ls = linking_system(e, strict=False)
+    ls = unverified_linking_system(e)
     cert = verify_morita(ls)
     assert cert.verdict == "not-certified"
     assert cert.fullness_rank_left == 0
@@ -130,7 +134,7 @@ def test_fullness_closes_one_inner_product_under_the_corner(z2z2_bundle):
     for key in e.left_inner:
         if key != kept:
             e.left_inner[key] = np.zeros_like(e.left_inner[key])
-    ls = linking_system(e, strict=False)
+    ls = unverified_linking_system(e)
     corner = ls.corner_left
     z = kept[0]
     arrow = ls.groupoid.comp[(("z", z), ("zb", z))]
@@ -165,36 +169,71 @@ def test_exchange_residual_matches_linking_defect(z2z2_bundle):
     assert exchange_residual(e) > 1e-9
 
 
-def test_unverified_paths_reject_a_pair_without_bracket(z2z2_bundle):
-    # an inner product on points in different sigma fibers has no bracket;
-    # the paths that skip verification must still name the pair
-    e = symmetric_action_equivalence(*z2z2_bundle)
+def _cross_fiber_inner_product(bundle):
+    """The z2z2 equivalence with one left inner product keyed by points in
+    different sigma fibers, a pair with no bracket; and that pair."""
+    e = symmetric_action_equivalence(*bundle)
     z1, z2 = next((a, b) for a in e.base.space for b in e.base.space
                   if e.base.sigma[a] != e.base.sigma[b])
     e.left_inner[(z1, z2)] = e.left_inner[(z1, z1)]
-    with pytest.raises(InvalidStructureError, match=re.escape(f"no bracket at {fmt((z1, z2))}")):
-        exchange_residual(e)
-    with pytest.raises(InvalidStructureError, match="no bracket"):
-        linking_system(e, strict=False)
+    return e, (z1, z2)
 
 
-def test_unverified_paths_reject_a_moved_action_entry():
-    # moving one action entry to another point of its fiber leaves a pair of
-    # the inner products without a bracket; a seeded sample of those moves
+def _moved_action_entries():
+    """A seeded sample of 24 moves (side, key, point) of one action entry of
+    the z2z2 equivalence to another point of its fiber; each leaves a pair of
+    the inner products without a bracket."""
     base = symmetric_action_equivalence(*symmetric_z2z2_bundle()).base
     moves = [(side, key, v)
              for side, fiber in (("left_action", base.rho), ("right_action", base.sigma))
              for key, v0 in getattr(base, side).act.items()
              for v in base.space if v != v0 and fiber[v] == fiber[v0]]
+    return [moves[k] for k in np.random.default_rng(14).choice(len(moves), size=24, replace=False)]
+
+
+def _moved(side, key, v):
+    e = symmetric_action_equivalence(*symmetric_z2z2_bundle())
+    getattr(e.base, side).act[key] = v
+    return e
+
+
+def test_unverified_paths_reject_a_pair_without_bracket(z2z2_bundle):
+    # an inner product on points in different sigma fibers has no bracket;
+    # the paths that skip verification must still name the pair
+    e, (z1, z2) = _cross_fiber_inner_product(z2z2_bundle)
+    with pytest.raises(InvalidStructureError, match=re.escape(f"no bracket at {fmt((z1, z2))}")):
+        exchange_residual(e)
+    with pytest.raises(InvalidStructureError, match="no bracket"):
+        unverified_linking_system(e)
+
+
+def test_unverified_paths_reject_a_moved_action_entry():
+    base = symmetric_action_equivalence(*symmetric_z2z2_bundle()).base
     named = {f"no bracket at {fmt((z1, z2))}" for z1 in base.space for z2 in base.space}
-    for k in np.random.default_rng(14).choice(len(moves), size=24, replace=False):
-        side, key, v = moves[k]
-        for run in (exchange_residual, lambda f: linking_system(f, strict=False)):
-            e = symmetric_action_equivalence(*symmetric_z2z2_bundle())
-            getattr(e.base, side).act[key] = v
+    for move in _moved_action_entries():
+        for run in (exchange_residual, unverified_linking_system):
             with pytest.raises(InvalidStructureError) as exc:
-                run(e)
+                run(_moved(*move))
             assert str(exc.value) in named
+
+
+def test_verified_path_rejects_a_pair_without_bracket(z2z2_bundle):
+    # verification fails on the inner product's key before any bracket is read
+    e, pair = _cross_fiber_inner_product(z2z2_bundle)
+    with pytest.raises(InvalidStructureError, match=re.escape(
+            f"linking_system: left inner product defined on sigma pairs failed [{fmt(pair)}]")):
+        linking_system(e)
+
+
+def test_verified_path_rejects_a_moved_action_entry():
+    # the moved entry breaks the action's compatibility with composition,
+    # which the base's check names before any bracket is read
+    for side, key, v in _moved_action_entries():
+        with pytest.raises(InvalidStructureError) as exc:
+            linking_system(_moved(side, key, v))
+        assert str(exc.value).startswith(f"linking_system: base: {side.split('_')[0]} "
+                                         "action: compatible with composition failed")
+        assert "no bracket" not in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

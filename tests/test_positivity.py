@@ -28,7 +28,7 @@ from groupoidal import (
 from groupoidal._util import deviation, fmt
 from groupoidal.instances import cyclic_group, matrix_algebra, symmetric_z2z2_bundle
 
-from conftest import bracket_by_search
+from conftest import bracket_by_search, unverified_linking_system
 from test_algebras import _conjugate_basis, _direct_sum_blocks, _unit_plus_nilpotent
 from test_morita import _phase_twisted_z2z2, two_dimensional_fiber_instance
 
@@ -151,12 +151,11 @@ CASES = {
         symmetric_action_equivalence(*translation_instance(2, 3, seed=1))), seed=r)
        for r in (1, 5)},
     "coaction_m2_fibers": lambda: coaction_demo(matrix_fiber_bundle(2, 2)),
-    "negated_diagonal": lambda: verify_morita(linking_system(negated_diagonal_z2z2(),
-                                                             strict=False)),
+    "negated_diagonal": lambda: verify_morita(unverified_linking_system(negated_diagonal_z2z2())),
     "phase_twisted": _symmetric(_phase_twisted_z2z2),
     "two_dim_fibers": _symmetric(two_dimensional_fiber_instance),
-    "two_dim_fibers_noisy": lambda: verify_morita(linking_system(
-        noisy_two_dimensional_fibers(), strict=False)),
+    "two_dim_fibers_noisy": lambda: verify_morita(unverified_linking_system(
+        noisy_two_dimensional_fibers())),
 }
 
 
@@ -207,7 +206,7 @@ def test_nan_inner_product_is_not_certified():
     e = symmetric_action_equivalence(*symmetric_z2z2_bundle())
     key = next(k for k in e.left_inner if k[0] != k[1])
     e.left_inner[key] = e.left_inner[key] * np.nan
-    cert = verify_morita(linking_system(e, strict=False))
+    cert = verify_morita(unverified_linking_system(e))
     assert cert.verdict == "not-certified"
     assert np.isnan(cert.positivity_margin_left)
     assert f"left inner product not finite at {fmt(key)}" in cert.notes
@@ -220,7 +219,7 @@ def test_nan_module_product_is_not_certified():
     e = symmetric_action_equivalence(*symmetric_z2z2_bundle())
     key = next(iter(e.left_tensors))
     e.left_tensors[key] = e.left_tensors[key] * np.nan
-    cert = verify_morita(linking_system(e, strict=False))
+    cert = verify_morita(unverified_linking_system(e))
     assert cert.verdict == "not-certified"
     assert "linking algebra has no unit" in cert.notes
 

@@ -4,6 +4,7 @@ the earlier ones (conftest), which relabeled a second build instead."""
 
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +191,15 @@ def test_two_sided_raeburn_demo_checks_each_action_once(capsys):
     counts = _call_counts(lambda: main(["demo", "raeburn", "--two-sided"]), *_CHECKS)
     assert counts == {"check_bundle_action": 5, "check_action": 5, "require_free": 2,
                       "regular_representation": 4}
+
+
+def test_base_equivalence_scenario_checks_each_action_once(capsys):
+    # g and h once, as hypotheses, and the action each induces on its side's
+    # quotient once; both sides quotient unchecked
+    model = str(Path(__file__).resolve().parent.parent / "models" / "symmetric_z2z2.model")
+    counts = _call_counts(lambda: main(["check-equivalence", "base_equivalence", model]),
+                          gpd_mod.check_action, gpd_mod.require_free, gpd_mod.quotient_groupoid)
+    assert counts == {"check_action": 4, "require_free": 2, "quotient_groupoid": 0}
 
 
 def _group_law_failure():
