@@ -11,12 +11,11 @@ structure constants are exact small rationals in every shipped instance.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import _BLOCK, DEFAULT_TOL, _ranges, deviation, fmt, worst_residual
+from ._util import _BLOCK, DEFAULT_TOL, deviation, fmt, worst_residual
 from .groupoids import (
     FiniteGroup,
     FiniteGroupoid,
@@ -45,6 +44,7 @@ from .groupoids import (
     verify_groupoid_equivalence,
     _Transposed,
     _flip,
+    _group_by,
     _groupoid_axioms,
     _orbit_action_data,
     _other_side,
@@ -52,7 +52,11 @@ from .groupoids import (
     _quotient_groupoid,
     _require_acting_on,
     _semidirect_left,
-    _unique_unit_shift,
+    _Ids,
+    _UnitShifts,
+    _first,
+    _group_law_ids,
+    _image_table,
 )
 from .report import (
     InternalConsistencyError,
@@ -145,6 +149,33 @@ def _residuals(lhs: str, rhs: str, tables: list, rows) -> np.ndarray:
                         - np.einsum(batched[1], *ops[n_lhs:]))
                 res[chunk] = np.abs(diff).reshape(len(chunk), -1).max(axis=1)
     return residuals
+
+
+def _contracted(spec: str, rows: list) -> list:
+    """np.einsum(spec, *row) for each row of operands, in row order.
+
+    The rows are grouped by the shapes of their operands, and each group is
+    contracted by one einsum over its stacked operands, _BLOCK rows at a
+    time, with optimize off as in _residuals, so that every entry is summed
+    in the order of the unbatched einsum.
+    """
+    batched = "Z" + spec.replace(",", ",Z").replace("->", "->Z")
+    columns = list(zip(*rows))
+    groups: dict = {}
+    for i, key in enumerate(zip(*[[t.shape for t in column] for column in columns])):
+        groups.setdefault(key, []).append(i)
+    out = [None] * len(rows)
+    for members in groups.values():
+        for block in _blocks(len(members)):
+            chunk = members[block]
+            results = np.einsum(batched, *[np.array([column[i] for i in chunk])
+                                           for column in columns])
+            if len(groups) == 1:
+                out[block] = results
+            else:
+                for i, result in zip(chunk, results):
+                    out[i] = result
+    return out
 
 
 @dataclass(eq=False)
@@ -320,15 +351,6 @@ class _Products:
         self.conj = cls, pos, [np.conjugate(s) for s in stacks]
         self.stars = _shape_classes([b.star[a] for a in g.arrows])
 
-    def triples(self, first=slice(None), second=slice(None)) -> tuple:
-        """The triples (x, y, z) with (x, y) among the pairs ``first`` and
-        (y, z) among the pairs ``second`` (all pairs by default; an index or
-        a mask of pair numbers), as id columns in composable_triples() order."""
-        k, j = (np.arange(len(self.px))[sel] for sel in (first, second))
-        row = np.searchsorted(self.px[j], np.arange(len(self.row)))
-        owner, at = _ranges(row[self.py[k]], row[self.py[k] + 1])
-        return self.px[k[owner]], self.py[k[owner]], self.py[j[at]]
-
     def triples_at(self, at) -> tuple:
         """The triples at positions ``at`` of the enumeration, as id columns."""
         k = np.searchsorted(self.offset, at, side="right") - 1
@@ -445,53 +467,51 @@ def check_bundle_action(ba: BundleAction, tol: float = DEFAULT_TOL) -> Validatio
     if bad:
         return rep
 
-    # each law batched over its tuples by shape class (_residuals)
-    arrows, inv = b.base.arrows, b.base.inv
-    fid, fms = _numbered(ba.fiber_maps)
-    sid, stars = _numbered(b.star)
+    # each law batched over its tuples by shape class (_residuals), on ids
+    # numbered once: fiber map (t, x) is number t * n + x (element, then
+    # arrow order), star x and the identity on the fiber at x number x, and
+    # a product the number of its pair in composable_pairs() order
+    ids = _Ids(b.base)
+    n, arrows, (px, py) = ids.n, ids.arrows, ids.pairs
+    elements, img = _image_table(act, ids)
+    fm = np.arange(len(elements) * n).reshape(-1, n)
+    fms = _shape_classes([ba.fiber_maps[(t, x)] for t in elements for x in arrows])
+    stars = _shape_classes([b.star[x] for x in arrows])
     res = _residuals("ij->ij", "ij->ij", [fms, [np.eye(b.dim[x]) for x in arrows]],
-                     [(fid[(g.identity, x)], k) for k, x in enumerate(arrows)])
-    bad = np.flatnonzero(~(res <= tol))
-    rep.add("identity acts as the identity map", not bad.size,
-            fmt(arrows[bad[0]]) if bad.size else None)
+                     np.stack([fm[elements.index(g.identity)], np.arange(n)], axis=1))
+    k = _first(~(res <= tol))
+    rep.add("identity acts as the identity map", k is None,
+            fmt(arrows[k]) if k is not None else None)
 
-    tuples, ids = [], []
-    for s, t in itertools.product(g.elements, repeat=2):
-        prod = g.mul(s, t) if ba.side == "left" else g.mul(t, s)
-        for x in arrows:
-            tuples.append((s, t, x))
-            ids.append((fid[(s, act.act[(t, x)])], fid[(t, x)], fid[(prod, x)]))
-    worst, i = worst_residual(_residuals("ij,jk->ik", "ik->ik", [fms] * 3, ids))
+    first, second, prod = _group_law_ids(g, elements, ba.side)
+    worst, i = worst_residual(_residuals("ij,jk->ik", "ik->ik", [fms] * 3, np.stack(
+        [fm[first[:, None], img[second, :n]], fm[second], fm[prod]], axis=2)))
     rep.record_metric("group law", worst)
-    rep.add("fiber maps satisfy the group law", worst <= tol,
-            None if worst <= tol else fmt(tuples[i]))
+    rep.add("fiber maps satisfy the group law", worst <= tol, None if worst <= tol else
+            fmt((elements[first[i // n]], elements[second[i // n]], arrows[i % n])))
 
-    mid, mts = _numbered(b.mult)
-    tuples, ids = [], []
-    for t in g.elements:
-        for (x, y) in b.base.composable_pairs():
-            tuples.append((t, x, y))
-            ids.append((fid[(t, b.base.comp[(x, y)])], mid[(x, y)],
-                        mid[(act.act[(t, x)], act.act[(t, y)])], fid[(t, x)], fid[(t, y)]))
+    mts = _shape_classes([b.mult[(arrows[x], arrows[y])]
+                          for x, y in zip(px.tolist(), py.tolist())])
+    pair_id = np.full((n + 1, n + 1), -1, dtype=np.intp)
+    pair_id[px, py] = np.arange(len(px))
+    pair = np.broadcast_to(np.arange(len(px)), (len(elements), len(px)))
     worst, i = worst_residual(_residuals(
-        "kl,lij->kij", "kab,ai,bj->kij", [fms, mts, mts, fms, fms], ids))
+        "kl,lij->kij", "kab,ai,bj->kij", [fms, mts, mts, fms, fms], np.stack(
+            [fm[:, ids.table[px, py]], pair, pair_id[img[:, px], img[:, py]],
+             fm[:, px], fm[:, py]], axis=2)))
     rep.record_metric("multiplicativity", worst)
-    rep.add("fiber maps preserve multiplication", worst <= tol,
-            None if worst <= tol else fmt(tuples[i]))
+    rep.add("fiber maps preserve multiplication", worst <= tol, None if worst <= tol else
+            fmt((elements[i // len(px)], arrows[px[i % len(px)]], arrows[py[i % len(px)]])))
 
     # star[t.x] conj(F(t, x)) == F(t, inv x) star[x]
     cls, pos, stacks = fms
     conj = cls, pos, [np.conjugate(stack) for stack in stacks]
-    tuples, ids = [], []
-    for t in g.elements:
-        for x in arrows:
-            tuples.append((t, x))
-            ids.append((sid[act.act[(t, x)]], fid[(t, x)], fid[(t, inv[x])], sid[x]))
     worst, i = worst_residual(_residuals(
-        "ij,jk->ik", "il,lk->ik", [stars, conj, fms, stars], ids))
+        "ij,jk->ik", "il,lk->ik", [stars, conj, fms, stars], np.stack(
+            [img[:, :n], fm, fm[:, ids.inv], np.broadcast_to(np.arange(n), fm.shape)], axis=2)))
     rep.record_metric("star equivariance", worst)
     rep.add("fiber maps preserve the involution", worst <= tol,
-            None if worst <= tol else fmt(tuples[i]))
+            None if worst <= tol else fmt((elements[i // n], arrows[i % n])))
 
     rep.note("isometry: automorphisms of the *-structure are isometric for "
              "the regular-representation norms, so no norm check is stored")
@@ -580,11 +600,9 @@ def semidirect_fell_bundle(a: FellBundle, ba: BundleAction,
     _require_acting_on(act, a.base, "left", "semidirect_left")
     base = _semidirect_left(a.base, act)
     dim = {(x, s): a.dim[x] for (x, s) in base.arrows}
-    mult = {}
-    for ((x, s), (y, t)) in base.composable_pairs():
-        sy = act.act[(s, y)]
-        mult[((x, s), (y, t))] = np.einsum(
-            "kib,bj->kij", a.mult[(x, sy)], ba.fiber_maps[(s, y)])
+    pairs = list(base.composable_pairs())
+    mult = dict(zip(pairs, _contracted("kib,bj->kij", [
+        (a.mult[(x, act.act[(s, y)])], ba.fiber_maps[(s, y)]) for (x, s), (y, _t) in pairs])))
     star = {}
     for (x, s) in base.arrows:
         si = g.inv_elem(s)
@@ -646,13 +664,12 @@ def _quotient_fell_bundle(a: FellBundle, ba: BundleAction) -> tuple[FellBundle, 
     transport = {x: ba.fiber_maps[(h.inv_elem(qmap.shift[x]), x)] for x in a.base.arrows}
 
     dim = {p: a.dim[p] for p in quot.arrows}
-    mult = {}
-    for (p, q) in quot.composable_pairs():
-        t = _unique_unit_shift(act, a.base.src[p], a.base.rng[q])
-        w = a.base.comp[(act.act[(t, p)], q)]
-        mult[(p, q)] = np.einsum(
-            "kl,lbj,bi->kij", transport[w], a.mult[(act.act[(t, p)], q)],
-            ba.fiber_maps[(t, p)])
+    shifts, pairs, rows = _UnitShifts(act), list(quot.composable_pairs()), []
+    for (p, q) in pairs:
+        t = shifts(a.base.src[p], a.base.rng[q])
+        tp = act.act[(t, p)]
+        rows.append((transport[a.base.comp[(tp, q)]], a.mult[(tp, q)], ba.fiber_maps[(t, p)]))
+    mult = dict(zip(pairs, _contracted("kl,lbj,bi->kij", rows)))
     star = {}
     for p in quot.arrows:
         pi = a.base.inv[p]
@@ -708,12 +725,11 @@ def orbit_bundle_action(a: FellBundle, ba: BundleAction) -> BundleModuleAction:
     qb, qm = quotient_fell_bundle(a, ba)
     act = ba.base_action
     base = orbit_space_action(a.base, act, _quotient=(qb.base, qm.base))
-    tensors = {}
+    shifts, rows = _UnitShifts(act), []
     for (p, z) in base.act:
-        t = _unique_unit_shift(act, a.base.src[p], a.base.rng[z])
-        tp = act.act[(t, p)]
-        tensors[(p, z)] = np.einsum(
-            "kaj,ai->kij", a.mult[(tp, z)], ba.fiber_maps[(t, p)])
+        t = shifts(a.base.src[p], a.base.rng[z])
+        rows.append((a.mult[(act.act[(t, p)], z)], ba.fiber_maps[(t, p)]))
+    tensors = dict(zip(base.act, _contracted("kaj,ai->kij", rows)))
     dims = {z: a.dim[z] for z in a.base.arrows}
     return BundleModuleAction(qb, base, dims, tensors, qm)
 
@@ -743,15 +759,12 @@ def _semidirect_orbit_bundle_action(a: FellBundle, g: BundleAction, h: BundleAct
     base = semidirect_space_action(*_orbit_action_data(a.base, gact, hact, (qb.base, qm.base)),
                                    semidirect=acting.base)
 
-    tensors = {}
+    shifts, rows = _UnitShifts(hact), []
     for ((p, t), z) in base.act:
-        k = _unique_unit_shift(hact, a.base.src[p],
-                               gact.unit_image(t, a.base.rng[z]))
-        pk = hact.act[(k, p)]
-        tz = gact.act[(t, z)]
-        tensors[((p, t), z)] = np.einsum(
-            "kab,ai,bj->kij", a.mult[(pk, tz)],
-            h.fiber_maps[(k, p)], g.fiber_maps[(t, z)])
+        k = shifts(a.base.src[p], gact.unit_image(t, a.base.rng[z]))
+        rows.append((a.mult[(hact.act[(k, p)], gact.act[(t, z)])],
+                     h.fiber_maps[(k, p)], g.fiber_maps[(t, z)]))
+    tensors = dict(zip(base.act, _contracted("kab,ai,bj->kij", rows)))
     dims = {z: a.dim[z] for z in a.base.arrows}
     return BundleModuleAction(acting, base, dims, tensors, qm)
 
@@ -799,10 +812,17 @@ def _check_symmetric_bundle_hypotheses(a: FellBundle, g: BundleAction, h: Bundle
         raise InvalidStructureError(
             f"base actions do not commute at ({fmt(wit[0])},{fmt(wit[1])},{fmt(wit[2])})"
         )
-    worst, _i = worst_residual([
-        deviation(h.fiber_maps[(k, g.base_action.act[(t, x)])] @ g.fiber_maps[(t, x)],
-                  g.fiber_maps[(t, h.base_action.act[(k, x)])] @ h.fiber_maps[(k, x)])
-        for t in g.group.elements for k in h.group.elements for x in a.base.arrows])
+    # F_h(k, t.x) F_g(t, x) == F_g(t, x.k) F_h(k, x), over (t, k, x) in
+    # element and arrow order; fiber map (t, x) is number t * n + x
+    ids = _Ids(a.base)
+    n, ((g_els, g_img), (h_els, h_img)) = ids.n, (_image_table(ba.base_action, ids)
+                                                  for ba in (g, h))
+    f_g, f_h = (_shape_classes([ba.fiber_maps[(t, x)] for t in els for x in ids.arrows])
+                for ba, els in ((g, g_els), (h, h_els)))
+    t, k, x = np.meshgrid(np.arange(len(g_els)), np.arange(len(h_els)), np.arange(n),
+                          indexing="ij")
+    worst, _i = worst_residual(_residuals("ij,jk->ik", "ij,jk->ik", [f_h, f_g, f_g, f_h], np.stack(
+        [k * n + g_img[t, x], t * n + x, t * n + h_img[k, x], k * n + x], axis=-1)))
     if not worst <= tol:
         raise InvalidStructureError(
             f"fiber actions do not commute (residual {worst:.3e})"
@@ -955,17 +975,18 @@ def _left_inner(a: FellBundle, g: BundleAction, transport: dict, sigma: dict) ->
     the fiber transport of a onto a/H: <a, b>_L = (a(t.b*).H, t) on the
     pairs with equal ``sigma``, t the unique matching translate."""
     x, gact = a.base, g.base_action
-    inner = {}
+    shifts, fibers = _UnitShifts(gact), _group_by(x.arrows, sigma)
+    keys, twists, rows = [], [], []
     for z1 in x.arrows:
-        for z2 in x.arrows:
-            if sigma[z1] == sigma[z2]:
-                t = _unique_unit_shift(gact, x.src[z2], x.src[z1])
-                tz2i = gact.act[(t, x.inv[z2])]
-                twist = np.einsum("cd,dj->cj", g.fiber_maps[(t, x.inv[z2])], a.star[z2])
-                inner[(z1, z2)] = np.einsum(
-                    "lm,mic,cj->lij",
-                    transport[x.comp[(z1, tz2i)]], a.mult[(z1, tz2i)], twist)
-    return inner
+        for z2 in fibers[sigma[z1]]:
+            t = shifts(x.src[z2], x.src[z1])
+            tz2i = gact.act[(t, x.inv[z2])]
+            keys.append((z1, z2))
+            twists.append((g.fiber_maps[(t, x.inv[z2])], a.star[z2]))
+            rows.append((transport[x.comp[(z1, tz2i)]], a.mult[(z1, tz2i)]))
+    twists = _contracted("cd,dj->cj", twists)
+    return dict(zip(keys, _contracted("lm,mic,cj->lij",
+                                      [row + (twist,) for row, twist in zip(rows, twists)])))
 
 
 def symmetric_action_equivalence(a: FellBundle, g: BundleAction, h: BundleAction,
@@ -1272,12 +1293,15 @@ def verify_bundle_equivalence(e: BundleEquivalence,
     record("step 3: inner products adjoint-symmetric", "step3 adjoint symmetry",
            scan(anti, pair_class, classes("zb")) + scan(anti, pair_class, classes("bz")),
            lambda r: untagged((g.arrows[px[r]], g.arrows[py[r]])))
-    # the right class of step 4 in the order of the right action table at (q, z2)
+    # the right class of step 4 in the order of the right action table at
+    # (q, z2): each key numbered by the linking ids of its arrows, q then z
     right = np.flatnonzero(triple_class == _codes("bzq")[0])
-    rank = {k: n for n, k in enumerate(base.right_action.act)}
+    n, ix = len(g.arrows), kernels.ix
+    code = np.array([ix[("q", q)] * n + ix[("z", z)] for q, z in base.right_action.act],
+                    dtype=np.int64)
+    rank = np.argsort(code, kind="stable")
     rx, ry, rw = kernels.triples_at(right)
-    walk = [rank[(g.arrows[c][1], g.arrows[b][1])] for b, c in zip(ry, rw)]
-    right = right[np.lexsort((rx, walk))]
+    right = right[np.lexsort((rx, rank[np.searchsorted(code[rank], rw * n + ry)]))]
     worst, i = worst_residual(assoc[right])
     record("step 4: inner products compatible with the module actions",
            "step4 module compatibility",

@@ -15,6 +15,19 @@ Haar systems are fixed to counting measures on range fibers; they exist for
 every finite groupoid and are invariant under any action by automorphisms,
 so no measure data is stored.  Properness checks are vacuous for finite
 discrete spaces and are reported as notes.
+
+Checks read integer tables numbered per call.  check_action, is_free,
+require_free and actions_commute read one |G| x arrows image table;
+check_space_action and verify_groupoid_equivalence (items (i)-(v), the
+brackets and their joint surjectivity) read the action tables as id columns
+in table order; the quotient and orbit constructions read one unit-shift
+table per action.  Nothing is cached on the labelled objects: tables may be
+edited in place between two checks, and the second must see the edit.  A
+witness is the first failing tuple in the order of the label walk each check
+replaced; a label the ids cannot name is read by label, and only when it may
+be the witness.  validate_groupoid keeps its label walk of
+composable_triples() for associativity, the one enumeration of a groupoid's
+triples by label, which the benchmark counts.
 """
 
 from __future__ import annotations
@@ -22,7 +35,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from functools import singledispatch
+from functools import cached_property, singledispatch
 
 import numpy as np
 
@@ -41,24 +54,6 @@ def _group_by(items, label) -> dict:
     for item in items:
         groups.setdefault(label[item], []).append(item)
     return groups
-
-
-def _components(points, pairs) -> list:
-    """The classes of points linked by the pairs, each in point order.
-
-    Classes come in the order of their first members.
-    """
-    root = {z: z for z in points}
-
-    def find(z):
-        while root[z] != z:
-            root[z] = root[root[z]]
-            z = root[z]
-        return z
-
-    for z1, z2 in pairs:
-        root[find(z1)] = find(z2)
-    return list(_group_by(points, {z: find(z) for z in points}).values())
 
 
 @dataclass
@@ -182,6 +177,14 @@ class _Transposed(Mapping):
 
     def __len__(self):
         return len(self.table)
+
+    def __eq__(self, other):
+        # two views of one table through one value function are equal at once
+        if isinstance(other, _Transposed) and other.value is self.value and (
+                other.table is self.table
+                or isinstance(self.table, _Transposed) and self.table == other.table):
+            return True
+        return super().__eq__(other)
 
 
 def _other_side(side: str) -> str:
@@ -392,9 +395,9 @@ def _groupoid_axioms(g: FiniteGroupoid, pairs, triples) -> ValidationReport:
     if pairs is None:
         px, py = _pair_ids(s, r, len(point))
         # -1 for a missing product, n for one that is not an arrow
-        prod = np.array([ix.get(g.comp[k], n) if k in g.comp else -1 for k in zip(
-            (g.arrows[a] for a in px.tolist()), (g.arrows[b] for b in py.tolist()))],
-            dtype=np.intp)
+        none = object()
+        keys = zip(*(map(g.arrows.__getitem__, c.tolist()) for c in (px, py)))
+        prod = _ids_of(map(g.comp.get, keys, itertools.repeat(none)), {**ix, none: -1}, n)
     else:
         px, py, prod = pairs
 
@@ -454,6 +457,158 @@ def _groupoid_axioms(g: FiniteGroupoid, pairs, triples) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
+# integer numbering
+#
+# A check or construction numbers the labels it reads once per call and
+# works on integer columns from then on.  Nothing is kept on the labelled
+# objects: their tables may be edited between calls, and each call reads
+# them as they are.  An entry the columns cannot name (a label outside the
+# arrows or the points) is read by label, and only when it may be the
+# witness.
+
+
+def _numbering(labels) -> dict:
+    """Each distinct label's id, in order of first appearance."""
+    return {x: i for i, x in enumerate(dict.fromkeys(labels))}
+
+
+def _ids_of(labels, ids: dict, missing: int) -> np.ndarray:
+    """The id of each label, ``missing`` for a label that ``ids`` lacks."""
+    return np.fromiter(map(ids.get, labels, itertools.repeat(missing)), dtype=np.intp)
+
+
+def _first(mask) -> int | None:
+    """The first position that ``mask`` marks, or None."""
+    hit = np.flatnonzero(mask)
+    return int(hit[0]) if hit.size else None
+
+
+def _first_failure(bad, unnamed, failing) -> int | None:
+    """The first failing position: ``bad`` marks the failures among the
+    entries the id columns name, and ``failing(k)`` tests by label the
+    entries at the positions ``unnamed``, in order, up to the first marked
+    failure."""
+    stop = _first(bad)
+    for k in unnamed.tolist():
+        if stop is not None and k > stop:
+            break
+        if failing(k):
+            return k
+    return stop
+
+
+def _blocks_of(n: int, width: int):
+    """range(n) as consecutive slices, each covering at most _BLOCK entries
+    of ``width`` each (at least one)."""
+    step = max(1, _BLOCK // max(width, 1))
+    for lo in range(0, n, step):
+        yield slice(lo, min(lo + step, n))
+
+
+class _Ids:
+    """A groupoid's arrows and units, numbered once for one call.
+
+    ``arrows`` lists each arrow label once, in arrow order, and ``ix``
+    numbers them; n is their number.  ``point`` numbers the units in unit
+    order, then every other src or rng value in arrow order, so that two
+    ids are equal exactly when their labels are; s and r are the src and
+    rng ids of the arrows.  inv and unit (the unit arrow of each unit) are
+    arrow ids, n for a label that is not an arrow.  ``table`` is the
+    (n + 1) x (n + 1) product table read from comp, n where a pair has no
+    product or its product is not an arrow; row and column n stand for a
+    label that is not an arrow.
+    """
+
+    def __init__(self, g: FiniteGroupoid):
+        self.g = g
+        self.ix = _numbering(g.arrows)
+        self.arrows = tuple(self.ix)
+        self.n = len(self.arrows)
+
+    @cached_property
+    def _ends(self) -> tuple:
+        g, point = self.g, _numbering(self.g.units)
+        s, r = (np.array([point.setdefault(end[x], len(point)) for x in self.arrows],
+                         dtype=np.intp) for end in (g.src, g.rng))
+        return point, s, r
+
+    point = property(lambda self: self._ends[0])
+    s = property(lambda self: self._ends[1])
+    r = property(lambda self: self._ends[2])
+
+    @cached_property
+    def pairs(self) -> tuple:
+        """The composable pairs as id columns, in composable_pairs() order."""
+        return _pair_ids(self.s, self.r, len(self.point))
+
+    @cached_property
+    def inv(self) -> np.ndarray:
+        return np.array([self.ix.get(self.g.inv.get(x), self.n) for x in self.arrows],
+                        dtype=np.intp)
+
+    @cached_property
+    def unit(self) -> np.ndarray:
+        """The unit arrow of each point (n past the units)."""
+        unit = np.full(len(self.point), self.n, dtype=np.intp)
+        unit[:len(self.g.units)] = [self.ix.get(self.g.unit_arrow.get(u), self.n)
+                                    for u in self.g.units]
+        return unit
+
+    @cached_property
+    def is_unit(self) -> np.ndarray:
+        """is_unit_arrow() of each arrow."""
+        return (self.s == self.r) & (self.unit[self.r] == np.arange(self.n))
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        n, ix, comp, swap = self.n, self.ix, self.g.comp, False
+        while isinstance(comp, _Transposed) and comp.value is None:
+            comp, swap = comp.table, not swap  # an opposite reads its table transposed
+        x, y = (_ids_of(labels, ix, n) for labels in zip(*comp)) if comp else ([], [])
+        if swap:
+            x, y = y, x
+        # Ids are 32-bit: the (n + 1)^2 table caps n far below 2^31.
+        table = np.full((n + 1, n + 1), n, dtype=np.int32)
+        table[x, y] = _ids_of(comp.values(), ix, n)
+        table[n], table[:, n] = n, n
+        return table
+
+
+def _image_table(a: GroupAction, ids: _Ids) -> tuple:
+    """The group's elements numbered, and the action as a |G| x (n + 1)
+    table of arrow ids over ``ids``: row t holds act(t, .) on the arrows in
+    arrow order, -1 where act has no entry and n for an image that is not
+    an arrow; column n holds n."""
+    elements = _numbering(a.group.elements)
+    missing = object()
+    lookup = {**ids.ix, missing: -1}
+    img = np.array([[lookup.get(a.act.get((t, x), missing), ids.n) for x in ids.arrows]
+                    for t in elements], dtype=np.intp).reshape(len(elements), ids.n)
+    return tuple(elements), np.hstack([img, np.full((len(elements), 1), ids.n)])
+
+
+class _UnitShifts:
+    """The unit-shift table of a group action on a groupoid, built once per
+    construction: called with units u and v of the target, it returns the
+    unique element t with unit_image(t, u) == v, which a free action has,
+    and raises InternalConsistencyError when there is none or more than
+    one."""
+
+    def __init__(self, a: GroupAction):
+        self.hits: dict = {}
+        for t in a.group.elements:
+            for u in a.target.units:
+                self.hits.setdefault((u, a.unit_image(t, u)), []).append(t)
+
+    def __call__(self, u_from, u_to):
+        hits = self.hits.get((u_from, u_to), ())
+        if len(hits) != 1:
+            raise InternalConsistencyError(
+                f"expected a unique shift from {fmt(u_from)} to {fmt(u_to)}, found {len(hits)}")
+        return hits[0]
+
+
+# ---------------------------------------------------------------------------
 # group actions on groupoids
 
 
@@ -503,89 +658,120 @@ def action_from_unit_map(group: FiniteGroup, target: FiniteGroupoid,
 
 
 def check_action(a: GroupAction) -> ValidationReport:
-    """Automorphism and group-law axioms; properness is noted as vacuous."""
+    """Automorphism and group-law axioms; properness is noted as vacuous.
+
+    Each law reads one |G| x arrows image table (``_image_table``); a
+    witness is the first failing tuple in element, then arrow (or
+    composable-pair) order.
+    """
     rep = ValidationReport(subject=f"{a.side} group action")
     g, x = a.group, a.target
     if a.side not in ("left", "right"):
         rep.add("side flag valid", False, a.side)
         return rep
-    missing = [(t, ar) for t in g.elements for ar in x.arrows if (t, ar) not in a.act]
-    rep.add("action total", not missing,
-            f"({fmt(missing[0][0])},{fmt(missing[0][1])})" if missing else None)
-    if missing:
+    ids = _Ids(x)
+    n, arrows = ids.n, ids.arrows
+    elements, img = _image_table(a, ids)
+
+    k = _first(img[:, :n] < 0)
+    rep.add("action total", k is None,
+            None if k is None else f"({fmt(elements[k // n])},{fmt(arrows[k % n])})")
+    if k is not None:
         return rep
 
-    arrows = set(x.arrows)
-    bad = next((t for t in g.elements
-                if {a.act[(t, ar)] for ar in x.arrows} != arrows), None)
-    rep.add("each element acts bijectively", bad is None,
-            fmt(bad) if bad is not None else None)
-    if bad is not None:  # an image outside the arrows has no composites to check
+    # each element's images are exactly the arrows
+    k = _first((np.sort(img[:, :n], axis=1) != np.arange(n)).any(axis=1))
+    rep.add("each element acts bijectively", k is None,
+            fmt(elements[k]) if k is not None else None)
+    if k is not None:  # an image outside the arrows has no composites to check
         return rep
 
-    bad, pairs = None, list(x.composable_pairs())
-    for t in g.elements:
-        for p, q in pairs:
-            tp, tq = a.act[(t, p)], a.act[(t, q)]
-            if not x.composable(tp, tq) or x.comp[(tp, tq)] != a.act[(t, x.comp[(p, q)])]:
-                bad = (t, p, q)
+    # t.p and t.q composable, with (t.p)(t.q) == t.(pq); an id past the
+    # arrows has no source or range, and a missing product reads as n
+    px, py = ids.pairs
+    s, r, table = np.append(ids.s, -1), np.append(ids.r, -2), ids.table
+    pq, wit = table[px, py], None
+    for t in range(len(elements)):
+        for block in _blocks_of(len(px), 1):
+            tp, tq = img[t, px[block]], img[t, py[block]]
+            k = _first((s[tp] != r[tq]) | (table[tp, tq] != img[t, pq[block]]))
+            if k is not None:
+                wit = (elements[t], arrows[px[block][k]], arrows[py[block][k]])
                 break
-        if bad:
+        if wit:
             break
-    rep.add("acts by automorphisms (composition)", bad is None,
-            f"({fmt(bad[0])},{fmt(bad[1])},{fmt(bad[2])})" if bad else None)
+    rep.add("acts by automorphisms (composition)", wit is None,
+            f"({fmt(wit[0])},{fmt(wit[1])},{fmt(wit[2])})" if wit else None)
 
-    bad = next(((t, ar) for t in g.elements for ar in x.arrows
-                if a.act[(t, x.inv[ar])] != x.inv[a.act[(t, ar)]]), None)
-    rep.add("acts by automorphisms (inverse)", bad is None,
-            f"({fmt(bad[0])},{fmt(bad[1])})" if bad else None)
+    inv = np.append(ids.inv, n)
+    k = _first(img[:, inv[:n]] != inv[img[:, :n]])
+    rep.add("acts by automorphisms (inverse)", k is None,
+            None if k is None else f"({fmt(elements[k // n])},{fmt(arrows[k % n])})")
 
-    bad = next((ar for ar in x.arrows if a.act[(g.identity, ar)] != ar), None)
-    rep.add("identity acts trivially", bad is None, fmt(bad) if bad is not None else None)
+    k = _first(img[elements.index(g.identity), :n] != np.arange(n))
+    rep.add("identity acts trivially", k is None, fmt(arrows[k]) if k is not None else None)
 
-    bad = None
-    for s, t in itertools.product(g.elements, repeat=2):
-        prod = g.mul(s, t) if a.side == "left" else g.mul(t, s)
-        for ar in x.arrows:
-            if a.act[(s, a.act[(t, ar)])] != a.act[(prod, ar)]:
-                bad = (s, t, ar)
-                break
-        if bad:
+    # s.(t.x) == (st).x on the left, (ts).x on the right
+    first, second, prod = _group_law_ids(g, elements, a.side)
+    wit = None
+    for block in _blocks_of(len(prod), n):
+        k = _first(img[first[block, None], img[second[block], :n]] != img[prod[block], :n])
+        if k is not None:
+            i = block.start + k // n
+            wit = (elements[first[i]], elements[second[i]], arrows[k % n])
             break
-    rep.add("group law", bad is None,
-            f"({fmt(bad[0])},{fmt(bad[1])},{fmt(bad[2])})" if bad else None)
+    rep.add("group law", wit is None,
+            f"({fmt(wit[0])},{fmt(wit[1])},{fmt(wit[2])})" if wit else None)
 
     rep.note("properness: vacuously true (finite discrete space)")
     return rep
 
 
+def _group_law_ids(g: FiniteGroup, elements: tuple, side: str) -> tuple:
+    """The pairs (s, t) of element ids in product order, and the id of the
+    element acting as s after t: st on the left, ts on the right."""
+    first, second = np.divmod(np.arange(len(elements) ** 2), len(elements))
+    at = {t: i for i, t in enumerate(elements)}
+    prod = np.array([at[g.mul(elements[i], elements[j]) if side == "left"
+                        else g.mul(elements[j], elements[i])]
+                     for i, j in zip(first.tolist(), second.tolist())], dtype=np.intp)
+    return first, second, prod
+
+
+def _fixed_arrow(a: GroupAction) -> tuple | None:
+    """The first (t, x), in element then arrow order, with t not the
+    identity and act(t, x) == x; None if there is none."""
+    ids = _Ids(a.target)
+    elements, img = _image_table(a, ids)
+    fixed = img[:, :ids.n] == np.arange(ids.n)
+    fixed[[t == a.group.identity for t in elements]] = False
+    k = _first(fixed)
+    return None if k is None else (elements[k // ids.n], ids.arrows[k % ids.n])
+
+
 def is_free(a: GroupAction) -> bool:
     """True iff act(t, x) == x implies t == identity, over all pairs."""
-    e = a.group.identity
-    return all(a.act[(t, x)] != x
-               for t in a.group.elements if t != e
-               for x in a.target.arrows)
+    return _fixed_arrow(a) is None
 
 
 def require_free(a: GroupAction, context: str) -> None:
-    e = a.group.identity
-    for t in a.group.elements:
-        if t == e:
-            continue
-        for x in a.target.arrows:
-            if a.act[(t, x)] == x:
-                raise NonFreeActionError(
-                    f"{context}: action not free, element {fmt(t)} fixes arrow {fmt(x)}"
-                )
+    fixed = _fixed_arrow(a)
+    if fixed is not None:
+        raise NonFreeActionError(
+            f"{context}: action not free, element {fmt(fixed[0])} fixes arrow {fmt(fixed[1])}"
+        )
 
 
 def actions_commute(left: GroupAction, right: GroupAction):
-    """Witness (t, k, x) with (t.x).k != t.(x.k), or None if they commute."""
-    for t in left.group.elements:
-        for k in right.group.elements:
-            for x in left.target.arrows:
-                if right.act[(k, left.act[(t, x)])] != left.act[(t, right.act[(k, x)])]:
-                    return (t, k, x)
+    """Witness (t, k, x) with (t.x).k != t.(x.k), or None if they commute,
+    the first in (t, k, x) order over the arrows of left.target."""
+    ids = _Ids(left.target)
+    (lefts, l_img), (rights, r_img) = (_image_table(a, ids) for a in (left, right))
+    n = ids.n
+    for t in range(len(lefts)):
+        k = _first(r_img[:, l_img[t, :n]] != l_img[t, r_img[:, :n]])
+        if k is not None:
+            return (lefts[t], rights[k // n], ids.arrows[k % n])
     return None
 
 
@@ -629,65 +815,117 @@ def _read_back_space_action(a: SpaceAction,
                        act, _other_side(a.side))
 
 
+class _SpaceIds:
+    """A left space action numbered once: its groupoid's ``_Ids``, the
+    points of the space by first place (``points``, numbered by ``pt``),
+    and the action table as columns in table order: the keys, and the ids
+    of each key's arrow (kx) and point (ku) and of its image (v), -1 for a
+    label that the numbering does not hold.  ``fibring`` holds the unit id
+    of each point, once the fibring is known to take unit values."""
+
+    def __init__(self, a: SpaceAction):
+        self.ids, self.pt = _Ids(a.groupoid), _numbering(a.space)
+        self.points = tuple(self.pt)
+        self.keys = list(a.act)
+        ix, pt = self.ids.ix, self.pt
+        columns = list(zip(*self.keys)) or [(), ()]
+        self.kx, self.ku = _ids_of(columns[0], ix, -1), _ids_of(columns[1], pt, -1)
+        self.v = _ids_of(a.act.values(), pt, -1)
+        self.fibring = np.array([self.ids.point[a.fibring[u]] for u in self.points],
+                                dtype=np.intp)
+
+    @cached_property
+    def image(self) -> np.ndarray:
+        """The (n + 1) x points table of image ids over the named keys, -1
+        where the action is not defined (everywhere on row n)."""
+        img = np.full((self.ids.n + 1, len(self.points)), -1, dtype=np.intp)
+        named = (self.kx >= 0) & (self.ku >= 0)
+        img[self.kx[named], self.ku[named]] = self.v[named]
+        return img
+
+
 def check_space_action(a: SpaceAction) -> ValidationReport:
+    """The axioms of a groupoid action on a set, with witnesses.
+
+    The action is numbered once (``_SpaceIds``) and each check reads its
+    columns: a witness is the first failing entry in the order of the
+    action table, of the arrows then the points, or of the composable pairs
+    then the points, as the check goes.
+    """
+    return _check_space_action(a)[0]
+
+
+def _check_space_action(a: SpaceAction) -> tuple:
+    """check_space_action's report, and the numbering of the action in left
+    form that the checks read (None if they stopped before numbering it)."""
     rep = ValidationReport(subject=f"{a.side} groupoid action on a set")
     if a.side not in ("left", "right"):
         rep.add("side flag valid", False, a.side)
-        return rep
+        return rep, None
     if a.side == "right":
         a = opposite(a)
     g = a.groupoid
 
-    bad = [u for u in a.space if a.fibring.get(u) not in set(g.units)]
+    units = set(g.units)
+    bad = [u for u in a.space if a.fibring.get(u) not in units]
     rep.add("fibring total with unit values", not bad, fmt(bad[0]) if bad else None)
     if bad:
-        return rep
+        return rep, None
 
-    dom = [(x, u) for x in g.arrows for u in a.space if g.src[x] == a.fibring[u]]
-    dom_set = set(dom)
-    missing = [k for k in dom if k not in a.act]
-    extra = [k for k in a.act if k not in dom_set]
-    wit = (missing or extra or [None])[0]
-    rep.add("defined iff fibring matches", not missing and not extra,
+    num = _SpaceIds(a)
+    ids, points, keys, kx, ku, v, f = (num.ids, num.points, num.keys, num.kx, num.ku, num.v,
+                                       num.fibring)
+    n, m = ids.n, len(points)
+
+    # defined exactly on the (x, u) with src(x) == fibring(u): the first
+    # missing pair in arrow then point order, else the first extra key
+    domain = ids.s[:, None] == f[None, :]
+    named = (kx >= 0) & (ku >= 0)
+    defined = np.zeros_like(domain)
+    defined[kx[named], ku[named]] = True
+    missing = _first(domain & ~defined)
+    extra = _first(~named | ~domain[kx, ku])
+    wit = ((ids.arrows[missing // m], points[missing % m]) if missing is not None
+           else keys[extra] if extra is not None else None)
+    rep.add("defined iff fibring matches", wit is None,
             f"({fmt(wit[0])},{fmt(wit[1])})" if wit else None)
-    if missing:
-        return rep
+    if missing is not None:
+        return rep, num
 
-    pos = {}  # each point's first place in the space
-    for i, u in enumerate(a.space):
-        pos.setdefault(u, i)
-    bad = next(((x, u) for (x, u), v in a.act.items()
-                if v not in pos
-                or a.fibring[v] != g.rng[x]), None)
-    rep.add("fibring of the image", bad is None,
-            f"({fmt(bad[0])},{fmt(bad[1])})" if bad else None)
-    if bad:
-        return rep
+    # an arrow outside the groupoid has no range id: its entry is read by label
+    k = _first_failure(
+        (kx >= 0) & ((v < 0) | (f[v] != ids.r[kx])), np.flatnonzero(kx < 0),
+        lambda k: a.act[keys[k]] not in num.pt or a.fibring[a.act[keys[k]]] != g.rng[keys[k][0]])
+    rep.add("fibring of the image", k is None,
+            f"({fmt(keys[k][0])},{fmt(keys[k][1])})" if k is not None else None)
+    if k is not None:
+        return rep, num
 
-    # per arrow y, the points u of the space with (y, u) defined, in space order
-    acted = {}
-    for y, u in sorted((k for k in a.act if k[1] in pos), key=lambda k: pos[k[1]]):
-        acted.setdefault(y, []).append(u)
-    sentinel = object()
-    bad = None
-    for x, y in g.composable_pairs():
-        xy = g.comp.get((x, y), sentinel)
-        for u in acted.get(y, ()):
-            step = a.act.get((x, a.act[(y, u)]), sentinel)
-            if a.act.get((xy, u), sentinel) is sentinel or step is sentinel \
-                    or a.act[(xy, u)] != step:
-                bad = (x, y, u)
-                break
-        if bad:
+    # (xy).u == x.(y.u) wherever y.u is defined, pair by pair in
+    # composable_pairs() order, points in space order; a product that is
+    # missing or not an arrow reads row n, where nothing is defined
+    img, (px, py), wit = num.image, ids.pairs, None
+    prod = ids.table[px, py]
+    for block in _blocks_of(len(px), m):
+        yu = img[py[block]]
+        lhs, rhs = img[prod[block]], img[px[block, None], np.maximum(yu, 0)]
+        k = _first((yu >= 0) & ((lhs < 0) | (rhs < 0) | (lhs != rhs)))
+        if k is not None:
+            i = block.start + k // m
+            wit = (ids.arrows[px[i]], ids.arrows[py[i]], points[k % m])
             break
-    rep.add("compatible with composition", bad is None,
-            f"({fmt(bad[0])},{fmt(bad[1])},{fmt(bad[2])})" if bad else None)
+    rep.add("compatible with composition", wit is None,
+            f"({fmt(wit[0])},{fmt(wit[1])},{fmt(wit[2])})" if wit else None)
 
-    bad = next((u for u in a.space
-                if a.act[(g.unit_arrow[a.fibring[u]], u)] != u), None)
-    rep.add("unit arrows act identically", bad is None,
-            fmt(bad) if bad is not None else None)
-    return rep
+    unit = ids.unit[f]
+    fixed = img[unit, np.arange(m)]
+    named = (unit < n) & (fixed >= 0)
+    k = _first_failure(named & (fixed != np.arange(m)), np.flatnonzero(~named),
+                       lambda k: a.act[(g.unit_arrow[a.fibring[points[k]]], points[k])]
+                       != points[k])
+    rep.add("unit arrows act identically", k is None,
+            fmt(points[k]) if k is not None else None)
+    return rep, num
 
 
 def left_translation_action(g: FiniteGroupoid) -> SpaceAction:
@@ -755,12 +993,18 @@ def _semidirect_left(x: FiniteGroupoid, a: GroupAction) -> FiniteGroupoid:
     units = tuple((u, e) for u in x.units)
     src = {(ar, s): (a.unit_image(g.inv_elem(s), x.src[ar]), e) for (ar, s) in arrows}
     rng = {(ar, s): (x.rng[ar], e) for (ar, s) in arrows}
-    comp = {}
-    for (p, s) in arrows:
-        for (q, t) in arrows:
-            sq = a.act[(s, q)]
-            if x.composable(p, sq):
-                comp[((p, s), (q, t))] = (x.comp[(p, sq)], g.mul(s, t))
+    # (p, s)(q, t) is defined when p and s.q compose, in the order of p, s,
+    # q, t; arrow (ar, s) is number ar * |G| + s on x's ids
+    ids = _Ids(x)
+    elements, img = _image_table(a, ids)
+    m = len(elements)
+    p, s, q = np.nonzero(ids.s[:, None, None] == np.append(ids.r, -1)[img[None, :, :ids.n]])
+    sq, t = img[s, q], np.tile(np.arange(m), len(p))
+    p, s, q, sq = (np.repeat(c, m) for c in (p, s, q, sq))
+    labels = tuple((ar, u) for ar in ids.arrows for u in elements)
+    comp = {(labels[i], labels[j]): labels[k] for i, j, k in zip(
+        (p * m + s).tolist(), (q * m + t).tolist(),
+        (ids.table[p, sq] * m + _group_law_ids(g, elements, "left")[2][s * m + t]).tolist())}
     inv = {(ar, s): (a.act[(g.inv_elem(s), x.inv[ar])], g.inv_elem(s))
            for (ar, s) in arrows}
     unit_arrow = {(u, _e): (x.unit_arrow[u], e) for (u, _e) in units}
@@ -811,7 +1055,7 @@ def quotient_groupoid(x: FiniteGroupoid, a: GroupAction) -> tuple[FiniteGroupoid
 def _quotient_groupoid(x: FiniteGroupoid, a: GroupAction) -> tuple[FiniteGroupoid, QuotientMap]:
     """quotient_groupoid without checking ``a``, which the caller has checked
     and found free."""
-    h = a.group
+    h, shifts = a.group, _UnitShifts(a)
 
     arrow_map, shift = {}, {}
     for ar in x.arrows:
@@ -828,7 +1072,7 @@ def _quotient_groupoid(x: FiniteGroupoid, a: GroupAction) -> tuple[FiniteGroupoi
         orbit = {a.unit_image(t, u) for t in h.elements}
         rep = canonical_min(orbit)
         unit_map[u] = rep
-        unit_shift[u] = _unique_unit_shift(a, rep, u)
+        unit_shift[u] = shifts(rep, u)
 
     q_arrows = tuple(sorted(set(arrow_map.values()), key=sort_key))
     q_units = tuple(sorted(set(unit_map.values()), key=sort_key))
@@ -838,7 +1082,7 @@ def _quotient_groupoid(x: FiniteGroupoid, a: GroupAction) -> tuple[FiniteGroupoi
     for p in q_arrows:
         for q in q_arrows:
             if src[p] == rng[q]:
-                t = _unique_unit_shift(a, x.src[p], x.rng[q])
+                t = shifts(x.src[p], x.rng[q])
                 comp[(p, q)] = arrow_map[x.comp[(a.act[(t, p)], q)]]
     inv = {p: arrow_map[x.inv[p]] for p in q_arrows}
     unit_arrow = {u: arrow_map[x.unit_arrow[u]] for u in q_units}
@@ -846,25 +1090,15 @@ def _quotient_groupoid(x: FiniteGroupoid, a: GroupAction) -> tuple[FiniteGroupoi
     return quot, QuotientMap(a, arrow_map, shift, unit_map, unit_shift)
 
 
-def _unique_unit_shift(a: GroupAction, u_from, u_to):
-    """The unique t with unit_image(t, u_from) == u_to (action pre-checked free)."""
-    hits = [t for t in a.group.elements if a.unit_image(t, u_from) == u_to]
-    if len(hits) != 1:
-        raise InternalConsistencyError(
-            f"expected a unique shift from {fmt(u_from)} to {fmt(u_to)}, found {len(hits)}"
-        )
-    return hits[0]
-
-
 def orbit_space_action(x: FiniteGroupoid, a: GroupAction,
                        _quotient: tuple | None = None) -> SpaceAction:
     """x/H acting on the arrow set of x by (x.H).y = xy when sources match."""
     quot, qmap = _quotient if _quotient is not None else quotient_groupoid(x, a)
-    act = {}
+    act, shifts = {}, _UnitShifts(a)
     for p in quot.arrows:
         for z in x.arrows:
             if qmap.unit_map[x.rng[z]] == quot.src[p]:
-                t = _unique_unit_shift(a, x.src[p], x.rng[z])
+                t = shifts(x.src[p], x.rng[z])
                 act[(p, z)] = x.comp[(a.act[(t, p)], z)]
     fibring = {z: qmap.unit_map[x.rng[z]] for z in x.arrows}
     return SpaceAction(quot, tuple(x.arrows), fibring, act, "left")
@@ -1048,90 +1282,130 @@ def bracket_table(e: GroupoidEquivalence) -> dict:
 def verify_groupoid_equivalence(e: GroupoidEquivalence) -> ValidationReport:
     """Exhaustive check of the equivalence axioms plus bracket identities.
 
-    The brackets are read from bracket_table(e) and bracket_table(opposite(e)):
-    a same-fiber pair with no key has no bracket and fails.  Once items
-    (i), (iv) and (v) pass, every same-fiber pair has exactly one.
+    The groupoids are validated by validate_groupoid, and the actions by
+    check_space_action, each numbered once (``_SpaceIds``); items (i)-(v)
+    and the brackets then read those id columns.  A witness is the first
+    failing entry in the order of the action table it comes from (then the
+    right arrows in arrow order for item (iii)), and a pair of points is
+    taken in space order, the left bracket before the right.  The bracket
+    [z1, z2] is the key (z1, z2) of bracket_table(e), the right one the key
+    (z2, z1) of bracket_table(opposite(e)): a same-fiber pair with no key
+    has no bracket and fails.  Once items (i), (iv) and (v) pass, every
+    same-fiber pair has exactly one.
     """
     rep = ValidationReport(subject="groupoid equivalence")
-    p_gpd, q_gpd = e.left_groupoid, e.right_groupoid
-    z_set = e.space
+    rep.merge(validate_groupoid(e.left_groupoid), prefix="left groupoid: ")
+    rep.merge(validate_groupoid(e.right_groupoid), prefix="right groupoid: ")
+    if not rep.ok:
+        return rep
+    (left_rep, left), (right_rep, right) = map(_check_space_action,
+                                               (e.left_action, e.right_action))
+    rep.merge(left_rep, prefix="left action: ")
+    rep.merge(right_rep, prefix="right action: ")
+    if not rep.ok:
+        return rep
 
-    rep.merge(validate_groupoid(p_gpd), prefix="left groupoid: ")
-    rep.merge(validate_groupoid(q_gpd), prefix="right groupoid: ")
-    if not rep.ok:
-        return rep
-    rep.merge(check_space_action(e.left_action), prefix="left action: ")
-    rep.merge(check_space_action(e.right_action), prefix="right action: ")
-    if not rep.ok:
-        return rep
+    # Both actions are valid, so every key and image has an id.  The right
+    # action is read in left form: its arrows act through Q^op.  Its points
+    # are renumbered in the order of the left action's space.
+    points, m = left.points, len(left.points)
+    if right.points != points:
+        if set(right.points) != set(points):
+            raise InvalidStructureError("the two actions of an equivalence must share the space")
+        at = np.array([left.pt[z] for z in right.points], dtype=np.intp)
+        right.ku, right.v = at[right.ku], at[right.v]
+        right.fibring = right.fibring[np.argsort(at)]
+        right.__dict__.pop("image", None)
+    rho, sigma = left.fibring, right.fibring
 
     # items (ii) and (v) are items (i) and (iv) of the opposite equivalence
-    e_op = opposite(e)
-    for f, name in ((e, "(i) left action free"), (e_op, "(ii) right action free")):
-        bad = next(((p, z) for (p, z), v in f.left_action.act.items()
-                    if v == z and not f.left_groupoid.is_unit_arrow(p)), None)
-        rep.add(name, bad is None,
-                f"({fmt(bad[0])},{fmt(bad[1])})" if bad else None)
+    for num, name in ((left, "(i) left action free"), (right, "(ii) right action free")):
+        k = _first((num.v == num.ku) & ~num.ids.is_unit[num.kx])
+        rep.add(name, k is None,
+                f"({fmt(num.keys[k][0])},{fmt(num.keys[k][1])})" if k is not None else None)
 
-    # both actions passed "defined iff fibring matches": z.q needs rng(q) == sigma(z)
-    bad, fibers = None, _group_by(q_gpd.arrows, q_gpd.rng)
-    left, right = e.left_action.act, e.right_action.act
-    for (p, z), pz in left.items():
-        for q in fibers.get(e.sigma.get(z), ()):
-            zq = right.get((q, z))
-            if zq is not None and (right.get((q, pz)) is None
-                                   or right[(q, pz)] != left.get((p, zq))):
-                bad = (p, z, q)
-                break
-        if bad:
+    # (iii) (p.z).q == p.(z.q), over the left table and, for each entry, the
+    # right arrows q with rng(q) == sigma(z) in arrow order (their src in
+    # the left form); both actions passed "defined iff fibring matches"
+    by_rng = np.argsort(right.ids.s, kind="stable")
+    fiber = np.searchsorted(right.ids.s[by_rng], np.arange(len(right.ids.point) + 1))
+    l_img, r_img = left.image, right.image
+    width, wit = int(np.max(np.diff(fiber), initial=1)), None
+    for block in _blocks_of(len(left.keys), width):
+        z = left.ku[block]
+        owner, at = _ranges(fiber[sigma[z]], fiber[sigma[z] + 1])
+        q, z, pz = by_rng[at], z[owner], left.v[block][owner]
+        zq = r_img[q, z]
+        pzq, p_zq = r_img[q, pz], l_img[left.kx[block][owner], np.maximum(zq, 0)]
+        k = _first((zq >= 0) & ((pzq < 0) | (pzq != p_zq)))
+        if k is not None:
+            p, z = left.keys[block.start + owner[k]]
+            wit = (p, z, right.ids.arrows[q[k]])
             break
-    rep.add("(iii) actions commute", bad is None,
-            f"({fmt(bad[0])},{fmt(bad[1])},{fmt(bad[2])})" if bad else None)
+    rep.add("(iii) actions commute", wit is None,
+            f"({fmt(wit[0])},{fmt(wit[1])},{fmt(wit[2])})" if wit else None)
 
-    # (iv) rho is right-invariant and induces a bijection Z/Q -> left units
-    for f, invariant, bijective in (
-            (e, "(iv) rho invariant under the right action",
+    # (iv) rho is right-invariant and induces a bijection Z/Q -> left units;
+    # an orbit is named by its least point, and orbits go in that order
+    for num, values, ids, invariant, bijective in (
+            (right, rho, left.ids, "(iv) rho invariant under the right action",
              "(iv) rho factors to a bijection onto left units"),
-            (e_op, "(v) sigma invariant under the left action",
+            (left, sigma, right.ids, "(v) sigma invariant under the left action",
              "(v) sigma factors to a bijection onto right units")):
-        bad = next(((q, z) for (q, z), v in f.right_action.act.items()
-                    if f.rho[v] != f.rho[z]), None)
-        rep.add(invariant, bad is None,
-                f"({fmt(bad[0])},{fmt(bad[1])})" if bad else None)
-        orbits = _components(z_set, ((z, v) for (q, z), v in f.right_action.act.items()))
-        rho_vals = {canonical_min(o): {f.rho[z] for z in o} for o in orbits}
-        bad = next((o for o, vals in rho_vals.items() if len(vals) != 1), None)
-        single = bad is None
-        vals = [next(iter(v)) for v in rho_vals.values()] if single else []
-        bij = single and len(set(map(fmt, vals))) == len(vals) and \
-            set(map(fmt, vals)) == set(map(fmt, f.left_groupoid.units))
-        rep.add(bijective, bij,
-                None if bij else (f"orbit of {fmt(bad)}" if bad else "not bijective"))
+        k = _first(values[num.v] != values[num.ku])
+        rep.add(invariant, k is None,
+                f"({fmt(num.keys[k][0])},{fmt(num.keys[k][1])})" if k is not None else None)
+        orbit = _orbit_roots(m, num.ku, num.v)
+        mixed = orbit[values != values[orbit]]
+        units, labels = ids.g.units, tuple(ids.point)
+        vals = [] if mixed.size else [labels[u] for u in values[np.unique(orbit)]]
+        bij = not mixed.size and len(set(map(fmt, vals))) == len(vals) and \
+            set(map(fmt, vals)) == set(map(fmt, units))
+        members = np.flatnonzero(orbit == mixed.min()) if mixed.size else ()
+        rep.add(bijective, bij, None if bij else
+                f"orbit of {fmt(canonical_min(points[z] for z in members))}" if mixed.size
+                else "not bijective")
 
     if not rep.ok:
         return rep
 
-    # the left bracket at (z1, z2) is the key (z1, z2) of the left table,
-    # the right one the key (z2, z1) of the opposite's table
-    bad, seen = None, {"left": set(), "right": set()}
-    sides = {"left": (e.sigma, bracket_table(e), False),
-             "right": (e.rho, bracket_table(e_op), True)}
-    for z1, z2, side in itertools.product(z_set, z_set, sides):
-        fiber, table, flip = sides[side]
-        if fiber[z1] != fiber[z2]:
-            continue
-        key = (z2, z1) if flip else (z1, z2)
-        if key not in table:
-            bad = (side, z1, z2)
+    # the left bracket at (z1, z2) is a key (p.z2, z2) of the left table,
+    # the right one a key (z1, z1.q) of the right table
+    keys = left.v * m + left.ku, right.ku * m + right.v
+    wit = None
+    for block in _blocks_of(m, 2 * m):
+        z1 = np.arange(block.start, block.stop)[:, None]
+        z2 = np.arange(m)[None, :]
+        bad = np.stack([(sigma[z1] == sigma[z2]) & ~np.isin(z1 * m + z2, keys[0]),
+                        (rho[z1] == rho[z2]) & ~np.isin(z1 * m + z2, keys[1])], axis=2)
+        k = _first(bad)
+        if k is not None:
+            wit = (("left", "right")[k % 2], points[block.start + k // (2 * m)],
+                   points[k // 2 % m])
             break
-        seen[side].add(table[key])
-    rep.add("bracket characterizing identities", bad is None,
-            f"{bad[0]} pair ({fmt(bad[1])},{fmt(bad[2])})" if bad else None)
-    if bad is None:
+    rep.add("bracket characterizing identities", wit is None,
+            f"{wit[0]} pair ({fmt(wit[1])},{fmt(wit[2])})" if wit else None)
+    if wit is None:
+        # each bracket is the arrow of an entry, and freeness makes it unique
         rep.add("brackets jointly surjective",
-                seen["left"] == set(p_gpd.arrows) and seen["right"] == set(q_gpd.arrows))
+                all(np.isin(np.arange(num.ids.n), num.kx).all() for num in (left, right)))
     rep.note("properness: vacuously true (finite discrete space)")
     return rep
+
+
+def _orbit_roots(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For each of m points, the least point linked to it through the pairs
+    (a[k], b[k]): each class of linked points is named by its first member,
+    so the classes go in the order of their first members."""
+    root = np.arange(m)
+    while True:
+        low = root.copy()
+        np.minimum.at(low, a, root[b])
+        np.minimum.at(low, b, root[a])
+        low = low[low]
+        if np.array_equal(low, root):
+            return root
+        root = low
 
 
 # ---------------------------------------------------------------------------

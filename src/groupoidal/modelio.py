@@ -247,24 +247,33 @@ _REFERENCES = {"GROUP": "group", "GROUPOID": "groupoid", "SPACE": "space",
                "ALGEBRA": "algebra", "BUNDLE": "bundle", "ACTION": "action"}
 
 
-def _label(tok: str):
+def _ident(tok: str, ident):
+    return ident(tok)
+
+
+def _label(tok: str, ident):
     if not tok.endswith(":"):
         raise ValueError(f"{tok!r} does not end in ':'")
-    return parse_ident(tok[:-1])
+    return ident(tok[:-1])
 
 
-def _pair(tok: str) -> tuple:
+def _pair(tok: str, ident) -> tuple:
     a, eq, b = tok.partition("=")
     if not eq:
         raise ValueError(f"{tok!r} has no '='")
-    return parse_ident(a), parse_ident(b)
+    return ident(a), ident(b)
 
 
-# how each value token of a pattern reads its text; each writes its value
-# back by fmt, but the variadic ones listed in _WRITE
-_READ = {"IDENT": parse_ident, "IDENT:": _label, "INT": int, "WORD": str,
-         "IDENT...": parse_ident, "NUMBER...": parse_number, "IDENT=IDENT...": _pair,
-         **dict.fromkeys(_REFERENCES, str)}
+def _plain(read):
+    return lambda tok, _ident: read(tok)
+
+
+# how each value token of a pattern reads its text, given the identifier
+# parser of the parse (parse_model's memo); each writes its value back by
+# fmt, but the variadic ones listed in _WRITE
+_READ = {"IDENT": _ident, "IDENT:": _label, "INT": _plain(int), "WORD": _plain(str),
+         "IDENT...": _ident, "NUMBER...": _plain(parse_number), "IDENT=IDENT...": _pair,
+         **dict.fromkeys(_REFERENCES, _plain(str))}
 _WRITE = {"NUMBER...": format_number, "IDENT=IDENT...": lambda p: f"{fmt(p[0])}={fmt(p[1])}"}
 
 
@@ -288,14 +297,16 @@ class _Form:
         self.template = "  " + " ".join(words)
         self.write_each = _WRITE.get(self.variadic, fmt)
 
-    def read(self, toks: list) -> list:
-        """The values of a line of this form, or ValueError naming a bad token."""
+    def read(self, toks: list, ident) -> list:
+        """The values of a line of this form, identifiers parsed by
+        ``ident``, or ValueError naming a bad token."""
         for i, literal in self.literals:
             if toks[i] != literal:
                 raise ValueError(f"{toks[i]!r} is not {literal!r}")
-        values = [read(toks[i]) for i, read in self.readers]
+        values = [read(toks[i], ident) for i, read in self.readers]
         if self.variadic:
-            values.append(tuple(map(_READ[self.variadic], toks[self.size:])))
+            read = _READ[self.variadic]
+            values.append(tuple(read(tok, ident) for tok in toks[self.size:]))
         return values
 
     def held(self, decl) -> list:
@@ -330,7 +341,12 @@ def _lines(text: str):
 
 
 def parse_model(source: str) -> ModelFile:
-    """Parse model text (or a path ending in .model) into a ModelFile."""
+    """Parse model text (or a path ending in .model) into a ModelFile.
+
+    A model repeats few identifiers, so each distinct identifier text is
+    parsed once per call; only a successful parse is remembered, so that
+    every malformed identifier is reported on its own line.
+    """
     if source.endswith(".model") and "\n" not in source:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -338,6 +354,14 @@ def parse_model(source: str) -> ModelFile:
         text = source
     model = ModelFile()
     refs: list = []  # (line, owner, kind, name) of each reference
+    parsed: dict = {}
+
+    def ident(text: str):
+        value = parsed.get(text)
+        if value is None:
+            value = parsed[text] = parse_ident(text)
+        return value
+
     lines = list(_lines(text))
     k = 0
     while k < len(lines):
@@ -355,7 +379,7 @@ def parse_model(source: str) -> ModelFile:
                 _parse_builder(model, lineno, toks, refs)
                 k += 1
             else:
-                k = _parse_block(model, lines, k, refs)
+                k = _parse_block(model, lines, k, refs, ident)
         else:
             raise ModelError(f"unknown declaration {head!r}", lineno)
     _resolve(model, refs)
@@ -381,7 +405,7 @@ def _parse_builder(model: ModelFile, lineno: int, toks: list, refs: list) -> Non
     getattr(model, head + "s")[name] = _DECLS[head](name, builder=(builder, *args))
 
 
-def _parse_block(model: ModelFile, lines: list, k: int, refs: list) -> int:
+def _parse_block(model: ModelFile, lines: list, k: int, refs: list, ident) -> int:
     lineno, (head, name) = lines[k]
     decl = _DECLS[head](name)
     rows: dict = {}
@@ -389,7 +413,7 @@ def _parse_block(model: ModelFile, lines: list, k: int, refs: list) -> int:
         ln, toks = lines[k]
         if toks == ["end"]:
             break
-        form, values = _parse_line(head, ln, toks)
+        form, values = _parse_line(head, ln, toks, ident)
         if form.references:
             refs += [(ln, f"{head} {name}", kind, values[i]) for i, kind in form.references]
         if form.key is None:
@@ -406,13 +430,14 @@ def _parse_block(model: ModelFile, lines: list, k: int, refs: list) -> int:
     return k + 1
 
 
-def _parse_line(head: str, ln: int, toks: list) -> tuple:
-    """The form of a body line of a ``head`` block and the values it reads."""
+def _parse_line(head: str, ln: int, toks: list, ident) -> tuple:
+    """The form of a body line of a ``head`` block and the values it reads,
+    identifiers parsed by ``ident``."""
     form = _FORMS[head].get(toks[0])
     detail = ""
     if form and (len(toks) == form.size or (len(toks) > form.size and form.variadic)):
         try:
-            return form, form.read(toks)
+            return form, form.read(toks, ident)
         except ValueError as exc:
             detail = f" ({exc})"
     expected = f"'{form.text}'" if form else "one of: " + ", ".join(_FORMS[head])

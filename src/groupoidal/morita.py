@@ -33,6 +33,7 @@ from .bundles import (
     BundleEquivalence,
     BundleIso,
     FellBundle,
+    _contracted,
     _quotient_fell_bundle,
     induced_quotient_bundle_action,
     make_trivial_cbundle,
@@ -62,7 +63,7 @@ from .groupoids import (
     FiniteGroupoid,
     GroupAction,
     SpaceAction,
-    _components,
+    _orbit_roots,
     group_set_action,
     left_translation_action,
 )
@@ -190,8 +191,10 @@ def _unit_defect(bundle: FellBundle, p: np.ndarray) -> float:
     values = np.concatenate([np.zeros(0)] + [t.ravel() for t in bundle.mult.values()])
     if n == 0 or not np.isfinite(values).all():
         return float("nan")
+    # each product with a unit arrow, and the block it fills: its operand
+    # pairs are contracted by shape class (bundles._contracted)
     units = {g.unit_arrow[u] for u in g.units}
-    left, right = np.zeros((2, n, n), dtype=complex)
+    found = {"left": [], "right": []}
     for (x, y), t in bundle.mult.items():
         if x not in units and y not in units:
             continue
@@ -199,9 +202,14 @@ def _unit_defect(bundle: FellBundle, p: np.ndarray) -> float:
         t = t[:dk, :di, :dj]
         dk, di, dj = t.shape
         if x in units:
-            left[k0:k0 + dk, j0:j0 + dj] += np.einsum("kij,i->kj", t, p[i0:i0 + di])
+            found["left"].append(((t, p[i0:i0 + di]), k0, j0))
         if y in units:
-            right[k0:k0 + dk, i0:i0 + di] += np.einsum("kij,j->ki", t, p[j0:j0 + dj])
+            found["right"].append(((t, p[j0:j0 + dj]), k0, i0))
+    left, right = np.zeros((2, n, n), dtype=complex)
+    for out, spec, side in ((left, "kij,i->kj", "left"), (right, "kij,j->ki", "right")):
+        blocks = _contracted(spec, [ops for ops, _r, _c in found[side]])
+        for (_ops, r0, c0), block in zip(found[side], blocks):
+            out[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] += block
     eye = np.eye(n)
     return max(deviation(left, eye), deviation(right, eye))
 
@@ -389,26 +397,42 @@ def _inner_table(ls: LinkingSystem, side: str) -> list:
     corner = ls.corner_left if side == "left" else ls.corner_right
     idx = {lbl: k for k, lbl in enumerate(corner.basis)}
     inner, tags = (e.left_inner, ("z", "zb")) if side == "left" else (e.right_inner, ("zb", "z"))
+    space = e.base.space
+    point = {z: i for i, z in enumerate(space)}
+    keys = list(inner)
+    first, second = (np.array([point[k[j]] for k in keys], dtype=np.intp) for j in (0, 1))
+    root = _orbit_roots(len(space), first, second)  # each point's component
+    dims = np.array([e.dims[z] for z in space], dtype=np.intp)
+    columns: dict = {}  # the corner coordinates of an arrow's fiber, by arrow and dim
     table = []
-    for points in _components(e.base.space, inner):
-        offset, m = {}, 0
-        for z in points:
-            offset[z], m = m, m + e.dims[z]
+    for c in np.unique(root):
+        members = np.flatnonzero(root == c)
+        m = int(dims[members].sum())
         if m == 0:
             continue
+        offset = np.zeros(len(space), dtype=np.intp)
+        offset[members] = np.cumsum(dims[members]) - dims[members]
         coeffs = np.zeros((m, m, corner.dimension), dtype=complex)
         finite = np.zeros((m, m), dtype=bool)
-        for z1 in points:
-            for z2 in points:
-                tensor = inner.get((z1, z2))
-                if tensor is None:
-                    continue
-                arrow = ls.groupoid.comp[((tags[0], z1), (tags[1], z2))]
-                cols = [idx[(arrow, k)] for k in range(tensor.shape[0])]
-                a = slice(offset[z1], offset[z1] + e.dims[z1])
-                b = slice(offset[z2], offset[z2] + e.dims[z2])
-                coeffs[a, b, cols] = tensor.transpose(1, 2, 0)
-                finite[a, b] = np.isfinite(tensor).all()
+        # the keys of the component, by tensor shape: one scatter per shape
+        groups: dict = {}
+        for k in np.flatnonzero(root[first] == c).tolist():
+            groups.setdefault(inner[keys[k]].shape, []).append(k)
+        for (dk, d1, d2), ks in groups.items():
+            tensors = np.array([inner[keys[k]] for k in ks])
+            cols = []
+            for k in ks:
+                arrow = ls.groupoid.comp[((tags[0], keys[k][0]), (tags[1], keys[k][1]))]
+                if (arrow, dk) not in columns:
+                    columns[arrow, dk] = [idx[(arrow, j)] for j in range(dk)]
+                cols.append(columns[arrow, dk])
+            a = offset[first[ks], None] + np.arange(d1)
+            b = offset[second[ks], None] + np.arange(d2)
+            coeffs[a[:, :, None, None], b[:, None, :, None],
+                   np.array(cols, dtype=np.intp).reshape(len(ks), 1, 1, dk)] = \
+                tensors.transpose(0, 2, 3, 1)
+            finite[a[:, :, None], b[:, None, :]] = \
+                np.isfinite(tensors).reshape(len(ks), -1).all(axis=1)[:, None, None]
         table.append((coeffs, finite))
     return table
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from collections.abc import Mapping
 
 import numpy as np
@@ -16,6 +17,7 @@ from groupoidal import (
     SpaceAction,
     StarAlgebra,
     ValidationReport,
+    bracket_table,
     identity_fiber_maps,
     linking_bundle,
     opposite,
@@ -27,9 +29,10 @@ from groupoidal import (
     semidirect_orbit_bundle_action,
     semidirect_space_action,
     trivial_line_bundle,
+    validate_groupoid,
 )
 from groupoidal import morita
-from groupoidal._util import DEFAULT_TOL, deviation, fmt, worst_residual
+from groupoidal._util import DEFAULT_TOL, _ranges, canonical_min, deviation, fmt, worst_residual
 from groupoidal.algebras import _coo, _coo_residual
 from groupoidal.bundles import (
     _codes,
@@ -134,6 +137,16 @@ def exchange_residual(e):
     return _exchange_residual(linking_bundle(e))
 
 
+def triples(kernels, first, second):
+    """The triples (x, y, z) of a _Products table with (x, y) among the
+    pairs ``first`` and (y, z) among the pairs ``second`` (masks of pair
+    numbers), as id columns in composable_triples() order."""
+    k, j = (np.flatnonzero(sel) for sel in (first, second))
+    row = np.searchsorted(kernels.px[j], np.arange(len(kernels.row)))
+    owner, at = _ranges(row[kernels.py[k]], row[kernels.py[k] + 1])
+    return kernels.px[k[owner]], kernels.py[k[owner]], kernels.py[j[at]]
+
+
 def _exchange_residual(link):
     """The worst associativity residual of a linking bundle over its
     (z, zb, z) triples only: the (z, zb) pairs extended by the (zb, z)
@@ -141,7 +154,7 @@ def _exchange_residual(link):
     kernels = _Products(link)
     pair_class = _patterns(_tags(link.base), kernels.px, kernels.py)
     zb, bz = (pair_class == code for code in _codes("zb", "bz"))
-    return worst_residual(kernels.associativity(*kernels.triples(zb, bz)))[0]
+    return worst_residual(kernels.associativity(*triples(kernels, zb, bz)))[0]
 
 
 def unverified_linking_system(e):
@@ -350,3 +363,225 @@ def assert_identical(x, y, path="value"):
             assert_identical(u, v, f"{path}[{i}]")
     else:
         assert x == y, f"{path}: {x!r} != {y!r}"
+
+
+# ---------------------------------------------------------------------------
+# the action and equivalence checks as label walks, one tuple at a time.
+# References for the checks on integer tables: the same checks, names,
+# order and witnesses.
+
+
+def _group_by(items, label):
+    groups = {}
+    for item in items:
+        groups.setdefault(label[item], []).append(item)
+    return groups
+
+
+def _components(points, pairs):
+    """The classes of points linked by the pairs, each in point order, in
+    the order of their first members."""
+    root = {z: z for z in points}
+
+    def find(z):
+        while root[z] != z:
+            root[z] = root[root[z]]
+            z = root[z]
+        return z
+
+    for z1, z2 in pairs:
+        root[find(z1)] = find(z2)
+    return list(_group_by(points, {z: find(z) for z in points}).values())
+
+
+def check_action_by_labels(a):
+    rep = ValidationReport(subject=f"{a.side} group action")
+    g, x = a.group, a.target
+    if a.side not in ("left", "right"):
+        rep.add("side flag valid", False, a.side)
+        return rep
+    missing = [(t, ar) for t in g.elements for ar in x.arrows if (t, ar) not in a.act]
+    rep.add("action total", not missing,
+            f"({fmt(missing[0][0])},{fmt(missing[0][1])})" if missing else None)
+    if missing:
+        return rep
+
+    arrows = set(x.arrows)
+    bad = next((t for t in g.elements
+                if {a.act[(t, ar)] for ar in x.arrows} != arrows), None)
+    rep.add("each element acts bijectively", bad is None,
+            fmt(bad) if bad is not None else None)
+    if bad is not None:
+        return rep
+
+    bad, pairs = None, list(x.composable_pairs())
+    for t in g.elements:
+        for p, q in pairs:
+            tp, tq = a.act[(t, p)], a.act[(t, q)]
+            if not x.composable(tp, tq) or x.comp[(tp, tq)] != a.act[(t, x.comp[(p, q)])]:
+                bad = (t, p, q)
+                break
+        if bad:
+            break
+    rep.add("acts by automorphisms (composition)", bad is None,
+            f"({fmt(bad[0])},{fmt(bad[1])},{fmt(bad[2])})" if bad else None)
+
+    bad = next(((t, ar) for t in g.elements for ar in x.arrows
+                if a.act[(t, x.inv[ar])] != x.inv[a.act[(t, ar)]]), None)
+    rep.add("acts by automorphisms (inverse)", bad is None,
+            f"({fmt(bad[0])},{fmt(bad[1])})" if bad else None)
+
+    bad = next((ar for ar in x.arrows if a.act[(g.identity, ar)] != ar), None)
+    rep.add("identity acts trivially", bad is None, fmt(bad) if bad is not None else None)
+
+    bad = None
+    for s, t in itertools.product(g.elements, repeat=2):
+        prod = g.mul(s, t) if a.side == "left" else g.mul(t, s)
+        for ar in x.arrows:
+            if a.act[(s, a.act[(t, ar)])] != a.act[(prod, ar)]:
+                bad = (s, t, ar)
+                break
+        if bad:
+            break
+    rep.add("group law", bad is None,
+            f"({fmt(bad[0])},{fmt(bad[1])},{fmt(bad[2])})" if bad else None)
+
+    rep.note("properness: vacuously true (finite discrete space)")
+    return rep
+
+
+def check_space_action_by_labels(a):
+    rep = ValidationReport(subject=f"{a.side} groupoid action on a set")
+    if a.side not in ("left", "right"):
+        rep.add("side flag valid", False, a.side)
+        return rep
+    if a.side == "right":
+        a = opposite(a)
+    g = a.groupoid
+
+    bad = [u for u in a.space if a.fibring.get(u) not in set(g.units)]
+    rep.add("fibring total with unit values", not bad, fmt(bad[0]) if bad else None)
+    if bad:
+        return rep
+
+    dom = [(x, u) for x in g.arrows for u in a.space if g.src[x] == a.fibring[u]]
+    dom_set = set(dom)
+    missing = [k for k in dom if k not in a.act]
+    extra = [k for k in a.act if k not in dom_set]
+    wit = (missing or extra or [None])[0]
+    rep.add("defined iff fibring matches", not missing and not extra,
+            f"({fmt(wit[0])},{fmt(wit[1])})" if wit else None)
+    if missing:
+        return rep
+
+    pos = {}
+    for i, u in enumerate(a.space):
+        pos.setdefault(u, i)
+    bad = next(((x, u) for (x, u), v in a.act.items()
+                if v not in pos or a.fibring[v] != g.rng[x]), None)
+    rep.add("fibring of the image", bad is None,
+            f"({fmt(bad[0])},{fmt(bad[1])})" if bad else None)
+    if bad:
+        return rep
+
+    acted = {}
+    for y, u in sorted((k for k in a.act if k[1] in pos), key=lambda k: pos[k[1]]):
+        acted.setdefault(y, []).append(u)
+    sentinel = object()
+    bad = None
+    for x, y in g.composable_pairs():
+        xy = g.comp.get((x, y), sentinel)
+        for u in acted.get(y, ()):
+            step = a.act.get((x, a.act[(y, u)]), sentinel)
+            if a.act.get((xy, u), sentinel) is sentinel or step is sentinel \
+                    or a.act[(xy, u)] != step:
+                bad = (x, y, u)
+                break
+        if bad:
+            break
+    rep.add("compatible with composition", bad is None,
+            f"({fmt(bad[0])},{fmt(bad[1])},{fmt(bad[2])})" if bad else None)
+
+    bad = next((u for u in a.space
+                if a.act[(g.unit_arrow[a.fibring[u]], u)] != u), None)
+    rep.add("unit arrows act identically", bad is None,
+            fmt(bad) if bad is not None else None)
+    return rep
+
+
+def verify_groupoid_equivalence_by_labels(e):
+    rep = ValidationReport(subject="groupoid equivalence")
+    p_gpd, q_gpd = e.left_groupoid, e.right_groupoid
+    z_set = e.space
+
+    rep.merge(validate_groupoid(p_gpd), prefix="left groupoid: ")
+    rep.merge(validate_groupoid(q_gpd), prefix="right groupoid: ")
+    if not rep.ok:
+        return rep
+    rep.merge(check_space_action_by_labels(e.left_action), prefix="left action: ")
+    rep.merge(check_space_action_by_labels(e.right_action), prefix="right action: ")
+    if not rep.ok:
+        return rep
+
+    e_op = opposite(e)
+    for f, name in ((e, "(i) left action free"), (e_op, "(ii) right action free")):
+        bad = next(((p, z) for (p, z), v in f.left_action.act.items()
+                    if v == z and not f.left_groupoid.is_unit_arrow(p)), None)
+        rep.add(name, bad is None,
+                f"({fmt(bad[0])},{fmt(bad[1])})" if bad else None)
+
+    bad, fibers = None, _group_by(q_gpd.arrows, q_gpd.rng)
+    left, right = e.left_action.act, e.right_action.act
+    for (p, z), pz in left.items():
+        for q in fibers.get(e.sigma.get(z), ()):
+            zq = right.get((q, z))
+            if zq is not None and (right.get((q, pz)) is None
+                                   or right[(q, pz)] != left.get((p, zq))):
+                bad = (p, z, q)
+                break
+        if bad:
+            break
+    rep.add("(iii) actions commute", bad is None,
+            f"({fmt(bad[0])},{fmt(bad[1])},{fmt(bad[2])})" if bad else None)
+
+    for f, invariant, bijective in (
+            (e, "(iv) rho invariant under the right action",
+             "(iv) rho factors to a bijection onto left units"),
+            (e_op, "(v) sigma invariant under the left action",
+             "(v) sigma factors to a bijection onto right units")):
+        bad = next(((q, z) for (q, z), v in f.right_action.act.items()
+                    if f.rho[v] != f.rho[z]), None)
+        rep.add(invariant, bad is None,
+                f"({fmt(bad[0])},{fmt(bad[1])})" if bad else None)
+        orbits = _components(z_set, ((z, v) for (q, z), v in f.right_action.act.items()))
+        rho_vals = {canonical_min(o): {f.rho[z] for z in o} for o in orbits}
+        bad = next((o for o, vals in rho_vals.items() if len(vals) != 1), None)
+        single = bad is None
+        vals = [next(iter(v)) for v in rho_vals.values()] if single else []
+        bij = single and len(set(map(fmt, vals))) == len(vals) and \
+            set(map(fmt, vals)) == set(map(fmt, f.left_groupoid.units))
+        rep.add(bijective, bij,
+                None if bij else (f"orbit of {fmt(bad)}" if bad else "not bijective"))
+
+    if not rep.ok:
+        return rep
+
+    bad, seen = None, {"left": set(), "right": set()}
+    sides = {"left": (e.sigma, bracket_table(e), False),
+             "right": (e.rho, bracket_table(e_op), True)}
+    for z1, z2, side in itertools.product(z_set, z_set, sides):
+        fiber, table, flip = sides[side]
+        if fiber[z1] != fiber[z2]:
+            continue
+        key = (z2, z1) if flip else (z1, z2)
+        if key not in table:
+            bad = (side, z1, z2)
+            break
+        seen[side].add(table[key])
+    rep.add("bracket characterizing identities", bad is None,
+            f"{bad[0]} pair ({fmt(bad[1])},{fmt(bad[2])})" if bad else None)
+    if bad is None:
+        rep.add("brackets jointly surjective",
+                seen["left"] == set(p_gpd.arrows) and seen["right"] == set(q_gpd.arrows))
+    rep.note("properness: vacuously true (finite discrete space)")
+    return rep

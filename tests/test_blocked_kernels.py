@@ -93,16 +93,21 @@ def test_block_size_does_not_change_the_corruption_goldens(monkeypatch):
     assert (right_tensor_corruption_failures(), linking_mult_corruption_failures()) == default
 
 
-def pair6_equivalence():
-    """Trivial line bundle on the pair groupoid of six points (a, b), with
-    Z2 translating a on the left and Z3 translating b on the right."""
+def pair6_actions():
+    """The pair groupoid of six points (a, b), with Z2 translating a on the
+    left and Z3 translating b on the right."""
     points = [(a, b) for a in range(2) for b in range(3)]
     unit = {p: i + 1 for i, p in enumerate(points)}
     left = {t: {unit[(a, b)]: unit[((a + t) % 2, b)] for a, b in points} for t in range(2)}
     right = {t: {unit[(a, b)]: unit[(a, (b + t) % 3)] for a, b in points} for t in range(3)}
     x = make_pair_groupoid(len(points))
-    gact = action_from_unit_map(cyclic_group(2), x, left, "left")
-    hact = action_from_unit_map(cyclic_group(3), x, right, "right")
+    return (x, action_from_unit_map(cyclic_group(2), x, left, "left"),
+            action_from_unit_map(cyclic_group(3), x, right, "right"))
+
+
+def pair6_equivalence():
+    """Trivial line bundle on pair6_actions()."""
+    x, gact, hact = pair6_actions()
     lb = trivial_line_bundle(x)
     return symmetric_action_equivalence(
         lb, BundleAction(gact.group, lb, gact, identity_fiber_maps(lb, gact), "left"),

@@ -26,6 +26,7 @@ from groupoidal import (
     verify_morita,
 )
 from groupoidal._util import deviation, fmt
+from groupoidal.groupoids import _orbit_roots
 from groupoidal.instances import cyclic_group, matrix_algebra, symmetric_z2z2_bundle
 
 from conftest import bracket_by_search, unverified_linking_system
@@ -168,18 +169,29 @@ def test_positivity_margin_matches_dense_reference(name, monkeypatch):
             assert reference == pytest.approx(-1.795831523312721, abs=1e-9)
 
 
+def _components(space, keys):
+    """The classes of points linked by the keys, as _inner_table splits its
+    table: each class in point order, classes in order of first members."""
+    at = {z: i for i, z in enumerate(space)}
+    root = _orbit_roots(len(space), *(np.array([at[k[j]] for k in keys]) for j in (0, 1)))
+    return [[space[i] for i in np.flatnonzero(root == c)] for c in np.unique(root)]
+
+
 def test_components_follow_the_inner_product_keys():
     e = symmetric_action_equivalence(*symmetric_z2z2_bundle())
     base = e.base
     fibers = {}
     for z in base.space:
         fibers.setdefault(base.sigma[z], []).append(z)
-    assert morita._components(base.space, e.left_inner) == list(fibers.values())
+    assert _components(base.space, e.left_inner) == list(fibers.values())
     # a synthetic key between two sigma-fibers joins them, in point order
     first, second, *rest = fibers.values()
     keys = [*e.left_inner, (second[0], first[-1])]
-    assert morita._components(base.space, keys) == \
+    assert _components(base.space, keys) == \
         [sorted(first + second, key=base.space.index), *rest]
+    # the table has one Gram per class
+    ls = linking_system(e)
+    assert len(morita._inner_table(ls, "left")) == len(fibers)
 
 
 def test_one_regular_representation_per_corner(monkeypatch):
