@@ -585,3 +585,41 @@ def verify_groupoid_equivalence_by_labels(e):
                 seen["left"] == set(p_gpd.arrows) and seen["right"] == set(q_gpd.arrows))
     rep.note("properness: vacuously true (finite discrete space)")
     return rep
+
+
+def fell_bundle_structure_by_labels(b):
+    """The structural checks of validate_fell_bundle as label loops, up to
+    and including "star matrices present with matching shapes": (name, ok,
+    witness) per check, in validate_fell_bundle's order.  A reference for
+    the checks that read the numbered pairs."""
+    out, g = [], b.base
+
+    def add(name, bad):
+        out.append((name, bad is None, bad))
+        return bad is not None
+
+    bad = [x for x in g.arrows if b.dim.get(x) is None or b.dim[x] < 0]
+    if add("fiber dimensions total and nonnegative", fmt(bad[0]) if bad else None):
+        return out
+    bad = [x for x in g.arrows if b.dim[x] != b.dim.get(g.inv.get(x))]
+    if add("dim(x) == dim(inv x)", fmt(bad[0]) if bad else None):
+        return out
+    pairs = list(g.composable_pairs())
+    pair_set = set(pairs)
+    missing = [k for k in pairs if k not in b.mult]
+    extra = [k for k in b.mult if k not in pair_set]
+    wit = (missing or extra or [None])[0]
+    add("mult defined exactly on composable pairs",
+        f"({fmt(wit[0])},{fmt(wit[1])})" if wit else None)
+    if missing:
+        return out
+    arrows = set(g.arrows)
+    bad = next(((x, y) for (x, y) in pairs if g.comp.get((x, y)) not in arrows
+                or b.mult[(x, y)].shape != (b.dim[g.comp[(x, y)]], b.dim[x], b.dim[y])),
+               None)
+    add("mult tensor shapes", f"({fmt(bad[0])},{fmt(bad[1])})" if bad else None)
+    bad = next((x for x in g.arrows
+                if x not in b.star or b.star[x].shape != (b.dim[g.inv[x]], b.dim[x])),
+               None)
+    add("star matrices present with matching shapes", fmt(bad) if bad is not None else None)
+    return out

@@ -7,26 +7,32 @@ to a label table shows in the next check."""
 import functools
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from groupoidal import (
+    FellBundle,
     GroupoidEquivalence,
     actions_commute,
     check_action,
     check_space_action,
     is_free,
+    linking_bundle,
     make_pair_groupoid,
     opposite,
+    symmetric_action_equivalence,
     symmetric_groupoid_equivalence,
+    validate_fell_bundle,
     verify_groupoid_equivalence,
 )
 from groupoidal import groupoids
 from groupoidal.groupoids import _Transposed
-from groupoidal.instances import symmetric_z2z2_actions
+from groupoidal.instances import symmetric_z2z2_actions, symmetric_z2z2_bundle
 
 from conftest import (
     check_action_by_labels,
     check_space_action_by_labels,
+    fell_bundle_structure_by_labels,
     verify_groupoid_equivalence_by_labels,
 )
 from test_blocked_kernels import pair6_actions, pair6_equivalence
@@ -221,3 +227,53 @@ def test_opposite_views_of_one_table_compare_without_iterating(monkeypatch):
     assert views[0].comp != _Transposed(edited)
     assert views[0] != opposite(replace(x, comp=edited))
     assert views[0].comp == _Transposed(dict(x.comp))
+
+
+# each linking bundle, and the stride through its products and arrows
+LINKING = {"z2z2": (lambda: symmetric_action_equivalence(*symmetric_z2z2_bundle()), 7),
+           "pair6": (pair6_equivalence, 150)}
+
+
+@functools.lru_cache(maxsize=None)
+def linking(name):
+    return linking_bundle(LINKING[name][0]())
+
+
+def corrupted_bundles(b, stride):
+    """Copies of a bundle with one entry changed: a product deleted, a
+    product's comp value moved outside the arrows, a product tensor
+    flattened or grown by one row, a star deleted or flattened, and a
+    product added on a pair that does not compose (first and last in the
+    table); then the bundle itself."""
+    g, keys = b.base, list(b.mult)
+
+    def copy(comp=None, mult=None, star=None):
+        return FellBundle(g if comp is None else replace(g, comp=comp), b.dim,
+                          b.mult if mult is None else mult, b.star if star is None else star)
+
+    for k in keys[::stride]:
+        t = b.mult[k]
+        yield copy(mult={kk: v for kk, v in b.mult.items() if kk != k})
+        yield copy(comp={**g.comp, k: ("nowhere", 0)})
+        yield copy(mult={**b.mult, k: t.reshape(-1)})
+        yield copy(mult={**b.mult, k: np.zeros((t.shape[0] + 1, *t.shape[1:]))})
+    for x in g.arrows[::stride]:
+        yield copy(star={kk: v for kk, v in b.star.items() if kk != x})
+        yield copy(star={**b.star, x: b.star[x].reshape(-1)})
+    pair = next((x, y) for x in g.arrows for y in g.arrows if g.src[x] != g.rng[y])
+    yield copy(mult={**b.mult, pair: b.mult[keys[0]]})
+    yield copy(mult={pair: b.mult[keys[0]], **b.mult})
+    yield b
+
+
+@pytest.mark.parametrize("name", sorted(LINKING))
+def test_bundle_structure_checks_match_the_label_loops(name):
+    cases = 0
+    for b in corrupted_bundles(linking(name), LINKING[name][1]):
+        want = fell_bundle_structure_by_labels(b)
+        rep = validate_fell_bundle(b)
+        got = [(c.name, c.ok, c.witness) for c in rep.checks]
+        assert got[:len(want)] == want
+        assert rep.ok == all(ok for _name, ok, _w in want)
+        cases += 1
+    assert cases > 20
