@@ -32,6 +32,12 @@ def canonical_min(items):
     return min(items, key=sort_key)
 
 
+def first_repeat(labels):
+    """The first label that ``labels`` lists a second time, or None."""
+    seen: set = set()
+    return next((x for x in labels if x in seen or seen.add(x)), None)
+
+
 def deviation(a, b) -> float:
     """max |a - b| over all entries, 0.0 for empty arrays; NaN propagates."""
     diff = np.abs(np.asarray(a) - np.asarray(b))

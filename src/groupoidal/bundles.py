@@ -11,7 +11,9 @@ structure constants are exact small rationals in every shipped instance.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,10 +47,8 @@ from .groupoids import (
     _Transposed,
     _flip,
     _group_by,
-    _groupoid_axioms,
     _orbit_action_data,
     _other_side,
-    _pair_ids,
     _quotient_groupoid,
     _require_acting_on,
     _semidirect_left,
@@ -233,8 +233,10 @@ def trivial_line_bundle(base: FiniteGroupoid) -> FellBundle:
 def validate_fell_bundle(b: FellBundle, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Associativity, involution, and dimension axioms, checked entrywise.
 
-    Associativity runs over the composable triples and the antihomomorphism
-    law over the composable pairs, as numbered by _Products in the order of
+    The base is numbered once (its _Ids, held by _Products): products are
+    matched to the composable pairs, and their shapes checked, on its id
+    columns.  Associativity runs over the composable triples and the
+    antihomomorphism law over the composable pairs, in the order of
     composable_triples() and composable_pairs(), each batched by fiber-shape
     class.  The triples are evaluated in blocks of at most _BLOCK, and the
     pass keeps only one residual per triple; the witness's arrows are read
@@ -244,7 +246,8 @@ def validate_fell_bundle(b: FellBundle, tol: float = DEFAULT_TOL) -> ValidationR
     is not associative) raises InvalidStructureError naming it.
     """
     rep = ValidationReport(subject="fell bundle")
-    g = b.base
+    kernels = _Products(b)
+    g, ids = b.base, kernels.ids
 
     bad = [x for x in g.arrows if b.dim.get(x) is None or b.dim[x] < 0]
     rep.add("fiber dimensions total and nonnegative", not bad,
@@ -257,23 +260,22 @@ def validate_fell_bundle(b: FellBundle, tol: float = DEFAULT_TOL) -> ValidationR
     if bad:  # an inverse that is not an arrow has no star shape to compare
         return rep
 
-    pairs = list(g.composable_pairs())
-    pair_set = set(pairs)
-    missing = [k for k in pairs if k not in b.mult]
-    extra = [k for k in b.mult if k not in pair_set]
-    wit = (missing or extra or [None])[0]
-    rep.add("mult defined exactly on composable pairs", not (missing or extra),
+    (px, py), arrows = ids.pairs, ids.arrows
+    missing, extra = ids.coverage(*ids.key_ids(b.mult))
+    wit = ((arrows[px[missing]], arrows[py[missing]]) if missing is not None
+           else next(itertools.islice(b.mult, extra, None)) if extra is not None else None)
+    rep.add("mult defined exactly on composable pairs", wit is None,
             f"({fmt(wit[0])},{fmt(wit[1])})" if wit else None)
-    if missing:
+    if missing is not None:
         return rep
 
-    # a pair whose product is not an arrow has no shape to compare
-    arrows = set(g.arrows)
-    bad = next(((x, y) for (x, y) in pairs if g.comp.get((x, y)) not in arrows
-                or b.mult[(x, y)].shape != (b.dim[g.comp[(x, y)]], b.dim[x], b.dim[y])),
-               None)
-    rep.add("mult tensor shapes", bad is None,
-            f"({fmt(bad[0])},{fmt(bad[1])})" if bad else None)
+    # a product that is not an arrow has dimension -1, and a tensor that is
+    # not three-dimensional the shape (-2, -2, -2)
+    dims, (cls, _pos, stacks) = np.array([b.dim[x] for x in arrows] + [-1]), kernels.mults
+    shapes = np.array([s.shape[1:] if s.ndim == 4 else (-2,) * 3 for s in stacks]).reshape(-1, 3)
+    k = _first((shapes[cls] != np.stack([dims[ids.prod], dims[px], dims[py]], axis=1)).any(1))
+    rep.add("mult tensor shapes", k is None,
+            f"({fmt(arrows[px[k]])},{fmt(arrows[py[k]])})" if k is not None else None)
 
     bad = next((x for x in g.arrows
                 if x not in b.star or b.star[x].shape != (b.dim[g.inv[x]], b.dim[x])),
@@ -283,15 +285,14 @@ def validate_fell_bundle(b: FellBundle, tol: float = DEFAULT_TOL) -> ValidationR
     if not rep.ok:
         return rep
 
-    kernels = _Products(b)
-    assoc = np.zeros(kernels.n_triples)
-    for block, cols in kernels.triple_blocks():
+    assoc = np.zeros(ids.n_triples)
+    for block, cols in ids.triple_blocks():
         assoc[block] = kernels.associativity(*cols)
     worst, i = worst_residual(assoc)
     rep.record_metric("associativity", worst)
     rep.add("mult associative", worst <= tol,
             None if worst <= tol else
-            f"triple {fmt(tuple(g.arrows[c[0]] for c in kernels.triples_at(np.array([i]))))}")
+            f"triple {fmt(tuple(arrows[c[0]] for c in ids.triples_at(np.array([i]))))}")
 
     worst, i = worst_residual([
         deviation(b.star[g.inv[a]] @ np.conjugate(b.star[a]), np.eye(b.dim[a]))
@@ -300,10 +301,10 @@ def validate_fell_bundle(b: FellBundle, tol: float = DEFAULT_TOL) -> ValidationR
     rep.add("star involutive", worst <= tol,
             None if worst <= tol else fmt(g.arrows[i]))
 
-    worst, i = worst_residual(kernels.antihomomorphism(kernels.px, kernels.py))
+    worst, i = worst_residual(kernels.antihomomorphism(px, py))
     rep.record_metric("antihomomorphism", worst)
     rep.add("(ab)* == b*a*", worst <= tol,
-            None if worst <= tol else f"pair ({fmt(pairs[i][0])},{fmt(pairs[i][1])})")
+            None if worst <= tol else f"pair ({fmt(arrows[px[i]])},{fmt(arrows[py[i]])})")
 
     rep.note("unit fibers are *-algebras; their C*-certification is a "
              "star_structure_report obligation")
@@ -311,88 +312,55 @@ def validate_fell_bundle(b: FellBundle, tol: float = DEFAULT_TOL) -> ValidationR
 
 
 class _Products:
-    """A bundle's composable tuples as arrow-id columns, and its two product
-    laws batched over any tuples of them.
+    """A bundle's two product laws over composable tuples of its base, as
+    numbered by ``ids`` (the base's _Ids), with the product tensors in pair
+    order and the star matrices classified by shape when first read.
 
-    (px, py) numbers the composable pairs in composable_pairs() order, read
-    from integer source and range ids: x in arrow order, then y in arrow
-    order; the triples extend each pair (x, y) by the pairs (y, z), and the
-    triples of pair k sit at positions offset[k] to offset[k + 1] of that
-    enumeration.  pair_id[x, y] is the number of a pair and comp[x, y] its
-    product, -1 where (x, y) is not composable; prod[k] is the product of
-    pair k.  The product tensors, their conjugates and the star matrices
-    are classified by shape once, here.  A law returns one residual per
-    tuple, in the order given, evaluating the tuples in blocks of at most
-    _BLOCK; associativity raises on a triple whose two products lie over
-    different arrows (the first such triple of the first block holding one).
+    A law returns one residual per tuple, in the order given, evaluating
+    the tuples in blocks of at most _BLOCK; associativity raises on a triple
+    whose two products lie over different arrows (the first such triple of
+    the first block holding one).
     """
 
     def __init__(self, b: FellBundle):
-        g = self.base = b.base
-        n = len(g.arrows)
-        self.ix = {x: i for i, x in enumerate(g.arrows)}
-        point: dict = {}
-        s, r = (np.array([point.setdefault(end[x], len(point)) for x in g.arrows], dtype=np.intp)
-                for end in (g.src, g.rng))
-        self.px, self.py = _pair_ids(s, r, len(point))
-        # the pairs (x, .) are rows row[x] to row[x + 1] of (px, py)
-        self.row = np.searchsorted(self.px, np.arange(n + 1))
-        self.offset = np.concatenate(
-            [[0], np.cumsum(self.row[self.py + 1] - self.row[self.py])]).astype(np.intp)
-        self.n_triples = int(self.offset[-1])
-        pairs = [(g.arrows[x], g.arrows[y]) for x, y in zip(self.px.tolist(), self.py.tolist())]
-        self.prod = np.array([self.ix[g.comp[k]] for k in pairs], dtype=np.intp)
-        self.pair_id, self.comp = np.full((2, n, n), -1, dtype=np.intp)
-        self.pair_id[self.px, self.py] = np.arange(len(pairs))
-        self.comp[self.px, self.py] = self.prod
-        self.inv = np.array([self.ix[g.inv[a]] for a in g.arrows], dtype=np.intp)
-        self.mults = _shape_classes([b.mult[k] for k in pairs])
-        cls, pos, stacks = self.mults
-        self.conj = cls, pos, [np.conjugate(s) for s in stacks]
-        self.stars = _shape_classes([b.star[a] for a in g.arrows])
+        self.bundle, self.ids = b, _Ids(b.base)
 
-    def triples_at(self, at) -> tuple:
-        """The triples at positions ``at`` of the enumeration, as id columns."""
-        k = np.searchsorted(self.offset, at, side="right") - 1
-        return self.px[k], self.py[k], self.py[self.row[self.py[k]] + at - self.offset[k]]
+    @cached_property
+    def mults(self) -> tuple:
+        (px, py), arrows = self.ids.pairs, self.ids.arrows
+        return _shape_classes([self.bundle.mult[(arrows[x], arrows[y])]
+                               for x, y in zip(px.tolist(), py.tolist())])
 
-    def triple_blocks(self):
-        """The triples block by block, in composable_triples() order: for
-        each block its slice of positions and its id columns."""
-        for block in _blocks(self.n_triples):
-            yield block, self.triples_at(np.arange(block.start, block.stop))
-
-    def validate_base(self) -> ValidationReport:
-        """validate_groupoid(self.base), read from this table: the same
-        checks, names, order and witnesses, with associativity checked on
-        the integer product table over triple_blocks(), so that the triples
-        are never walked by label."""
-        return _groupoid_axioms(self.base, (self.px, self.py, self.prod),
-                                lambda _ix: (cols for _block, cols in self.triple_blocks()))
+    @cached_property
+    def stars(self) -> tuple:
+        return _shape_classes([self.bundle.star[a] for a in self.ids.arrows])
 
     def associativity(self, x, y, z) -> np.ndarray:
-        pair_id, comp, residuals = self.pair_id, self.comp, np.zeros(len(x))
+        ids, residuals = self.ids, np.zeros(len(x))
+        pair_id, comp = ids.pair_id, ids.table
         for block in _blocks(len(x)):
             a, b, c = x[block], y[block], z[block]
-            ids = np.stack([pair_id[a, b], pair_id[comp[a, b], c],
-                            pair_id[b, c], pair_id[a, comp[b, c]]], axis=1)
-            _require_products(ids, self.base, a, b, c)
-            bad = np.flatnonzero(self.prod[ids[:, 1]] != self.prod[ids[:, 3]])
+            rows = np.stack([pair_id[a, b], pair_id[comp[a, b], c],
+                             pair_id[b, c], pair_id[a, comp[b, c]]], axis=1)
+            _require_products(rows, ids.g, a, b, c)
+            bad = np.flatnonzero(ids.prod[rows[:, 1]] != ids.prod[rows[:, 3]])
             if bad.size:
-                wit = tuple(self.base.arrows[col[bad[0]]] for col in (a, b, c))
+                wit = tuple(ids.arrows[col[bad[0]]] for col in (a, b, c))
                 raise InvalidStructureError(f"products of {fmt(wit)} lie over different arrows")
-            residuals[block] = _residuals("kij,lkm->lijm", "kjm,lik->lijm", [self.mults] * 4, ids)
+            residuals[block] = _residuals("kij,lkm->lijm", "kjm,lik->lijm", [self.mults] * 4, rows)
         return residuals
 
     def antihomomorphism(self, x, y) -> np.ndarray:
-        inv, stars, residuals = self.inv, self.stars, np.zeros(len(x))
+        ids, stars, residuals = self.ids, self.stars, np.zeros(len(x))
+        inv, pair_id, (cls, pos, stacks) = ids.inv, ids.pair_id, self.mults
+        conj = cls, pos, [np.conjugate(s) for s in stacks]
         for block in _blocks(len(x)):
             a, b = x[block], y[block]
-            ids = np.stack([self.comp[a, b], self.pair_id[a, b],
-                            self.pair_id[inv[b], inv[a]], b, a], axis=1)
-            _require_products(ids, self.base, inv[b], inv[a])
+            rows = np.stack([ids.table[a, b], pair_id[a, b], pair_id[inv[b], inv[a]], b, a],
+                            axis=1)
+            _require_products(rows, ids.g, inv[b], inv[a])
             residuals[block] = _residuals("kl,lij->kij", "kab,aj,bi->kij",
-                                          [stars, self.conj, self.mults, stars, stars], ids)
+                                          [stars, conj, self.mults, stars, stars], rows)
         return residuals
 
 
@@ -471,12 +439,12 @@ def check_bundle_action(ba: BundleAction, tol: float = DEFAULT_TOL) -> Validatio
     # numbered once: fiber map (t, x) is number t * n + x (element, then
     # arrow order), star x and the identity on the fiber at x number x, and
     # a product the number of its pair in composable_pairs() order
-    ids = _Ids(b.base)
-    n, arrows, (px, py) = ids.n, ids.arrows, ids.pairs
+    kernels = _Products(b)
+    ids, mts, stars = kernels.ids, kernels.mults, kernels.stars
+    n, arrows, (px, py), pair_id = ids.n, ids.arrows, ids.pairs, ids.pair_id
     elements, img = _image_table(act, ids)
     fm = np.arange(len(elements) * n).reshape(-1, n)
     fms = _shape_classes([ba.fiber_maps[(t, x)] for t in elements for x in arrows])
-    stars = _shape_classes([b.star[x] for x in arrows])
     res = _residuals("ij->ij", "ij->ij", [fms, [np.eye(b.dim[x]) for x in arrows]],
                      np.stack([fm[elements.index(g.identity)], np.arange(n)], axis=1))
     k = _first(~(res <= tol))
@@ -490,14 +458,10 @@ def check_bundle_action(ba: BundleAction, tol: float = DEFAULT_TOL) -> Validatio
     rep.add("fiber maps satisfy the group law", worst <= tol, None if worst <= tol else
             fmt((elements[first[i // n]], elements[second[i // n]], arrows[i % n])))
 
-    mts = _shape_classes([b.mult[(arrows[x], arrows[y])]
-                          for x, y in zip(px.tolist(), py.tolist())])
-    pair_id = np.full((n + 1, n + 1), -1, dtype=np.intp)
-    pair_id[px, py] = np.arange(len(px))
     pair = np.broadcast_to(np.arange(len(px)), (len(elements), len(px)))
     worst, i = worst_residual(_residuals(
         "kl,lij->kij", "kab,ai,bj->kij", [fms, mts, mts, fms, fms], np.stack(
-            [fm[:, ids.table[px, py]], pair, pair_id[img[:, px], img[:, py]],
+            [fm[:, ids.prod], pair, pair_id[img[:, px], img[:, py]],
              fm[:, px], fm[:, py]], axis=2)))
     rep.record_metric("multiplicativity", worst)
     rep.add("fiber maps preserve multiplication", worst <= tol, None if worst <= tol else
@@ -1159,9 +1123,9 @@ def _patterns(tag: np.ndarray, *cols) -> np.ndarray:
 
 @dataclass(eq=False)
 class EquivalenceReport(ValidationReport):
-    """A report with the linking bundle it checked and that bundle's tuple
-    table (both None if it stopped early); neither is part of the report's
-    text."""
+    """A report with the linking bundle it checked and that bundle's product
+    laws, whose ``ids`` number the linking groupoid (both None if it stopped
+    early); neither is part of the report's text."""
 
     linking: FellBundle | None = None
     products: _Products | None = field(default=None, repr=False)
@@ -1248,15 +1212,16 @@ def verify_bundle_equivalence(e: BundleEquivalence,
     link = linking_bundle(e)
     g = link.base
     kernels, tag = _Products(link), _tags(g)
-    triple_class = np.empty(kernels.n_triples, dtype=np.uint8)
-    assoc = np.zeros(kernels.n_triples)
-    for block, (x, y, w) in kernels.triple_blocks():
+    ids = kernels.ids
+    triple_class = np.empty(ids.n_triples, dtype=np.uint8)
+    assoc = np.zeros(ids.n_triples)
+    for block, (x, y, w) in ids.triple_blocks():
         code = triple_class[block] = _patterns(tag, x, y, w)
         keep = ~np.isin(code, _codes("ppp", "qqq"))
         assoc[block][keep] = kernels.associativity(x[keep], y[keep], w[keep])
-    pair_class = _patterns(tag, kernels.px, kernels.py)
+    pair_class = _patterns(tag, *ids.pairs)
     keep = ~np.isin(pair_class, _codes("pp", "qq"))
-    px, py, pair_class = kernels.px[keep], kernels.py[keep], pair_class[keep]
+    px, py, pair_class = ids.pairs[0][keep], ids.pairs[1][keep], pair_class[keep]
     anti = kernels.antihomomorphism(px, py)
 
     def classes(*patterns):  # a table over codes: is the class among the patterns
@@ -1283,7 +1248,7 @@ def verify_bundle_equivalence(e: BundleEquivalence,
         rep.add(name, worst <= tol, None if worst <= tol else witness(r))
 
     def triple(r):
-        return tuple(g.arrows[c[0]] for c in kernels.triples_at(np.array([r])))
+        return tuple(g.arrows[c[0]] for c in ids.triples_at(np.array([r])))
 
     def untagged(arrows):  # a step names its tuple without the tags
         return fmt(tuple(a[1] for a in arrows))
@@ -1296,11 +1261,11 @@ def verify_bundle_equivalence(e: BundleEquivalence,
     # the right class of step 4 in the order of the right action table at
     # (q, z2): each key numbered by the linking ids of its arrows, q then z
     right = np.flatnonzero(triple_class == _codes("bzq")[0])
-    n, ix = len(g.arrows), kernels.ix
+    n, ix = ids.n, ids.ix
     code = np.array([ix[("q", q)] * n + ix[("z", z)] for q, z in base.right_action.act],
                     dtype=np.int64)
     rank = np.argsort(code, kind="stable")
-    rx, ry, rw = kernels.triples_at(right)
+    rx, ry, rw = ids.triples_at(right)
     right = right[np.lexsort((rx, rank[np.searchsorted(code[rank], rw * n + ry)]))]
     worst, i = worst_residual(assoc[right])
     record("step 4: inner products compatible with the module actions",

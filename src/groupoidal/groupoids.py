@@ -16,18 +16,15 @@ every finite groupoid and are invariant under any action by automorphisms,
 so no measure data is stored.  Properness checks are vacuous for finite
 discrete spaces and are reported as notes.
 
-Checks read integer tables numbered per call.  check_action, is_free,
-require_free and actions_commute read one |G| x arrows image table;
-check_space_action and verify_groupoid_equivalence (items (i)-(v), the
-brackets and their joint surjectivity) read the action tables as id columns
-in table order; the quotient and orbit constructions read one unit-shift
-table per action.  Nothing is cached on the labelled objects: tables may be
-edited in place between two checks, and the second must see the edit.  A
-witness is the first failing tuple in the order of the label walk each check
-replaced; a label the ids cannot name is read by label, and only when it may
-be the witness.  validate_groupoid keeps its label walk of
-composable_triples() for associativity, the one enumeration of a groupoid's
-triples by label, which the benchmark counts.
+A groupoid is numbered in one place, _Ids: its arrows, units, composable
+pairs and triples and its product table, in the order of composable_pairs()
+and composable_triples().  Every check and construction that reads a
+groupoid as integers reads it there, once per call; actions add an image
+table (_image_table) or id columns of their table (_SpaceIds).  Nothing is
+cached on the labelled objects: tables may be edited in place between two
+checks, and the second must see the edit.  A witness is the first failing
+tuple in the order of the label walk each check replaced.  validate_groupoid
+keeps its label walk of composable_triples(), which the benchmark counts.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from functools import cached_property, singledispatch
 
 import numpy as np
 
-from ._util import _BLOCK, _ranges, canonical_min, fmt, sort_key
+from ._util import _BLOCK, _ranges, canonical_min, first_repeat, fmt, sort_key
 from .report import (
     InternalConsistencyError,
     InvalidStructureError,
@@ -328,87 +325,48 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     Associativity walks composable_triples() by label, _BLOCK triples at a
     time, up to the first block with a bad one.
     """
-    def triples(ix):
-        walk = g.composable_triples()
+    ids, walk = _Ids(g), g.composable_triples()
+
+    def triples():
         while True:
-            x, y, z = np.fromiter(map(ix.__getitem__, itertools.chain.from_iterable(
+            x, y, z = np.fromiter(map(ids.ix.__getitem__, itertools.chain.from_iterable(
                 itertools.islice(walk, _BLOCK))), dtype=np.intp).reshape(-1, 3).T
             if not x.size:
                 return
             yield x, y, z
 
-    return _groupoid_axioms(g, None, triples)
+    return _groupoid_axioms(ids, triples())
 
 
-def _pair_ids(s: np.ndarray, r: np.ndarray, n_points: int) -> tuple:
-    """The composable pairs (x, y), src(x) == rng(y), as arrow-id columns in
-    composable_pairs() order (x in arrow order, then y in arrow order), from
-    the integer source and range ids of the arrows."""
-    by_rng = np.argsort(r, kind="stable")
-    fiber = np.searchsorted(r[by_rng], np.arange(n_points + 1))
-    px, at = _ranges(fiber[s], fiber[s + 1])
-    return px, by_rng[at]
-
-
-def _groupoid_axioms(g: FiniteGroupoid, pairs, triples) -> ValidationReport:
-    """The groupoid axioms of g, in validate_groupoid's order, names and
+def _groupoid_axioms(ids: _Ids, triples) -> ValidationReport:
+    """The groupoid axioms of ids.g, in validate_groupoid's order, names and
     witnesses.
 
-    The checks over arrows and units read g's labels until they are known
-    to be total; the rest read integer columns.  ``pairs`` holds the
-    composable pairs as arrow-id columns (px, py, prod) in
-    composable_pairs() order, prod the id of each pair's product, or is
-    None to number them here from the labels.  ``triples(ix)``, given the
-    arrow ids by label, yields the composable triples as blocks of id
-    columns (x, y, z) in composable_triples() order; only the blocks up to
-    the first bad triple are read.  A witness that the id columns cannot
-    name in the order of g.comp is searched for by label, and only when the
-    check fails.
+    The checks read the columns of ``ids``.  ``triples`` yields
+    the composable triples as blocks of id columns (x, y, z) in
+    composable_triples() order; only the blocks up to the first bad triple
+    are read.  A witness that the id columns cannot name in the order of
+    g.comp is searched for by label, and only when the check fails.
     """
     rep = ValidationReport(subject="groupoid")
-    arrows, units = set(g.arrows), set(g.units)
+    g, n, m, s, r = ids.g, ids.n, len(ids.g.units), ids.s, ids.r
+    for name, bad, labels in (("src/rng total with unit values", (s >= m) | (r >= m), g.arrows),
+                              ("inverse total", ids.inv == n, g.arrows),
+                              ("unit arrows present", ids.unit[:m] == n, g.units)):
+        k = _first(bad)
+        rep.add(name, k is None, fmt(labels[k]) if k is not None else None)
+        if k is not None:
+            return rep
 
-    bad = [x for x in g.arrows if g.src.get(x) not in units or g.rng.get(x) not in units]
-    rep.add("src/rng total with unit values", not bad, fmt(bad[0]) if bad else None)
-    if bad:
-        return rep
-
-    bad = [x for x in g.arrows if g.inv.get(x) not in arrows]
-    rep.add("inverse total", not bad, fmt(bad[0]) if bad else None)
-    if bad:
-        return rep
-
-    bad = [u for u in g.units if g.unit_arrow.get(u) not in arrows]
-    rep.add("unit arrows present", not bad, fmt(bad[0]) if bad else None)
-    if bad:
-        return rep
-
-    ix = {x: i for i, x in enumerate(g.arrows)}
-    point = {u: i for i, u in enumerate(g.units)}
-    n = len(ix)
-    every, at = (np.array([ids[a] for a in labels], dtype=np.intp)
-                 for ids, labels in ((ix, g.arrows), (point, g.units)))
-    s, r = (np.array([point[end[x]] for x in g.arrows], dtype=np.intp)
-            for end in (g.src, g.rng))
-    inv = np.array([ix[g.inv[x]] for x in g.arrows], dtype=np.intp)
-    unit = np.array([ix[g.unit_arrow[u]] for u in g.units], dtype=np.intp)
-    if pairs is None:
-        px, py = _pair_ids(s, r, len(point))
-        # -1 for a missing product, n for one that is not an arrow
-        none = object()
-        keys = zip(*(map(g.arrows.__getitem__, c.tolist()) for c in (px, py)))
-        prod = _ids_of(map(g.comp.get, keys, itertools.repeat(none)), {**ix, none: -1}, n)
-    else:
-        px, py, prod = pairs
-
-    missing = np.flatnonzero(prod < 0)
-    extra = ([k for k in g.comp if g.src[k[0]] != g.rng[k[1]]]
-             if len(g.comp) != len(prod) - len(missing) else [])
-    wit = ((g.arrows[px[missing[0]]], g.arrows[py[missing[0]]]) if missing.size
+    (px, py), prod, inv, unit, table = ids.pairs, ids.prod, ids.inv, ids.unit, ids.table
+    every, at, arrows = np.arange(n), np.arange(m), set(g.arrows)
+    missing, extra = ids.coverage(*ids.comp[:2])
+    extra = [k for k in g.comp if g.src[k[0]] != g.rng[k[1]]] if extra is not None else []
+    wit = ((g.arrows[px[missing]], g.arrows[py[missing]]) if missing is not None
            else extra[0] if extra else None)
     rep.add("comp defined iff src(x)=rng(y)", wit is None,
             f"pair ({fmt(wit[0])},{fmt(wit[1])})" if wit else None)
-    if missing.size:
+    if missing is not None:
         return rep
 
     # an id past the arrows has no source or range
@@ -420,16 +378,10 @@ def _groupoid_axioms(g: FiniteGroupoid, pairs, triples) -> ValidationReport:
     rep.add("rng(xy)=rng(x), src(xy)=src(y)", not bad,
             f"pair ({fmt(bad[0][0])},{fmt(bad[0][1])})" if bad else None)
 
-    # associativity on an integer product table; index n stands for a
-    # product that is missing or not an arrow, and counts as a mismatch.
-    # Ids are 32-bit: the (n + 1)^2 table caps n far below 2^31.
-    table = np.full((n + 1, n + 1), n, dtype=np.int32)
-    table[px, py] = prod
-    for x, y in extra:
-        if x in ix and y in ix:
-            table[ix[x], ix[y]] = ix.get(g.comp[(x, y)], n)
+    # associativity on the product table; id n stands for a product that is
+    # missing or not an arrow, and counts as a mismatch
     wit = None
-    for x, y, z in triples(ix):
+    for x, y, z in triples:
         lhs, rhs = table[table[x, y], z], table[x, table[y, z]]
         bad = np.flatnonzero((lhs == n) | (lhs != rhs))
         if bad.size:
@@ -459,12 +411,10 @@ def _groupoid_axioms(g: FiniteGroupoid, pairs, triples) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # integer numbering
 #
-# A check or construction numbers the labels it reads once per call and
-# works on integer columns from then on.  Nothing is kept on the labelled
-# objects: their tables may be edited between calls, and each call reads
-# them as they are.  An entry the columns cannot name (a label outside the
-# arrows or the points) is read by label, and only when it may be the
-# witness.
+# _Ids is the one numbering of a groupoid.  A check or construction numbers
+# what it reads once per call and works on integer columns from then on; an
+# entry the columns cannot name (a label outside the arrows or the points)
+# is read by label, and only when it may be the witness.
 
 
 def _numbering(labels) -> dict:
@@ -506,40 +456,42 @@ def _blocks_of(n: int, width: int):
 
 
 class _Ids:
-    """A groupoid's arrows and units, numbered once for one call.
+    """A groupoid numbered once for one call; one that lists an arrow or a
+    unit twice raises InvalidStructureError naming the first repeat.
 
-    ``arrows`` lists each arrow label once, in arrow order, and ``ix``
-    numbers them; n is their number.  ``point`` numbers the units in unit
-    order, then every other src or rng value in arrow order, so that two
-    ids are equal exactly when their labels are; s and r are the src and
-    rng ids of the arrows.  inv and unit (the unit arrow of each unit) are
-    arrow ids, n for a label that is not an arrow.  ``table`` is the
-    (n + 1) x (n + 1) product table read from comp, n where a pair has no
-    product or its product is not an arrow; row and column n stand for a
-    label that is not an arrow.
+    ``ix`` numbers the arrows in arrow order, n of them.  ``point`` numbers
+    the units, then every other src or rng value (None where there is none);
+    s and r are the arrows' src and rng ids.  inv, unit (of each point) and
+    the product ``table``, (n + 1) x (n + 1) and read from ``comp`` (id
+    columns x, y, xy of comp's entries), hold arrow ids, n for a missing
+    entry or a label that is not an arrow.  ``pairs`` are the composable
+    pairs (x, y) as id columns in composable_pairs() order, numbered by
+    pair_id (-1 off them), prod their products.  The triples extend each
+    pair (x, y) by the pairs (y, .), which are rows row[y] to row[y + 1];
+    pair k's triples are positions offset[k] to offset[k + 1].
     """
 
     def __init__(self, g: FiniteGroupoid):
         self.g = g
         self.ix = _numbering(g.arrows)
+        for kind, labels, distinct in (("arrow", g.arrows, self.ix),
+                                       ("unit", g.units, set(g.units))):
+            if len(distinct) != len(labels):
+                raise InvalidStructureError(
+                    f"groupoid lists {kind} {fmt(first_repeat(labels))} twice")
         self.arrows = tuple(self.ix)
         self.n = len(self.arrows)
 
     @cached_property
     def _ends(self) -> tuple:
         g, point = self.g, _numbering(self.g.units)
-        s, r = (np.array([point.setdefault(end[x], len(point)) for x in self.arrows],
+        s, r = (np.array([point.setdefault(end.get(x), len(point)) for x in self.arrows],
                          dtype=np.intp) for end in (g.src, g.rng))
         return point, s, r
 
     point = property(lambda self: self._ends[0])
     s = property(lambda self: self._ends[1])
     r = property(lambda self: self._ends[2])
-
-    @cached_property
-    def pairs(self) -> tuple:
-        """The composable pairs as id columns, in composable_pairs() order."""
-        return _pair_ids(self.s, self.r, len(self.point))
 
     @cached_property
     def inv(self) -> np.ndarray:
@@ -559,19 +511,83 @@ class _Ids:
         """is_unit_arrow() of each arrow."""
         return (self.s == self.r) & (self.unit[self.r] == np.arange(self.n))
 
+    def key_ids(self, keys) -> tuple:
+        """The arrow ids (x, y) of the keys of a table keyed by pairs of
+        arrows, as columns in table order (n for a label that is not an
+        arrow)."""
+        columns = list(zip(*keys)) or [(), ()]
+        return tuple(_ids_of(labels, self.ix, self.n) for labels in columns)
+
     @cached_property
-    def table(self) -> np.ndarray:
-        n, ix, comp, swap = self.n, self.ix, self.g.comp, False
+    def comp(self) -> tuple:
+        """comp's entries as id columns (x, y, xy) in table order."""
+        comp, swap = self.g.comp, False
         while isinstance(comp, _Transposed) and comp.value is None:
             comp, swap = comp.table, not swap  # an opposite reads its table transposed
-        x, y = (_ids_of(labels, ix, n) for labels in zip(*comp)) if comp else ([], [])
-        if swap:
-            x, y = y, x
+        x, y = self.key_ids(comp)[::-1 if swap else 1]
+        return x, y, _ids_of(comp.values(), self.ix, self.n)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        n, (x, y, xy) = self.n, self.comp
         # Ids are 32-bit: the (n + 1)^2 table caps n far below 2^31.
         table = np.full((n + 1, n + 1), n, dtype=np.int32)
-        table[x, y] = _ids_of(comp.values(), ix, n)
+        table[x, y] = xy
         table[n], table[:, n] = n, n
         return table
+
+    @cached_property
+    def pairs(self) -> tuple:
+        s, r = self.s, self.r
+        by_rng = np.argsort(r, kind="stable")
+        fiber = np.searchsorted(r[by_rng], np.arange(len(self.point) + 1))
+        px, at = _ranges(fiber[s], fiber[s + 1])
+        return px, by_rng[at]
+
+    @cached_property
+    def pair_id(self) -> np.ndarray:
+        pair_id = np.full((self.n + 1, self.n + 1), -1, dtype=np.intp)
+        pair_id[self.pairs] = np.arange(len(self.pairs[0]))
+        return pair_id
+
+    @cached_property
+    def prod(self) -> np.ndarray:
+        return self.table[self.pairs]
+
+    def coverage(self, x, y) -> tuple:
+        """Of a table keyed by the arrow ids (x, y), in table order: the
+        number of the first composable pair without a key, and the position
+        of the first key that is not a composable pair; None where there is
+        none."""
+        hit = self.pair_id[x, y]
+        keyed = np.zeros(len(self.prod) + 1, dtype=bool)
+        keyed[hit] = True  # a key off the pairs marks the spare last entry
+        return _first(~keyed[:-1]), _first(hit < 0)
+
+    @cached_property
+    def row(self) -> np.ndarray:
+        return np.searchsorted(self.pairs[0], np.arange(self.n + 1))
+
+    @cached_property
+    def offset(self) -> np.ndarray:
+        row, py = self.row, self.pairs[1]
+        return np.concatenate([[0], np.cumsum(row[py + 1] - row[py])]).astype(np.intp)
+
+    @property
+    def n_triples(self) -> int:
+        return int(self.offset[-1])
+
+    def triples_at(self, at) -> tuple:
+        """The triples at positions ``at`` of the enumeration, as id columns."""
+        (px, py), offset = self.pairs, self.offset
+        k = np.searchsorted(offset, at, side="right") - 1
+        return px[k], py[k], py[self.row[py[k]] + at - offset[k]]
+
+    def triple_blocks(self):
+        """The triples block by block, in composable_triples() order: for
+        each block its slice of positions and its id columns."""
+        for block in _blocks_of(self.n_triples, 1):
+            yield block, self.triples_at(np.arange(block.start, block.stop))
 
 
 def _image_table(a: GroupAction, ids: _Ids) -> tuple:
@@ -688,9 +704,8 @@ def check_action(a: GroupAction) -> ValidationReport:
 
     # t.p and t.q composable, with (t.p)(t.q) == t.(pq); an id past the
     # arrows has no source or range, and a missing product reads as n
-    px, py = ids.pairs
-    s, r, table = np.append(ids.s, -1), np.append(ids.r, -2), ids.table
-    pq, wit = table[px, py], None
+    (px, py), pq, table = ids.pairs, ids.prod, ids.table
+    s, r, wit = np.append(ids.s, -1), np.append(ids.r, -2), None
     for t in range(len(elements)):
         for block in _blocks_of(len(px), 1):
             tp, tq = img[t, px[block]], img[t, py[block]]
@@ -904,8 +919,7 @@ def _check_space_action(a: SpaceAction) -> tuple:
     # (xy).u == x.(y.u) wherever y.u is defined, pair by pair in
     # composable_pairs() order, points in space order; a product that is
     # missing or not an arrow reads row n, where nothing is defined
-    img, (px, py), wit = num.image, ids.pairs, None
-    prod = ids.table[px, py]
+    img, (px, py), prod, wit = num.image, ids.pairs, ids.prod, None
     for block in _blocks_of(len(px), m):
         yu = img[py[block]]
         lhs, rhs = img[prod[block]], img[px[block, None], np.maximum(yu, 0)]

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import fmt, parse_ident
+from ._util import first_repeat, fmt, parse_ident
 
 
 class ModelError(ValueError):
@@ -241,6 +241,8 @@ LINES = {
                  ("tau: ACTION", "refs")),
 }
 
+# the lines that list a set, each label once, by what they list
+_DISTINCT = {("groupoid", "units"): "unit", ("groupoid", "arrows"): "arrow"}
 _ACTION_KINDS = {"group_on_groupoid", "group_on_space", "groupoid_on_space",
                  "group_on_bundle", "group_on_algebra"}
 _REFERENCES = {"GROUP": "group", "GROUPOID": "groupoid", "SPACE": "space",
@@ -416,6 +418,10 @@ def _parse_block(model: ModelFile, lines: list, k: int, refs: list, ident) -> in
         form, values = _parse_line(head, ln, toks, ident)
         if form.references:
             refs += [(ln, f"{head} {name}", kind, values[i]) for i, kind in form.references]
+        repeated = first_repeat(values[-1]) if (head, form.field) in _DISTINCT else None
+        if repeated is not None:
+            raise ModelError(f"{head} {name!r} lists {_DISTINCT[head, form.field]} "
+                             f"{fmt(repeated)} twice", ln)
         if form.key is None:
             rows.setdefault(form.field, []).append(tuple(values))
         elif form.field == "refs":

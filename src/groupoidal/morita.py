@@ -63,6 +63,7 @@ from .groupoids import (
     FiniteGroupoid,
     GroupAction,
     SpaceAction,
+    _groupoid_axioms,
     _orbit_roots,
     group_set_action,
     left_translation_action,
@@ -105,14 +106,15 @@ def linking_system(e: BundleEquivalence, tol: float = DEFAULT_TOL) -> LinkingSys
 
     The bundle is the one verify_bundle_equivalence checked, which raises
     unless every step passes, and the linking groupoid is validated on the
-    tuple table that check numbered (``_Products.validate_base``), so that
-    its composable triples are enumerated once.  Each corner is built from
+    numbering that check made of it (``verification.products.ids``), so
+    that its composable triples are enumerated once.  Each corner is built from
     the linking bundle restricted to its tag, and the linking algebra is
     left to ``LinkingSystem.algebra``.
     """
     verification = verify_bundle_equivalence(e, tol).require("linking_system")
-    bundle = verification.linking
-    verification.products.validate_base().require("linking groupoid")
+    bundle, ids = verification.linking, verification.products.ids
+    _groupoid_axioms(ids, (cols for _block, cols in ids.triple_blocks())).require(
+        "linking groupoid")
     return LinkingSystem(e, bundle.base, bundle,
                          _corner(bundle, "p", "left corner"),
                          _corner(bundle, "q", "right corner"),

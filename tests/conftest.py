@@ -141,10 +141,10 @@ def triples(kernels, first, second):
     """The triples (x, y, z) of a _Products table with (x, y) among the
     pairs ``first`` and (y, z) among the pairs ``second`` (masks of pair
     numbers), as id columns in composable_triples() order."""
-    k, j = (np.flatnonzero(sel) for sel in (first, second))
-    row = np.searchsorted(kernels.px[j], np.arange(len(kernels.row)))
-    owner, at = _ranges(row[kernels.py[k]], row[kernels.py[k] + 1])
-    return kernels.px[k[owner]], kernels.py[k[owner]], kernels.py[j[at]]
+    (px, py), (k, j) = kernels.ids.pairs, (np.flatnonzero(sel) for sel in (first, second))
+    row = np.searchsorted(px[j], np.arange(len(kernels.ids.row)))
+    owner, at = _ranges(row[py[k]], row[py[k] + 1])
+    return px[k[owner]], py[k[owner]], py[j[at]]
 
 
 def _exchange_residual(link):
@@ -152,7 +152,7 @@ def _exchange_residual(link):
     (z, zb, z) triples only: the (z, zb) pairs extended by the (zb, z)
     pairs, in linking-groupoid order."""
     kernels = _Products(link)
-    pair_class = _patterns(_tags(link.base), kernels.px, kernels.py)
+    pair_class = _patterns(_tags(link.base), *kernels.ids.pairs)
     zb, bz = (pair_class == code for code in _codes("zb", "bz"))
     return worst_residual(kernels.associativity(*triples(kernels, zb, bz)))[0]
 

@@ -27,7 +27,7 @@ from groupoidal import (
     validate_groupoid,
     verify_bundle_equivalence,
 )
-from groupoidal import bundles
+from groupoidal import bundles, groupoids
 from groupoidal.bundles import transformation_bundle_action
 from groupoidal._util import fmt
 from groupoidal.instances import (
@@ -286,7 +286,7 @@ def test_groupoid_associativity_witness_matches_reference(seed):
 
 
 def test_enumerations_keep_the_scan_order():
-    # the label generators and the id columns of bundles._Products list the
+    # the label generators and the id columns of groupoids._Ids list the
     # same tuples in the same order, also where an arrow's source is no
     # arrow's range (src(c) == 2 below, so c starts no pair)
     rng = np.random.default_rng(5000)
@@ -299,11 +299,11 @@ def test_enumerations_keep_the_scan_order():
     for h in [loose] + bases + [opposite(g) for g in bases]:
         assert list(h.composable_pairs()) == all_pairs(h)
         assert list(h.composable_triples()) == all_triples(h)
-        table = bundles._Products(trivial_line_bundle(h))
+        table = groupoids._Ids(h)
         ix = table.ix
         pairs = [(ix[x], ix[y]) for x, y in h.composable_pairs()]
         triples = [(ix[x], ix[y], ix[z]) for x, y, z in h.composable_triples()]
-        assert list(zip(table.px.tolist(), table.py.tolist())) == pairs
+        assert list(zip(*(c.tolist() for c in table.pairs))) == pairs
         assert list(zip(*(c.tolist() for c in table.triples_at(np.arange(table.n_triples))))) \
             == triples
     assert list(loose.composable_triples()) == [("b", "a", "c"), ("b", "b", "a"), ("b", "b", "b")]

@@ -1,6 +1,6 @@
 """The product-law kernels evaluate their tuples in blocks of bundles._BLOCK,
-and validate_groupoid walks the composable triples in blocks of
-groupoids._BLOCK.
+and the composable triples are enumerated (groupoids._Ids.triple_blocks)
+and walked by validate_groupoid in blocks of groupoids._BLOCK.
 
 The block size bounds the memory of a pass and nothing else: every metric,
 witness and residual must be the same, bit for bit, whatever it is.  And the
@@ -78,6 +78,7 @@ def results(make):
 def test_block_size_does_not_change_any_result(make, monkeypatch):
     default = results(make)
     monkeypatch.setattr(bundles, "_BLOCK", 7)
+    monkeypatch.setattr(groupoids, "_BLOCK", 7)
     assert results(make) == default
     # a shift that does not depend on the block size shows against the loops
     e = make(True)
@@ -90,6 +91,7 @@ def test_block_size_does_not_change_any_result(make, monkeypatch):
 def test_block_size_does_not_change_the_corruption_goldens(monkeypatch):
     default = (right_tensor_corruption_failures(), linking_mult_corruption_failures())
     monkeypatch.setattr(bundles, "_BLOCK", 7)
+    monkeypatch.setattr(groupoids, "_BLOCK", 7)
     assert (right_tensor_corruption_failures(), linking_mult_corruption_failures()) == default
 
 

@@ -38,6 +38,7 @@ from groupoidal import (
     transformation_groupoid,
     trivial_action,
     trivial_line_bundle,
+    validate_fell_bundle,
     validate_groupoid,
     verify_groupoid_equivalence,
 )
@@ -776,3 +777,17 @@ def test_principal_decomposition_rejects_non_free(z2):
         z2, g, {0: {1: 1, 2: 2, 3: 3}, 1: {1: 2, 2: 1, 3: 3}}, "right")
     with pytest.raises(NonFreeActionError):
         principal_decomposition(g, act)
+
+
+@pytest.mark.parametrize("field", ["arrows", "units"])
+def test_every_check_refuses_a_groupoid_that_lists_a_label_twice(z2, field):
+    # the checks number the groupoid in one place, which names the label
+    g = make_pair_groupoid(2)
+    first = getattr(g, field)[0]
+    g = replace(g, **{field: getattr(g, field) + (first,)})
+    message = f"^groupoid lists {field[:-1]} {re.escape(fmt(first))} twice$"
+    for check in (validate_groupoid,
+                  lambda g: validate_fell_bundle(trivial_line_bundle(g)),
+                  lambda g: check_action(trivial_action(z2, g))):
+        with pytest.raises(InvalidStructureError, match=message):
+            check(g)

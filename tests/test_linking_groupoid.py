@@ -1,9 +1,9 @@
 """The linking groupoid is validated on the tuple table of its bundle.
 
 linking_system, which builds only verified linking systems, checks the
-groupoid axioms of the linking groupoid on the integer tuple table
-(``bundles._Products``) that verify_bundle_equivalence numbered for the
-linking bundle, so its composable triples are enumerated once.  The table's report must be
+groupoid axioms of the linking groupoid on the numbering of it
+(``groupoids._Ids``) that verify_bundle_equivalence made for the linking
+bundle, so its composable triples are enumerated once.  The table's report must be
 validate_groupoid's, check for check: names, pass or fail, and witnesses,
 on the intact groupoid and on corrupted copies of its composition,
 inverse and unit arrows.
@@ -20,7 +20,7 @@ from groupoidal import (
     validate_groupoid,
     verify_bundle_equivalence,
 )
-from groupoidal import bundles, groupoids
+from groupoidal import bundles, groupoids, morita
 from groupoidal._util import fmt
 from groupoidal.instances import symmetric_z2z2_bundle
 
@@ -30,6 +30,13 @@ from test_blocked_kernels import pair6_equivalence
 
 def _checks(rep):
     return [(c.name, c.ok, c.witness) for c in rep.checks]
+
+
+def table_report(link):
+    """The groupoid report of link's base as linking_system makes it: read
+    from the numbering of the bundle's products, over its numbered triples."""
+    ids = bundles._Products(link).ids
+    return groupoids._groupoid_axioms(ids, (cols for _block, cols in ids.triple_blocks()))
 
 
 def reference_validate_groupoid(g):
@@ -148,7 +155,7 @@ def test_table_report_equals_validate_groupoid(make, corruption, seed):
     link = linking_bundle(_equivalence(make, 300 + seed))
     CORRUPTIONS[corruption](link.base, np.random.default_rng(seed))
     reference = validate_groupoid(link.base)
-    table = bundles._Products(link).validate_base()
+    table = table_report(link)
     assert _checks(table) == _checks(reference) == reference_validate_groupoid(link.base)
     assert table.subject == reference.subject
     assert table.ok == (corruption == "none")
@@ -161,7 +168,7 @@ def test_table_report_reads_the_associativity_witness_in_triple_order(monkeypatc
     reference = _checks(validate_groupoid(link.base))
     monkeypatch.setattr(bundles, "_BLOCK", 5)
     monkeypatch.setattr(groupoids, "_BLOCK", 5)
-    assert _checks(bundles._Products(link).validate_base()) == reference
+    assert _checks(table_report(link)) == reference
     assert ("associativity", False) in [(n, ok) for n, ok, _w in reference]
 
 
@@ -178,17 +185,17 @@ def test_strict_linking_system_never_walks_the_linking_triples(monkeypatch):
     assert not any(g is ls.groupoid for g in walked)
     # the left and right groupoids are still validated by label
     assert len(walked) == 2
-    assert ls.verification.products.base is ls.groupoid
+    assert ls.verification.products.ids.g is ls.groupoid
 
 
 def test_strict_linking_system_requires_the_linking_groupoid(monkeypatch):
     # a report that fails names the linking groupoid, as validate_groupoid's did
-    def failing(self):
+    def failing(ids, triples):
         rep = groupoids.ValidationReport(subject="groupoid")
         rep.add("associativity", False, "triple (a,b,c)")
         return rep
 
-    monkeypatch.setattr(bundles._Products, "validate_base", failing)
+    monkeypatch.setattr(morita, "_groupoid_axioms", failing)
     with pytest.raises(InvalidStructureError,
                        match=r"^linking groupoid: associativity failed \[triple \(a,b,c\)\]$"):
         linking_system(pair6_equivalence())
@@ -196,14 +203,14 @@ def test_strict_linking_system_requires_the_linking_groupoid(monkeypatch):
 
 def test_report_carries_the_table_it_checked():
     rep = verify_bundle_equivalence(pair6_equivalence())
-    assert rep.products.base is rep.linking.base
-    assert rep.products.n_triples == 135_000
+    assert rep.products.ids.g is rep.linking.base
+    assert rep.products.ids.n_triples == 135_000
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_label_report_equals_the_reference_where_no_table_can_be_built(seed):
-    # a missing product, or one that is not an arrow, cannot be numbered in
-    # a _Products table; the label path reports it as the loops do
+    # a missing product, or one that is not an arrow, has no product id in
+    # the table; the report names it as the loops do
     rng = np.random.default_rng(seed)
     for corruption in ("missing", "not_an_arrow"):
         g = linking_bundle(_equivalence("seeded", 300 + seed)).base

@@ -975,6 +975,10 @@ def test_cli_build_rejects_an_action_of_another_kind(tmp_path, capsys, args, kin
      "line 3: bad scenario line 'op: coaction extra', expected 'op: WORD'"),
     ("version 1\naction T\n  side: left right\nend\n",
      "line 3: bad action line 'side: left right', expected 'side: WORD'"),
+    # a groupoid lists each unit and each arrow once
+    ("version 1\ngroupoid Y\n  units: a b a\nend\n", "line 3: groupoid 'Y' lists unit a twice"),
+    (_TWO_ARROWS.replace("arrows: e f", "arrows: e f e"),
+     "line 5: groupoid 'G' lists arrow e twice"),
 ])
 def test_malformed_declaration_is_a_usage_error_naming_its_line(tmp_path, capsys, text, message):
     p = tmp_path / "malformed.model"

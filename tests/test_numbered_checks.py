@@ -18,6 +18,7 @@ from groupoidal import (
     check_space_action,
     is_free,
     linking_bundle,
+    linking_system,
     make_pair_groupoid,
     opposite,
     symmetric_action_equivalence,
@@ -277,3 +278,20 @@ def test_bundle_structure_checks_match_the_label_loops(name):
         assert rep.ok == all(ok for _name, ok, _w in want)
         cases += 1
     assert cases > 20
+
+
+def test_each_check_numbers_its_groupoid_once(monkeypatch):
+    numbered = []
+    original = groupoids._Ids.__init__
+
+    def spy(self, g):
+        numbered.append(g)
+        original(self, g)
+
+    monkeypatch.setattr(groupoids._Ids, "__init__", spy)
+    b = linking("z2z2")
+    assert validate_fell_bundle(b).ok
+    assert [g is b.base for g in numbered] == [True]
+    numbered.clear()
+    ls = linking_system(pair6_equivalence())
+    assert sum(g is ls.groupoid for g in numbered) == 1
