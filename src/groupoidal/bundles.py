@@ -12,12 +12,13 @@ structure constants are exact small rationals in every shipped instance.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from ._util import _BLOCK, DEFAULT_TOL, deviation, fmt, worst_residual
+from ._util import _BLOCK, DEFAULT_TOL, _ranges, deviation, fmt, worst_residual
 from .groupoids import (
     FiniteGroup,
     FiniteGroupoid,
@@ -57,6 +58,11 @@ from .groupoids import (
     _first,
     _group_law_ids,
     _image_table,
+    _arrow_images,
+    _blocks_of,
+    _check_space_action,
+    _morphism_failures,
+    _MISSING,
 )
 from .report import (
     InternalConsistencyError,
@@ -68,113 +74,82 @@ from .report import (
 # ---------------------------------------------------------------------------
 # batched residual kernels
 #
-# A check compares two einsum expressions on every tuple of an enumeration.
-# The tensors of each tuple are read from numbered tables, each classified
-# once by tensor shape; the tuples are grouped by the shapes of their
-# tensors, and each shape class is evaluated by one einsum per side and
-# chunk.  The residual of a tuple, max |lhs - rhs| with NaN propagating,
-# lands at the tuple's place in the enumeration, so worst_residual() names
-# the first tuple that attains the maximum.
+# Every batched contraction goes through one evaluator, _evaluated(): rows
+# of tensor ids into tables classified once by shape, grouped by the shapes
+# of their tensors, and each shape class contracted by one einsum per spec
+# and chunk, with optimize off, so that every entry sums in the order of the
+# unbatched einsum.  _residuals() lands max |lhs - rhs| of each row, NaN
+# propagating, at the row's place, so worst_residual() names the first tuple
+# attaining the maximum; _contracted() returns each row's contraction.
 
-_CHUNK = 1 << 16  # residual entries per batched einsum: bounds its operands
-
-
-def _blocks(n: int):
-    """range(n) as consecutive slices of at most _BLOCK."""
-    for lo in range(0, n, _BLOCK):
-        yield slice(lo, min(lo + _BLOCK, n))
+_CHUNK = 1 << 16  # output entries per batched einsum: bounds its operands
 
 
 def _shape_classes(tensors: list) -> tuple:
     """Each tensor's shape class and place in it, and one stack per class."""
-    classes: dict = {}
-    stacks: list = []
-    cls = np.empty(len(tensors), dtype=np.intp)
-    pos = np.empty(len(tensors), dtype=np.intp)
+    classes: dict = {}  # each shape's positions in tensors
     for i, t in enumerate(tensors):
-        c = classes.get(t.shape)
-        if c is None:
-            c = classes[t.shape] = len(stacks)
-            stacks.append([])
-        cls[i], pos[i] = c, len(stacks[c])
-        stacks[c].append(t)
-    return cls, pos, [np.array(members) for members in stacks]
+        classes.setdefault(t.shape, []).append(i)
+    cls, pos = np.empty((2, len(tensors)), dtype=np.intp)
+    for c, members in enumerate(classes.values()):
+        cls[members], pos[members] = c, np.arange(len(members))
+    return cls, pos, [np.array([tensors[i] for i in members]) for members in classes.values()]
 
 
-def _numbered(table) -> tuple[dict, tuple]:
-    """The keys of a tensor table numbered in table order, and its tensors
-    classified by shape."""
-    keys = list(table)
-    return {k: i for i, k in enumerate(keys)}, _shape_classes([table[k] for k in keys])
-
-
-def _residuals(lhs: str, rhs: str, tables: list, rows) -> np.ndarray:
-    """max |lhs - rhs| for each row of tensor ids, in row order.
-
-    ``lhs`` and ``rhs`` are einsum specs over the same output indices; their
-    inputs, lhs first, are read from ``tables`` at the ids in the matching
-    column of ``rows``.  A table is the _shape_classes() of its tensors, so
-    that a caller evaluating it more than once classifies it once; a list
-    of tensors is classified here.  Rows are evaluated in blocks of at most
-    _BLOCK, so the index bookkeeping is bounded by the block.
+def _evaluated(specs, tables: list, rows):
+    """Chunk by chunk of rows of tensor ids, the chunk's positions and each
+    spec's np.einsum over it.  The specs share their output indices and read
+    their inputs, in spec order, from ``tables`` (_shape_classes(), or lists
+    of tensors classified here) at the ids in the matching column of
+    ``rows``.  Rows go by in blocks of at most _BLOCK, which bounds the
+    bookkeeping, and a chunk holds at most _CHUNK output entries (or one row).
     """
-    inputs = [spec.split("->")[0].split(",") for spec in (lhs, rhs)]
-    out = lhs.split("->")[1]
-    n_lhs = len(inputs[0])
-    batched = ["Z" + spec.replace(",", ",Z").replace("->", "->Z") for spec in (lhs, rhs)]
+    inputs = [spec.split("->")[0].split(",") for spec in specs]
+    out = specs[0].split("->")[1]
+    batched = ["Z" + spec.replace(",", ",Z").replace("->", "->Z") for spec in specs]
     tables = [_shape_classes(t) if isinstance(t, list) else t for t in tables]
     rows = np.asarray(rows, dtype=np.intp).reshape(-1, len(tables))
-    residuals = np.zeros(len(rows))
-    for block in _blocks(len(rows)):
-        ids, res = rows[block], residuals[block]
-        cols = []  # per input: shape class and stack position of each row's tensor
+    for block in _blocks_of(len(rows), 1):
+        ids = rows[block]
+        # per input: shape class and stack position of each row's tensor
+        cols = [(c[ids[:, j]], p[ids[:, j]], stacks) for j, (c, p, stacks) in enumerate(tables)]
         key = np.zeros(len(ids), dtype=np.int64)
-        for j, (cls, pos, stacks) in enumerate(tables):
-            cols.append((cls[ids[:, j]], pos[ids[:, j]], stacks))
-            key = key * len(stacks) + cols[-1][0]
-        order = np.argsort(key, kind="stable")
+        for cls, _pos, stacks in cols:
+            key = key * len(stacks) + cls
+        order = np.argsort(key, kind="stable") if key.any() else np.arange(len(ids))
         for members in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
             stacks = [col[2][col[0][members[0]]] for col in cols]
             dims = {}
-            for subs, stack in zip(inputs[0] + inputs[1], stacks):
+            for subs, stack in zip(itertools.chain(*inputs), stacks):
                 dims.update(zip(subs, stack.shape[1:]))
-            width = int(np.prod([dims[c] for c in out]))
-            if width == 0:
-                continue
-            step = max(1, _CHUNK // width)
+            step = max(1, _CHUNK // max(1, math.prod(dims[c] for c in out)))
             for start in range(0, len(members), step):
                 chunk = members[start:start + step]
-                ops = [stack[col[1][chunk]] for stack, col in zip(stacks, cols)]
-                diff = (np.einsum(batched[0], *ops[:n_lhs])
-                        - np.einsum(batched[1], *ops[n_lhs:]))
-                res[chunk] = np.abs(diff).reshape(len(chunk), -1).max(axis=1)
+                ops = iter([stack[col[1][chunk]] for stack, col in zip(stacks, cols)])
+                yield block.start + chunk, [
+                    np.einsum(spec, *itertools.islice(ops, len(subs)))
+                    for spec, subs in zip(batched, inputs)]
+
+
+def _residuals(lhs: str, rhs: str, tables: list, rows) -> np.ndarray:
+    """max |lhs - rhs| for each row of tensor ids, in row order, as
+    _evaluated() reads them; 0 on a row whose output is empty."""
+    rows = np.asarray(rows, dtype=np.intp).reshape(-1, len(tables))
+    residuals = np.zeros(len(rows))
+    for at, (left, right) in _evaluated((lhs, rhs), tables, rows):
+        residuals[at] = np.abs(left - right).reshape(len(at), -1).max(axis=1, initial=0.0)
     return residuals
 
 
 def _contracted(spec: str, rows: list) -> list:
-    """np.einsum(spec, *row) for each row of operands, in row order.
-
-    The rows are grouped by the shapes of their operands, and each group is
-    contracted by one einsum over its stacked operands, _BLOCK rows at a
-    time, with optimize off as in _residuals, so that every entry is summed
-    in the order of the unbatched einsum.
-    """
-    batched = "Z" + spec.replace(",", ",Z").replace("->", "->Z")
-    columns = list(zip(*rows))
-    groups: dict = {}
-    for i, key in enumerate(zip(*[[t.shape for t in column] for column in columns])):
-        groups.setdefault(key, []).append(i)
+    """np.einsum(spec, *row) for each row of operands, in row order, each
+    column of operands read as one table of _evaluated()."""
     out = [None] * len(rows)
-    for members in groups.values():
-        for block in _blocks(len(members)):
-            chunk = members[block]
-            results = np.einsum(batched, *[np.array([column[i] for i in chunk])
-                                           for column in columns])
-            if len(groups) == 1:
-                out[block] = results
-            else:
-                for i, result in zip(chunk, results):
-                    out[i] = result
+    if rows:
+        ids = np.repeat(np.arange(len(rows))[:, None], len(rows[0]), axis=1)
+        for at, (results,) in _evaluated([spec], [list(c) for c in zip(*rows)], ids):
+            for i, result in zip(at.tolist(), results):
+                out[i] = result
     return out
 
 
@@ -313,8 +288,8 @@ def validate_fell_bundle(b: FellBundle, tol: float = DEFAULT_TOL) -> ValidationR
 
 class _Products:
     """A bundle's two product laws over composable tuples of its base, as
-    numbered by ``ids`` (the base's _Ids), with the product tensors in pair
-    order and the star matrices classified by shape when first read.
+    numbered by ``ids`` (the base's _Ids, unless given), with the products
+    in pair order and the stars classified by shape when first read.
 
     A law returns one residual per tuple, in the order given, evaluating
     the tuples in blocks of at most _BLOCK; associativity raises on a triple
@@ -322,8 +297,8 @@ class _Products:
     the first block holding one).
     """
 
-    def __init__(self, b: FellBundle):
-        self.bundle, self.ids = b, _Ids(b.base)
+    def __init__(self, b: FellBundle, ids: _Ids | None = None):
+        self.bundle, self.ids = b, ids if ids is not None else _Ids(b.base)
 
     @cached_property
     def mults(self) -> tuple:
@@ -338,7 +313,7 @@ class _Products:
     def associativity(self, x, y, z) -> np.ndarray:
         ids, residuals = self.ids, np.zeros(len(x))
         pair_id, comp = ids.pair_id, ids.table
-        for block in _blocks(len(x)):
+        for block in _blocks_of(len(x), 1):
             a, b, c = x[block], y[block], z[block]
             rows = np.stack([pair_id[a, b], pair_id[comp[a, b], c],
                              pair_id[b, c], pair_id[a, comp[b, c]]], axis=1)
@@ -354,7 +329,7 @@ class _Products:
         ids, stars, residuals = self.ids, self.stars, np.zeros(len(x))
         inv, pair_id, (cls, pos, stacks) = ids.inv, ids.pair_id, self.mults
         conj = cls, pos, [np.conjugate(s) for s in stacks]
-        for block in _blocks(len(x)):
+        for block in _blocks_of(len(x), 1):
             a, b = x[block], y[block]
             rows = np.stack([ids.table[a, b], pair_id[a, b], pair_id[inv[b], inv[a]], b, a],
                             axis=1)
@@ -362,6 +337,25 @@ class _Products:
             residuals[block] = _residuals("kl,lij->kij", "kab,aj,bi->kij",
                                           [stars, conj, self.mults, stars, stars], rows)
         return residuals
+
+
+def _fiber_map_residuals(source: _Products, target: _Products, img: np.ndarray,
+                         fm: np.ndarray, fms: tuple) -> tuple:
+    """The residuals of F(xy) m(x, y) == m'(Fx, Fy)(F_x, F_y), in row then
+    composable-pair order, and of star'(Fx) conj(F_x) == F_(inv x) star(x),
+    in row then arrow order, for the bundle maps F of ``source`` into
+    ``target`` given by the rows of an image table and fiber map ids fm
+    (F_x of row t is fms's fm[t, x])."""
+    ids, n, (px, py) = source.ids, source.ids.n, source.ids.pairs
+    multiplicativity = _residuals(
+        "kl,lij->kij", "kab,ai,bj->kij", [fms, source.mults, target.mults, fms, fms], np.stack(
+            [fm[:, ids.prod], np.broadcast_to(np.arange(len(px)), (len(img), len(px))),
+             target.ids.pair_id[img[:, px], img[:, py]], fm[:, px], fm[:, py]], axis=2))
+    cls, pos, stacks = fms
+    conj = cls, pos, [np.conjugate(stack) for stack in stacks]
+    star = _residuals("ij,jk->ik", "il,lk->ik", [target.stars, conj, fms, source.stars], np.stack(
+        [img[:, :n], fm, fm[:, ids.inv], np.broadcast_to(np.arange(n), fm.shape)], axis=2))
+    return multiplicativity, star
 
 
 def _require_products(ids: np.ndarray, g: FiniteGroupoid, *cols) -> None:
@@ -420,7 +414,8 @@ def trivial_bundle_action(group: FiniteGroup, bundle: FellBundle,
 
 def check_bundle_action(ba: BundleAction, tol: float = DEFAULT_TOL) -> ValidationReport:
     rep = ValidationReport(subject=f"{ba.side} bundle action")
-    rep.merge(check_action(ba.base_action), prefix="base: ")
+    base = check_action(ba.base_action)
+    rep.merge(base, prefix="base: ")
     if ba.base_action.side != ba.side:
         rep.add("side matches base action", False, ba.side)
     if not rep.ok:
@@ -435,14 +430,12 @@ def check_bundle_action(ba: BundleAction, tol: float = DEFAULT_TOL) -> Validatio
     if bad:
         return rep
 
-    # each law batched over its tuples by shape class (_residuals), on ids
-    # numbered once: fiber map (t, x) is number t * n + x (element, then
-    # arrow order), star x and the identity on the fiber at x number x, and
-    # a product the number of its pair in composable_pairs() order
-    kernels = _Products(b)
-    ids, mts, stars = kernels.ids, kernels.mults, kernels.stars
-    n, arrows, (px, py), pair_id = ids.n, ids.arrows, ids.pairs, ids.pair_id
-    elements, img = _image_table(act, ids)
+    # on the base as check_action numbered it: fiber map (t, x) is number
+    # t * n + x (element, then arrow order), star x and the identity on the
+    # fiber at x number x, and a product the number of its pair
+    ids, elements, img = base.numbered
+    kernels = _Products(b, ids)
+    n, arrows, (px, py) = ids.n, ids.arrows, ids.pairs
     fm = np.arange(len(elements) * n).reshape(-1, n)
     fms = _shape_classes([ba.fiber_maps[(t, x)] for t in elements for x in arrows])
     res = _residuals("ij->ij", "ij->ij", [fms, [np.eye(b.dim[x]) for x in arrows]],
@@ -458,21 +451,13 @@ def check_bundle_action(ba: BundleAction, tol: float = DEFAULT_TOL) -> Validatio
     rep.add("fiber maps satisfy the group law", worst <= tol, None if worst <= tol else
             fmt((elements[first[i // n]], elements[second[i // n]], arrows[i % n])))
 
-    pair = np.broadcast_to(np.arange(len(px)), (len(elements), len(px)))
-    worst, i = worst_residual(_residuals(
-        "kl,lij->kij", "kab,ai,bj->kij", [fms, mts, mts, fms, fms], np.stack(
-            [fm[:, ids.prod], pair, pair_id[img[:, px], img[:, py]],
-             fm[:, px], fm[:, py]], axis=2)))
+    multiplicativity, star = _fiber_map_residuals(kernels, kernels, img, fm, fms)
+    worst, i = worst_residual(multiplicativity)
     rep.record_metric("multiplicativity", worst)
     rep.add("fiber maps preserve multiplication", worst <= tol, None if worst <= tol else
             fmt((elements[i // len(px)], arrows[px[i % len(px)]], arrows[py[i % len(px)]])))
 
-    # star[t.x] conj(F(t, x)) == F(t, inv x) star[x]
-    cls, pos, stacks = fms
-    conj = cls, pos, [np.conjugate(stack) for stack in stacks]
-    worst, i = worst_residual(_residuals(
-        "ij,jk->ik", "il,lk->ik", [stars, conj, fms, stars], np.stack(
-            [img[:, :n], fm, fm[:, ids.inv], np.broadcast_to(np.arange(n), fm.shape)], axis=2)))
+    worst, i = worst_residual(star)
     rep.record_metric("star equivariance", worst)
     rep.add("fiber maps preserve the involution", worst <= tol,
             None if worst <= tol else fmt((elements[i // n], arrows[i % n])))
@@ -734,30 +719,33 @@ def _semidirect_orbit_bundle_action(a: FellBundle, g: BundleAction, h: BundleAct
 
 
 def check_module_action(m: BundleModuleAction, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """(pq).b == p.(q.b) entrywise over all composable module triples."""
+    """(pq).b == p.(q.b) entrywise over all composable module triples:
+    (q, z) in action table order, then p in arrow order, on the numbering
+    of the action (_SpaceIds), whose groupoid is the acting base."""
     rep = ValidationReport(subject="bundle module action")
-    rep.merge(check_space_action(m.base), prefix="base: ")
+    base_rep, num = _check_space_action(m.base)
+    rep.merge(base_rep, prefix="base: ")
     missing = [k for k in m.base.act if k not in m.tensors]
     rep.add("tensors cover the defined pairs", not missing,
             fmt(missing[0]) if missing else None)
     if not rep.ok:
         return rep
-    acting = m.acting
-    tid, tts = _numbered(m.tensors)
-    mid, mts = _numbered(acting.mult)
-    tuples, ids = [], []
-    for (q, z), qz in m.base.act.items():
-        for p in acting.base.arrows:
-            if not acting.base.composable(p, q):
-                continue
-            tuples.append((p, q, z))
-            ids.append((tid[(p, qz)], tid[(q, z)],
-                        tid[(acting.base.comp[(p, q)], z)], mid[(p, q)]))
+    kernels = _Products(m.acting, num.ids)
+    ids, kx, ku, v = num.ids, num.kx, num.ku, num.v
+    # the tensor of each key is numbered by its place in the action table
+    key = np.full((ids.n + 1, len(num.points)), -1, dtype=np.intp)
+    key[kx, ku] = np.arange(len(kx))
+    by_src = np.argsort(ids.s, kind="stable")
+    fiber = np.searchsorted(ids.s[by_src], np.arange(len(ids.point) + 1))
+    e, at = _ranges(fiber[ids.r[kx]], fiber[ids.r[kx] + 1])
+    p, q = by_src[at], kx[e]
+    tts = _shape_classes([m.tensors[k] for k in num.keys])
     worst, i = worst_residual(_residuals(
-        "lam,mbj->labj", "lcj,cab->labj", [tts, tts, tts, mts], ids))
+        "lam,mbj->labj", "lcj,cab->labj", [tts, tts, tts, kernels.mults],
+        np.stack([key[p, v[e]], e, key[ids.table[p, q], ku[e]], ids.pair_id[p, q]], axis=1)))
     rep.record_metric("module associativity", worst)
-    rep.add("module action associative", worst <= tol,
-            None if worst <= tol else fmt(tuples[i]))
+    rep.add("module action associative", worst <= tol, None if worst <= tol else
+            fmt((ids.arrows[p[i]], ids.arrows[q[i]], num.points[ku[e[i]]])))
     return rep
 
 
@@ -773,9 +761,7 @@ def _check_symmetric_bundle_hypotheses(a: FellBundle, g: BundleAction, h: Bundle
     require_free(h.base_action, "symmetric hypotheses")
     wit = actions_commute(g.base_action, h.base_action)
     if wit is not None:
-        raise InvalidStructureError(
-            f"base actions do not commute at ({fmt(wit[0])},{fmt(wit[1])},{fmt(wit[2])})"
-        )
+        raise InvalidStructureError(f"base actions do not commute at {fmt(wit)}")
     # F_h(k, t.x) F_g(t, x) == F_g(t, x.k) F_h(k, x), over (t, k, x) in
     # element and arrow order; fiber map (t, x) is number t * n + x
     ids = _Ids(a.base)
@@ -785,12 +771,13 @@ def _check_symmetric_bundle_hypotheses(a: FellBundle, g: BundleAction, h: Bundle
                 for ba, els in ((g, g_els), (h, h_els)))
     t, k, x = np.meshgrid(np.arange(len(g_els)), np.arange(len(h_els)), np.arange(n),
                           indexing="ij")
-    worst, _i = worst_residual(_residuals("ij,jk->ik", "ij,jk->ik", [f_h, f_g, f_g, f_h], np.stack(
+    worst, i = worst_residual(_residuals("ij,jk->ik", "ij,jk->ik", [f_h, f_g, f_g, f_h], np.stack(
         [k * n + g_img[t, x], t * n + x, t * n + h_img[k, x], k * n + x], axis=-1)))
     if not worst <= tol:
+        t, k, x = np.unravel_index(i, t.shape)
         raise InvalidStructureError(
-            f"fiber actions do not commute (residual {worst:.3e})"
-        )
+            f"fiber actions do not commute at {fmt((g_els[t], h_els[k], ids.arrows[x]))} "
+            f"(residual {worst:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -809,12 +796,15 @@ class BundleIso:
 
 def verify_bundle_iso(iso: BundleIso, tol: float = DEFAULT_TOL) -> ValidationReport:
     """A bijective functor with square invertible fiber maps that respect
-    products and stars: an isomorphism of the section algebras."""
+    products and stars: an isomorphism of the section algebras.  Each base
+    is numbered once; the arrow map is one row of an image table."""
     rep = ValidationReport(subject="bundle isomorphism")
     src, tgt, amap = iso.source, iso.target, iso.arrow_map
-    image = {amap.get(x) for x in src.base.arrows}  # None marks a missing image
-    rep.add("arrow map bijective", len(image) == len(src.base.arrows)
-            and image == set(tgt.base.arrows))
+    source, target = _Products(src), _Products(tgt)
+    n, arrows, (px, py) = source.ids.n, source.ids.arrows, source.ids.pairs
+    img = _arrow_images([[amap.get(x, _MISSING) for x in arrows]], n, target.ids)
+    rep.add("arrow map bijective",
+            n == target.ids.n and (np.sort(img[0, :n]) == np.arange(n)).all())
     if not rep.ok:
         return rep
     bad = next((x for x in src.base.arrows
@@ -828,30 +818,22 @@ def verify_bundle_iso(iso: BundleIso, tol: float = DEFAULT_TOL) -> ValidationRep
     if not rep.ok:
         return rep
 
-    fid, fms = _numbered(iso.fiber_maps)
-    sid, sts = _numbered(src.mult)
-    tid, tts = _numbered(tgt.mult)
-    pairs, ids = [], []
-    for (x, y) in src.base.composable_pairs():
-        fx, fy = amap[x], amap[y]
-        if not tgt.base.composable(fx, fy) or tgt.base.comp[(fx, fy)] != amap[src.base.comp[(x, y)]]:
-            rep.add("arrow map multiplicative", False, f"({fmt(x)},{fmt(y)})")
-            return rep
-        pairs.append((x, y))
-        ids.append((fid[src.base.comp[(x, y)]], sid[(x, y)], tid[(fx, fy)], fid[x], fid[y]))
-    worst, i = worst_residual(_residuals(
-        "kl,lij->kij", "kab,ai,bj->kij", [fms, sts, tts, fms, fms], ids))
+    comp = _morphism_failures(img, source.ids, target.ids)[0]
+    if comp is not None:
+        rep.add("arrow map multiplicative", False, fmt((arrows[px[comp[1]]], arrows[py[comp[1]]])))
+        return rep
+    multiplicativity, star = _fiber_map_residuals(
+        source, target, img, np.arange(n)[None, :],
+        _shape_classes([iso.fiber_maps[x] for x in arrows]))
+    worst, i = worst_residual(multiplicativity)
     rep.record_metric("multiplicativity", worst)
     rep.add("fiber maps multiplicative", worst <= tol,
-            None if worst <= tol else fmt(pairs[i]))
+            None if worst <= tol else fmt((arrows[px[i]], arrows[py[i]])))
 
-    worst, i = worst_residual([
-        deviation(tgt.star[amap[x]] @ np.conjugate(iso.fiber_maps[x]),
-                  iso.fiber_maps[src.base.inv[x]] @ src.star[x])
-        for x in src.base.arrows])
+    worst, i = worst_residual(star)
     rep.record_metric("star preservation", worst)
     rep.add("fiber maps star-preserving", worst <= tol,
-            None if worst <= tol else fmt(src.base.arrows[i]))
+            None if worst <= tol else fmt(arrows[i]))
     return rep
 
 
@@ -884,9 +866,7 @@ def principal_fell_decomposition(a: FellBundle, ba: BundleAction) -> PrincipalFe
         deviation(fiber_maps[ba.base_action.act[(t, x)]] @ ba.fiber_maps[(t, x)], fiber_maps[x])
         for t in ba.group.elements for x in a.base.arrows])
     if not worst <= DEFAULT_TOL:
-        raise InternalConsistencyError(
-            f"tau fiber maps not equivariant (residual {worst:.3e})"
-        )
+        raise InternalConsistencyError(f"tau fiber maps not equivariant (residual {worst:.3e})")
     return PrincipalFellDecomposition(qb, qm, trans, iso, pd)
 
 
@@ -1233,7 +1213,7 @@ def verify_bundle_equivalence(e: BundleEquivalence,
         # the worst residual and its position in each block, over the tuples
         # of the member classes; no array as long as the tuples is built
         found = []
-        for block in _blocks(len(codes)):
+        for block in _blocks_of(len(codes), 1):
             worst, i = worst_residual(np.where(member[codes[block]], residuals[block], 0.0))
             found.append((worst, block.start + i))
         return found

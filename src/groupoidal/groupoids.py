@@ -19,19 +19,22 @@ discrete spaces and are reported as notes.
 A groupoid is numbered in one place, _Ids: its arrows, units, composable
 pairs and triples and its product table, in the order of composable_pairs()
 and composable_triples().  Every check and construction that reads a
-groupoid as integers reads it there, once per call; actions add an image
-table (_image_table) or id columns of their table (_SpaceIds).  Nothing is
-cached on the labelled objects: tables may be edited in place between two
-checks, and the second must see the edit.  A witness is the first failing
-tuple in the order of the label walk each check replaced.  validate_groupoid
-keeps its label walk of composable_triples(), which the benchmark counts.
+groupoid as integers reads it there, once per call; actions and arrow maps
+add an image table (_arrow_images) or id columns of their table (_SpaceIds).
+The morphism checks, check_homomorphism, check_action's automorphism laws,
+the principal chart and bundles.verify_bundle_iso, read one law on image
+tables, _morphism_failures.  Nothing is cached on the labelled objects:
+tables may be edited in place between two checks, and the second must see
+the edit.  A witness is the first failing tuple in the order of the label
+walk each check replaced.  validate_groupoid keeps its label walk of
+composable_triples(), which the benchmark counts.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, singledispatch
 
 import numpy as np
@@ -127,27 +130,25 @@ class GroupoidHom:
 
 
 def check_homomorphism(f: GroupoidHom) -> ValidationReport:
+    """Totality, then the morphism laws on one image row (_morphism_failures);
+    a witness is the first failing arrow, or composable pair, in order."""
     rep = ValidationReport(subject="groupoid homomorphism")
-    src, tgt, m = f.source, f.target, f.arrow_map
-    bad = next((x for x in src.arrows if x not in m), None)
-    rep.add("total", bad is None, None if bad is None else f"missing image of {fmt(bad)}")
-    if bad is not None:
-        return rep
-    targets = set(tgt.arrows)
-    bad = next((x for x in src.arrows if m[x] not in targets), None)
-    rep.add("arrows land in target", bad is None, fmt(bad) if bad is not None else None)
-    if bad is not None:
-        return rep
-    for x, y in src.composable_pairs():
-        if not tgt.composable(m[x], m[y]):
-            rep.add("preserves composability", False, f"pair ({fmt(x)},{fmt(y)})")
+    source, target = _Ids(f.source), _Ids(f.target)
+    n, arrows, (px, py) = source.n, source.arrows, source.pairs
+    img = _arrow_images([[f.arrow_map.get(x, _MISSING) for x in arrows]], n, target)
+    for name, k, form in (("total", _first(img[0, :n] < 0), "missing image of {}"),
+                          ("arrows land in target", _first(img[0, :n] == target.n), "{}")):
+        rep.add(name, k is None, None if k is None else form.format(fmt(arrows[k])))
+        if k is not None:
             return rep
-        if tgt.comp[(m[x], m[y])] != m[src.comp[(x, y)]]:
-            rep.add("preserves composition", False, f"pair ({fmt(x)},{fmt(y)})")
-            return rep
+    comp, inv = _morphism_failures(img, source, target)
+    if comp is not None:
+        _row, i, composable = comp
+        rep.add("preserves composition" if composable else "preserves composability", False,
+                f"pair ({fmt(arrows[px[i]])},{fmt(arrows[py[i]])})")
+        return rep
     rep.add("preserves composition", True)
-    bad = [x for x in src.arrows if m[src.inv[x]] != tgt.inv[m[x]]]
-    rep.add("preserves inverses", not bad, fmt(bad[0]) if bad else None)
+    rep.add("preserves inverses", inv is None, fmt(arrows[inv]) if inv is not None else None)
     return rep
 
 
@@ -590,17 +591,43 @@ class _Ids:
             yield block, self.triples_at(np.arange(block.start, block.stop))
 
 
+_MISSING = object()  # the image of an arrow that a map has no entry for
+
+
+def _arrow_images(rows, n: int, target: _Ids) -> np.ndarray:
+    """An image table: rows of the images of n arrows, as arrow ids over
+    ``target`` (-1 for _MISSING, target.n for a label that is not an
+    arrow), and a column n holding target.n, the image of no product."""
+    lookup = {**target.ix, _MISSING: -1}
+    return np.array([[lookup.get(y, target.n) for y in row] + [target.n] for row in rows],
+                    dtype=np.intp).reshape(len(rows), n + 1)
+
+
 def _image_table(a: GroupAction, ids: _Ids) -> tuple:
     """The group's elements numbered, and the action as a |G| x (n + 1)
-    table of arrow ids over ``ids``: row t holds act(t, .) on the arrows in
-    arrow order, -1 where act has no entry and n for an image that is not
-    an arrow; column n holds n."""
+    image table over ``ids`` (_arrow_images): row t holds act(t, .)."""
     elements = _numbering(a.group.elements)
-    missing = object()
-    lookup = {**ids.ix, missing: -1}
-    img = np.array([[lookup.get(a.act.get((t, x), missing), ids.n) for x in ids.arrows]
-                    for t in elements], dtype=np.intp).reshape(len(elements), ids.n)
-    return tuple(elements), np.hstack([img, np.full((len(elements), 1), ids.n)])
+    return tuple(elements), _arrow_images(
+        [[a.act.get((t, x), _MISSING) for x in ids.arrows] for t in elements], ids.n, ids)
+
+
+def _morphism_failures(img: np.ndarray, source: _Ids, target: _Ids) -> tuple:
+    """Where an image table from ``source`` to ``target`` first breaks the
+    morphism laws, or None: the (row, pair, composable), in row then pair
+    order, whose images do not compose to the image of the product, and the
+    row * n + x with img(inv x) != inv(img x)."""
+    (px, py), pq, table = source.pairs, source.prod, target.table
+    s, r, comp = np.append(target.s, -1), np.append(target.r, -2), None  # none past the arrows
+    for block in _blocks_of(len(img) * len(px), 1):
+        t, k = np.divmod(np.arange(block.start, block.stop), len(px))
+        tp, tq = img[t, px[k]], img[t, py[k]]
+        apart = s[tp] != r[tq]
+        i = _first(apart | (table[tp, tq] != img[t, pq[k]]))
+        if i is not None:
+            comp = (t[i], k[i], not apart[i])
+            break
+    inv = _first(img[:, source.inv] != np.append(target.inv, target.n)[img[:, :source.n]])
+    return comp, inv
 
 
 class _UnitShifts:
@@ -673,6 +700,14 @@ def action_from_unit_map(group: FiniteGroup, target: FiniteGroupoid,
     return GroupAction(group, target, act, side)
 
 
+@dataclass(eq=False)
+class _ActionReport(ValidationReport):
+    """A report with what check_action read (not part of its text): the
+    target's _Ids, the elements and the image table, or None."""
+
+    numbered: tuple | None = field(default=None, repr=False)
+
+
 def check_action(a: GroupAction) -> ValidationReport:
     """Automorphism and group-law axioms; properness is noted as vacuous.
 
@@ -680,14 +715,15 @@ def check_action(a: GroupAction) -> ValidationReport:
     witness is the first failing tuple in element, then arrow (or
     composable-pair) order.
     """
-    rep = ValidationReport(subject=f"{a.side} group action")
-    g, x = a.group, a.target
+    rep = _ActionReport(subject=f"{a.side} group action")
+    g = a.group
     if a.side not in ("left", "right"):
         rep.add("side flag valid", False, a.side)
         return rep
-    ids = _Ids(x)
+    ids = _Ids(a.target)
     n, arrows = ids.n, ids.arrows
     elements, img = _image_table(a, ids)
+    rep.numbered = ids, elements, img
 
     k = _first(img[:, :n] < 0)
     rep.add("action total", k is None,
@@ -702,24 +738,9 @@ def check_action(a: GroupAction) -> ValidationReport:
     if k is not None:  # an image outside the arrows has no composites to check
         return rep
 
-    # t.p and t.q composable, with (t.p)(t.q) == t.(pq); an id past the
-    # arrows has no source or range, and a missing product reads as n
-    (px, py), pq, table = ids.pairs, ids.prod, ids.table
-    s, r, wit = np.append(ids.s, -1), np.append(ids.r, -2), None
-    for t in range(len(elements)):
-        for block in _blocks_of(len(px), 1):
-            tp, tq = img[t, px[block]], img[t, py[block]]
-            k = _first((s[tp] != r[tq]) | (table[tp, tq] != img[t, pq[block]]))
-            if k is not None:
-                wit = (elements[t], arrows[px[block][k]], arrows[py[block][k]])
-                break
-        if wit:
-            break
-    rep.add("acts by automorphisms (composition)", wit is None,
-            f"({fmt(wit[0])},{fmt(wit[1])},{fmt(wit[2])})" if wit else None)
-
-    inv = np.append(ids.inv, n)
-    k = _first(img[:, inv[:n]] != inv[img[:, :n]])
+    (px, py), (comp, k) = ids.pairs, _morphism_failures(img, ids, ids)
+    rep.add("acts by automorphisms (composition)", comp is None, None if comp is None else
+            fmt((elements[comp[0]], arrows[px[comp[1]]], arrows[py[comp[1]]])))
     rep.add("acts by automorphisms (inverse)", k is None,
             None if k is None else f"({fmt(elements[k // n])},{fmt(arrows[k % n])})")
 
@@ -1464,19 +1485,17 @@ def principal_decomposition(x: FiniteGroupoid, h: GroupAction,
     trans = transformation_groupoid(y, action)
     chart = {ar: (qmap.arrow_map[ar], x.src[ar]) for ar in x.arrows}
 
-    image = set(chart.values())
-    if len(image) != len(x.arrows) or image != set(trans.arrows):
+    source, target = _Ids(x), _Ids(trans)
+    img = _arrow_images([[chart[ar] for ar in source.arrows]], source.n, target)
+    if source.n != target.n or (np.sort(img[0, :-1]) != np.arange(target.n)).any():
         raise InternalConsistencyError("source chart is not a bijection")
-    for a, b in x.composable_pairs():
-        if trans.comp[(chart[a], chart[b])] != chart[x.comp[(a, b)]]:
-            raise InternalConsistencyError(
-                f"source chart not multiplicative at ({fmt(a)},{fmt(b)})"
-            )
+    comp = _morphism_failures(img, source, target)[0]
+    if comp is not None:
+        a, b = (source.arrows[c[comp[1]]] for c in source.pairs)
+        raise InternalConsistencyError(f"source chart not multiplicative at ({fmt(a)},{fmt(b)})")
     for ar in x.arrows:
         for t in h.group.elements:
             p, u = chart[ar]
             if chart[h.act[(t, ar)]] != (p, h.unit_image(t, u)):
-                raise InternalConsistencyError(
-                    f"source chart not equivariant at ({fmt(t)},{fmt(ar)})"
-                )
+                raise InternalConsistencyError(f"source chart not equivariant at {fmt((t, ar))}")
     return PrincipalDecomposition(y, qmap, action, trans, chart)

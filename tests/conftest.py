@@ -18,6 +18,7 @@ from groupoidal import (
     StarAlgebra,
     ValidationReport,
     bracket_table,
+    check_space_action,
     identity_fiber_maps,
     linking_bundle,
     opposite,
@@ -31,7 +32,7 @@ from groupoidal import (
     trivial_line_bundle,
     validate_groupoid,
 )
-from groupoidal import morita
+from groupoidal import bundles, morita
 from groupoidal._util import DEFAULT_TOL, _ranges, canonical_min, deviation, fmt, worst_residual
 from groupoidal.algebras import _coo, _coo_residual
 from groupoidal.bundles import (
@@ -623,3 +624,110 @@ def fell_bundle_structure_by_labels(b):
                None)
     add("star matrices present with matching shapes", fmt(bad) if bad is not None else None)
     return out
+
+
+def check_homomorphism_by_labels(f):
+    """check_homomorphism as the label walk of composable_pairs() it was."""
+    rep = ValidationReport(subject="groupoid homomorphism")
+    src, tgt, m = f.source, f.target, f.arrow_map
+    bad = next((x for x in src.arrows if x not in m), None)
+    rep.add("total", bad is None, None if bad is None else f"missing image of {fmt(bad)}")
+    if bad is not None:
+        return rep
+    targets = set(tgt.arrows)
+    bad = next((x for x in src.arrows if m[x] not in targets), None)
+    rep.add("arrows land in target", bad is None, fmt(bad) if bad is not None else None)
+    if bad is not None:
+        return rep
+    for x, y in src.composable_pairs():
+        if not tgt.composable(m[x], m[y]):
+            rep.add("preserves composability", False, f"pair ({fmt(x)},{fmt(y)})")
+            return rep
+        if tgt.comp[(m[x], m[y])] != m[src.comp[(x, y)]]:
+            rep.add("preserves composition", False, f"pair ({fmt(x)},{fmt(y)})")
+            return rep
+    rep.add("preserves composition", True)
+    bad = [x for x in src.arrows if m[src.inv[x]] != tgt.inv[m[x]]]
+    rep.add("preserves inverses", not bad, fmt(bad[0]) if bad else None)
+    return rep
+
+
+def _numbered(table):
+    """The keys of a tensor table numbered in table order, and its tensors."""
+    keys = list(table)
+    return {k: i for i, k in enumerate(keys)}, [table[k] for k in keys]
+
+
+def verify_bundle_iso_by_labels(iso, tol=DEFAULT_TOL):
+    """verify_bundle_iso as the label walk of composable_pairs() and the
+    per-arrow star loop it was, its products batched by bundles._residuals."""
+    rep = ValidationReport(subject="bundle isomorphism")
+    src, tgt, amap = iso.source, iso.target, iso.arrow_map
+    image = {amap.get(x) for x in src.base.arrows}  # None marks a missing image
+    rep.add("arrow map bijective", len(image) == len(src.base.arrows)
+            and image == set(tgt.base.arrows))
+    if not rep.ok:
+        return rep
+    bad = next((x for x in src.base.arrows
+                if x not in iso.fiber_maps
+                or iso.fiber_maps[x].shape != (src.dim[x], src.dim[x])
+                or tgt.dim[amap[x]] != src.dim[x]
+                or np.linalg.matrix_rank(iso.fiber_maps[x]) != src.dim[x]),
+               None)
+    rep.add("fiber maps are linear isomorphisms", bad is None,
+            fmt(bad) if bad is not None else None)
+    if not rep.ok:
+        return rep
+    fid, fms = _numbered(iso.fiber_maps)
+    sid, sts = _numbered(src.mult)
+    tid, tts = _numbered(tgt.mult)
+    pairs, ids = [], []
+    for (x, y) in src.base.composable_pairs():
+        fx, fy = amap[x], amap[y]
+        if not tgt.base.composable(fx, fy) or tgt.base.comp[(fx, fy)] != amap[src.base.comp[(x, y)]]:
+            rep.add("arrow map multiplicative", False, f"({fmt(x)},{fmt(y)})")
+            return rep
+        pairs.append((x, y))
+        ids.append((fid[src.base.comp[(x, y)]], sid[(x, y)], tid[(fx, fy)], fid[x], fid[y]))
+    worst, i = worst_residual(bundles._residuals(
+        "kl,lij->kij", "kab,ai,bj->kij", [fms, sts, tts, fms, fms], ids))
+    rep.record_metric("multiplicativity", worst)
+    rep.add("fiber maps multiplicative", worst <= tol,
+            None if worst <= tol else fmt(pairs[i]))
+    worst, i = worst_residual([
+        deviation(tgt.star[amap[x]] @ np.conjugate(iso.fiber_maps[x]),
+                  iso.fiber_maps[src.base.inv[x]] @ src.star[x])
+        for x in src.base.arrows])
+    rep.record_metric("star preservation", worst)
+    rep.add("fiber maps star-preserving", worst <= tol,
+            None if worst <= tol else fmt(src.base.arrows[i]))
+    return rep
+
+
+def check_module_action_by_labels(m, tol=DEFAULT_TOL):
+    """check_module_action as the walk of the action table and the acting
+    arrows it was, its triples batched by bundles._residuals."""
+    rep = ValidationReport(subject="bundle module action")
+    rep.merge(check_space_action(m.base), prefix="base: ")
+    missing = [k for k in m.base.act if k not in m.tensors]
+    rep.add("tensors cover the defined pairs", not missing,
+            fmt(missing[0]) if missing else None)
+    if not rep.ok:
+        return rep
+    acting = m.acting
+    tid, tts = _numbered(m.tensors)
+    mid, mts = _numbered(acting.mult)
+    tuples, ids = [], []
+    for (q, z), qz in m.base.act.items():
+        for p in acting.base.arrows:
+            if not acting.base.composable(p, q):
+                continue
+            tuples.append((p, q, z))
+            ids.append((tid[(p, qz)], tid[(q, z)],
+                        tid[(acting.base.comp[(p, q)], z)], mid[(p, q)]))
+    worst, i = worst_residual(bundles._residuals(
+        "lam,mbj->labj", "lcj,cab->labj", [tts, tts, tts, mts], ids))
+    rep.record_metric("module associativity", worst)
+    rep.add("module action associative", worst <= tol,
+            None if worst <= tol else fmt(tuples[i]))
+    return rep

@@ -56,11 +56,21 @@ def test_residual_kernel_matches_each_tuple(monkeypatch):
         i, j, m, k, l, c = rng.choice([1, 3], size=6)
         rows.append((add(k, i, j), add(l, k, m), add(c, j, m), add(l, i, c)))
     rows.append(rows[5])  # a repeated tuple reads the same tensors again
+    for _ in range(3):  # a zero-width shape class: a fiber of dimension 0 at i
+        rows.append((add(3, 0, 1), add(1, 3, 3), add(3, 1, 3), add(1, 0, 3)))
     got = bundles._residuals("kij,lkm->lijm", "kjm,lik->lijm", [tensors] * 4, rows)
     want = [np.max(np.abs(np.einsum("kij,lkm->lijm", tensors[a], tensors[b])
-                          - np.einsum("kjm,lik->lijm", tensors[c], tensors[d])))
+                          - np.einsum("kjm,lik->lijm", tensors[c], tensors[d])), initial=0.0)
             for a, b, c, d in rows]
     assert got.tolist() == want
+    # each side through _contracted, bit for bit, the empty results included
+    for spec, operands in (("kij,lkm->lijm", [(tensors[a], tensors[b]) for a, b, _c, _d in rows]),
+                           ("kjm,lik->lijm", [(tensors[c], tensors[d]) for _a, _b, c, d in rows])):
+        results = bundles._contracted(spec, operands)
+        assert len(results) == len(operands) and results[-1].size == 0
+        for result, ops in zip(results, operands):
+            expected = np.einsum(spec, *ops)
+            assert result.shape == expected.shape and result.tobytes() == expected.tobytes()
 
 
 def all_pairs(g):

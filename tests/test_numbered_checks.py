@@ -1,8 +1,9 @@
-"""The action and equivalence checks on integer tables, against the label
-walks they replaced (the references in conftest): the same report text, or
-the same exception, on single-entry corruptions of two equivalences and
-their group actions; and the tables are numbered per call, so that an edit
-to a label table shows in the next check."""
+"""The action, equivalence and morphism checks on integer tables, against
+the label walks they replaced (the references in conftest): the same report
+text, or the same exception, on single-entry corruptions of two
+equivalences, their group actions, their corner identifications and a
+principal decomposition; and the tables are numbered per call, so that an
+edit to a label table shows in the next check."""
 
 import functools
 from dataclasses import replace
@@ -11,29 +12,41 @@ import numpy as np
 import pytest
 
 from groupoidal import (
+    BundleIso,
     FellBundle,
     GroupoidEquivalence,
+    GroupoidHom,
     actions_commute,
     check_action,
+    check_bundle_action,
+    check_homomorphism,
+    check_module_action,
     check_space_action,
     is_free,
     linking_bundle,
     linking_system,
     make_pair_groupoid,
     opposite,
+    orbit_bundle_action,
+    principal_decomposition,
+    principal_fell_decomposition,
     symmetric_action_equivalence,
     symmetric_groupoid_equivalence,
     validate_fell_bundle,
+    verify_bundle_iso,
     verify_groupoid_equivalence,
 )
-from groupoidal import groupoids
+from groupoidal import groupoids, morita
 from groupoidal.groupoids import _Transposed
 from groupoidal.instances import symmetric_z2z2_actions, symmetric_z2z2_bundle
 
 from conftest import (
     check_action_by_labels,
+    check_homomorphism_by_labels,
+    check_module_action_by_labels,
     check_space_action_by_labels,
     fell_bundle_structure_by_labels,
+    verify_bundle_iso_by_labels,
     verify_groupoid_equivalence_by_labels,
 )
 from test_blocked_kernels import pair6_actions, pair6_equivalence
@@ -295,3 +308,131 @@ def test_each_check_numbers_its_groupoid_once(monkeypatch):
     numbered.clear()
     ls = linking_system(pair6_equivalence())
     assert sum(g is ls.groupoid for g in numbered) == 1
+    _lb, gba, _hba = symmetric_z2z2_bundle()
+    numbered.clear()
+    assert check_bundle_action(gba).ok
+    assert [g is gba.bundle.base for g in numbered] == [True]
+    iso = corner_identifications("z2z2")[0]
+    numbered.clear()
+    assert verify_bundle_iso(iso).ok
+    assert len(numbered) == 2
+    assert numbered[0] is iso.source.base and numbered[1] is iso.target.base
+
+
+# each equivalence whose corners are identified, and the stride through the
+# entries of an identification
+CORNERS = {"z2z2": (lambda: symmetric_action_equivalence(*symmetric_z2z2_bundle()), 1),
+           "pair6": (pair6_equivalence, 5)}
+
+
+@functools.lru_cache(maxsize=None)
+def corner_identifications(name):
+    """Each corner of the linking bundle onto the equivalence's bundle on
+    its side, (tag, x) -> x with identity fiber maps."""
+    e = CORNERS[name][0]()
+    link = linking_system(e).bundle
+    isos = []
+    for tag, target in (("p", e.left_bundle), ("q", e.right_bundle)):
+        corner = morita._corner_bundle(link, tag, tag)
+        isos.append(BundleIso(corner, target, {x: x[1] for x in corner.base.arrows},
+                              {x: np.eye(corner.dim[x], dtype=complex)
+                               for x in corner.base.arrows}))
+    return isos
+
+
+@functools.lru_cache(maxsize=None)
+def principal_z2z2():
+    """The principal decomposition of the Z2xZ2 instance's right action, and
+    the orbit bundle's module action on the fibers."""
+    lb, _gba, hba = symmetric_z2z2_bundle()
+    return principal_fell_decomposition(lb, hba), orbit_bundle_action(lb, hba)
+
+
+def scaled_entry(table, key, factor):
+    return {**table, key: factor * table[key]}
+
+
+def corrupted_isos(iso, stride):
+    """Copies of a bundle isomorphism with one entry changed: an image
+    redirected to the next target arrow, moved outside the target, or
+    deleted; a fiber map, a target product or a target star scaled."""
+    src, tgt, amap = iso.source, iso.target, iso.arrow_map
+    arrows = list(tgt.base.arrows)
+    for x in list(amap)[::stride]:
+        yield replace(iso, arrow_map={**amap, x: arrows[(arrows.index(amap[x]) + 1) % len(arrows)]})
+        yield replace(iso, arrow_map={**amap, x: "nowhere"})
+        yield replace(iso, arrow_map={k: v for k, v in amap.items() if k != x})
+        yield replace(iso, fiber_maps=scaled_entry(iso.fiber_maps, x, 2.0))
+    for key in list(tgt.mult)[::stride]:
+        yield replace(iso, target=replace(tgt, mult=scaled_entry(tgt.mult, key, 1.5)))
+    for x in list(tgt.star)[::stride]:
+        yield replace(iso, target=replace(tgt, star=scaled_entry(tgt.star, x, -1.0)))
+    yield iso
+
+
+def corrupted_module_actions(m):
+    """Copies of a module action with one entry changed: a base image
+    redirected to the next point, moved outside the space, or deleted; a
+    tensor or a product of the acting bundle scaled."""
+    act, points = m.base.act, list(m.base.space)
+    for k in act:
+        yield replace(m, base=replace(m.base, act={
+            **act, k: points[(points.index(act[k]) + 1) % len(points)]}))
+        yield replace(m, base=replace(m.base, act={**act, k: "nowhere"}))
+        yield replace(m, base=replace(m.base, act={kk: v for kk, v in act.items() if kk != k}))
+        yield replace(m, tensors=scaled_entry(m.tensors, k, 2.0))
+    for key in m.acting.mult:
+        yield replace(m, acting=replace(m.acting, mult=scaled_entry(m.acting.mult, key, 1.5)))
+    yield m
+
+
+@pytest.mark.parametrize("name", sorted(CORNERS))
+def test_corner_identification_checks_match_the_label_walks(name):
+    cases = failing = 0
+    for original in corner_identifications(name):
+        assert verify_bundle_iso(original).ok
+        for iso in corrupted_isos(original, CORNERS[name][1]):
+            want = outcome(verify_bundle_iso_by_labels, iso)
+            assert outcome(verify_bundle_iso, iso) == want
+            hom = GroupoidHom(iso.source.base, iso.target.base, iso.arrow_map)
+            assert outcome(check_homomorphism, hom) == outcome(check_homomorphism_by_labels, hom)
+            cases, failing = cases + 1, failing + ("FAIL" in want)
+    assert cases > 50 and failing > cases // 2
+
+
+def test_principal_decomposition_checks_match_the_label_walks():
+    # the isomorphism's arrow map is the source chart of the decomposition
+    pfd, module = principal_z2z2()
+    assert pfd.iso.arrow_map == pfd.base.source_chart
+    for iso in corrupted_isos(pfd.iso, 1):
+        assert outcome(verify_bundle_iso, iso) == outcome(verify_bundle_iso_by_labels, iso)
+        hom = GroupoidHom(iso.source.base, iso.target.base, iso.arrow_map)
+        assert outcome(check_homomorphism, hom) == outcome(check_homomorphism_by_labels, hom)
+    cases = failing = 0
+    for m in corrupted_module_actions(module):
+        want = outcome(check_module_action_by_labels, m)
+        assert outcome(check_module_action, m) == want
+        cases, failing = cases + 1, failing + ("FAIL" in want)
+    assert cases > 50 and 0 < failing < cases
+
+
+def test_morphism_checks_walk_no_composable_pairs(monkeypatch):
+    # principal_decomposition walks only the pairs of the quotient, which
+    # transformation_groupoid builds its product table from
+    pfd, module = principal_z2z2()
+    iso = corner_identifications("pair6")[0]
+    lb, _gba, hba = symmetric_z2z2_bundle()
+    walked = []
+    original = groupoids.FiniteGroupoid.composable_pairs
+
+    def spy(self):
+        walked.append(self)
+        return original(self)
+
+    monkeypatch.setattr(groupoids.FiniteGroupoid, "composable_pairs", spy)
+    assert check_homomorphism(GroupoidHom(iso.source.base, iso.target.base, iso.arrow_map)).ok
+    assert verify_bundle_iso(iso).ok and verify_bundle_iso(pfd.iso).ok
+    assert check_module_action(module).ok
+    assert walked == []
+    pd = principal_decomposition(lb.base, hba.base_action)
+    assert walked == [pd.quotient]

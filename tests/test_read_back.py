@@ -262,5 +262,8 @@ def test_raeburn_rejects_non_commuting_fiber_actions(z2):
         return AlgebraAction(z2, b, {0: np.eye(3, dtype=complex),
                                      1: np.eye(3, dtype=complex)[p]}, "left")
 
-    with pytest.raises(InvalidStructureError, match="fiber actions do not commute"):
+    with pytest.raises(InvalidStructureError, match="fiber actions do not commute") as info:
         raeburn(points, gsp, hsp, b, swap([1, 0, 2]), swap([0, 2, 1]))
+    # the witness is the first (t, k, x) attaining the residual: the two
+    # swaps, on the first arrow
+    assert str(info.value) == "fiber actions do not commute at (1,1,(0,0)) (residual 1.000e+00)"
